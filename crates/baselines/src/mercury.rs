@@ -341,11 +341,10 @@ impl ResourceDiscovery for Mercury {
     fn directory_loads(&self) -> LoadDist {
         // Per *physical* node: sum of its directories across all hubs.
         let mut per_phys: Vec<f64> = Vec::new();
-        for (phys, node) in self.phys_node.iter().enumerate() {
+        for node in self.phys_node.iter() {
             let Some(idx) = node else { continue };
             let total: usize = self.hubs.iter().map(|h| h.load_of(*idx)).sum();
             per_phys.push(total as f64);
-            let _ = phys;
         }
         LoadDist::new(per_phys)
     }

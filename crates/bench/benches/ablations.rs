@@ -1,12 +1,14 @@
-//! Ablation kernels: LPH vs hashed placement (range-probe cost), and the
-//! Cycloid dimension trade-off (lookup cost at constant degree).
+//! Ablation kernels: LPH vs hashed placement (range-probe cost), the
+//! Cycloid dimension trade-off (lookup cost at constant degree), and the
+//! host cost of each query plan on each system (the wall-clock column
+//! beside the plan ablation's pieces-shipped table in EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use grid_resource::{QueryMix, ResourceDiscovery, Workload};
+use grid_resource::{QueryMix, QueryPlan, ResourceDiscovery, Workload};
 use lorm::{Lorm, LormConfig, Placement};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sim::SimConfig;
+use sim::{SimConfig, TestBed};
 use std::hint::black_box;
 
 fn bench_placement(c: &mut Criterion) {
@@ -52,5 +54,31 @@ fn bench_dimension(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_placement, bench_dimension);
+fn bench_query_plans(c: &mut Criterion) {
+    let bed = TestBed::new(SimConfig::quick());
+    let mut rng = SmallRng::seed_from_u64(0xAD);
+    // One fixed batch for every (system, plan) cell.
+    let batch: Vec<(usize, grid_resource::Query)> = (0..256)
+        .map(|_| {
+            let origin = rng.gen_range(0..bed.cfg.nodes);
+            (origin, bed.workload.random_query(4, QueryMix::Range, &mut rng))
+        })
+        .collect();
+    let mut group = c.benchmark_group("ablate_query_plan_arity4");
+    for sys in &bed.systems {
+        for plan in QueryPlan::ALL {
+            group.bench_function(format!("{}/{}", sys.name(), plan.name()), |b| {
+                let mut i = 0usize;
+                b.iter(|| {
+                    let (origin, q) = &batch[i % batch.len()];
+                    i += 1;
+                    black_box(sys.query_planned(*origin, q, plan).unwrap().tally.matches)
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_placement, bench_dimension, bench_query_plans);
 criterion_main!(benches);

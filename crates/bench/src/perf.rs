@@ -399,20 +399,30 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
         kernels.push(k);
     }
 
-    // --- planner: adaptive multi-attribute resolution on LORM ----------
+    // --- planner: adaptive multi-attribute resolution --------------------
     // Arity-4 range queries through the selectivity-ordered sequential
-    // plan — the path the `--plan=adaptive` figures take per query.
+    // plan — the path the `--plan=adaptive` figures take per query. LORM
+    // probes ~10 directory nodes a query; Mercury probes `1 + n/4` per
+    // range sub-query (Theorem 4.9), so its kernel is the one that sees
+    // planner work that is superlinear in the probe list.
     {
-        let mut p_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x14);
-        kernels.push(time_kernel("planner_adaptive_probe", "query", probe_q, || {
-            let q = workload.random_query(4, QueryMix::Range, &mut p_rng);
-            let origin = p_rng.gen_range(0..sim_cfg.nodes);
-            std::hint::black_box(
-                lorm.query_planned(origin, &q, QueryPlan::Adaptive)
-                    .map(|o| o.tally.matches)
-                    .unwrap_or(0),
-            );
-        }));
+        let mercury = build_system(System::Mercury, &workload, &sim_cfg);
+        let cells: [(&'static str, &dyn ResourceDiscovery, u64); 2] = [
+            ("planner_adaptive_probe", &lorm, 0x14),
+            ("planner_adaptive_probe_mercury", &*mercury, 0x15),
+        ];
+        for (name, sys, stream) in cells {
+            let mut p_rng = SmallRng::seed_from_u64(cfg.seed ^ stream);
+            kernels.push(time_kernel(name, "query", probe_q, || {
+                let q = workload.random_query(4, QueryMix::Range, &mut p_rng);
+                let origin = p_rng.gen_range(0..sim_cfg.nodes);
+                std::hint::black_box(
+                    sys.query_planned(origin, &q, QueryPlan::Adaptive)
+                        .map(|o| o.tally.matches)
+                        .unwrap_or(0),
+                );
+            }));
+        }
     }
 
     // --- bed construction: the phase the BedCache amortizes ------------

@@ -31,11 +31,10 @@
 #![forbid(unsafe_code)]
 
 mod keys;
-mod planning;
 pub mod semantic;
 mod system;
 
+pub use grid_resource::QueryPlan;
 pub use keys::{KeyDeriver, Placement};
-pub use planning::QueryPlan;
 pub use semantic::{SemanticCodec, SemanticDirectory};
 pub use system::{Lorm, LormConfig};

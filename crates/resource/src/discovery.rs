@@ -21,11 +21,17 @@ pub struct QueryOutcome {
     /// directory nodes, matched pieces).
     pub tally: LookupTally,
     /// Physical nodes that satisfy *every* sub-query — the result of the
-    /// paper's database-like join on `ip_addr`.
+    /// paper's database-like join on `ip_addr`. Strictly ascending (sorted,
+    /// no repeats) under every system and plan: [`join_owners`] and
+    /// [`planner::resolve_in_order`] both return it that way, and callers
+    /// may `binary_search` it.
     pub owners: Vec<usize>,
-    /// Every directory node that checked its directory for this query
-    /// (overlay arena indices; repeats allowed when several sub-queries
-    /// hit the same node). Used by the query-load-balance experiment.
+    /// Every directory node that checked its directory for this query, as
+    /// overlay arena indices in visiting order. Under
+    /// [`QueryPlan::Parallel`] a node hit by several sub-queries repeats,
+    /// one entry per check; `Sequential` and `Adaptive` keep only the
+    /// first occurrence of each node. Used by the query-load-balance
+    /// experiment.
     pub probed: Vec<NodeIdx>,
 }
 
@@ -151,7 +157,8 @@ pub trait ResourceDiscovery {
     /// [`planner::plan_order`]), threading the surviving candidate set
     /// and short-circuiting when it empties — remaining sub-queries are
     /// skipped entirely, their lookups never happen. All three plans
-    /// return identical owner sets; tally semantics are documented in
+    /// return identical `owners`; `probed` differs as documented on
+    /// [`QueryOutcome::probed`], and tally semantics are documented in
     /// [`crate::planner`].
     fn query_planned(
         &self,
@@ -301,7 +308,8 @@ impl Clone for Box<dyn ResourceDiscovery + Send + Sync> {
 
 /// The requester-side "database-like join on `ip_addr`": intersect the
 /// per-sub-query owner sets, returning owners that satisfy every
-/// constraint. Inputs are the matched owners of each sub-query.
+/// constraint, strictly ascending. Inputs are the matched owners of each
+/// sub-query, in any order and with repeats.
 pub fn join_owners(mut per_sub: Vec<Vec<usize>>) -> Vec<usize> {
     let Some(mut acc) = per_sub.pop() else {
         return Vec::new();

@@ -151,7 +151,8 @@ fn gallop_to(s: &[usize], x: usize) -> usize {
 /// absent estimator) keeps document order.
 pub fn plan_order(q: &Query, plan: QueryPlan, sel: Option<&SelectivityEstimator>) -> Vec<usize> {
     let mut order: Vec<usize> = (0..q.subs.len()).collect();
-    if plan == QueryPlan::Adaptive {
+    // A single sub-query has no order to choose: skip the estimates.
+    if plan == QueryPlan::Adaptive && order.len() > 1 {
         if let Some(sel) = sel.filter(|s| s.is_trained()) {
             let est: Vec<f64> = q.subs.iter().map(|s| sel.estimate(s)).collect();
             // f64 comparison: estimates are finite sums of finite counts,
@@ -162,11 +163,26 @@ pub fn plan_order(q: &Query, plan: QueryPlan, sel: Option<&SelectivityEstimator>
     order
 }
 
+/// Restore the strictly-ascending owner-set invariant on `found`.
+/// `join_owners` already returns it that way, so the usual cost is one
+/// linear check; arbitrary resolvers (tests, replays) get the sort.
+fn sort_dedup(found: &mut Vec<usize>) {
+    if !found.windows(2).all(|w| w[0] < w[1]) {
+        found.sort_unstable();
+        found.dedup();
+    }
+}
+
 /// Resolve `q` one sub-query at a time in `order`, threading the
 /// surviving candidate set, with the tally semantics documented at the
 /// module level. `resolve` answers a single-sub query (a borrowed scratch
 /// query, rebuilt per step) — the trait layer binds it to `query_from`
 /// or `query_from_cached`.
+///
+/// Host cost is linear in the number of probed nodes: Mercury and MAAN
+/// visit `1 + n/4` directory nodes per range sub-query (Theorem 4.9), so
+/// the probe de-duplication marks arena slots instead of scanning the
+/// list built so far.
 pub fn resolve_in_order(
     q: &Query,
     order: &[usize],
@@ -174,6 +190,9 @@ pub fn resolve_in_order(
 ) -> Result<QueryOutcome, DhtError> {
     let mut tally = LookupTally::default();
     let mut probed_all: Vec<NodeIdx> = Vec::new();
+    // `seen[i]`: arena slot `i` is already in `probed_all`. Arena indices
+    // are dense, so the marks stay within one byte per overlay node.
+    let mut seen: Vec<bool> = Vec::new();
     let mut survivors: Vec<usize> = Vec::new();
     let mut first = true;
     // One single-sub scratch query reused across the sequential steps.
@@ -188,25 +207,28 @@ pub fn resolve_in_order(
         tally.hops += out.tally.hops;
         tally.lookups += out.tally.lookups;
         tally.visited += out.tally.visited;
-        // Order-preserving dedup: a directory visited twice probes once.
-        for p in out.probed {
-            if !probed_all.contains(&p) {
-                probed_all.push(p);
-            }
-        }
         let mut found = out.owners;
+        sort_dedup(&mut found);
+        // Order-preserving dedup: a directory visited twice probes once.
+        // The marks grow once per step, to the step's highest slot.
+        let slots = out.probed.iter().map(|p| p.0 + 1).max().unwrap_or(0);
+        if slots > seen.len() {
+            seen.resize(slots, false);
+        }
+        let first_visit = |p: &NodeIdx| !std::mem::replace(&mut seen[p.0], true);
         if first {
+            // The first step's probe list becomes the output buffer.
+            probed_all = out.probed;
+            probed_all.retain(first_visit);
             // First step ships its full match list (one entry per piece,
             // duplicates included) — identical to the parallel tally for
             // this sub-query.
             tally.matches += out.tally.matches;
-            found.sort_unstable();
-            found.dedup();
             survivors = found;
             first = false;
         } else {
-            found.sort_unstable();
-            found.dedup();
+            probed_all.reserve(out.probed.len());
+            probed_all.extend(out.probed.into_iter().filter(first_visit));
             intersect_sorted(&mut survivors, &found);
             // Later steps ship one entry per surviving owner.
             tally.matches += survivors.len();

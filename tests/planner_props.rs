@@ -1,7 +1,13 @@
 //! Property tests on the selectivity-driven query planner:
 //!
-//! * every plan (parallel, sequential, adaptive) returns the same owner
-//!   set on every system — the plans trade traffic, never answers;
+//! * every plan (parallel, sequential, adaptive) returns the same
+//!   strictly ascending owner list on every system — the plans trade
+//!   traffic, never answers;
+//! * `resolve_in_order`'s linear-time probe de-duplication equals the
+//!   quadratic `contains` loop it replaced, on arbitrary step streams
+//!   and on all four systems under both sequential plans;
+//! * sequential tallies count shipped pieces and short-circuit on every
+//!   system;
 //! * adaptive ordering never ships more result pieces than the *worst*
 //!   sub-query ordering would, even on skewed (Bounded Pareto) values;
 //! * the plan choice composes with the sharded executor: report JSON is
@@ -9,6 +15,8 @@
 //! * the equi-width histograms behind the adaptive plan track exact
 //!   match counts within the interpolation tolerance band.
 
+use lorm_repro::dht_core::{LookupTally, NodeIdx};
+use lorm_repro::grid_resource::planner::{intersect_sorted, plan_order, resolve_in_order};
 use lorm_repro::grid_resource::{QueryPlan, SelectivityEstimator};
 use lorm_repro::prelude::*;
 use lorm_repro::sim::experiments::{run_batch_planned_sharded, Metric};
@@ -28,6 +36,65 @@ fn tiny_cfg(seed: u64) -> SimConfig {
     }
 }
 
+/// The order-preserving de-duplication `resolve_in_order` used before it
+/// marked arena slots: a linear scan per probed node. Kept as the
+/// reference the linear-time filter must reproduce entry for entry.
+fn dedup_by_contains(steps: &[Vec<NodeIdx>]) -> Vec<NodeIdx> {
+    let mut all: Vec<NodeIdx> = Vec::new();
+    for &p in steps.iter().flatten() {
+        if !all.contains(&p) {
+            all.push(p);
+        }
+    }
+    all
+}
+
+fn range_sub(attr: u32) -> SubQuery {
+    SubQuery { attr: AttrId(attr), target: ValueTarget::Range { low: 0.0, high: 1.0 } }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn probe_dedup_equals_reference_contains_loop(
+        steps in prop::collection::vec(
+            (
+                // dense slots (within- and cross-step repeats), a
+                // mid-size arena, and sparse slots far past it
+                prop::collection::vec(
+                    prop_oneof![
+                        3 => 0usize..12,
+                        2 => 0usize..2048,
+                        1 => (0usize..40).prop_map(|i| 100_000 + i * 40_009)
+                    ],
+                    0..40,
+                ),
+                // small owner lists: some intersections come up empty
+                // and end the query before the stream does
+                prop::collection::vec(0usize..4, 0..5),
+            ),
+            1..7,
+        ),
+    ) {
+        let q = Query { subs: (0..steps.len() as u32).map(range_sub).collect() };
+        let order: Vec<usize> = (0..steps.len()).collect();
+        let mut asked: Vec<Vec<NodeIdx>> = Vec::new();
+        let out = resolve_in_order(&q, &order, &mut |single| {
+            let (probed, owners) = &steps[single.subs[0].attr.0 as usize];
+            let probed: Vec<NodeIdx> = probed.iter().map(|&i| NodeIdx(i)).collect();
+            asked.push(probed.clone());
+            let tally =
+                LookupTally { hops: 1, lookups: 1, visited: probed.len(), matches: owners.len() };
+            Ok(QueryOutcome { tally, owners: owners.clone(), probed })
+        })
+        .unwrap();
+        prop_assert_eq!(out.probed, dedup_by_contains(&asked));
+        prop_assert_eq!(out.tally.lookups, asked.len());
+        prop_assert_eq!(out.tally.visited, asked.iter().map(Vec::len).sum::<usize>());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -41,10 +108,14 @@ proptest! {
             for sys in &bed.systems {
                 let mut expect: Option<Vec<usize>> = None;
                 for plan in QueryPlan::ALL {
-                    let out = sys.query_planned(origin, &q, plan).unwrap();
-                    let mut owners = out.owners.clone();
-                    owners.sort_unstable();
-                    owners.dedup();
+                    let owners = sys.query_planned(origin, &q, plan).unwrap().owners;
+                    // the `QueryOutcome::owners` contract: callers may
+                    // binary-search it without sorting first
+                    prop_assert!(
+                        owners.windows(2).all(|w| w[0] < w[1]),
+                        "{} under the {} plan: owners not strictly ascending",
+                        sys.name(), plan.name()
+                    );
                     match &expect {
                         None => expect = Some(owners),
                         Some(e) => prop_assert_eq!(
@@ -55,6 +126,82 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn sequential_probes_are_the_deduplicated_single_sub_probes_on_every_system() {
+    let bed = TestBed::new(tiny_cfg(0x9D21));
+    let mut rng = SmallRng::seed_from_u64(0x51A);
+    for _ in 0..40 {
+        let q = bed.workload.random_query(rng.gen_range(1..=4), QueryMix::Range, &mut rng);
+        let origin = rng.gen_range(0..bed.cfg.nodes);
+        for sys in &bed.systems {
+            for plan in [QueryPlan::Sequential, QueryPlan::Adaptive] {
+                // Replay the plan by hand: one single-sub `query_from`
+                // per step, in `plan_order`, until the candidates run out.
+                let mut steps: Vec<Vec<NodeIdx>> = Vec::new();
+                let mut survivors: Option<Vec<usize>> = None;
+                for idx in plan_order(&q, plan, sys.selectivity()) {
+                    if survivors.as_ref().is_some_and(Vec::is_empty) {
+                        break;
+                    }
+                    let single = Query { subs: vec![q.subs[idx]] };
+                    let step = sys.query_from(origin, &single).unwrap();
+                    steps.push(step.probed);
+                    match &mut survivors {
+                        None => survivors = Some(step.owners),
+                        Some(s) => intersect_sorted(s, &step.owners),
+                    }
+                }
+                let out = sys.query_planned(origin, &q, plan).unwrap();
+                let what = format!("{} under the {} plan", sys.name(), plan.name());
+                // equal to the reference, hence also duplicate-free
+                assert_eq!(out.probed, dedup_by_contains(&steps), "{what}: probe list");
+                assert_eq!(out.owners, survivors.unwrap(), "{what}: owners");
+            }
+        }
+    }
+}
+
+#[test]
+fn sequential_tallies_count_shipped_pieces_and_short_circuit_on_every_system() {
+    let bed = TestBed::new(tiny_cfg(0x9E05));
+    let mut rng = SmallRng::seed_from_u64(0x51B);
+    for sys in &bed.systems {
+        // Arity 1: every plan ships exactly the sub-query's match list,
+        // so the whole tally agrees with the parallel one.
+        for _ in 0..30 {
+            let q = bed.workload.random_query(1, QueryMix::Range, &mut rng);
+            let origin = rng.gen_range(0..bed.cfg.nodes);
+            let par = sys.query_planned(origin, &q, QueryPlan::Parallel).unwrap();
+            for plan in [QueryPlan::Sequential, QueryPlan::Adaptive] {
+                let out = sys.query_planned(origin, &q, plan).unwrap();
+                assert_eq!(out.tally, par.tally, "{} arity-1 {}", sys.name(), plan.name());
+            }
+        }
+        // Arity 4: threading the candidates ships far fewer pieces, and
+        // never fewer than the final answer.
+        let (mut par, mut seq) = (0usize, 0usize);
+        for _ in 0..60 {
+            let q = bed.workload.random_query(4, QueryMix::Range, &mut rng);
+            let origin = rng.gen_range(0..bed.cfg.nodes);
+            par += sys.query_planned(origin, &q, QueryPlan::Parallel).unwrap().tally.matches;
+            let out = sys.query_planned(origin, &q, QueryPlan::Sequential).unwrap();
+            assert!(out.tally.matches >= out.owners.len(), "{}: undercounted", sys.name());
+            seq += out.tally.matches;
+        }
+        assert!(seq * 2 < par, "{}: parallel {par} vs sequential {seq} pieces", sys.name());
+        // Point conjunctions are almost always empty: the remaining
+        // lookups must then never happen.
+        let skipped = (0..60).any(|_| {
+            let q = bed.workload.random_query(6, QueryMix::NonRange, &mut rng);
+            let origin = rng.gen_range(0..bed.cfg.nodes);
+            let par = sys.query_planned(origin, &q, QueryPlan::Parallel).unwrap();
+            let out = sys.query_planned(origin, &q, QueryPlan::Sequential).unwrap();
+            out.owners.is_empty() && out.tally.lookups < par.tally.lookups
+        });
+        assert!(skipped, "{}: empty conjunctions should short-circuit", sys.name());
     }
 }
 
