@@ -1,7 +1,8 @@
 //! Ablation kernels: LPH vs hashed placement (range-probe cost), the
 //! Cycloid dimension trade-off (lookup cost at constant degree), and the
 //! host cost of each query plan on each system (the wall-clock column
-//! beside the plan ablation's pieces-shipped table in EXPERIMENTS.md).
+//! beside the plan ablation's pieces-shipped table in EXPERIMENTS.md;
+//! informational — CI gates `repro perf` and `lormbench`, not this).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grid_resource::{QueryMix, QueryPlan, ResourceDiscovery, Workload};

@@ -151,8 +151,7 @@ fn gallop_to(s: &[usize], x: usize) -> usize {
 /// absent estimator) keeps document order.
 pub fn plan_order(q: &Query, plan: QueryPlan, sel: Option<&SelectivityEstimator>) -> Vec<usize> {
     let mut order: Vec<usize> = (0..q.subs.len()).collect();
-    // A single sub-query has no order to choose: skip the estimates.
-    if plan == QueryPlan::Adaptive && order.len() > 1 {
+    if plan == QueryPlan::Adaptive {
         if let Some(sel) = sel.filter(|s| s.is_trained()) {
             let est: Vec<f64> = q.subs.iter().map(|s| sel.estimate(s)).collect();
             // f64 comparison: estimates are finite sums of finite counts,
@@ -161,16 +160,6 @@ pub fn plan_order(q: &Query, plan: QueryPlan, sel: Option<&SelectivityEstimator>
         }
     }
     order
-}
-
-/// Restore the strictly-ascending owner-set invariant on `found`.
-/// `join_owners` already returns it that way, so the usual cost is one
-/// linear check; arbitrary resolvers (tests, replays) get the sort.
-fn sort_dedup(found: &mut Vec<usize>) {
-    if !found.windows(2).all(|w| w[0] < w[1]) {
-        found.sort_unstable();
-        found.dedup();
-    }
 }
 
 /// Resolve `q` one sub-query at a time in `order`, threading the
@@ -208,7 +197,8 @@ pub fn resolve_in_order(
         tally.lookups += out.tally.lookups;
         tally.visited += out.tally.visited;
         let mut found = out.owners;
-        sort_dedup(&mut found);
+        found.sort_unstable();
+        found.dedup();
         // Order-preserving dedup: a directory visited twice probes once.
         // The marks grow once per step, to the step's highest slot.
         let slots = out.probed.iter().map(|p| p.0 + 1).max().unwrap_or(0);
