@@ -23,13 +23,10 @@
 //!   `m·log n`).
 
 use crate::host::ChordHost;
-use dht_core::{
-    route_stats_cached, ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx,
-    Overlay, RouteCache,
-};
+use dht_core::{ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx, Via};
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, PieceKey, Query, QueryOutcome,
-    ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttrId, AttributeSpace, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
+    SelectivityEstimator, SubQuery, SubState, ValueTarget,
 };
 use rand::rngs::SmallRng;
 
@@ -136,86 +133,45 @@ impl ResourceDiscovery for CompositeFlat {
         Some(&self.sel)
     }
 
-    fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let lo_key = self.key_of(sub.attr, lo);
-            let route = self.host.net().route_stats(from, lo_key)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => self.host.walk_range_into(
-                    route.terminal,
-                    lo_key,
-                    self.key_of(sub.attr, h),
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_cached(
+    fn resolve_sub(
         &self,
         phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
+        sub: &SubQuery,
+        msg: u64,
+        via: &mut Via<'_>,
+        out: &mut QueryOutcome,
+    ) -> Result<SubState, DhtError> {
         let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let lo_key = self.key_of(sub.attr, lo);
-            let route = route_stats_cached(self.host.net(), from, lo_key, 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => self.host.walk_range_cached_into(
-                    route.terminal,
-                    lo_key,
-                    self.key_of(sub.attr, h),
-                    0,
-                    cache,
-                    &mut walk,
-                ),
+        let (lo, hi) = match sub.target {
+            ValueTarget::Point(v) => (v, None),
+            ValueTarget::Range { low, high } => (low, Some(high)),
+        };
+        let lo_key = self.key_of(sub.attr, lo);
+        out.tally.lookups += 1;
+        let route = via.route_stats(self.host.net(), from, lo_key, 0, msg)?;
+        out.tally.hops += route.hops;
+        let first = out.probed.len();
+        let truncated = match hi {
+            None => {
+                out.probed.push(route.terminal);
+                false
             }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
+            Some(h) => self.host.walk_range_via(
+                route.terminal,
+                lo_key,
+                self.key_of(sub.attr, h),
+                0,
+                msg,
+                via,
+                &mut out.probed,
+            ),
+        };
+        out.tally.visited += out.probed.len() - first;
+        for &node in &out.probed[first..] {
+            self.host.matches_in_into(node, sub.attr, &sub.target, &mut out.owners);
         }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        out.tally.matches += out.owners.len();
+        Ok(if truncated { SubState::Degraded } else { SubState::Resolved })
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -293,7 +249,7 @@ impl ResourceDiscovery for CompositeFlat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_resource::{QueryMix, Workload, WorkloadConfig};
+    use grid_resource::{discovery::join_owners, Query, QueryMix, Workload, WorkloadConfig};
     use rand::{Rng, SeedableRng};
 
     fn setup() -> (Workload, CompositeFlat) {
@@ -349,24 +305,6 @@ mod tests {
                 assert_eq!(got, expected, "{mix:?}");
             }
         }
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, c) = setup();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            let queries: Vec<_> = (0..50).map(|_| w.random_query(3, mix, &mut rng)).collect();
-            for pass in 0..2 {
-                for (i, q) in queries.iter().enumerate() {
-                    let plain = c.query_from(i % 512, q).unwrap();
-                    let cached = c.query_from_cached(i % 512, q, &mut cache).unwrap();
-                    assert_eq!(cached, plain, "{mix:?} query {i} pass {pass}");
-                }
-            }
-        }
-        assert!(cache.hits() > 0, "replayed segment lookups must hit");
     }
 
     #[test]

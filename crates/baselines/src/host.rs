@@ -2,10 +2,7 @@
 //! all three baseline systems.
 
 use chord::{Chord, ChordConfig};
-use dht_core::{
-    probe_step, BuildMode, DhtError, FaultAccount, FaultPlan, NodeIdx, Overlay, RepairStats,
-    RouteCache, RouteStats, WalkStep,
-};
+use dht_core::{BuildMode, DhtError, NodeIdx, Overlay, RepairStats, RouteStats, Via, WalkStep};
 use grid_resource::{AttrId, Directory, PieceKey, ReplicaStore, ResourceInfo, ValueTarget};
 
 /// Per-piece routing keys callback: systems place a report under
@@ -286,21 +283,13 @@ impl ChordHost {
     /// Clockwise range walk: starting at the root of `lo_key`, probe
     /// successive nodes until the first node at-or-past `hi_key` on the
     /// directed arc from `lo_key` — the system-wide range probe of Mercury
-    /// and MAAN.
+    /// and MAAN — appending the probed nodes to `out`.
     ///
     /// The directed-arc criterion (rather than "stop at the root of
     /// `hi_key`") matters when the arc wraps past the largest identifier:
     /// `root(lo)` and `root(hi)` can then coincide while every node in
     /// between still holds matching values. The walk stops early if
     /// pointers are broken (churn) or after a full circle.
-    pub fn walk_range(&self, start: NodeIdx, lo_key: u64, hi_key: u64) -> Vec<NodeIdx> {
-        let mut probed = Vec::new();
-        self.walk_range_into(start, lo_key, hi_key, &mut probed);
-        probed
-    }
-
-    /// Append the probed nodes of a range walk into `out` (scratch-buffer
-    /// variant for the query hot loops, which run one walk per sub-query).
     pub fn walk_range_into(
         &self,
         start: NodeIdx,
@@ -308,11 +297,59 @@ impl ChordHost {
         hi_key: u64,
         out: &mut Vec<NodeIdx>,
     ) {
+        self.walk_range_via(start, lo_key, hi_key, 0, 0, &mut Via::Direct, out);
+    }
+
+    /// [`Self::walk_range_into`] with the walk's messages travelling
+    /// `via` — the host's one walk loop. Returns `true` when a fault
+    /// truncated the walk before the arc was covered.
+    ///
+    /// Under faults every advance to the next clockwise node is a probe
+    /// message of the walk that follows lookup `msg`, subject to
+    /// [`Via::admit_step`].
+    ///
+    /// Through a cache the emission is identical by construction. A
+    /// fresh-epoch segment cached for at least this span replays through
+    /// the walk's own stop rule (`dist < span`); otherwise the walk runs
+    /// for real and its emission is recorded. A walk that stopped for a
+    /// span-*independent* reason (broken pointers, full circle, probe
+    /// budget) emitted everything reachable from `start`, so it is cached
+    /// with an unbounded span and replays exactly for wider queries too;
+    /// only a walk stopped by the arc rule is bounded to the span it was
+    /// run for. `salt` namespaces overlays sharing one cache (Mercury
+    /// passes the hub index; single-ring systems pass 0).
+    #[allow(clippy::too_many_arguments)] // the plain walk plus the (salt, msg, via) triple
+    pub fn walk_range_via(
+        &self,
+        start: NodeIdx,
+        lo_key: u64,
+        hi_key: u64,
+        salt: u64,
+        msg: u64,
+        via: &mut Via<'_>,
+        out: &mut Vec<NodeIdx>,
+    ) -> bool {
         use dht_core::clockwise_dist;
-        out.push(start);
-        let mut cur = start;
         let span = clockwise_dist(lo_key, hi_key);
+        let epoch = self.net.epoch();
+        out.push(start);
+        let mut rec = None;
+        if let Some(cache) = via.cache() {
+            if let Some(steps) = cache.walk_lookup(salt, start, lo_key, span, epoch) {
+                out.extend(steps.iter().take_while(|s| s.dist < span).map(|s| s.node));
+                return false;
+            }
+            // Two-touch admission: a first-sighted key runs the walk plain
+            // (recording a never-repeating walk is pure overhead); only a
+            // repeat offender pays the per-step copy and gets cached.
+            if cache.admit_walk(salt, start, lo_key, epoch) {
+                rec = Some(cache.begin_walk());
+            }
+        }
+        let mut cur = start;
         let budget = self.net.len();
+        let mut rule_stop = false;
+        let mut step = 0usize;
         for _ in 0..budget {
             let cur_id = match self.net.id_of(cur) {
                 Ok(id) => id,
@@ -320,71 +357,6 @@ impl ChordHost {
             };
             // `cur` covers keys up to its own id; once it sits at or past
             // hi (walking clockwise from lo), the arc is covered.
-            if clockwise_dist(lo_key, cur_id) >= span {
-                break;
-            }
-            match self.net.next_clockwise(cur) {
-                Ok(next) if next != start => {
-                    out.push(next);
-                    cur = next;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// The cached twin of [`Self::walk_range_into`] — identical emission
-    /// by construction. A fresh-epoch segment cached for at least this
-    /// span replays through the walk's own stop rule (`dist < span`);
-    /// otherwise the walk runs for real and its emission is recorded.
-    ///
-    /// A walk that stopped for a span-*independent* reason (broken
-    /// pointers, full circle, probe budget) emitted everything reachable
-    /// from `start`, so it is cached with an unbounded span and replays
-    /// exactly for wider queries too; only a walk stopped by the arc rule
-    /// is bounded to the span it was run for.
-    ///
-    /// `salt` namespaces overlays sharing one cache (Mercury passes the
-    /// hub index; single-ring systems pass 0).
-    #[allow(clippy::too_many_arguments)] // mirrors the plain walk plus the cache pair
-    pub fn walk_range_cached_into(
-        &self,
-        start: NodeIdx,
-        lo_key: u64,
-        hi_key: u64,
-        salt: u64,
-        cache: &mut RouteCache,
-        out: &mut Vec<NodeIdx>,
-    ) {
-        use dht_core::clockwise_dist;
-        let span = clockwise_dist(lo_key, hi_key);
-        let epoch = self.net.epoch();
-        out.push(start);
-        if let Some(steps) = cache.walk_lookup(salt, start, lo_key, span, epoch) {
-            for s in steps {
-                if s.dist >= span {
-                    break;
-                }
-                out.push(s.node);
-            }
-            return;
-        }
-        // Two-touch admission: a first-sighted key runs the walk plain
-        // (recording a never-repeating walk is pure overhead); only a
-        // repeat offender pays the per-step copy and gets cached.
-        let mut rec = if cache.admit_walk(salt, start, lo_key, epoch) {
-            Some(cache.begin_walk())
-        } else {
-            None
-        };
-        let mut cur = start;
-        let budget = self.net.len();
-        let mut rule_stop = false;
-        for _ in 0..budget {
-            let cur_id = match self.net.id_of(cur) {
-                Ok(id) => id,
-                Err(_) => break,
-            };
             let dist = clockwise_dist(lo_key, cur_id);
             if dist >= span {
                 rule_stop = true;
@@ -392,6 +364,10 @@ impl ChordHost {
             }
             match self.net.next_clockwise(cur) {
                 Ok(next) if next != start => {
+                    step += 1;
+                    if !via.admit_step(msg, step, next) {
+                        return true;
+                    }
                     // Each step stores the distance of the node that
                     // admitted it — the quantity the stop rule tests.
                     if let Some(rec) = rec.as_mut() {
@@ -403,57 +379,9 @@ impl ChordHost {
                 _ => break,
             }
         }
-        if let Some(rec) = rec {
+        if let (Some(rec), Some(cache)) = (rec, via.cache()) {
             let stored_span = if rule_stop { span } else { u64::MAX };
             cache.commit_walk(salt, start, lo_key, stored_span, epoch, rec);
-        }
-    }
-
-    /// Fault-aware variant of [`Self::walk_range_into`]: every advance to
-    /// the next clockwise node is a probe message subject to the plan's
-    /// drop coin (one retry) and the dead-member check. Returns `true`
-    /// when a fault truncated the walk before the arc was covered. An
-    /// inert plan delegates to the plain walk.
-    #[allow(clippy::too_many_arguments)]
-    pub fn walk_range_faulty_into(
-        &self,
-        start: NodeIdx,
-        lo_key: u64,
-        hi_key: u64,
-        plan: &FaultPlan,
-        walk_msg: u64,
-        acct: &mut FaultAccount,
-        out: &mut Vec<NodeIdx>,
-    ) -> bool {
-        if plan.is_inert() {
-            self.walk_range_into(start, lo_key, hi_key, out);
-            return false;
-        }
-        use dht_core::clockwise_dist;
-        out.push(start);
-        let mut cur = start;
-        let span = clockwise_dist(lo_key, hi_key);
-        let budget = self.net.len();
-        let mut step = 0usize;
-        for _ in 0..budget {
-            let cur_id = match self.net.id_of(cur) {
-                Ok(id) => id,
-                Err(_) => break,
-            };
-            if clockwise_dist(lo_key, cur_id) >= span {
-                break;
-            }
-            match self.net.next_clockwise(cur) {
-                Ok(next) if next != start => {
-                    step += 1;
-                    if !probe_step(plan, walk_msg, step, next, acct) {
-                        return true;
-                    }
-                    out.push(next);
-                    cur = next;
-                }
-                _ => break,
-            }
         }
         false
     }
@@ -472,9 +400,28 @@ impl ChordHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_core::{FaultAccount, FaultPlan, RouteCache};
 
     fn info(owner: usize) -> ResourceInfo {
         ResourceInfo { attr: AttrId(0), value: 1.0, owner }
+    }
+
+    fn walk(h: &ChordHost, start: NodeIdx, lo: u64, hi: u64) -> Vec<NodeIdx> {
+        let mut probed = Vec::new();
+        h.walk_range_into(start, lo, hi, &mut probed);
+        probed
+    }
+
+    fn cached_walk(
+        h: &ChordHost,
+        start: NodeIdx,
+        lo: u64,
+        hi: u64,
+        cache: &mut RouteCache,
+    ) -> Vec<NodeIdx> {
+        let mut probed = Vec::new();
+        assert!(!h.walk_range_via(start, lo, hi, 0, 0, &mut Via::Cached(cache), &mut probed));
+        probed
     }
 
     #[test]
@@ -513,7 +460,7 @@ mod tests {
         let start_key = 0u64;
         let hi_key = u64::MAX / 4; // a quarter of the ring
         let start = h.net().owner_of(start_key).unwrap();
-        let walk = h.walk_range(start, start_key, hi_key);
+        let walk = walk(&h, start, start_key, hi_key);
         // expect roughly n/4 = 32 nodes, generously banded
         assert!((20..=45).contains(&walk.len()), "walk length {}", walk.len());
         assert_eq!(*walk.last().unwrap(), h.net().owner_of(hi_key).unwrap());
@@ -527,7 +474,7 @@ mod tests {
     fn walk_to_own_key_is_single_probe() {
         let h = ChordHost::build(32, 5);
         let root = h.net().owner_of(777).unwrap();
-        let walk = h.walk_range(root, 776, 777);
+        let walk = walk(&h, root, 776, 777);
         assert_eq!(walk, vec![root]);
     }
 
@@ -537,7 +484,7 @@ mod tests {
         // root(lo) == root(hi), but must still probe all n nodes.
         let h = ChordHost::build(64, 8);
         let start = h.net().owner_of(0).unwrap();
-        let walk = h.walk_range(start, 0, u64::MAX);
+        let walk = walk(&h, start, 0, u64::MAX);
         assert_eq!(walk.len(), 64);
     }
 
@@ -548,17 +495,13 @@ mod tests {
         let mut cache = RouteCache::new();
         // Two-touch admission: the first sighting runs plain (and is
         // still byte-identical), the second records...
-        let mut primed = Vec::new();
-        h.walk_range_cached_into(start, 0, u64::MAX / 2, 0, &mut cache, &mut primed);
-        let mut first = Vec::new();
-        h.walk_range_cached_into(start, 0, u64::MAX / 2, 0, &mut cache, &mut first);
+        let primed = cached_walk(&h, start, 0, u64::MAX / 2, &mut cache);
+        let first = cached_walk(&h, start, 0, u64::MAX / 2, &mut cache);
         assert_eq!(primed, first);
-        assert_eq!(first, h.walk_range(start, 0, u64::MAX / 2));
+        assert_eq!(first, walk(&h, start, 0, u64::MAX / 2));
         // ...and narrower spans replay from it, byte-identical.
         for hi in [u64::MAX / 8, u64::MAX / 4, u64::MAX / 2] {
-            let mut cached = Vec::new();
-            h.walk_range_cached_into(start, 0, hi, 0, &mut cache, &mut cached);
-            assert_eq!(cached, h.walk_range(start, 0, hi));
+            assert_eq!(cached_walk(&h, start, 0, hi, &mut cache), walk(&h, start, 0, hi));
         }
         assert_eq!(cache.walk_hits(), 3, "every narrower span replays from cache");
     }
@@ -570,15 +513,12 @@ mod tests {
         let h = ChordHost::build(64, 8);
         let start = h.net().owner_of(0).unwrap();
         let mut cache = RouteCache::new();
-        let mut full = Vec::new();
         // Twice: the first sighting only stamps the admission candidate.
-        h.walk_range_cached_into(start, 0, u64::MAX, 0, &mut cache, &mut full);
-        full.clear();
-        h.walk_range_cached_into(start, 0, u64::MAX, 0, &mut cache, &mut full);
+        cached_walk(&h, start, 0, u64::MAX, &mut cache);
+        let full = cached_walk(&h, start, 0, u64::MAX, &mut cache);
         assert_eq!(full.len(), 64);
-        let mut quarter = Vec::new();
-        h.walk_range_cached_into(start, 0, u64::MAX / 4, 0, &mut cache, &mut quarter);
-        assert_eq!(quarter, h.walk_range(start, 0, u64::MAX / 4));
+        let quarter = cached_walk(&h, start, 0, u64::MAX / 4, &mut cache);
+        assert_eq!(quarter, walk(&h, start, 0, u64::MAX / 4));
         assert_eq!(cache.walk_hits(), 1);
     }
 
@@ -587,18 +527,16 @@ mod tests {
         let mut h = ChordHost::build(64, 9);
         let start = h.net().owner_of(0).unwrap();
         let mut cache = RouteCache::new();
-        let mut before = Vec::new();
-        h.walk_range_cached_into(start, 0, u64::MAX / 4, 0, &mut cache, &mut before);
+        let before = cached_walk(&h, start, 0, u64::MAX / 4, &mut cache);
         // Kill a node on the walked arc and repair: the epoch moved, so
         // the stale segment must re-walk, matching the fresh plain walk.
         let victim = before[1];
         h.net_mut().fail(victim).unwrap();
         h.net_mut().rebuild_all_state();
         let hits_before = cache.walk_hits();
-        let mut after = Vec::new();
-        h.walk_range_cached_into(start, 0, u64::MAX / 4, 0, &mut cache, &mut after);
+        let after = cached_walk(&h, start, 0, u64::MAX / 4, &mut cache);
         assert_eq!(cache.walk_hits(), hits_before, "stale epoch cannot hit");
-        assert_eq!(after, h.walk_range(start, 0, u64::MAX / 4));
+        assert_eq!(after, walk(&h, start, 0, u64::MAX / 4));
         assert!(!after.contains(&victim));
     }
 
@@ -607,13 +545,12 @@ mod tests {
         let h = ChordHost::build(128, 4);
         let start = h.net().owner_of(0).unwrap();
         let plan = FaultPlan::none();
-        let mut acct = FaultAccount::default();
+        let mut via = Via::faulty(&plan, 9);
         let mut faulty = Vec::new();
-        let truncated =
-            h.walk_range_faulty_into(start, 0, u64::MAX / 4, &plan, 9, &mut acct, &mut faulty);
+        let truncated = h.walk_range_via(start, 0, u64::MAX / 4, 0, 9, &mut via, &mut faulty);
         assert!(!truncated);
-        assert_eq!(faulty, h.walk_range(start, 0, u64::MAX / 4));
-        assert_eq!(acct, FaultAccount::default());
+        assert_eq!(faulty, walk(&h, start, 0, u64::MAX / 4));
+        assert_eq!(via.account(), FaultAccount::default());
     }
 
     #[test]
@@ -621,14 +558,13 @@ mod tests {
         let h = ChordHost::build(128, 4);
         let start = h.net().owner_of(0).unwrap();
         let plan = FaultPlan::new(1, 1.0, 0.0).unwrap();
-        let mut acct = FaultAccount::default();
-        let mut walk = Vec::new();
-        let truncated =
-            h.walk_range_faulty_into(start, 0, u64::MAX / 4, &plan, 9, &mut acct, &mut walk);
+        let mut via = Via::faulty(&plan, 9);
+        let mut probed = Vec::new();
+        let truncated = h.walk_range_via(start, 0, u64::MAX / 4, 0, 9, &mut via, &mut probed);
         assert!(truncated);
-        assert_eq!(walk, vec![start], "first probe drops twice: only the start is covered");
-        assert_eq!(acct.dropped_msgs, 2);
-        assert_eq!(acct.retries, 1);
+        assert_eq!(probed, vec![start], "first probe drops twice: only the start is covered");
+        assert_eq!(via.account().dropped_msgs, 2);
+        assert_eq!(via.account().retries, 1);
     }
 
     #[test]

@@ -17,13 +17,12 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    hashing::splitmix64, route_stats_cached, route_with_retry, sub_msg_id, walk_msg_id, BuildMode,
-    ConsistentHash, DhtError, FaultAccount, FaultPlan, LoadDist, LocalityHash, LookupTally,
-    NodeIdx, Overlay, RouteCache,
+    hashing::splitmix64, BuildMode, ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally,
+    NodeIdx, Via,
 };
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, FaultyOutcome, PieceKey, Query, QueryOutcome,
-    ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttrId, AttributeSpace, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
+    SelectivityEstimator, SubQuery, SubState, ValueTarget,
 };
 use rand::rngs::SmallRng;
 
@@ -152,213 +151,71 @@ impl ResourceDiscovery for Maan {
         Some(&self.sel)
     }
 
-    fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            // Lookup 1: the attribute registration (existence/metadata).
-            let attr_route = self.host.net().route_stats(from, self.attr_key(sub.attr))?;
-            tally.lookups += 1;
-            tally.hops += attr_route.hops;
-            tally.visited += 1;
-            probed_all.push(attr_route.terminal);
-            // Lookup 2: the value registration; ranges walk the ring.
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let value_route = self.host.net().route_stats(from, self.value_key(lo))?;
-            tally.lookups += 1;
-            tally.hops += value_route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(value_route.terminal),
-                Some(h) => self.host.walk_range_into(
-                    value_route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_cached(
+    fn resolve_sub(
         &self,
         phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
+        sub: &SubQuery,
+        msg: u64,
+        via: &mut Via<'_>,
+        out: &mut QueryOutcome,
+    ) -> Result<SubState, DhtError> {
         let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            // Lookup 1: the attribute registration. Attribute and value
-            // keys share one ring, so one salt serves both — the keys
-            // themselves disambiguate.
-            let attr_route =
-                route_stats_cached(self.host.net(), from, self.attr_key(sub.attr), 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += attr_route.hops;
-            tally.visited += 1;
-            probed_all.push(attr_route.terminal);
-            // Lookup 2: the value registration; ranges walk the ring.
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let value_route =
-                route_stats_cached(self.host.net(), from, self.value_key(lo), 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += value_route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(value_route.terminal),
-                Some(h) => self.host.walk_range_cached_into(
-                    value_route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    0,
-                    cache,
-                    &mut walk,
-                ),
+        // Lookup 1: the attribute registration (existence/metadata).
+        // Attribute and value keys share one ring, so one cache salt
+        // serves both — the keys themselves disambiguate. Losing this
+        // lookup degrades the sub-query (metadata unavailable), but the
+        // value walk can still produce the owners.
+        out.tally.lookups += 1;
+        let attr_ok = match via.route_stats(
+            self.host.net(),
+            from,
+            self.attr_key(sub.attr),
+            0,
+            splitmix64(msg),
+        ) {
+            Ok(r) => {
+                out.tally.hops += r.hops;
+                out.tally.visited += 1;
+                out.probed.push(r.terminal);
+                true
             }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
+            Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
+                out.tally.hops += hops;
+                false
             }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_faulty(
-        &self,
-        phys: usize,
-        q: &Query,
-        plan: &FaultPlan,
-        msg_seed: u64,
-    ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub = Vec::new();
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        let mut subs_resolved = 0usize;
-        let mut subs_answered = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            if tally.hops >= plan.hop_budget() {
-                continue;
+            Err(e) => return Err(e),
+        };
+        // Lookup 2: the value registration; ranges walk the ring.
+        // Without it the sub-query has no owners at all.
+        let (lo, hi) = match sub.target {
+            ValueTarget::Point(v) => (v, None),
+            ValueTarget::Range { low, high } => (low, Some(high)),
+        };
+        out.tally.lookups += 1;
+        let value_route = via.route_stats(self.host.net(), from, self.value_key(lo), 0, msg)?;
+        out.tally.hops += value_route.hops;
+        let first = out.probed.len();
+        let truncated = match hi {
+            None => {
+                out.probed.push(value_route.terminal);
+                false
             }
-            let sub_msg = sub_msg_id(msg_seed, i);
-            // Lookup 1: the attribute registration. Its failure degrades
-            // the sub-query (metadata unavailable) but the value walk can
-            // still produce the owners.
-            tally.lookups += 1;
-            let attr_msg = splitmix64(sub_msg);
-            let mut attr_ok = false;
-            match route_with_retry(
-                self.host.net(),
-                from,
-                self.attr_key(sub.attr),
-                plan,
-                attr_msg,
-                &mut acct,
-            ) {
-                Ok(r) => {
-                    tally.hops += r.hops;
-                    tally.visited += 1;
-                    probed_all.push(r.terminal);
-                    attr_ok = true;
-                }
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                }
-                Err(e) => return Err(e),
-            }
-            // Lookup 2: the value registration; ranges walk the ring.
-            // Without it the sub-query has no owners at all.
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            tally.lookups += 1;
-            let value_route = match route_with_retry(
-                self.host.net(),
-                from,
+            Some(h) => self.host.walk_range_via(
+                value_route.terminal,
                 self.value_key(lo),
-                plan,
-                sub_msg,
-                &mut acct,
-            ) {
-                Ok(r) => r,
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            tally.hops += value_route.hops;
-            subs_answered += 1;
-            walk.clear();
-            let truncated = match hi {
-                None => {
-                    walk.push(value_route.terminal);
-                    false
-                }
-                Some(h) => self.host.walk_range_faulty_into(
-                    value_route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    plan,
-                    walk_msg_id(sub_msg),
-                    &mut acct,
-                    &mut walk,
-                ),
-            };
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            if attr_ok && !truncated {
-                subs_resolved += 1;
-            }
-            per_sub.push(owners);
+                self.value_key(h),
+                0,
+                msg,
+                via,
+                &mut out.probed,
+            ),
+        };
+        out.tally.visited += out.probed.len() - first;
+        for &node in &out.probed[first..] {
+            self.host.matches_in_into(node, sub.attr, &sub.target, &mut out.owners);
         }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        out.tally.matches += out.owners.len();
+        Ok(if attr_ok && !truncated { SubState::Resolved } else { SubState::Degraded })
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -474,7 +331,10 @@ impl ResourceDiscovery for Maan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_resource::{QueryMix, Workload, WorkloadConfig};
+    use dht_core::FaultPlan;
+    use grid_resource::{
+        discovery::join_owners, Query, QueryMix, QueryMode, Workload, WorkloadConfig,
+    };
     use rand::SeedableRng;
 
     fn setup() -> (Workload, Maan) {
@@ -576,31 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, mut m) = setup();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            for i in 0..50usize {
-                let q = w.random_query(3, mix, &mut rng);
-                let plain = m.query_from(i % 256, &q).unwrap();
-                let cached = m.query_from_cached(i % 256, &q, &mut cache).unwrap();
-                assert_eq!(cached, plain, "{mix:?} query {i}");
-            }
-        }
-        assert!(cache.hits() > 0, "repeated double lookups must hit");
-        m.leave_physical(3).unwrap();
-        m.stabilize();
-        m.place_all(&w.reports);
-        for i in 0..20usize {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = m.query_from(i % 250 + 4, &q).unwrap();
-            let cached = m.query_from_cached(i % 250 + 4, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
-        }
-    }
-
-    #[test]
     fn replication_preserves_query_completeness_under_failures() {
         // With degree 2 and one failure per repair window, no piece is
         // ever lost — and because promotion reroutes a dead primary's
@@ -636,20 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn inert_fault_plan_query_is_identical_to_plain() {
-        let (w, m) = setup();
-        let plan = FaultPlan::new(3, 0.0, 0.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(5);
-        for i in 0..30u64 {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = m.query_from(1, &q).unwrap();
-            let faulty = m.query_from_faulty(1, &q, &plan, i).unwrap();
-            assert_eq!(faulty.outcome, plain);
-            assert!(faulty.is_complete());
-        }
-    }
-
-    #[test]
     fn faulty_queries_are_deterministic_and_degrade_under_loss() {
         let (w, m) = setup();
         let plan = FaultPlan::new(7, 0.2, 0.05).unwrap();
@@ -657,8 +478,8 @@ mod tests {
         let mut degraded = 0usize;
         for i in 0..60u64 {
             let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let a = m.query_from_faulty(2, &q, &plan, i).unwrap();
-            let b = m.query_from_faulty(2, &q, &plan, i).unwrap();
+            let a = m.query(2, &q, QueryMode::Faulty(&plan, i)).unwrap();
+            let b = m.query(2, &q, QueryMode::Faulty(&plan, i)).unwrap();
             assert_eq!(a, b);
             if !a.is_complete() {
                 degraded += 1;

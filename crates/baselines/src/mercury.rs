@@ -14,13 +14,10 @@
 //! distribution of all four systems (Theorem 4.5).
 
 use crate::host::ChordHost;
-use dht_core::{
-    route_stats_cached, route_with_retry, sub_msg_id, walk_msg_id, BuildMode, DhtError,
-    FaultAccount, FaultPlan, LoadDist, LocalityHash, LookupTally, NodeIdx, Overlay, RouteCache,
-};
+use dht_core::{BuildMode, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx, Overlay, Via};
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, FaultyOutcome, PieceKey, Query, QueryOutcome,
-    ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttrId, AttributeSpace, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
+    SelectivityEstimator, SubQuery, SubState, ValueTarget,
 };
 use rand::rngs::SmallRng;
 
@@ -168,174 +165,48 @@ impl ResourceDiscovery for Mercury {
         Some(&self.sel)
     }
 
-    fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let hub = &self.hubs[sub.attr.0 as usize];
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let route = hub.net().route_stats(from, self.value_key(lo))?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => hub.walk_range_into(
-                    route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                hub.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_cached(
+    fn resolve_sub(
         &self,
         phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
+        sub: &SubQuery,
+        msg: u64,
+        via: &mut Via<'_>,
+        out: &mut QueryOutcome,
+    ) -> Result<SubState, DhtError> {
         let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let hub = &self.hubs[sub.attr.0 as usize];
-            // Hubs are independent rings sharing one cache: the hub index
-            // salts every entry so equal (from, key) pairs never alias.
-            let salt = u64::from(sub.attr.0);
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let route = route_stats_cached(hub.net(), from, self.value_key(lo), salt, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => hub.walk_range_cached_into(
-                    route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    salt,
-                    cache,
-                    &mut walk,
-                ),
+        let hub = &self.hubs[sub.attr.0 as usize];
+        // Hubs are independent rings sharing one cache: the hub index
+        // salts every entry so equal (from, key) pairs never alias.
+        let salt = u64::from(sub.attr.0);
+        let (lo, hi) = match sub.target {
+            ValueTarget::Point(v) => (v, None),
+            ValueTarget::Range { low, high } => (low, Some(high)),
+        };
+        out.tally.lookups += 1;
+        let route = via.route_stats(hub.net(), from, self.value_key(lo), salt, msg)?;
+        out.tally.hops += route.hops;
+        let first = out.probed.len();
+        let truncated = match hi {
+            None => {
+                out.probed.push(route.terminal);
+                false
             }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                hub.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_faulty(
-        &self,
-        phys: usize,
-        q: &Query,
-        plan: &FaultPlan,
-        msg_seed: u64,
-    ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub = Vec::new();
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        let mut subs_resolved = 0usize;
-        let mut subs_answered = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            if tally.hops >= plan.hop_budget() {
-                continue;
-            }
-            let sub_msg = sub_msg_id(msg_seed, i);
-            let hub = &self.hubs[sub.attr.0 as usize];
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            tally.lookups += 1;
-            let route = match route_with_retry(
-                hub.net(),
-                from,
+            Some(h) => hub.walk_range_via(
+                route.terminal,
                 self.value_key(lo),
-                plan,
-                sub_msg,
-                &mut acct,
-            ) {
-                Ok(r) => r,
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            tally.hops += route.hops;
-            subs_answered += 1;
-            walk.clear();
-            let truncated = match hi {
-                None => {
-                    walk.push(route.terminal);
-                    false
-                }
-                Some(h) => hub.walk_range_faulty_into(
-                    route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    plan,
-                    walk_msg_id(sub_msg),
-                    &mut acct,
-                    &mut walk,
-                ),
-            };
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                hub.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            if !truncated {
-                subs_resolved += 1;
-            }
-            per_sub.push(owners);
+                self.value_key(h),
+                salt,
+                msg,
+                via,
+                &mut out.probed,
+            ),
+        };
+        out.tally.visited += out.probed.len() - first;
+        for &node in &out.probed[first..] {
+            hub.matches_in_into(node, sub.attr, &sub.target, &mut out.owners);
         }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        out.tally.matches += out.owners.len();
+        Ok(if truncated { SubState::Degraded } else { SubState::Resolved })
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -483,7 +354,10 @@ impl ResourceDiscovery for Mercury {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_resource::{QueryMix, Workload, WorkloadConfig};
+    use dht_core::FaultPlan;
+    use grid_resource::{
+        discovery::join_owners, Query, QueryMix, QueryMode, Workload, WorkloadConfig,
+    };
     use rand::SeedableRng;
 
     fn setup() -> (Workload, Mercury) {
@@ -582,20 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn inert_fault_plan_query_is_identical_to_plain() {
-        let (w, m) = setup();
-        let plan = FaultPlan::new(3, 0.0, 0.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(6);
-        for i in 0..30u64 {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = m.query_from(1, &q).unwrap();
-            let faulty = m.query_from_faulty(1, &q, &plan, i).unwrap();
-            assert_eq!(faulty.outcome, plain);
-            assert!(faulty.is_complete());
-        }
-    }
-
-    #[test]
     fn faulty_queries_are_deterministic_and_degrade_under_loss() {
         let (w, m) = setup();
         let plan = FaultPlan::new(7, 0.2, 0.05).unwrap();
@@ -603,45 +463,14 @@ mod tests {
         let mut degraded = 0usize;
         for i in 0..60u64 {
             let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let a = m.query_from_faulty(2, &q, &plan, i).unwrap();
-            let b = m.query_from_faulty(2, &q, &plan, i).unwrap();
+            let a = m.query(2, &q, QueryMode::Faulty(&plan, i)).unwrap();
+            let b = m.query(2, &q, QueryMode::Faulty(&plan, i)).unwrap();
             assert_eq!(a, b);
             if !a.is_complete() {
                 degraded += 1;
             }
         }
         assert!(degraded > 0, "20% loss should degrade some queries");
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, mut m) = setup();
-        let mut cache = dht_core::RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            let queries: Vec<_> = (0..50).map(|_| w.random_query(3, mix, &mut rng)).collect();
-            // Two passes over the same stream: the second must answer its
-            // lookups from memory and still match the plain path exactly.
-            for pass in 0..2 {
-                for (i, q) in queries.iter().enumerate() {
-                    let plain = m.query_from(i % 128, q).unwrap();
-                    let cached = m.query_from_cached(i % 128, q, &mut cache).unwrap();
-                    assert_eq!(cached, plain, "{mix:?} query {i} pass {pass}");
-                }
-            }
-        }
-        assert!(cache.hits() > 0, "replayed hub lookups must hit");
-        // Churn every hub in lock-step: stale entries must miss and the
-        // cached path must keep matching the repaired hubs.
-        m.leave_physical(3).unwrap();
-        m.stabilize();
-        m.place_all(&w.reports);
-        for i in 0..20usize {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = m.query_from(i % 120 + 4, &q).unwrap();
-            let cached = m.query_from_cached(i % 120 + 4, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
-        }
     }
 
     #[test]

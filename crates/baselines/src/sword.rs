@@ -9,13 +9,10 @@
 //! concentration (Theorem 4.4: `d×` worse than LORM on the percentiles).
 
 use crate::host::ChordHost;
-use dht_core::{
-    route_stats_cached, route_with_retry, sub_msg_id, BuildMode, ConsistentHash, DhtError,
-    FaultAccount, FaultPlan, LoadDist, LookupTally, NodeIdx, Overlay, RouteCache,
-};
+use dht_core::{BuildMode, ConsistentHash, DhtError, LoadDist, LookupTally, NodeIdx, Via};
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, FaultyOutcome, PieceKey, Query, QueryOutcome,
-    ResourceDiscovery, ResourceInfo, SelectivityEstimator,
+    AttrId, AttributeSpace, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
+    SelectivityEstimator, SubQuery, SubState,
 };
 use rand::rngs::SmallRng;
 
@@ -131,105 +128,26 @@ impl ResourceDiscovery for Sword {
         Some(&self.sel)
     }
 
-    fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all = Vec::with_capacity(q.subs.len());
-        for sub in &q.subs {
-            let route = self.host.net().route_stats(from, self.key_of(sub.attr))?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            tally.visited += 1; // the root holds everything; no probing
-            let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
-            tally.matches += owners.len();
-            probed_all.push(route.terminal);
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_cached(
+    fn resolve_sub(
         &self,
         phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
-        // SWORD stops at the attribute root: the whole query cost is its
-        // lookups, so caching routes alone covers the entire path.
+        sub: &SubQuery,
+        msg: u64,
+        via: &mut Via<'_>,
+        out: &mut QueryOutcome,
+    ) -> Result<SubState, DhtError> {
         let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all = Vec::with_capacity(q.subs.len());
-        for sub in &q.subs {
-            let route = route_stats_cached(self.host.net(), from, self.key_of(sub.attr), 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            tally.visited += 1; // the root holds everything; no probing
-            let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
-            tally.matches += owners.len();
-            probed_all.push(route.terminal);
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_faulty(
-        &self,
-        phys: usize,
-        q: &Query,
-        plan: &FaultPlan,
-        msg_seed: u64,
-    ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub = Vec::new();
-        let mut probed_all = Vec::new();
-        let mut subs_resolved = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            if tally.hops >= plan.hop_budget() {
-                continue;
-            }
-            tally.lookups += 1;
-            let sub_msg = sub_msg_id(msg_seed, i);
-            let route = match route_with_retry(
-                self.host.net(),
-                from,
-                self.key_of(sub.attr),
-                plan,
-                sub_msg,
-                &mut acct,
-            ) {
-                Ok(r) => r,
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            tally.hops += route.hops;
-            tally.visited += 1;
-            let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
-            tally.matches += owners.len();
-            probed_all.push(route.terminal);
-            per_sub.push(owners);
-            // SWORD stops at the root: a sub-query that reached it is
-            // fully resolved, there is no walk to truncate.
-            subs_resolved += 1;
-        }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered: subs_resolved,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        out.tally.lookups += 1;
+        let route = via.route_stats(self.host.net(), from, self.key_of(sub.attr), 0, msg)?;
+        out.tally.hops += route.hops;
+        // SWORD stops at the attribute root: it holds everything, so there
+        // is no probing and no walk a fault could truncate — a sub-query
+        // that reached the root is fully resolved.
+        out.tally.visited += 1;
+        out.probed.push(route.terminal);
+        self.host.matches_in_into(route.terminal, sub.attr, &sub.target, &mut out.owners);
+        out.tally.matches += out.owners.len();
+        Ok(SubState::Resolved)
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -309,7 +227,11 @@ impl ResourceDiscovery for Sword {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_resource::{canonicalize_pieces, count_surviving, QueryMix, Workload, WorkloadConfig};
+    use dht_core::{FaultPlan, Overlay};
+    use grid_resource::{
+        canonicalize_pieces, count_surviving, discovery::join_owners, QueryMix, QueryMode,
+        Workload, WorkloadConfig,
+    };
     use rand::{Rng, SeedableRng};
 
     fn setup() -> (Workload, Sword) {
@@ -394,45 +316,6 @@ mod tests {
     fn total_pieces_is_one_per_report() {
         let (w, s) = setup();
         assert_eq!(s.total_pieces(), w.reports.len());
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, mut s) = setup();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            for i in 0..50usize {
-                let q = w.random_query(3, mix, &mut rng);
-                let plain = s.query_from(i % 256, &q).unwrap();
-                let cached = s.query_from_cached(i % 256, &q, &mut cache).unwrap();
-                assert_eq!(cached, plain, "{mix:?} query {i}");
-            }
-        }
-        assert!(cache.hits() > 0, "repeated attribute lookups must hit");
-        s.leave_physical(3).unwrap();
-        s.stabilize();
-        s.place_all(&w.reports);
-        for i in 0..20usize {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = s.query_from(i % 250 + 4, &q).unwrap();
-            let cached = s.query_from_cached(i % 250 + 4, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
-        }
-    }
-
-    #[test]
-    fn inert_fault_plan_query_is_identical_to_plain() {
-        let (w, s) = setup();
-        let plan = FaultPlan::new(3, 0.0, 0.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(5);
-        for i in 0..40u64 {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = s.query_from(1, &q).unwrap();
-            let faulty = s.query_from_faulty(1, &q, &plan, i).unwrap();
-            assert_eq!(faulty.outcome, plain);
-            assert!(faulty.is_complete());
-        }
     }
 
     fn surviving(s: &Sword) -> Vec<PieceKey> {
@@ -547,8 +430,8 @@ mod tests {
         let mut degraded = 0usize;
         for i in 0..80u64 {
             let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let a = s.query_from_faulty(2, &q, &plan, i).unwrap();
-            let b = s.query_from_faulty(2, &q, &plan, i).unwrap();
+            let a = s.query(2, &q, QueryMode::Faulty(&plan, i)).unwrap();
+            let b = s.query(2, &q, QueryMode::Faulty(&plan, i)).unwrap();
             assert_eq!(a, b);
             // SWORD has no walk: a sub either resolves or fails outright.
             assert_eq!(a.subs_resolved, a.subs_answered);

@@ -162,7 +162,9 @@ pub struct ReproConfig {
     pub cached: bool,
     /// Multi-attribute query plan for the query-driven figures (fig4,
     /// fig5): parallel (the paper's §III semantics, the default),
-    /// sequential, or adaptive selective-first.
+    /// sequential, or adaptive selective-first. The standalone sweeps
+    /// (perf, chaos, scale, durability) run the parallel plan only and
+    /// [`parse_args`] refuses any other alongside them.
     pub plan: QueryPlan,
 }
 
@@ -445,6 +447,22 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
             },
         }
     }
+    // The standalone sweeps run the parallel plan only: refuse a plan
+    // they would silently ignore.
+    let standalone = [
+        (cfg.perf, "perf"),
+        (cfg.chaos, "chaos"),
+        (cfg.scale, "scale"),
+        (cfg.durability, "durability"),
+    ];
+    if let Some((_, mode)) = standalone.iter().find(|(on, _)| *on) {
+        if cfg.plan != QueryPlan::Parallel {
+            return Err(format!(
+                "--plan={} cannot be combined with {mode}, which runs the parallel plan only\n{USAGE}",
+                cfg.plan.name()
+            ));
+        }
+    }
     if artifacts.is_empty() {
         artifacts = Artifact::ALL.to_vec();
     }
@@ -653,6 +671,33 @@ mod tests {
             assert_eq!(cfg.plan, plan);
         }
         assert!(parse_args(["--plan=greedy".into()]).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_plan_the_pipeline_cannot_honour() {
+        for mode in ["perf", "chaos", "scale", "durability"] {
+            for (plan, accepted) in [("parallel", true), ("sequential", false), ("adaptive", false)]
+            {
+                // flag order must not matter
+                for args in [
+                    [format!("--plan={plan}"), mode.into()],
+                    [mode.into(), format!("--plan={plan}")],
+                ] {
+                    match parse_args(args) {
+                        Ok(_) => assert!(accepted, "{mode} must refuse --plan={plan}"),
+                        Err(msg) => {
+                            assert!(!accepted, "{mode} must accept --plan={plan}: {msg}");
+                            assert!(msg.contains(mode) && msg.contains(plan), "{msg}");
+                            assert!(msg.contains("usage: repro"), "{msg}");
+                        }
+                    }
+                }
+            }
+        }
+        // The figure pipelines keep accepting every plan.
+        for plan in ["parallel", "sequential", "adaptive"] {
+            assert!(parse_args([format!("--plan={plan}"), "fig4".into(), "t410".into()]).is_ok());
+        }
     }
 
     #[test]

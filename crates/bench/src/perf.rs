@@ -308,42 +308,19 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
                 (origin, workload.random_query(1, QueryMix::Range, &mut batch_rng))
             })
             .collect();
-        use sim::experiments::{run_batch_cached_sharded, Metric};
+        use sim::experiments::{run_batch, BatchMode, Metric};
+        let probe = |cache: &mut dht_core::RouteCache| {
+            let mode = BatchMode::Cached(QueryPlan::Parallel, cache);
+            std::hint::black_box(run_batch(&lorm, &batch, Metric::Visited, mode, 1));
+        };
         let mut cache = dht_core::RouteCache::new();
         for _ in 0..2 {
-            std::hint::black_box(run_batch_cached_sharded(
-                &lorm,
-                &batch,
-                Metric::Visited,
-                1,
-                &mut cache,
-            ));
+            probe(&mut cache);
         }
         cache.reset_counters();
-        std::hint::black_box(run_batch_cached_sharded(
-            &lorm,
-            &batch,
-            Metric::Visited,
-            1,
-            &mut cache,
-        ));
+        probe(&mut cache);
         let hit_rate = cache.hit_rate();
-        let cache_cell = std::cell::RefCell::new(cache);
-        let mut k = time_kernel("lorm_range_probe_batched", "query", 1, {
-            let batch = &batch;
-            let lorm = &lorm;
-            let cache = &cache_cell;
-            move || {
-                let mut c = cache.borrow_mut();
-                std::hint::black_box(run_batch_cached_sharded(
-                    lorm,
-                    batch,
-                    Metric::Visited,
-                    1,
-                    &mut c,
-                ));
-            }
-        });
+        let mut k = time_kernel("lorm_range_probe_batched", "query", 1, || probe(&mut cache));
         // One timed "iteration" was the whole probe_q-query batch:
         // rescale iters/ops_per_sec to per-query units so the kernel
         // reads side by side with lorm_range_probe (elapsed_ms already

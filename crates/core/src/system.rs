@@ -3,13 +3,11 @@
 use crate::keys::{KeyDeriver, Placement};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
 use dht_core::{
-    probe_step, route_stats_cached, route_with_retry, sub_msg_id, walk_msg_id, BuildMode, DhtError,
-    FaultAccount, FaultPlan, LoadDist, LookupTally, NodeIdx, Overlay, RepairStats, RouteCache,
-    WalkStep,
+    BuildMode, DhtError, LoadDist, LookupTally, NodeIdx, Overlay, RepairStats, Via, WalkStep,
 };
 use grid_resource::{
-    discovery::join_owners, AttributeSpace, Directory, FaultyOutcome, PieceKey, Query,
-    QueryOutcome, ReplicaStore, ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttributeSpace, Directory, PieceKey, QueryOutcome, ReplicaStore, ResourceDiscovery,
+    ResourceInfo, SelectivityEstimator, SubQuery, SubState, ValueTarget,
 };
 use rand::rngs::SmallRng;
 
@@ -205,10 +203,12 @@ impl Lorm {
     }
 
     /// Probe the intra-cluster walk of a range query: starting at the root
-    /// of `ℋ(low)`, follow inside-leaf successors while the next member\'s
+    /// of `ℋ(low)`, follow inside-leaf successors while the next member's
     /// value sector still intersects the queried arc `[ℋ(low), ℋ(high)]`
-    /// (Proposition 3.1). Returns the probed nodes in walk order,
-    /// including the start.
+    /// (Proposition 3.1). Appends the probed nodes in walk order, including
+    /// the start; returns `true` when a fault truncated the walk before the
+    /// stop rule fired (each advance is a probe message of the walk that
+    /// follows lookup `msg`, subject to [`Via::admit_step`]).
     ///
     /// The stop rule is the *sector transition*: a successor is probed iff
     /// the first cyclic position it owns (rather than the current node)
@@ -216,69 +216,43 @@ impl Lorm {
     /// ownership wraps — e.g. a two-member cluster where `root(low)` and
     /// `root(high)` coincide but the member in between owns interior
     /// positions.
-    fn range_walk_into(&self, start: NodeIdx, lo_pos: u8, hi_pos: u8, out: &mut Vec<NodeIdx>) {
-        let d = self.overlay.dimension();
-        let span = CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d);
-        out.push(start);
-        let mut cur = start;
-        for _ in 0..d {
-            let Some(next) = self.overlay.cluster_successor(cur).ok().flatten() else {
-                break;
-            };
-            if next == start {
-                break;
-            }
-            let Some(p) = self.transition_position(cur, next) else {
-                break;
-            };
-            if CycloidId::cw_cyclic_dist(lo_pos, p, d) > span {
-                break;
-            }
-            out.push(next);
-            cur = next;
-        }
-    }
-
-    /// The cached twin of [`Self::range_walk_into`] — identical emission
-    /// by construction. A fresh-epoch segment cached for at least this
-    /// span replays through the walk's own stop rule (`dist <= span`);
-    /// otherwise the walk runs for real and its emission is recorded.
     ///
-    /// A walk that stopped for a span-*independent* reason (no successor,
-    /// full circle, no sector transition, the `d`-probe budget) emitted
-    /// everything reachable and is cached with an unbounded span; only a
-    /// walk stopped by the arc rule is bounded to the span it ran for.
-    fn range_walk_cached_into(
+    /// Through a cache the emission is identical by construction. A
+    /// fresh-epoch segment cached for at least this span replays through
+    /// the walk's own stop rule (`dist <= span`); otherwise the walk runs
+    /// for real and its emission is recorded. A walk that stopped for a
+    /// span-*independent* reason (no successor, full circle, no sector
+    /// transition, the `d`-probe budget) emitted everything reachable and
+    /// is cached with an unbounded span; only a walk stopped by the arc
+    /// rule is bounded to the span it ran for.
+    fn range_walk_into(
         &self,
         start: NodeIdx,
         lo_pos: u8,
         hi_pos: u8,
-        cache: &mut RouteCache,
+        msg: u64,
+        via: &mut Via<'_>,
         out: &mut Vec<NodeIdx>,
-    ) {
+    ) -> bool {
         let d = self.overlay.dimension();
         let span = u64::from(CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d));
         let epoch = self.overlay.epoch();
         out.push(start);
-        if let Some(steps) = cache.walk_lookup(0, start, u64::from(lo_pos), span, epoch) {
-            for s in steps {
-                if s.dist > span {
-                    break;
-                }
-                out.push(s.node);
+        let mut rec = None;
+        if let Some(cache) = via.cache() {
+            if let Some(steps) = cache.walk_lookup(0, start, u64::from(lo_pos), span, epoch) {
+                out.extend(steps.iter().take_while(|s| s.dist <= span).map(|s| s.node));
+                return false;
             }
-            return;
+            // Two-touch admission (see `RouteCache::admit_walk`): record only
+            // keys seen before, so one-shot walks skip the per-step copy.
+            if cache.admit_walk(0, start, u64::from(lo_pos), epoch) {
+                rec = Some(cache.begin_walk());
+            }
         }
-        // Two-touch admission (see `RouteCache::admit_walk`): record only
-        // keys seen before, so one-shot walks skip the per-step copy.
-        let mut rec = if cache.admit_walk(0, start, u64::from(lo_pos), epoch) {
-            Some(cache.begin_walk())
-        } else {
-            None
-        };
         let mut cur = start;
         let mut rule_stop = false;
-        for _ in 0..d {
+        for step in 1..=usize::from(d) {
             let Some(next) = self.overlay.cluster_successor(cur).ok().flatten() else {
                 break;
             };
@@ -293,16 +267,20 @@ impl Lorm {
                 rule_stop = true;
                 break;
             }
+            if !via.admit_step(msg, step, next) {
+                return true;
+            }
             if let Some(rec) = rec.as_mut() {
                 rec.push(WalkStep { node: next, dist });
             }
             out.push(next);
             cur = next;
         }
-        if let Some(rec) = rec {
+        if let (Some(rec), Some(cache)) = (rec, via.cache()) {
             let stored_span = if rule_stop { span } else { u64::MAX };
             cache.commit_walk(0, start, u64::from(lo_pos), stored_span, epoch, rec);
         }
+        false
     }
 
     /// First cyclic position, walking clockwise from `cur`, that is owned
@@ -329,79 +307,13 @@ impl Lorm {
 
     /// Probe every member of `start`'s cluster (ablation mode: a range
     /// query without locality-preserving placement cannot stop early).
-    fn full_cluster_walk_into(&self, start: NodeIdx, out: &mut Vec<NodeIdx>) {
-        let d = self.overlay.dimension();
-        out.push(start);
-        let mut cur = start;
-        for _ in 0..d {
-            match self.overlay.cluster_successor(cur).ok().flatten() {
-                Some(next) if next != start => {
-                    out.push(next);
-                    cur = next;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn matches_in_into(
-        &self,
-        node: NodeIdx,
-        attr: grid_resource::AttrId,
-        t: &ValueTarget,
-        out: &mut Vec<usize>,
-    ) {
-        self.directories[node.0].matching_owners_into(attr, t, out);
-    }
-
-    /// Fault-aware variant of [`Self::range_walk_into`]: each advance is
-    /// a probe message subject to the plan's drop coin (one retry) and to
-    /// the dead-member check. Returns `true` when a fault truncated the
-    /// walk before the stop rule fired.
-    #[allow(clippy::too_many_arguments)] // mirrors the plain walk plus the fault triple
-    fn range_walk_faulty_into(
+    /// Returns `true` when a fault truncated the walk. Never cached: there
+    /// is no stop rule worth memoizing.
+    fn full_cluster_walk_into(
         &self,
         start: NodeIdx,
-        lo_pos: u8,
-        hi_pos: u8,
-        plan: &FaultPlan,
-        walk_msg: u64,
-        acct: &mut FaultAccount,
-        out: &mut Vec<NodeIdx>,
-    ) -> bool {
-        let d = self.overlay.dimension();
-        let span = CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d);
-        out.push(start);
-        let mut cur = start;
-        for step in 1..=usize::from(d) {
-            let Some(next) = self.overlay.cluster_successor(cur).ok().flatten() else {
-                break;
-            };
-            if next == start {
-                break;
-            }
-            let Some(p) = self.transition_position(cur, next) else {
-                break;
-            };
-            if CycloidId::cw_cyclic_dist(lo_pos, p, d) > span {
-                break;
-            }
-            if !probe_step(plan, walk_msg, step, next, acct) {
-                return true;
-            }
-            out.push(next);
-            cur = next;
-        }
-        false
-    }
-
-    /// Fault-aware variant of [`Self::full_cluster_walk_into`].
-    fn full_cluster_walk_faulty_into(
-        &self,
-        start: NodeIdx,
-        plan: &FaultPlan,
-        walk_msg: u64,
-        acct: &mut FaultAccount,
+        msg: u64,
+        via: &mut Via<'_>,
         out: &mut Vec<NodeIdx>,
     ) -> bool {
         let d = self.overlay.dimension();
@@ -410,7 +322,7 @@ impl Lorm {
         for step in 1..=usize::from(d) {
             match self.overlay.cluster_successor(cur).ok().flatten() {
                 Some(next) if next != start => {
-                    if !probe_step(plan, walk_msg, step, next, acct) {
+                    if !via.admit_step(msg, step, next) {
                         return true;
                     }
                     out.push(next);
@@ -496,191 +408,49 @@ impl ResourceDiscovery for Lorm {
         Some(&self.sel)
     }
 
-    fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub: Vec<Vec<usize>> = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lookup_value, bounds) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => {
-                    (low, Some((self.keys.cyclic_of(low), self.keys.cyclic_of(high))))
-                }
-            };
-            let resc_id = self.keys.resc_id(sub.attr, lookup_value);
-            let route = self.overlay.route_stats(from, resc_id)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match bounds {
-                None => walk.push(route.terminal),
-                Some((lo, hi)) => {
-                    match self.keys.placement() {
-                        // Proposition 3.1: matching roots are contiguous.
-                        Placement::Lph => self.range_walk_into(route.terminal, lo, hi, &mut walk),
-                        // Ablation: without locality preservation, matches
-                        // can sit anywhere in the cluster — probe it all.
-                        Placement::Hashed => self.full_cluster_walk_into(route.terminal, &mut walk),
-                    }
-                }
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_cached(
+    fn resolve_sub(
         &self,
         phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
+        sub: &SubQuery,
+        msg: u64,
+        via: &mut Via<'_>,
+        out: &mut QueryOutcome,
+    ) -> Result<SubState, DhtError> {
         let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub: Vec<Vec<usize>> = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lookup_value, bounds) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => {
-                    (low, Some((self.keys.cyclic_of(low), self.keys.cyclic_of(high))))
-                }
-            };
-            let resc_id = self.keys.resc_id(sub.attr, lookup_value);
-            let route = route_stats_cached(&self.overlay, from, resc_id, 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match bounds {
-                None => walk.push(route.terminal),
-                Some((lo, hi)) => {
-                    match self.keys.placement() {
-                        Placement::Lph => {
-                            self.range_walk_cached_into(route.terminal, lo, hi, cache, &mut walk);
-                        }
-                        // Ablation mode stays uncached: the full-cluster
-                        // walk has no stop rule worth memoizing.
-                        Placement::Hashed => self.full_cluster_walk_into(route.terminal, &mut walk),
-                    }
-                }
+        let (lookup_value, bounds) = match sub.target {
+            ValueTarget::Point(v) => (v, None),
+            ValueTarget::Range { low, high } => {
+                (low, Some((self.keys.cyclic_of(low), self.keys.cyclic_of(high))))
             }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.matches_in_into(node, sub.attr, &sub.target, &mut owners);
+        };
+        let resc_id = self.keys.resc_id(sub.attr, lookup_value);
+        out.tally.lookups += 1;
+        let route = via.route_stats(&self.overlay, from, resc_id, 0, msg)?;
+        out.tally.hops += route.hops;
+        let first = out.probed.len();
+        let truncated = match bounds {
+            None => {
+                out.probed.push(route.terminal);
+                false
             }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
+            Some((lo, hi)) => match self.keys.placement() {
+                // Proposition 3.1: matching roots are contiguous.
+                Placement::Lph => {
+                    self.range_walk_into(route.terminal, lo, hi, msg, via, &mut out.probed)
+                }
+                // Ablation: without locality preservation, matches can sit
+                // anywhere in the cluster — probe it all.
+                Placement::Hashed => {
+                    self.full_cluster_walk_into(route.terminal, msg, via, &mut out.probed)
+                }
+            },
+        };
+        out.tally.visited += out.probed.len() - first;
+        for &node in &out.probed[first..] {
+            self.directories[node.0].matching_owners_into(sub.attr, &sub.target, &mut out.owners);
         }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
-    }
-
-    fn query_from_faulty(
-        &self,
-        phys: usize,
-        q: &Query,
-        plan: &FaultPlan,
-        msg_seed: u64,
-    ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub: Vec<Vec<usize>> = Vec::new();
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        let mut subs_resolved = 0usize;
-        let mut subs_answered = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            // Per-query hop budget: once exhausted, remaining sub-queries
-            // fail unattempted.
-            if tally.hops >= plan.hop_budget() {
-                continue;
-            }
-            let sub_msg = sub_msg_id(msg_seed, i);
-            let (lookup_value, bounds) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => {
-                    (low, Some((self.keys.cyclic_of(low), self.keys.cyclic_of(high))))
-                }
-            };
-            let resc_id = self.keys.resc_id(sub.attr, lookup_value);
-            tally.lookups += 1;
-            let route =
-                match route_with_retry(&self.overlay, from, resc_id, plan, sub_msg, &mut acct) {
-                    Ok(r) => r,
-                    Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                        tally.hops += hops;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-            tally.hops += route.hops;
-            subs_answered += 1;
-            walk.clear();
-            let truncated = match bounds {
-                None => {
-                    walk.push(route.terminal);
-                    false
-                }
-                Some((lo, hi)) => {
-                    let wm = walk_msg_id(sub_msg);
-                    match self.keys.placement() {
-                        Placement::Lph => self.range_walk_faulty_into(
-                            route.terminal,
-                            lo,
-                            hi,
-                            plan,
-                            wm,
-                            &mut acct,
-                            &mut walk,
-                        ),
-                        Placement::Hashed => self.full_cluster_walk_faulty_into(
-                            route.terminal,
-                            plan,
-                            wm,
-                            &mut acct,
-                            &mut walk,
-                        ),
-                    }
-                }
-            };
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            if !truncated {
-                subs_resolved += 1;
-            }
-            per_sub.push(owners);
-        }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        out.tally.matches += out.owners.len();
+        Ok(if truncated { SubState::Degraded } else { SubState::Resolved })
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -787,7 +557,8 @@ impl ResourceDiscovery for Lorm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_resource::{AttrId, QueryMix, SubQuery, Workload, WorkloadConfig};
+    use dht_core::FaultPlan;
+    use grid_resource::{AttrId, Query, QueryMix, QueryMode, Workload, WorkloadConfig};
     use rand::SeedableRng;
 
     fn small_workload() -> (Workload, Lorm) {
@@ -823,50 +594,6 @@ mod tests {
         );
         l.place_all(&w.reports);
         (w, l)
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, mut l) = small_workload();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            for i in 0..60usize {
-                let q = w.random_query(3, mix, &mut rng);
-                let plain = l.query_from(i % 512, &q).unwrap();
-                let cached = l.query_from_cached(i % 512, &q, &mut cache).unwrap();
-                assert_eq!(cached, plain, "{mix:?} query {i}");
-            }
-        }
-        assert!(cache.hits() > 0, "repeated sub-query lookups must hit");
-        // Churn bumps the epoch: every stale entry misses, and the cached
-        // path keeps matching the plain path on the mutated overlay.
-        l.leave_physical(7).unwrap();
-        l.stabilize();
-        l.place_all(&w.reports);
-        for i in 0..30usize {
-            let q = w.random_query(3, QueryMix::Range, &mut rng);
-            let plain = l.query_from(i % 500 + 8, &q).unwrap();
-            let cached = l.query_from_cached(i % 500 + 8, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
-        }
-    }
-
-    #[test]
-    fn cached_faulty_query_is_identical_to_plain_faulty() {
-        let (w, l) = small_workload();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCB);
-        // Inert plans short-circuit through the cache; non-inert plans
-        // must bypass it (per-message coins are not cacheable).
-        for plan in [FaultPlan::new(3, 0.0, 0.0).unwrap(), FaultPlan::new(7, 0.2, 0.05).unwrap()] {
-            for i in 0..40u64 {
-                let q = w.random_query(2, QueryMix::Range, &mut rng);
-                let plain = l.query_from_faulty(2, &q, &plan, i).unwrap();
-                let cached = l.query_from_faulty_cached(2, &q, &plan, i, &mut cache).unwrap();
-                assert_eq!(cached, plain, "inert={} msg {i}", plan.is_inert());
-            }
-        }
     }
 
     /// Brute-force reference: owners whose reports satisfy the target.
@@ -1089,22 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn inert_fault_plan_query_is_identical_to_plain() {
-        let (w, l) = small_workload();
-        let mut rng = SmallRng::seed_from_u64(21);
-        let plan = FaultPlan::new(0x51EE7, 0.0, 0.0).unwrap();
-        for i in 0..40u64 {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = l.query_from(1, &q).unwrap();
-            let faulty = l.query_from_faulty(1, &q, &plan, 1000 + i).unwrap();
-            assert_eq!(faulty.outcome, plain);
-            assert!(faulty.is_complete());
-            assert_eq!(faulty.retries, 0);
-            assert_eq!(faulty.dropped_msgs, 0);
-        }
-    }
-
-    #[test]
     fn total_loss_fails_every_remote_sub_query() {
         let (w, l) = small_workload();
         let mut rng = SmallRng::seed_from_u64(22);
@@ -1112,7 +823,7 @@ mod tests {
         let mut failed = 0usize;
         for i in 0..40u64 {
             let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let f = l.query_from_faulty(2, &q, &plan, i).unwrap();
+            let f = l.query(2, &q, QueryMode::Faulty(&plan, i)).unwrap();
             // Only a sub whose root happens to be the querier itself can
             // survive total loss (zero-hop lookup, but the walk probes
             // still all drop — so the walk stays at one node).
@@ -1134,8 +845,8 @@ mod tests {
         for i in 0..30u64 {
             let qa = w.random_query(3, QueryMix::Range, &mut rng_a);
             let qb = w.random_query(3, QueryMix::Range, &mut rng_b);
-            let a = l.query_from_faulty(4, &qa, &plan, i).unwrap();
-            let b = l.query_from_faulty(4, &qb, &plan, i).unwrap();
+            let a = l.query(4, &qa, QueryMode::Faulty(&plan, i)).unwrap();
+            let b = l.query(4, &qb, QueryMode::Faulty(&plan, i)).unwrap();
             assert_eq!(a, b);
         }
     }
@@ -1148,7 +859,7 @@ mod tests {
         let (mut complete, mut partial, mut failed) = (0usize, 0usize, 0usize);
         for i in 0..120u64 {
             let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let f = l.query_from_faulty(5, &q, &plan, i).unwrap();
+            let f = l.query(5, &q, QueryMode::Faulty(&plan, i)).unwrap();
             match (f.is_complete(), f.is_failed()) {
                 (true, _) => complete += 1,
                 (_, true) => failed += 1,

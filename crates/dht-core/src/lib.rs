@@ -24,6 +24,9 @@
 //! * **Route cache** ([`cache`]): epoch-invalidated memoization of
 //!   routing results and range-walk segments over a static bed —
 //!   byte-identical to uncached routing by construction.
+//! * **Message transport** ([`via`]): the one value a query body is
+//!   written against — direct, through the route cache, or under a
+//!   [`fault`] plan.
 //!
 //! Everything here is deterministic: the same seed produces the same
 //! network, the same workload and the same measurements.
@@ -42,6 +45,7 @@ pub mod ring;
 pub mod sampling;
 pub mod stats;
 pub mod trace;
+pub mod via;
 
 pub use cache::{route_stats_cached, RouteCache, WalkStep};
 pub use error::DhtError;
@@ -57,3 +61,4 @@ pub use ring::{clockwise_dist, in_interval_co, in_interval_oc, in_interval_oo, r
 pub use sampling::{BoundedPareto, SeedSpawner, Zipf};
 pub use stats::{Histogram, LoadDist, Percentiles, Summary};
 pub use trace::{Forward, HopCount, LookupTally, RouteResult, RouteSink, RouteStats};
+pub use via::Via;

@@ -7,11 +7,11 @@
 //! node(s): one Cycloid node for LORM, one Chord node for SWORD/MAAN, and
 //! `m` hub nodes for Mercury.
 
-use crate::model::{Query, ResourceInfo};
+use crate::model::{Query, ResourceInfo, SubQuery};
 use crate::planner::{self, QueryPlan};
 use crate::replication::PieceKey;
 use crate::selectivity::SelectivityEstimator;
-use dht_core::{DhtError, FaultPlan, LoadDist, LookupTally, NodeIdx, RepairStats, RouteCache};
+use dht_core::{DhtError, FaultPlan, LoadDist, LookupTally, NodeIdx, RepairStats, RouteCache, Via};
 use rand::rngs::SmallRng;
 
 /// Result of resolving one multi-attribute query.
@@ -92,6 +92,39 @@ impl FaultyOutcome {
     }
 }
 
+/// How one sub-query ended (see [`FaultyOutcome`] for the third state:
+/// a *failed* sub-query is the lookup error its step returned).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubState {
+    /// Every lookup succeeded and the directory walk ran to completion.
+    Resolved,
+    /// The owners were found, but a fault truncated the walk or lost a
+    /// lookup the answer does not depend on: they may be incomplete.
+    Degraded,
+}
+
+/// What a query is resolved under: a plan, and how its messages travel.
+///
+/// These are the combinations that have a meaning. Faults pair with the
+/// parallel plan only — fault coins are keyed by the sub-query's index,
+/// which the sequential plans' one-sub-query steps would all reset to 0 —
+/// and never with a cache: a faulted route is not a pure function of
+/// `(overlay, from, key)`.
+#[derive(Debug)]
+pub enum QueryMode<'a> {
+    /// Every message delivered, every lookup routed for real.
+    Direct(QueryPlan),
+    /// Every message delivered, lookups and range walks memoized over the
+    /// current overlay epoch (every mutating op invalidates).
+    Cached(QueryPlan, &'a mut RouteCache),
+    /// The parallel plan while the [`FaultPlan`] injects message drops and
+    /// routes around ungracefully failed nodes, with bounded retry,
+    /// alternate-probe fallback and partial-result accounting. The `u64`
+    /// identifies the query in the fault coin stream: the same pair always
+    /// draws the same faults regardless of sharding.
+    Faulty(&'a FaultPlan, u64),
+}
+
 /// A multi-attribute range-capable resource discovery system under test.
 pub trait ResourceDiscovery {
     /// Short system name used in reports ("LORM", "Mercury", …).
@@ -120,26 +153,83 @@ pub trait ResourceDiscovery {
     /// use [`Self::place_all`]; this is the per-report path.)
     fn register(&mut self, info: ResourceInfo) -> Result<LookupTally, DhtError>;
 
-    /// Resolve a multi-attribute query issued by physical node `phys`,
-    /// counting every hop and visited directory node.
-    fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError>;
-
-    /// Resolve a query through a [`RouteCache`]: identical results to
-    /// [`Self::query_from`] — the cache memoizes routing over the current
-    /// overlay epoch, and every mutating op invalidates — with the
-    /// repeated O(log n) lookups of a static bed answered from memory.
+    /// The per-sub-query step — the one hand-written query body of a
+    /// system: derive the key(s) of `sub`, look them up from physical node
+    /// `phys`, walk on for a range, and match the directory of every node
+    /// the walk reached. Every lookup goes through [`Via::route_stats`]
+    /// and every walk advance through [`Via::admit_step`], with `msg` the
+    /// sub-query's id in the fault coin stream.
     ///
-    /// The default ignores the cache and delegates, which is always
-    /// correct; systems override it to route their sub-query lookups and
-    /// range walks through the cache.
+    /// The step *adds* its cost to `out.tally` (counting a lookup before it
+    /// is routed, so lost lookups are counted too) and its directory nodes
+    /// to `out.probed`, and appends the matched owners — one entry per
+    /// piece — to `out.owners`, which the caller hands over empty. A lookup
+    /// without which the sub-query has no answer propagates its error: no
+    /// owner has been appended by then.
+    fn resolve_sub(
+        &self,
+        phys: usize,
+        sub: &SubQuery,
+        msg: u64,
+        via: &mut Via<'_>,
+        out: &mut QueryOutcome,
+    ) -> Result<SubState, DhtError>;
+
+    /// Resolve `q`, issued by physical node `phys`, under `mode` — the
+    /// single driver behind every query entry point.
+    ///
+    /// [`QueryPlan::Parallel`] resolves every sub-query and joins the full
+    /// owner sets at the requester. `Sequential` and `Adaptive` resolve
+    /// sub-queries one at a time (ordered by [`planner::plan_order`]),
+    /// threading the surviving candidate set and short-circuiting when it
+    /// empties — remaining sub-queries are skipped entirely, their lookups
+    /// never happen. All three plans return identical `owners`; `probed`
+    /// differs as documented on [`QueryOutcome::probed`], and tally
+    /// semantics are documented in [`crate::planner`]. A route cache never
+    /// alters a result, and neither does a fault plan under which no fault
+    /// can fire.
+    fn query(
+        &self,
+        phys: usize,
+        q: &Query,
+        mode: QueryMode<'_>,
+    ) -> Result<FaultyOutcome, DhtError> {
+        let (plan, mut via) = match mode {
+            QueryMode::Direct(plan) => (plan, Via::Direct),
+            QueryMode::Cached(plan, cache) => (plan, Via::Cached(cache)),
+            // An inert plan travels direct: zero-fault runs stay
+            // byte-identical to fault-free runs without drawing a coin.
+            QueryMode::Faulty(faults, _) if faults.is_inert() => (QueryPlan::Parallel, Via::Direct),
+            QueryMode::Faulty(faults, msg_seed) => {
+                (QueryPlan::Parallel, Via::faulty(faults, msg_seed))
+            }
+        };
+        if plan == QueryPlan::Parallel {
+            return resolve_parallel(self, phys, q, &mut via);
+        }
+        let order = planner::plan_order(q, plan, self.selectivity());
+        let outcome = planner::resolve_in_order(q, &order, &mut |single| {
+            resolve_parallel(self, phys, single, &mut via).map(|f| f.outcome)
+        })?;
+        Ok(FaultyOutcome::complete(outcome, q.arity()))
+    }
+
+    /// Resolve `q` the paper's way: every message delivered, all
+    /// sub-queries in parallel.
+    fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
+        self.query(phys, q, QueryMode::Direct(QueryPlan::Parallel)).map(|f| f.outcome)
+    }
+
+    /// [`Self::query_from`] through a [`RouteCache`]: identical results,
+    /// with the repeated O(log n) lookups of a static bed answered from
+    /// memory.
     fn query_from_cached(
         &self,
         phys: usize,
         q: &Query,
         cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        let _ = cache;
-        self.query_from(phys, q)
+        self.query(phys, q, QueryMode::Cached(QueryPlan::Parallel, cache)).map(|f| f.outcome)
     }
 
     /// The per-attribute selectivity histograms maintained by this
@@ -150,92 +240,15 @@ pub trait ResourceDiscovery {
         None
     }
 
-    /// Resolve `q` under an explicit [`QueryPlan`].
-    ///
-    /// `Parallel` delegates to [`Self::query_from`]; `Sequential` and
-    /// `Adaptive` resolve sub-queries one at a time (ordered by
-    /// [`planner::plan_order`]), threading the surviving candidate set
-    /// and short-circuiting when it empties — remaining sub-queries are
-    /// skipped entirely, their lookups never happen. All three plans
-    /// return identical `owners`; `probed` differs as documented on
-    /// [`QueryOutcome::probed`], and tally semantics are documented in
-    /// [`crate::planner`].
+    /// Resolve `q` under an explicit [`QueryPlan`], every message
+    /// delivered.
     fn query_planned(
         &self,
         phys: usize,
         q: &Query,
         plan: QueryPlan,
     ) -> Result<QueryOutcome, DhtError> {
-        match plan {
-            QueryPlan::Parallel => self.query_from(phys, q),
-            QueryPlan::Sequential | QueryPlan::Adaptive => {
-                let order = planner::plan_order(q, plan, self.selectivity());
-                planner::resolve_in_order(q, &order, &mut |single| self.query_from(phys, single))
-            }
-        }
-    }
-
-    /// The cached twin of [`Self::query_planned`]: sub-query lookups and
-    /// range walks flow through `cache` exactly as in
-    /// [`Self::query_from_cached`]. Identical results to the uncached
-    /// twin — plan ordering depends only on the (immutable during a
-    /// query) selectivity histograms, never on cache state.
-    fn query_planned_cached(
-        &self,
-        phys: usize,
-        q: &Query,
-        plan: QueryPlan,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
-        match plan {
-            QueryPlan::Parallel => self.query_from_cached(phys, q, cache),
-            QueryPlan::Sequential | QueryPlan::Adaptive => {
-                let order = planner::plan_order(q, plan, self.selectivity());
-                planner::resolve_in_order(q, &order, &mut |single| {
-                    self.query_from_cached(phys, single, cache)
-                })
-            }
-        }
-    }
-
-    /// The cached twin of [`Self::query_from_faulty`]. Fault coins are
-    /// drawn per message, so a faulted route is *not* a pure function of
-    /// `(overlay, from, key)` — only the inert-plan fast path may consult
-    /// the cache; everything else takes the uncached faulty path. Both
-    /// branches are byte-identical to the uncached twin by construction.
-    fn query_from_faulty_cached(
-        &self,
-        phys: usize,
-        q: &Query,
-        plan: &FaultPlan,
-        msg_seed: u64,
-        cache: &mut RouteCache,
-    ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from_cached(phys, q, cache)?, q.arity()));
-        }
-        self.query_from_faulty(phys, q, plan, msg_seed)
-    }
-
-    /// Resolve a query while `plan` injects message drops and routes
-    /// around ungracefully failed nodes. `msg_seed` identifies the query
-    /// in the fault coin stream: the same `(plan, msg_seed)` pair always
-    /// draws the same faults regardless of sharding.
-    ///
-    /// The default is fault-unaware: it delegates to
-    /// [`Self::query_from`] and reports a complete outcome, which is
-    /// exactly right when `plan.is_inert()`. Systems override this to
-    /// add bounded retry, alternate-probe fallback, and partial-result
-    /// accounting.
-    fn query_from_faulty(
-        &self,
-        phys: usize,
-        q: &Query,
-        plan: &FaultPlan,
-        msg_seed: u64,
-    ) -> Result<FaultyOutcome, DhtError> {
-        let _ = (plan, msg_seed);
-        Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()))
+        self.query(phys, q, QueryMode::Direct(plan)).map(|f| f.outcome)
     }
 
     /// Resource-information pieces currently stored per live physical node
@@ -304,6 +317,49 @@ impl Clone for Box<dyn ResourceDiscovery + Send + Sync> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
+}
+
+/// The parallel plan: run every sub-query's step, then join at the
+/// requester. Under faults a sub-query whose lookup never reached a
+/// directory node within the retry budget is *failed* — it contributes its
+/// wasted hops and no owner set — and once the per-query hop budget is
+/// exhausted the remaining sub-queries fail unattempted.
+fn resolve_parallel<S: ResourceDiscovery + ?Sized>(
+    sys: &S,
+    phys: usize,
+    q: &Query,
+    via: &mut Via<'_>,
+) -> Result<FaultyOutcome, DhtError> {
+    let hop_budget = via.hop_budget();
+    let mut out = QueryOutcome::default();
+    let mut per_sub: Vec<Vec<usize>> = Vec::with_capacity(q.subs.len());
+    let mut subs_resolved = 0usize;
+    for (i, sub) in q.subs.iter().enumerate() {
+        if out.tally.hops >= hop_budget {
+            continue;
+        }
+        match sys.resolve_sub(phys, sub, via.sub_msg(i), via, &mut out) {
+            Ok(state) => {
+                subs_resolved += usize::from(state == SubState::Resolved);
+                per_sub.push(std::mem::take(&mut out.owners));
+            }
+            Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
+                out.tally.hops += hops;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    let subs_answered = per_sub.len();
+    out.owners = join_owners(per_sub);
+    let acct = via.account();
+    Ok(FaultyOutcome {
+        outcome: out,
+        subs_resolved,
+        subs_answered,
+        subs_total: q.arity(),
+        retries: acct.retries,
+        dropped_msgs: acct.dropped_msgs,
+    })
 }
 
 /// The requester-side "database-like join on `ip_addr`": intersect the

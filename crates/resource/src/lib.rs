@@ -35,7 +35,7 @@ pub mod workload;
 
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use directory::Directory;
-pub use discovery::{FaultyOutcome, QueryOutcome, ResourceDiscovery};
+pub use discovery::{FaultyOutcome, QueryMode, QueryOutcome, ResourceDiscovery, SubState};
 pub use model::{AttrId, AttributeSpace, Query, ResourceInfo, SubQuery, ValueTarget};
 pub use planner::{intersect_sorted, QueryPlan};
 pub use replication::{canonicalize_pieces, count_surviving, PieceKey, ReplicaEntry, ReplicaStore};

@@ -168,9 +168,17 @@ impl BedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::query_batch;
-    use crate::experiments::{run_batch, Metric};
-    use grid_resource::QueryMix;
+    use crate::experiments::{default_shards, query_batch, run_batch, BatchMode, Metric};
+    use dht_core::Summary;
+    use grid_resource::{Query, QueryMix, QueryPlan};
+
+    fn run_plain(
+        sys: &(dyn ResourceDiscovery + Send + Sync),
+        batch: &[(usize, Query)],
+        metric: Metric,
+    ) -> Summary {
+        run_batch(sys, batch, metric, BatchMode::Direct(QueryPlan::Parallel), default_shards())
+    }
 
     fn tiny() -> SimConfig {
         SimConfig { nodes: 64, attrs: 4, values: 8, dimension: 5, ..SimConfig::default() }
@@ -222,8 +230,8 @@ mod tests {
             fresh.seeds.seed() ^ 0xBED,
         );
         for (c, f) in cached.systems.iter().zip(&fresh.systems) {
-            let sc = run_batch(c.as_ref(), &batch, Metric::Hops);
-            let sf = run_batch(f.as_ref(), &batch, Metric::Hops);
+            let sc = run_plain(c.as_ref(), &batch, Metric::Hops);
+            let sf = run_plain(f.as_ref(), &batch, Metric::Hops);
             assert_eq!(sc, sf, "{}", f.name());
         }
     }
@@ -256,8 +264,8 @@ mod tests {
         let fresh = build_system(System::Maan, &workload, &cfg);
         let batch = query_batch(&workload, cfg.nodes, 8, 2, 2, QueryMix::Range, cfg.seed ^ 0xBED);
         assert_eq!(
-            run_batch(proto.as_ref(), &batch, Metric::Visited),
-            run_batch(fresh.as_ref(), &batch, Metric::Visited),
+            run_plain(proto.as_ref(), &batch, Metric::Visited),
+            run_plain(fresh.as_ref(), &batch, Metric::Visited),
         );
     }
 }

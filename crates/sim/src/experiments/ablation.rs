@@ -15,7 +15,7 @@
 //!    range-probe count grow with `d` while per-node state stays constant
 //!    — the trade the paper's `d = 8` sits on.
 
-use super::{run_batch_planned_sharded, Metric};
+use super::{run_batch, BatchMode, Metric};
 use crate::report::Report;
 use crate::setup::{build_system, SimConfig};
 use crate::table::Table;
@@ -265,7 +265,7 @@ pub fn ablate_query_plan(cfg: &SimConfig, queries: usize, arity: usize) -> Ablat
     for &system in System::ALL.iter() {
         let sys = build_system(system, &workload, cfg);
         for plan in QueryPlan::ALL {
-            let cell = |metric| run_batch_planned_sharded(sys.as_ref(), &batch, metric, plan, 1);
+            let cell = |metric| run_batch(sys.as_ref(), &batch, metric, BatchMode::Direct(plan), 1);
             rows.push(AblationRow {
                 setting: format!("{}/{}", system.name(), plan.name()),
                 values: vec![

@@ -15,12 +15,12 @@
 //!   failure fraction (guaranteed by the fault-coin construction, see
 //!   `dht_core::fault`).
 
-use crate::experiments::{query_batch, run_batch, run_batch_faulty, Metric};
+use crate::experiments::{default_shards, query_batch, run_batch, BatchMode, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
 use dht_core::{FaultPlan, Summary};
-use grid_resource::QueryMix;
+use grid_resource::{QueryMix, QueryPlan};
 use std::fmt;
 
 /// Sweep configuration for the chaos experiment.
@@ -134,14 +134,17 @@ pub fn chaos(bed: &TestBed, setup: ChaosSetup) -> Chaos {
     );
     let mut systems = Vec::with_capacity(bed.systems.len());
     for sys in &bed.systems {
-        let baseline = run_batch(sys.as_ref(), &batch, Metric::Hops);
+        let hops = |mode: BatchMode<'_>| {
+            run_batch(sys.as_ref(), &batch, Metric::Hops, mode, default_shards())
+        };
+        let baseline = hops(BatchMode::Direct(QueryPlan::Parallel));
         let mut cells = Vec::with_capacity(setup.fail_fracs.len() * setup.loss_rates.len());
         for &fail_frac in &setup.fail_fracs {
             for &loss in &setup.loss_rates {
                 let plan = FaultPlan::new(setup.fault_seed, loss, fail_frac)
                     // lint:allow(panic-hygiene): sweep rates come from the setup literal; out-of-range rates are a harness bug
                     .expect("sweep rates must be probabilities");
-                let summary = run_batch_faulty(sys.as_ref(), &batch, Metric::Hops, &plan);
+                let summary = hops(BatchMode::Faulty(&plan));
                 cells.push(ChaosCell { loss, fail_frac, summary });
             }
         }

@@ -29,7 +29,7 @@
 //! non-zero — the same pattern as `repro scale`'s growth checks.
 
 use crate::cache::BedCache;
-use crate::experiments::{run_batch_sharded, Metric};
+use crate::experiments::{run_batch, BatchMode, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -37,7 +37,7 @@ use analysis::System;
 use chord::{Chord, ChordConfig};
 use dht_core::{hashing::splitmix64, Overlay, Summary};
 use grid_resource::{
-    canonicalize_pieces, count_surviving, ChurnKind, ChurnSchedule, PieceKey, QueryMix,
+    canonicalize_pieces, count_surviving, ChurnKind, ChurnSchedule, PieceKey, QueryMix, QueryPlan,
     ResourceDiscovery, Workload,
 };
 use rand::rngs::SmallRng;
@@ -252,7 +252,13 @@ pub fn run_durability_one(
             }
         }
     }
-    let probe = run_batch_sharded(sys, &batch, Metric::Visited, setup.shards);
+    let probe = run_batch(
+        sys,
+        &batch,
+        Metric::Visited,
+        BatchMode::Direct(QueryPlan::Parallel),
+        setup.shards,
+    );
     let rs = sys.repair_stats();
     DurabilityCell {
         initial: initial.len(),

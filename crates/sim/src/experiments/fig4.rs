@@ -7,10 +7,7 @@
 //! "Analysis-SWORD/Mercury" (= MAAN ÷ 2, Theorem 4.8) derived from the
 //! measured MAAN.
 
-use crate::experiments::{
-    query_batch, run_batch_all_cached_planned, run_batch_all_planned, summary_of, CachePool,
-    Engine, Metric,
-};
+use crate::experiments::{query_batch, run_batch_all, summary_of, CachePool, Engine, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -53,22 +50,11 @@ pub fn fig4(
     origins: usize,
     per_origin: usize,
 ) -> Fig4 {
-    fig4_with_engine(bed, arities, origins, per_origin, Engine::Plain)
+    fig4_planned(bed, arities, origins, per_origin, Engine::Plain, QueryPlan::Parallel)
 }
 
-/// [`fig4`] on a chosen batch [`Engine`]; both engines produce the same
-/// figure bit-for-bit.
-pub fn fig4_with_engine(
-    bed: &TestBed,
-    arities: impl IntoIterator<Item = usize>,
-    origins: usize,
-    per_origin: usize,
-    engine: Engine,
-) -> Fig4 {
-    fig4_planned(bed, arities, origins, per_origin, engine, QueryPlan::Parallel)
-}
-
-/// [`fig4_with_engine`] under an explicit [`QueryPlan`]. The parallel plan
+/// [`fig4`] on a chosen batch [`Engine`] (both engines produce the same
+/// figure bit-for-bit) under an explicit [`QueryPlan`]. The parallel plan
 /// reproduces the paper's figure exactly; sequential/adaptive plans keep
 /// the answer sets but change hop counts (each sub-query after the first
 /// still pays its lookup walk, so the curve shifts, not the ordering).
@@ -87,7 +73,8 @@ pub fn fig4_planned(
     // Cache pools persist across the arity sweep: the systems are not
     // mutated between rounds, so entries stay epoch-fresh and repeated
     // (origin, attribute) lookups across arities hit.
-    let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
+    let mut pools: Option<Vec<CachePool>> =
+        (engine == Engine::Cached).then(|| bed.systems.iter().map(|_| CachePool::new()).collect());
     for arity in arities {
         let batch = query_batch(
             &bed.workload,
@@ -98,14 +85,8 @@ pub fn fig4_planned(
             QueryMix::NonRange,
             bed.seeds.seed() ^ 0xF400 ^ arity as u64,
         );
-        let measured = match engine {
-            Engine::Plain => {
-                run_batch_all_planned(&bed.systems, &batch, Metric::Hops, plan, engine)
-            }
-            Engine::Cached => {
-                run_batch_all_cached_planned(&bed.systems, &batch, Metric::Hops, plan, &mut pools)
-            }
-        };
+        let measured =
+            run_batch_all(&bed.systems, &batch, Metric::Hops, plan, pools.as_deref_mut());
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -208,8 +189,8 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let plain = fig4_with_engine(&bed, [1, 3], 10, 3, Engine::Plain);
-        let cached = fig4_with_engine(&bed, [1, 3], 10, 3, Engine::Cached);
+        let plain = fig4_planned(&bed, [1, 3], 10, 3, Engine::Plain, QueryPlan::Parallel);
+        let cached = fig4_planned(&bed, [1, 3], 10, 3, Engine::Cached, QueryPlan::Parallel);
         assert_eq!(plain.rows, cached.rows);
         assert_eq!(plain.report().to_json(), cached.report().to_json());
     }

@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use analysis::System;
 use dht_core::{hashing::splitmix64, FaultPlan, RouteCache, Summary};
-use grid_resource::{Query, QueryMix, QueryPlan, ResourceDiscovery, ValueTarget, Workload};
+use grid_resource::{
+    Query, QueryMix, QueryMode, QueryPlan, ResourceDiscovery, ValueTarget, Workload,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,25 +63,6 @@ pub fn query_batch(
     batch
 }
 
-/// Run a contiguous slice of a batch sequentially on the calling thread,
-/// resolving each query under `plan` ([`QueryPlan::Parallel`] is the
-/// classic `query_from` path, byte for byte).
-fn run_shard(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-) -> Summary {
-    let mut s = Summary::new();
-    for (phys, q) in shard {
-        match sys.query_planned(*phys, q, plan) {
-            Ok(out) => s.record(metric.of(&out.tally)),
-            Err(_) => s.record_failure(),
-        }
-    }
-    s
-}
-
 /// Reduction granularity of [`run_batch`]: queries are always summarized
 /// per `MICRO_CHUNK`-sized slice and the per-slice summaries merged in
 /// batch order, whatever the shard count. The merge *sequence* is then a
@@ -88,83 +71,46 @@ fn run_shard(
 /// point — bit-identical across shard counts.
 const MICRO_CHUNK: usize = 64;
 
-/// Run a query batch against one system, summarizing a chosen metric.
-/// Failed queries are counted via [`Summary::failures`] instead of being
-/// silently dropped.
-///
-/// The batch is executed on [`default_shards`] scoped worker threads, but
-/// reduced deterministically: per fixed-size micro-chunk (`MICRO_CHUNK`,
-/// 64 queries), merged in batch order. The result is bit-identical for
-/// every shard count.
-pub fn run_batch(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-) -> Summary {
-    run_batch_sharded(sys, batch, metric, default_shards())
+/// A per-system pool of worker route caches (see [`BatchMode::Pooled`]).
+pub type CachePool = Vec<RouteCache>;
+
+/// What a batch's queries resolve under, and where the workers' route
+/// caches come from. Caches never alter results, so every fault-free mode
+/// yields bit-identical summaries at every shard count.
+#[derive(Debug)]
+pub enum BatchMode<'a> {
+    /// Every query from scratch under the plan.
+    Direct(QueryPlan),
+    /// Through a route cache. On one worker the caller's cache persists
+    /// across the whole batch (the perf harness warms it and then measures
+    /// its hit rate); several workers each run their own fresh cache.
+    Cached(QueryPlan, &'a mut RouteCache),
+    /// Through a caller-owned pool: worker `i` always draws `pool[i]` (the
+    /// pool grows to the worker count on first use), so a pool held across
+    /// calls keeps each worker's cache warm for its stable slice of the
+    /// batch stream. The figure pipelines hold one pool per system across
+    /// their sweep loops, so later rounds replay routes and walks the
+    /// earlier rounds recorded against the *same* (unmutated, equal-epoch)
+    /// system.
+    ///
+    /// Pools must never outlive their system's overlay state: two bed
+    /// clones can share an epoch value while holding different links,
+    /// which is why the churn pipeline (fig 6) builds a fresh cache per
+    /// run instead.
+    Pooled(QueryPlan, &'a mut CachePool),
+    /// The parallel plan under a fault plan. Fault coins are a pure
+    /// function of `(plan seed, global batch position)`, so the
+    /// degradation counters are bit-identical across shard counts too, and
+    /// an inert plan reproduces [`BatchMode::Direct`] bit for bit.
+    Faulty(&'a FaultPlan),
 }
 
-/// Fold micro-chunk summaries in order into one batch summary.
-fn merge_in_order(parts: impl IntoIterator<Item = Summary>) -> Summary {
-    let mut merged = Summary::new();
-    for part in parts {
-        merged.merge(&part);
-    }
-    merged
-}
-
-/// [`run_batch`] with an explicit shard count (`0` or `1` runs inline on
-/// the calling thread). The shard count decides only *which thread*
-/// summarizes each micro-chunk, never the reduction order.
-pub fn run_batch_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    shards: usize,
-) -> Summary {
-    run_batch_planned_sharded(sys, batch, metric, QueryPlan::Parallel, shards)
-}
-
-/// [`run_batch_sharded`] under an explicit [`QueryPlan`]: every query
-/// resolves through `query_planned`, so sequential/adaptive plans thread
-/// their candidate sets inside the same ordered micro-chunk reduction.
-/// Bit-identical across shard counts for every plan, and byte-identical
-/// to [`run_batch_sharded`] at [`QueryPlan::Parallel`].
-pub fn run_batch_planned_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-    shards: usize,
-) -> Summary {
-    let micro: Vec<&[(usize, Query)]> = batch.chunks(MICRO_CHUNK.max(1)).collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(micro.into_iter().map(|c| run_shard(sys, c, metric, plan)));
-    }
-    // Give each worker a contiguous run of micro-chunks; workers return
-    // their per-chunk summaries in order, and the single-threaded merge
-    // below walks workers (and chunks within each worker) in batch order.
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    chunks.iter().map(|c| run_shard(sys, c, metric, plan)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
+/// What one worker resolves its queries under (a [`BatchMode`] minus the
+/// caches, which are handed out per worker).
+#[derive(Clone, Copy)]
+enum Resolve<'a> {
+    Plan(QueryPlan),
+    Faults(&'a FaultPlan),
 }
 
 /// Locality sort key of one batched query: the first sub-query's
@@ -188,71 +134,146 @@ fn locality_key(phys: usize, q: &Query) -> (u32, u64, usize) {
     }
 }
 
-/// Run one micro-chunk through the cached query path, executing in
-/// locality order but *recording at original positions*: the Summary
-/// fold below never observes the sort, so every field stays bit-identical
-/// to [`run_shard`] (each cached query is itself byte-identical to its
-/// uncached twin by construction).
-fn run_shard_cached(
+/// The fault-coin seed of the query at global batch position `index`: a
+/// pure function of the plan seed and the position, so sharding can
+/// never change which faults a query draws.
+fn msg_seed_at(plan: &FaultPlan, index: usize) -> u64 {
+    splitmix64(plan.seed() ^ index as u64)
+}
+
+/// Run one micro-chunk on the calling thread; `base` is the global batch
+/// index of its first query. Holding a cache, the chunk executes in
+/// locality order, but every query keeps the fault seed of — and is
+/// recorded at — its *original* position: the fault draw and the Summary
+/// fold never observe the sort.
+fn run_chunk(
     sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
+    chunk: &[(usize, Query)],
     metric: Metric,
-    plan: QueryPlan,
-    cache: &mut RouteCache,
+    resolve: Resolve<'_>,
+    base: usize,
+    mut cache: Option<&mut RouteCache>,
 ) -> Summary {
-    let mut order: Vec<usize> = (0..shard.len()).collect();
-    order.sort_by_key(|&i| locality_key(shard[i].0, &shard[i].1));
-    let mut vals: Vec<Option<f64>> = vec![None; shard.len()];
-    for &i in &order {
-        let (phys, q) = &shard[i];
-        if let Ok(out) = sys.query_planned_cached(*phys, q, plan, cache) {
-            vals[i] = Some(metric.of(&out.tally));
+    let mut order: Vec<usize> = (0..chunk.len()).collect();
+    if cache.is_some() {
+        order.sort_by_key(|&j| locality_key(chunk[j].0, &chunk[j].1));
+    }
+    // What each query contributes: its metric value (`None`: it failed),
+    // whether that value is partial, and its retry / dropped-message counts.
+    let mut samples: Vec<(Option<f64>, bool, u64, u64)> = vec![(None, false, 0, 0); chunk.len()];
+    for &j in &order {
+        let (phys, q) = &chunk[j];
+        let mode = match (resolve, cache.as_deref_mut()) {
+            (Resolve::Plan(plan), None) => QueryMode::Direct(plan),
+            (Resolve::Plan(plan), Some(cache)) => QueryMode::Cached(plan, cache),
+            (Resolve::Faults(plan), _) => QueryMode::Faulty(plan, msg_seed_at(plan, base + j)),
+        };
+        if let Ok(f) = sys.query(*phys, q, mode) {
+            let value = (!f.is_failed()).then(|| metric.of(&f.outcome.tally));
+            samples[j] = (value, f.is_partial(), f.retries, f.dropped_msgs);
         }
     }
     let mut s = Summary::new();
-    for v in vals {
-        match v {
+    for (value, partial, retries, dropped_msgs) in samples {
+        match value {
+            Some(v) if partial => s.record_partial(v),
             Some(v) => s.record(v),
             None => s.record_failure(),
         }
+        s.add_retries(retries);
+        s.add_dropped_msgs(dropped_msgs);
     }
     s
 }
 
-/// Cached, batched [`run_batch`]: identical summaries on [`default_shards`]
-/// workers, with repeated lookups served from `cache`.
-pub fn run_batch_cached(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    cache: &mut RouteCache,
-) -> Summary {
-    run_batch_cached_sharded(sys, batch, metric, default_shards(), cache)
-}
-
-/// [`run_batch_sharded`] through the epoch-invalidated route cache and the
-/// locality-ordered chunk executor — bit-identical summaries at every
-/// shard count, by construction (see `run_shard_cached`).
+/// Run a query batch against one system on `shards` workers (`0` or `1`
+/// runs inline on the calling thread), summarizing a chosen metric.
+/// Failed queries are counted via [`Summary::failures`] instead of being
+/// silently dropped.
 ///
-/// At `shards <= 1` the caller's `cache` persists across the whole batch
-/// (the perf harness warms it and then measures its hit rate); at higher
-/// shard counts each worker runs its own fresh cache — caches never alter
-/// results, so the choice is invisible in the output.
-pub fn run_batch_cached_sharded(
+/// Each worker takes a contiguous run of micro-chunks and the per-chunk
+/// summaries are merged in batch order, so the shard count decides only
+/// *which thread* summarizes each micro-chunk, never the reduction order.
+pub fn run_batch(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
     metric: Metric,
+    mode: BatchMode<'_>,
     shards: usize,
-    cache: &mut RouteCache,
 ) -> Summary {
-    run_batch_planned_cached_sharded(sys, batch, metric, QueryPlan::Parallel, shards, cache)
+    let micro: Vec<(usize, &[(usize, Query)])> = batch.chunks(MICRO_CHUNK).enumerate().collect();
+    let per_worker = micro.len().div_ceil(shards.max(1)).max(1);
+    let workers = micro.len().div_ceil(per_worker);
+    let mut fresh: Vec<RouteCache> = Vec::new();
+    // One entry per worker.
+    let no_caches = || (0..workers).map(|_| None).collect();
+    let (resolve, caches): (Resolve<'_>, Vec<Option<&mut RouteCache>>) = match mode {
+        BatchMode::Direct(plan) => (Resolve::Plan(plan), no_caches()),
+        BatchMode::Faulty(faults) => (Resolve::Faults(faults), no_caches()),
+        BatchMode::Cached(plan, own) if workers <= 1 => (Resolve::Plan(plan), vec![Some(own)]),
+        BatchMode::Cached(plan, _) => {
+            fresh.resize_with(workers, RouteCache::new);
+            (Resolve::Plan(plan), fresh.iter_mut().map(Some).collect())
+        }
+        BatchMode::Pooled(plan, pool) => {
+            if pool.len() < workers {
+                pool.resize_with(workers, RouteCache::new);
+            }
+            (Resolve::Plan(plan), pool.iter_mut().map(Some).collect())
+        }
+    };
+    let summarize = |&(i, chunk): &(usize, &[(usize, Query)]), cache: Option<&mut RouteCache>| {
+        run_chunk(sys, chunk, metric, resolve, i * MICRO_CHUNK, cache)
+    };
+    let mut merged = Summary::new();
+    if workers <= 1 {
+        let mut cache = caches.into_iter().next().flatten();
+        for chunk in &micro {
+            merged.merge(&summarize(chunk, cache.as_deref_mut()));
+        }
+        return merged;
+    }
+    // Workers return their per-chunk summaries in order, and the
+    // single-threaded merge walks workers (and chunks within each worker)
+    // in batch order.
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = micro
+            .chunks(per_worker)
+            .zip(caches)
+            .map(|(chunks, mut cache)| {
+                scope.spawn(move |_| {
+                    let parts = chunks.iter().map(|chunk| summarize(chunk, cache.as_deref_mut()));
+                    parts.collect::<Vec<Summary>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            // lint:allow(panic-hygiene): join fails only if the worker
+            // panicked; re-raising that panic is the intended behaviour.
+            for part in h.join().expect("shard worker panicked") {
+                merged.merge(&part);
+            }
+        }
+    })
+    // lint:allow(panic-hygiene): crossbeam scope errs only when a
+    // child panicked; re-raising that panic is the intended behaviour.
+    .expect("crossbeam scope");
+    merged
 }
 
-/// [`run_batch_cached_sharded`] under an explicit [`QueryPlan`]: the
-/// cached twin of [`run_batch_planned_sharded`]. Sequential/adaptive
-/// sub-query walks flow through the route cache one sub-query at a time,
-/// so repeated attribute anchors across the locality-sorted chunk stay
-/// memoized exactly as in the parallel path.
+/// [`run_batch`] from scratch under an explicit [`QueryPlan`].
+pub fn run_batch_planned_sharded(
+    sys: &(dyn ResourceDiscovery + Send + Sync),
+    batch: &[(usize, Query)],
+    metric: Metric,
+    plan: QueryPlan,
+    shards: usize,
+) -> Summary {
+    run_batch(sys, batch, metric, BatchMode::Direct(plan), shards)
+}
+
+/// [`run_batch`] through the caller's route cache under an explicit
+/// [`QueryPlan`] (see [`BatchMode::Cached`]).
 pub fn run_batch_planned_cached_sharded(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
@@ -261,307 +282,7 @@ pub fn run_batch_planned_cached_sharded(
     shards: usize,
     cache: &mut RouteCache,
 ) -> Summary {
-    let micro: Vec<&[(usize, Query)]> = batch.chunks(MICRO_CHUNK.max(1)).collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(
-            micro.into_iter().map(|c| run_shard_cached(sys, c, metric, plan, cache)),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    let mut local = RouteCache::new();
-                    chunks
-                        .iter()
-                        .map(|c| run_shard_cached(sys, c, metric, plan, &mut local))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
-}
-
-/// A per-system pool of worker route caches for the pooled executor
-/// (see [`run_batch_cached_pooled`]): worker `i` always draws `pool[i]`,
-/// so a pool held across calls keeps each worker's cache warm for its
-/// stable slice of the batch stream.
-pub type CachePool = Vec<RouteCache>;
-
-/// [`run_batch_cached_sharded`], drawing per-worker caches from a
-/// caller-owned pool instead of building fresh ones per call. The pool
-/// grows to the worker count on first use; the figure pipelines hold one
-/// pool per system across their sweep loops, so later rounds replay
-/// routes and walks the earlier rounds recorded against the *same*
-/// (unmutated, equal-epoch) system. Caches never alter results, so the
-/// summaries stay bit-identical to every other executor.
-///
-/// Pools must never outlive their system's overlay state: two bed clones
-/// can share an epoch value while holding different links, which is why
-/// the churn pipeline (fig 6) builds a fresh cache per run instead.
-pub fn run_batch_cached_pooled(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    shards: usize,
-    pool: &mut CachePool,
-) -> Summary {
-    run_batch_planned_cached_pooled(sys, batch, metric, QueryPlan::Parallel, shards, pool)
-}
-
-/// [`run_batch_cached_pooled`] under an explicit [`QueryPlan`] — the
-/// executor the figure pipelines use when a `--plan=` override is in
-/// effect, keeping their per-system pools warm across sweep rounds.
-pub fn run_batch_planned_cached_pooled(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-    shards: usize,
-    pool: &mut CachePool,
-) -> Summary {
-    let micro: Vec<&[(usize, Query)]> = batch.chunks(MICRO_CHUNK.max(1)).collect();
-    if shards <= 1 || micro.len() <= 1 {
-        if pool.is_empty() {
-            pool.push(RouteCache::new());
-        }
-        let cache = &mut pool[0];
-        return merge_in_order(
-            micro.into_iter().map(|c| run_shard_cached(sys, c, metric, plan, cache)),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let workers = micro.len().div_ceil(per_worker);
-    while pool.len() < workers {
-        pool.push(RouteCache::new());
-    }
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .zip(pool.iter_mut())
-            .map(|(chunks, cache)| {
-                scope.spawn(move |_| {
-                    chunks
-                        .iter()
-                        .map(|c| run_shard_cached(sys, c, metric, plan, cache))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    merge_in_order(parts)
-}
-
-/// The fault-coin seed of the query at global batch position `index`: a
-/// pure function of the plan seed and the position, so sharding can
-/// never change which faults a query draws.
-fn msg_seed_at(plan: &FaultPlan, index: usize) -> u64 {
-    splitmix64(plan.seed() ^ index as u64)
-}
-
-/// Run a contiguous slice of a batch under a fault plan. `base` is the
-/// global batch index of the slice's first query.
-fn run_shard_faulty(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    base: usize,
-) -> Summary {
-    let mut s = Summary::new();
-    for (j, (phys, q)) in shard.iter().enumerate() {
-        match sys.query_from_faulty(*phys, q, plan, msg_seed_at(plan, base + j)) {
-            Ok(f) => {
-                let v = metric.of(&f.outcome.tally);
-                if f.is_failed() {
-                    s.record_failure();
-                } else if f.is_partial() {
-                    s.record_partial(v);
-                } else {
-                    s.record(v);
-                }
-                s.add_retries(f.retries);
-                s.add_dropped_msgs(f.dropped_msgs);
-            }
-            Err(_) => s.record_failure(),
-        }
-    }
-    s
-}
-
-/// [`run_batch`] under a fault plan, on [`default_shards`] workers.
-/// With an inert plan the result is bit-identical to [`run_batch`].
-pub fn run_batch_faulty(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-) -> Summary {
-    run_batch_faulty_sharded(sys, batch, metric, plan, default_shards())
-}
-
-/// [`run_batch_faulty`] with an explicit shard count. Fault coins are a
-/// pure function of `(plan seed, global batch position)` and reduction
-/// follows the same ordered micro-chunk scheme as [`run_batch_sharded`],
-/// so every summary field — including the degradation counters — is
-/// bit-identical across shard counts.
-pub fn run_batch_faulty_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    shards: usize,
-) -> Summary {
-    let micro: Vec<(usize, &[(usize, Query)])> =
-        batch.chunks(MICRO_CHUNK.max(1)).enumerate().collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(
-            micro.into_iter().map(|(i, c)| run_shard_faulty(sys, c, metric, plan, i * MICRO_CHUNK)),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    chunks
-                        .iter()
-                        .map(|(i, c)| run_shard_faulty(sys, c, metric, plan, i * MICRO_CHUNK))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
-}
-
-/// Like [`run_shard_faulty`], but queries whose fault coins are inert
-/// short-circuit through the route cache (see
-/// [`ResourceDiscovery::query_from_faulty_cached`]). Execution runs in
-/// locality order while each query keeps the fault seed of its *original*
-/// global position, and records fold at original positions — the fault
-/// draw and the Summary are both blind to the sort.
-fn run_shard_faulty_cached(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    base: usize,
-    cache: &mut RouteCache,
-) -> Summary {
-    let mut order: Vec<usize> = (0..shard.len()).collect();
-    order.sort_by_key(|&j| locality_key(shard[j].0, &shard[j].1));
-    let mut vals: Vec<Option<grid_resource::FaultyOutcome>> = vec![None; shard.len()];
-    for &j in &order {
-        let (phys, q) = &shard[j];
-        if let Ok(f) =
-            sys.query_from_faulty_cached(*phys, q, plan, msg_seed_at(plan, base + j), cache)
-        {
-            vals[j] = Some(f);
-        }
-    }
-    let mut s = Summary::new();
-    for f in vals {
-        match f {
-            Some(f) => {
-                let v = metric.of(&f.outcome.tally);
-                if f.is_failed() {
-                    s.record_failure();
-                } else if f.is_partial() {
-                    s.record_partial(v);
-                } else {
-                    s.record(v);
-                }
-                s.add_retries(f.retries);
-                s.add_dropped_msgs(f.dropped_msgs);
-            }
-            None => s.record_failure(),
-        }
-    }
-    s
-}
-
-/// [`run_batch_faulty_sharded`] through the route cache: bit-identical
-/// to the uncached run at every shard count, with the inert fraction of
-/// the batch served from cache.
-pub fn run_batch_faulty_cached_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    shards: usize,
-    cache: &mut RouteCache,
-) -> Summary {
-    let micro: Vec<(usize, &[(usize, Query)])> =
-        batch.chunks(MICRO_CHUNK.max(1)).enumerate().collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(
-            micro.into_iter().map(|(i, c)| {
-                run_shard_faulty_cached(sys, c, metric, plan, i * MICRO_CHUNK, cache)
-            }),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    let mut local = RouteCache::new();
-                    chunks
-                        .iter()
-                        .map(|(i, c)| {
-                            run_shard_faulty_cached(
-                                sys,
-                                c,
-                                metric,
-                                plan,
-                                i * MICRO_CHUNK,
-                                &mut local,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
+    run_batch(sys, batch, metric, BatchMode::Cached(plan, cache), shards)
 }
 
 /// Which batch executor a figure pipeline runs on. Both engines produce
@@ -577,108 +298,42 @@ pub enum Engine {
     Cached,
 }
 
-/// Run the same batch against every mounted system in parallel (one thread
-/// per system — they are independent and `query_from` is `&self` — each of
-/// which shards its batch further, for `systems × shards` total workers).
+/// Run the same batch against every mounted system in parallel under
+/// `plan` (one thread per system — they are independent and queries take
+/// `&self` — each of which shards its batch further, for
+/// `systems × default_shards()` total workers).
+///
+/// With `pools` (one [`CachePool`] per system, in `systems` order) every
+/// system runs [`BatchMode::Pooled`] on its own pool; the fig-4/fig-5
+/// sweeps hold the pools across their arity loops. Without, every query
+/// resolves from scratch — bit-identical by construction.
 pub fn run_batch_all(
     systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
     batch: &[(usize, Query)],
     metric: Metric,
-) -> Vec<(&'static str, Summary)> {
-    run_batch_all_with(systems, batch, metric, Engine::Plain)
-}
-
-/// [`run_batch_all`] on a chosen [`Engine`]. Under [`Engine::Cached`]
-/// each system thread owns one route cache for its whole batch.
-pub fn run_batch_all_with(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
-    engine: Engine,
-) -> Vec<(&'static str, Summary)> {
-    run_batch_all_planned(systems, batch, metric, QueryPlan::Parallel, engine)
-}
-
-/// [`run_batch_all_with`] under an explicit [`QueryPlan`] — the figure
-/// pipelines thread their `--plan=` override through here. Plan choice
-/// never alters owner sets, only the cost tallies, and
-/// [`QueryPlan::Parallel`] is byte-identical to [`run_batch_all_with`].
-pub fn run_batch_all_planned(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
     plan: QueryPlan,
-    engine: Engine,
+    pools: Option<&mut [CachePool]>,
 ) -> Vec<(&'static str, Summary)> {
-    if engine == Engine::Cached {
-        let mut pools: Vec<CachePool> = systems.iter().map(|_| CachePool::new()).collect();
-        return run_batch_all_cached_planned(systems, batch, metric, plan, &mut pools);
-    }
-    let mut out: Vec<(&'static str, Summary)> = Vec::with_capacity(systems.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = systems
-            .iter()
-            .map(|sys| {
-                let sys = sys.as_ref();
-                scope.spawn(move |_| {
-                    (
-                        sys.name(),
-                        run_batch_planned_sharded(sys, batch, metric, plan, default_shards()),
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("batch worker panicked"));
+    let mut pools: Vec<Option<&mut CachePool>> = match pools {
+        Some(pools) => {
+            assert_eq!(systems.len(), pools.len(), "one cache pool per system");
+            pools.iter_mut().map(Some).collect()
         }
-    })
-    .expect("crossbeam scope");
-    out
-}
-
-/// [`run_batch_all`] through caller-owned per-system [`CachePool`]s (in
-/// `systems` order) that persist across calls. The fig-4/fig-5 sweeps
-/// hold the pools across their arity loops — the systems are unmutated
-/// between rounds, so every cached entry stays epoch-fresh and later
-/// rounds hit on the walks earlier rounds recorded. Bit-identical to
-/// [`Engine::Plain`] by construction.
-pub fn run_batch_all_cached(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
-    pools: &mut [CachePool],
-) -> Vec<(&'static str, Summary)> {
-    run_batch_all_cached_planned(systems, batch, metric, QueryPlan::Parallel, pools)
-}
-
-/// [`run_batch_all_cached`] under an explicit [`QueryPlan`].
-pub fn run_batch_all_cached_planned(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-    pools: &mut [CachePool],
-) -> Vec<(&'static str, Summary)> {
-    assert_eq!(systems.len(), pools.len(), "one cache pool per system");
+        None => systems.iter().map(|_| None).collect(),
+    };
     let mut out: Vec<(&'static str, Summary)> = Vec::with_capacity(systems.len());
     crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = systems
             .iter()
-            .zip(pools.iter_mut())
+            .zip(pools.drain(..))
             .map(|(sys, pool)| {
                 let sys = sys.as_ref();
                 scope.spawn(move |_| {
-                    (
-                        sys.name(),
-                        run_batch_planned_cached_pooled(
-                            sys,
-                            batch,
-                            metric,
-                            plan,
-                            default_shards(),
-                            pool,
-                        ),
-                    )
+                    let mode = match pool {
+                        Some(pool) => BatchMode::Pooled(plan, pool),
+                        None => BatchMode::Direct(plan),
+                    };
+                    (sys.name(), run_batch(sys, batch, metric, mode, default_shards()))
                 })
             })
             .collect();
@@ -726,6 +381,8 @@ mod tests {
     use super::*;
     use crate::setup::{SimConfig, TestBed};
 
+    const PARALLEL: QueryPlan = QueryPlan::Parallel;
+
     #[test]
     fn parallel_batch_equals_sequential_batch() {
         // run_batch_all fans the systems out over threads (and each system
@@ -735,10 +392,11 @@ mod tests {
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 20, 2, 2, QueryMix::Range, 0x77);
-        let parallel = run_batch_all(&bed.systems, &batch, Metric::Visited);
+        let parallel = run_batch_all(&bed.systems, &batch, Metric::Visited, PARALLEL, None);
         for (name, par) in &parallel {
             let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
-            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
+            let seq =
+                run_batch(sys.as_ref(), &batch, Metric::Visited, BatchMode::Direct(PARALLEL), 1);
             assert_eq!(par.count(), seq.count(), "{name}");
             assert_eq!(par.failures(), seq.failures(), "{name}");
             assert_eq!(par.total().to_bits(), seq.total().to_bits(), "{name}");
@@ -755,9 +413,15 @@ mod tests {
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 3, QueryMix::Range, 0x3A);
         for sys in &bed.systems {
-            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, 1);
+            let seq = run_batch(sys.as_ref(), &batch, Metric::Hops, BatchMode::Direct(PARALLEL), 1);
             for shards in [2usize, 3, 4, 7, 16, 64, batch.len(), batch.len() + 5] {
-                let par = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, shards);
+                let par = run_batch(
+                    sys.as_ref(),
+                    &batch,
+                    Metric::Hops,
+                    BatchMode::Direct(PARALLEL),
+                    shards,
+                );
                 let name = sys.name();
                 assert_eq!(par.count(), seq.count(), "{name} shards={shards}");
                 assert_eq!(par.failures(), seq.failures(), "{name} shards={shards}");
@@ -790,9 +454,9 @@ mod tests {
         let plan = FaultPlan::new(0xFA57, 0.0, 0.0).unwrap();
         for sys in &bed.systems {
             for shards in [1usize, 3] {
-                let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, shards);
-                let faulty =
-                    run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, shards);
+                let run = |mode| run_batch(sys.as_ref(), &batch, Metric::Hops, mode, shards);
+                let plain = run(BatchMode::Direct(PARALLEL));
+                let faulty = run(BatchMode::Faulty(&plan));
                 let ctx = format!("{} shards={shards}", sys.name());
                 assert_summaries_bit_identical(&faulty, &plain, &ctx);
                 assert_eq!(faulty.retries(), 0, "{ctx}");
@@ -810,11 +474,13 @@ mod tests {
         let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 3, QueryMix::Range, 0x3B);
         let plan = FaultPlan::new(0xFA58, 0.15, 0.05).unwrap();
         for sys in &bed.systems {
-            let seq = run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, 1);
+            let run = |shards| {
+                run_batch(sys.as_ref(), &batch, Metric::Hops, BatchMode::Faulty(&plan), shards)
+            };
+            let seq = run(1);
             assert!(seq.dropped_msgs() > 0, "{}: 15% loss should drop some messages", sys.name());
             for shards in [2usize, 3, 7, 16] {
-                let par =
-                    run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, shards);
+                let par = run(shards);
                 let ctx = format!("{} shards={shards}", sys.name());
                 assert_summaries_bit_identical(&par, &seq, &ctx);
             }
@@ -834,15 +500,10 @@ mod tests {
             for sys in &bed.systems {
                 for shards in [1usize, 3] {
                     for metric in [Metric::Hops, Metric::Visited] {
-                        let plain = run_batch_sharded(sys.as_ref(), &batch, metric, shards);
+                        let run = |mode| run_batch(sys.as_ref(), &batch, metric, mode, shards);
+                        let plain = run(BatchMode::Direct(PARALLEL));
                         let mut cache = RouteCache::new();
-                        let cached = run_batch_cached_sharded(
-                            sys.as_ref(),
-                            &batch,
-                            metric,
-                            shards,
-                            &mut cache,
-                        );
+                        let cached = run(BatchMode::Cached(PARALLEL, &mut cache));
                         let ctx = format!("{} shards={shards} {metric:?} {mix:?}", sys.name());
                         assert_summaries_bit_identical(&cached, &plain, &ctx);
                     }
@@ -862,8 +523,9 @@ mod tests {
         let batch = query_batch(&bed.workload, cfg.nodes, 12, 4, 2, QueryMix::Range, 0xC4B2);
         let mut caches: Vec<RouteCache> = bed.systems.iter().map(|_| RouteCache::new()).collect();
         for (sys, cache) in bed.systems.iter().zip(caches.iter_mut()) {
-            let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-            let cached = run_batch_cached_sharded(sys.as_ref(), &batch, Metric::Visited, 1, cache);
+            let run = |mode| run_batch(sys.as_ref(), &batch, Metric::Visited, mode, 1);
+            let plain = run(BatchMode::Direct(PARALLEL));
+            let cached = run(BatchMode::Cached(PARALLEL, cache));
             assert_summaries_bit_identical(&cached, &plain, &format!("{} pre-churn", sys.name()));
         }
         for sys in bed.systems.iter_mut() {
@@ -874,54 +536,50 @@ mod tests {
             sys.place_all(&bed.workload.reports);
         }
         for (sys, cache) in bed.systems.iter().zip(caches.iter_mut()) {
-            let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-            let cached = run_batch_cached_sharded(sys.as_ref(), &batch, Metric::Visited, 1, cache);
+            let run = |mode| run_batch(sys.as_ref(), &batch, Metric::Visited, mode, 1);
+            let plain = run(BatchMode::Direct(PARALLEL));
+            let cached = run(BatchMode::Cached(PARALLEL, cache));
             assert_summaries_bit_identical(&cached, &plain, &format!("{} post-churn", sys.name()));
         }
     }
 
     #[test]
-    fn cached_faulty_batch_is_bit_identical_to_plain_faulty_batch() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 3, QueryMix::Range, 0xFCAB);
-        // An inert plan short-circuits through the cache; a lossy plan takes
-        // the uncached faulty path. Both must match the plain faulty run.
-        for (seed, loss, fail) in [(0xFA60u64, 0.0f64, 0.0f64), (0xFA61, 0.15, 0.05)] {
-            let plan = FaultPlan::new(seed, loss, fail).unwrap();
-            for sys in &bed.systems {
-                for shards in [1usize, 3] {
-                    let plain =
-                        run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, shards);
-                    let mut cache = RouteCache::new();
-                    let cached = run_batch_faulty_cached_sharded(
-                        sys.as_ref(),
-                        &batch,
-                        Metric::Hops,
-                        &plan,
-                        shards,
-                        &mut cache,
-                    );
-                    let ctx = format!("{} shards={shards} loss={loss}", sys.name());
-                    assert_summaries_bit_identical(&cached, &plain, &ctx);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engine_cached_run_batch_all_matches_plain() {
+    fn pooled_run_batch_all_matches_plain() {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 2, QueryMix::Range, 0xE7A1);
-        let plain = run_batch_all_with(&bed.systems, &batch, Metric::Visited, Engine::Plain);
-        let cached = run_batch_all_with(&bed.systems, &batch, Metric::Visited, Engine::Cached);
+        let plain = run_batch_all(&bed.systems, &batch, Metric::Visited, PARALLEL, None);
+        let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
+        let cached =
+            run_batch_all(&bed.systems, &batch, Metric::Visited, PARALLEL, Some(&mut pools));
         for (name, p) in &plain {
             let c = &cached.iter().find(|(n, _)| n == name).unwrap().1;
             assert_summaries_bit_identical(c, p, name);
         }
+    }
+
+    #[test]
+    fn pooled_worker_i_draws_slot_i_and_the_pool_persists() {
+        let cfg =
+            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
+        let bed = TestBed::new(cfg);
+        let sys = bed.systems[0].as_ref();
+        // 200 queries: four micro-chunks, two per worker at shards = 3.
+        let batch = query_batch(&bed.workload, cfg.nodes, 50, 4, 2, QueryMix::Range, 0xB001);
+        let lookups = |c: &RouteCache| c.hits() + c.misses();
+        let mut pool = CachePool::new();
+        let base = run_batch(sys, &batch, Metric::Hops, BatchMode::Direct(PARALLEL), 1);
+        let first = run_batch(sys, &batch, Metric::Hops, BatchMode::Pooled(PARALLEL, &mut pool), 3);
+        assert_summaries_bit_identical(&first, &base, "pooled shards=3");
+        assert_eq!(pool.len(), 2, "two chunks per worker: the pool grows to the worker count");
+        assert!(pool.iter().all(|c| lookups(c) > 0), "every worker used its own slot");
+        // A one-worker run draws slot 0 only, and finds it warm.
+        let (hits, idle) = (pool[0].hits(), lookups(&pool[1]));
+        let again = run_batch(sys, &batch, Metric::Hops, BatchMode::Pooled(PARALLEL, &mut pool), 1);
+        assert_summaries_bit_identical(&again, &base, "pooled shards=1");
+        assert!(pool[0].hits() > hits, "slot 0 kept what the first run recorded");
+        assert_eq!(lookups(&pool[1]), idle, "slot 1 stays idle on one worker");
     }
 
     #[test]
@@ -957,27 +615,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_plan_executor_matches_classic_executor() {
-        // run_batch_sharded delegates to the planned executor at
-        // QueryPlan::Parallel; pin the equivalence explicitly.
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 10, 3, 2, QueryMix::Range, 0x9A2);
-        for sys in &bed.systems {
-            let classic = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, 1);
-            let planned = run_batch_planned_sharded(
-                sys.as_ref(),
-                &batch,
-                Metric::Hops,
-                QueryPlan::Parallel,
-                1,
-            );
-            assert_summaries_bit_identical(&planned, &classic, sys.name());
         }
     }
 

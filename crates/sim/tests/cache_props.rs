@@ -1,17 +1,14 @@
-//! Property tests for the route cache: for any batch shape, any fault
-//! plan, and any churn interleaving, the cache-on and cache-off runs must
-//! render byte-identical Report JSON at shard counts 1 and 3. The cache
+//! Property tests for the route cache: for any batch shape and any churn
+//! interleaving, the cache-on and cache-off runs must render
+//! byte-identical Report JSON at shard counts 1 and 3. The cache
 //! is supposed to be semantically invisible — these tests make "invisible"
 //! mean *every byte of the export*, not just the headline means.
 
 use analysis::System;
-use dht_core::{FaultPlan, RouteCache};
-use grid_resource::QueryMix;
+use dht_core::RouteCache;
+use grid_resource::{QueryMix, QueryPlan};
 use proptest::prelude::*;
-use sim::experiments::{
-    query_batch, run_batch_cached_sharded, run_batch_faulty_cached_sharded,
-    run_batch_faulty_sharded, run_batch_sharded, Metric,
-};
+use sim::experiments::{query_batch, run_batch, BatchMode, Metric};
 use sim::report::Report;
 use sim::setup::{SimConfig, TestBed};
 
@@ -21,12 +18,12 @@ fn cfg() -> SimConfig {
 
 proptest! {
     // Each case builds a fresh two-system bed and runs eight batches
-    // through it; a handful of cases already sweeps batch shape, fault
-    // coins and churn interleavings.
+    // through it; a handful of cases already sweeps batch shape and churn
+    // interleavings.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Cache-on vs cache-off Report JSON is byte-identical across a
-    /// churn/fault interleaving, at shards 1 and 3, with the cached run
+    /// churn interleaving, at shards 1 and 3, with the cached run
     /// keeping ONE persistent cache per system across the whole
     /// interleaving (epoch invalidation, not cache clearing, carries it
     /// over the churn boundary).
@@ -37,7 +34,6 @@ proptest! {
         arity in 1usize..4,
         seed in any::<u32>(),
         churn in prop::collection::vec((0usize..384, 0u8..3), 1..5),
-        lossy in any::<bool>(),
     ) {
         let cfg = cfg();
         let mut bed = TestBed::with_systems(cfg, &[System::Lorm, System::Mercury]);
@@ -50,11 +46,6 @@ proptest! {
             QueryMix::Range,
             seed as u64,
         );
-        let plan = if lossy {
-            FaultPlan::new(seed as u64 ^ 0xFA, 0.15, 0.05).unwrap()
-        } else {
-            FaultPlan::new(seed as u64 ^ 0xFB, 0.0, 0.0).unwrap()
-        };
         let mut plain_rep = Report::new();
         let mut cached_rep = Report::new();
         let mut caches: Vec<RouteCache> =
@@ -83,33 +74,10 @@ proptest! {
             for (sys, cache) in bed.systems.iter().zip(caches.iter_mut()) {
                 for shards in [1usize, 3] {
                     let label = format!("{} phase{phase} shards{shards}", sys.name());
-                    let p = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, shards);
-                    let c = run_batch_cached_sharded(
-                        sys.as_ref(),
-                        &batch,
-                        Metric::Visited,
-                        shards,
-                        cache,
-                    );
-                    plain_rep.summary(label.clone(), p);
-                    cached_rep.summary(label.clone(), c);
-                    let pf = run_batch_faulty_sharded(
-                        sys.as_ref(),
-                        &batch,
-                        Metric::Visited,
-                        &plan,
-                        shards,
-                    );
-                    let cf = run_batch_faulty_cached_sharded(
-                        sys.as_ref(),
-                        &batch,
-                        Metric::Visited,
-                        &plan,
-                        shards,
-                        cache,
-                    );
-                    plain_rep.summary(format!("{label} faulty"), pf);
-                    cached_rep.summary(format!("{label} faulty"), cf);
+                    let run =
+                        |mode| run_batch(sys.as_ref(), &batch, Metric::Visited, mode, shards);
+                    plain_rep.summary(label.clone(), run(BatchMode::Direct(QueryPlan::Parallel)));
+                    cached_rep.summary(label, run(BatchMode::Cached(QueryPlan::Parallel, cache)));
                 }
             }
         }

@@ -10,9 +10,9 @@
 //!   **byte-identical** to the fault-free path, at 1 and 3 shards.
 
 use dht_core::FaultPlan;
-use grid_resource::QueryMix;
+use grid_resource::{QueryMix, QueryPlan};
 use sim::experiments::chaos::{chaos, ChaosSetup};
-use sim::experiments::{query_batch, run_batch_faulty_sharded, run_batch_sharded, Metric};
+use sim::experiments::{query_batch, run_batch, BatchMode, Metric};
 use sim::setup::{SimConfig, TestBed};
 use sim::Report;
 use std::sync::OnceLock;
@@ -97,15 +97,10 @@ fn zero_fault_plan_report_json_is_byte_identical_to_fault_free() {
         let mut faulty_seq = Report::new();
         let mut faulty_par = Report::new();
         for sys in &bed.systems {
-            plain.summary(sys.name(), run_batch_sharded(sys.as_ref(), &batch, metric, 1));
-            faulty_seq.summary(
-                sys.name(),
-                run_batch_faulty_sharded(sys.as_ref(), &batch, metric, &plan, 1),
-            );
-            faulty_par.summary(
-                sys.name(),
-                run_batch_faulty_sharded(sys.as_ref(), &batch, metric, &plan, 3),
-            );
+            let run = |mode, shards| run_batch(sys.as_ref(), &batch, metric, mode, shards);
+            plain.summary(sys.name(), run(BatchMode::Direct(QueryPlan::Parallel), 1));
+            faulty_seq.summary(sys.name(), run(BatchMode::Faulty(&plan), 1));
+            faulty_par.summary(sys.name(), run(BatchMode::Faulty(&plan), 3));
         }
         assert_eq!(plain.to_json(), faulty_seq.to_json(), "{metric:?} shards=1");
         assert_eq!(plain.to_json(), faulty_par.to_json(), "{metric:?} shards=3");
@@ -120,8 +115,8 @@ fn faulty_sweep_is_a_pure_function_of_the_seeds() {
     let batch = query_batch(&bed.workload, bed.cfg.nodes, 20, 3, 3, QueryMix::Range, 0x50AC);
     let plan = FaultPlan::new(0xC4A0_5EED, 0.2, 0.1).unwrap();
     for sys in &bed.systems {
-        let a = run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, 3);
-        let b = run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, 3);
+        let run = || run_batch(sys.as_ref(), &batch, Metric::Hops, BatchMode::Faulty(&plan), 3);
+        let (a, b) = (run(), run());
         assert_eq!(a.count(), b.count(), "{}", sys.name());
         assert_eq!(a.failures(), b.failures(), "{}", sys.name());
         assert_eq!(a.partial(), b.partial(), "{}", sys.name());

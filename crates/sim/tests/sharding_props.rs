@@ -4,8 +4,9 @@
 //! failure accounting).
 
 use dht_core::Summary;
+use grid_resource::QueryPlan;
 use proptest::prelude::*;
-use sim::experiments::{run_batch_sharded, Metric};
+use sim::experiments::{run_batch, BatchMode, Metric};
 use sim::setup::{SimConfig, TestBed};
 use std::sync::OnceLock;
 
@@ -72,8 +73,11 @@ proptest! {
             seed as u64,
         );
         for sys in &bed.systems {
-            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-            let par = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, shards);
+            let run = |shards| {
+                let mode = BatchMode::Direct(QueryPlan::Parallel);
+                run_batch(sys.as_ref(), &batch, Metric::Visited, mode, shards)
+            };
+            let (seq, par) = (run(1), run(shards));
             prop_assert_eq!(
                 exact_stats(&par),
                 exact_stats(&seq),
@@ -120,7 +124,7 @@ proptest! {
 
     /// Splitting any observation sequence into contiguous shards and
     /// merging in order reconstructs the unsharded summary exactly —
-    /// the scalar model of `run_batch_sharded`.
+    /// the scalar model of `run_batch`.
     fn contiguous_shard_merge_reconstructs_summary(
         obs in prop::collection::vec(0.0f64..4096.0, 1..60),
         chunk in 1usize..20,

@@ -5,11 +5,11 @@
 //! is the contract that lets the `BedCache` hand one stabilized build
 //! to many consumers.
 
-use grid_resource::QueryMix;
+use grid_resource::{QueryMix, QueryPlan};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sim::experiments::{query_batch, run_batch, Metric};
+use sim::experiments::{default_shards, query_batch, run_batch, BatchMode, Metric};
 use sim::setup::{SimConfig, TestBed};
 use std::sync::OnceLock;
 
@@ -33,7 +33,9 @@ fn observe(bed: &TestBed) -> Vec<(usize, usize, dht_core::Summary)> {
     bed.systems
         .iter()
         .map(|s| {
-            (s.num_physical(), s.total_pieces(), run_batch(s.as_ref(), &batch, Metric::Visited))
+            let mode = BatchMode::Direct(QueryPlan::Parallel);
+            let visited = run_batch(s.as_ref(), &batch, Metric::Visited, mode, default_shards());
+            (s.num_physical(), s.total_pieces(), visited)
         })
         .collect()
 }

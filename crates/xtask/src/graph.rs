@@ -31,12 +31,7 @@ use crate::lints::FileCtx;
 /// sweep. A sim-purity violation matters exactly when it can flow into
 /// these.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    ("sim", "run_batch_sharded"),
-    ("sim", "run_batch_faulty_sharded"),
-    ("sim", "run_batch_cached_sharded"),
-    ("sim", "run_batch_faulty_cached_sharded"),
-    ("sim", "run_batch_planned_sharded"),
-    ("sim", "run_batch_planned_cached_sharded"),
+    ("sim", "run_batch"),
     ("bench", "run_chaos"),
     ("bench", "run_chaos_cached"),
     ("bench", "run_scale"),
@@ -362,14 +357,14 @@ mod tests {
         let a = ctx("sim", "crates/sim/src/lib.rs");
         let b = ctx("chord", "crates/chord/src/lib.rs");
         let (g, _) = build(&[
-            (&a, "pub fn run_batch_sharded() { helper(); }"),
+            (&a, "pub fn run_batch() { helper(); }"),
             (&b, "pub fn helper() { leaf(); } pub fn leaf() {} pub fn orphan() {}"),
         ]);
         assert!(g.is_reachable(node(&g, "helper")));
         assert!(g.is_reachable(node(&g, "leaf")));
         assert!(!g.is_reachable(node(&g, "orphan")));
         let trace = g.trace(node(&g, "leaf")).unwrap();
-        assert_eq!(trace, ["sim::run_batch_sharded", "chord::helper", "chord::leaf"]);
+        assert_eq!(trace, ["sim::run_batch", "chord::helper", "chord::leaf"]);
     }
 
     #[test]
@@ -377,7 +372,7 @@ mod tests {
         let a = ctx("sim", "crates/sim/src/lib.rs");
         let b = ctx("chord", "crates/chord/src/lib.rs");
         let (g, _) = build(&[
-            (&a, "pub fn run_batch_sharded(net: &Chord) { net.step(); }"),
+            (&a, "pub fn run_batch(net: &Chord) { net.step(); }"),
             (
                 &b,
                 "pub struct Chord; pub struct Other;\n\
@@ -396,7 +391,7 @@ mod tests {
         let a = ctx("sim", "crates/sim/src/lib.rs");
         let b = ctx("dht-core", "crates/dht-core/src/lib.rs");
         let (g, _) = build(&[
-            (&a, "pub fn run_batch_sharded(o: &dyn Overlay) { o.route_stats(); }"),
+            (&a, "pub fn run_batch(o: &dyn Overlay) { o.route_stats(); }"),
             (
                 &b,
                 "pub trait Overlay {\n\
@@ -419,9 +414,9 @@ mod tests {
         let a = ctx("sim", "crates/sim/src/lib.rs");
         let (g, _) = build(&[(
             &a,
-            "pub fn run_batch_sharded() { helper(); }\n\
+            "pub fn run_batch() { helper(); }\n\
              pub fn helper() {}\n\
-             #[cfg(test)]\nmod tests {\n    fn helper() { super::run_batch_sharded(); }\n}",
+             #[cfg(test)]\nmod tests {\n    fn helper() { super::run_batch(); }\n}",
         )]);
         assert_eq!(
             g.nodes.iter().filter(|n| n.name == "helper").count(),
@@ -436,7 +431,7 @@ mod tests {
         let a = ctx("sim", "crates/sim/src/lib.rs");
         let (g, _) = build(&[(
             &a,
-            "pub fn run_batch_sharded() {\n    helper();\n}\npub fn helper() {\n    leaf();\n}\npub fn leaf() {}\n",
+            "pub fn run_batch() {\n    helper();\n}\npub fn helper() {\n    leaf();\n}\npub fn leaf() {}\n",
         )]);
         let id = g.enclosing_fn("crates/sim/src/lib.rs", 5).unwrap();
         assert_eq!(g.nodes[id].name, "helper");
@@ -450,7 +445,7 @@ mod tests {
         let a = ctx("sim", "crates/sim/src/lib.rs");
         let b = ctx("chord", "crates/chord/src/lib.rs");
         let (g, _) = build(&[
-            (&a, "pub fn run_batch_sharded() { let net = Chord::build(); net.step(); }"),
+            (&a, "pub fn run_batch() { let net = Chord::build(); net.step(); }"),
             (
                 &b,
                 "pub struct Chord; pub struct Other;\n\

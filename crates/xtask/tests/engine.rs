@@ -197,14 +197,14 @@ fn run_ws(name: &str) -> LintReport {
 #[test]
 fn ws_cast_fixture_flags_only_the_reachable_cast() {
     let r = run_ws("ws_cast");
-    assert_eq!(r.entry_points, ["sim::run_batch_sharded"]);
+    assert_eq!(r.entry_points, ["sim::run_batch"]);
     assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
     let d = &r.diagnostics[0];
     assert_eq!(d.lint, "cast-truncation");
     assert_eq!(d.file, "crates/chord/src/lib.rs");
     assert_eq!(d.line, 6, "expected the reachable cast, got {:?}", d);
     let trace = d.trace.as_deref().expect("reach-scoped finding carries a trace");
-    assert_eq!(trace.first().map(String::as_str), Some("sim::run_batch_sharded"), "{trace:?}");
+    assert_eq!(trace.first().map(String::as_str), Some("sim::run_batch"), "{trace:?}");
     assert!(trace.last().unwrap().contains("reachable_cast"), "{trace:?}");
     // The unreachable cast was dropped; the suppressed one used its allow.
     assert_eq!(r.suppressions_used, 1);
@@ -306,8 +306,8 @@ fn workspace_is_lint_clean() {
     let json = render_json(&report);
     assert!(json.contains("\"schema\": \"lorm-repro/lint-v1\""));
     assert!(json.contains("\"clean\": true"));
-    // lint-v2: all eleven entry points resolve and the graph is non-trivial.
-    assert_eq!(report.entry_points.len(), 11, "{:?}", report.entry_points);
+    // lint-v2: all six entry points resolve and the graph is non-trivial.
+    assert_eq!(report.entry_points.len(), 6, "{:?}", report.entry_points);
     assert!(
         report.reachable_functions > 0 && report.reachable_functions < report.functions_indexed,
         "reachable {} of {}",

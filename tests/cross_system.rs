@@ -2,7 +2,14 @@
 //! *same answers* to the same queries on the same workload — they differ
 //! in cost, never in result. Each is also checked against a brute-force
 //! scan of the raw reports.
+//!
+//! One level down, every system answers through one query body under one
+//! driver; `every_mode_agrees_with_the_direct_path_on_every_system` holds
+//! the modes of that driver in agreement.
 
+use lorm_repro::baselines::{CompositeConfig, CompositeFlat};
+use lorm_repro::dht_core::{FaultPlan, RouteCache};
+use lorm_repro::grid_resource::{FaultyOutcome, QueryMode, QueryPlan};
 use lorm_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -128,4 +135,90 @@ fn costs_differ_but_match_the_papers_ordering() {
     assert!(visited["Mercury"] > 10 * visited["LORM"]);
     assert!(visited["MAAN"] > 10 * visited["LORM"]);
     assert!(visited["LORM"] > visited["SWORD"]);
+}
+
+/// LORM, Mercury, SWORD, MAAN and the flat composite-key ablation system,
+/// all mounted on one small workload.
+fn five_systems() -> (Workload, Vec<Box<dyn ResourceDiscovery + Send + Sync>>) {
+    let cfg = SimConfig { nodes: 256, dimension: 6, attrs: 12, values: 60, ..SimConfig::default() };
+    let workload = TestBed::workload_of(&cfg).0;
+    let mut systems: Vec<Box<dyn ResourceDiscovery + Send + Sync>> =
+        System::ALL.iter().map(|&s| build_system(s, &workload, &cfg)).collect();
+    let mut flat = CompositeFlat::new(cfg.nodes, &workload.space, CompositeConfig::default());
+    flat.place_all(&workload.reports);
+    systems.push(Box::new(flat));
+    (workload, systems)
+}
+
+#[test]
+fn every_mode_agrees_with_the_direct_path_on_every_system() {
+    let (workload, mut systems) = five_systems();
+    // Origins stay clear of physical node 7, which departs below.
+    let mut rng = SmallRng::seed_from_u64(0x15);
+    let queries: Vec<(usize, Query)> = [QueryMix::NonRange, QueryMix::Range]
+        .into_iter()
+        .flat_map(|mix| (1..=24).map(move |i| (mix, 1 + i % 3)))
+        .map(|(mix, arity)| (rng.gen_range(8..256), workload.random_query(arity, mix, &mut rng)))
+        .collect();
+    let lossy = FaultPlan::new(0xFA11, 0.2, 0.05).unwrap();
+    for sys in &mut systems {
+        let name = sys.name();
+        let mut cache = RouteCache::new();
+        let cached_equals_direct =
+            |sys: &dyn ResourceDiscovery, cache: &mut RouteCache, ctx: &str| {
+                for (i, (origin, q)) in queries.iter().enumerate() {
+                    for plan in QueryPlan::ALL {
+                        let direct = sys.query(*origin, q, QueryMode::Direct(plan)).unwrap();
+                        let cached = sys.query(*origin, q, QueryMode::Cached(plan, cache)).unwrap();
+                        // The whole outcome: tally, owners and probed.
+                        assert_eq!(cached, direct, "{name} {plan:?} {ctx} query {i}");
+                        assert!(direct.is_complete(), "{name} {plan:?} {ctx} query {i}");
+                        assert_eq!(
+                            sys.query_planned(*origin, q, plan).unwrap(),
+                            direct.outcome,
+                            "{name} {plan:?} {ctx} query {i}"
+                        );
+                    }
+                    assert_eq!(
+                        sys.query_from_cached(*origin, q, cache).unwrap(),
+                        sys.query_from(*origin, q).unwrap(),
+                        "{name} {ctx} query {i}"
+                    );
+                }
+            };
+        // The second pass over the same stream answers its lookups from
+        // memory and must still match the direct path exactly.
+        cached_equals_direct(sys.as_ref(), &mut cache, "cold cache");
+        cached_equals_direct(sys.as_ref(), &mut cache, "warm cache");
+        assert!(cache.hits() > 0, "{name}: repeated lookups must hit");
+
+        let mut degraded = 0;
+        for (i, (origin, q)) in queries.iter().enumerate() {
+            // A plan under which no fault can fire is the direct path,
+            // wrapped: every sub-query resolved, nothing retried or lost.
+            let direct = FaultyOutcome::complete(sys.query_from(*origin, q).unwrap(), q.arity());
+            for inert in [FaultPlan::none(), FaultPlan::new(0x51EE7, 0.0, 0.0).unwrap()] {
+                let f = sys.query(*origin, q, QueryMode::Faulty(&inert, 1000 + i as u64)).unwrap();
+                assert_eq!(f, direct, "{name} inert plan, query {i}");
+            }
+            // A lossy plan is a pure function of (plan seed, msg_seed),
+            // and its sub-query accounting is monotone.
+            let a = sys.query(*origin, q, QueryMode::Faulty(&lossy, i as u64)).unwrap();
+            let b = sys.query(*origin, q, QueryMode::Faulty(&lossy, i as u64)).unwrap();
+            assert_eq!(a, b, "{name} lossy plan, query {i}");
+            assert!(a.subs_resolved <= a.subs_answered, "{name} query {i}");
+            assert!(a.subs_answered <= a.subs_total, "{name} query {i}");
+            assert_eq!(a.subs_total, q.arity(), "{name} query {i}");
+            degraded += usize::from(!a.is_complete());
+        }
+        assert!(degraded > 0, "{name}: 20% loss should degrade some queries");
+
+        // Churn bumps the epoch: every stale entry of the *same* cache
+        // misses, and the cached path keeps matching the direct path on
+        // the mutated, repaired overlay.
+        sys.leave_physical(7).unwrap();
+        sys.stabilize();
+        sys.place_all(&workload.reports);
+        cached_equals_direct(sys.as_ref(), &mut cache, "after churn");
+    }
 }
