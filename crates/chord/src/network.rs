@@ -150,8 +150,10 @@ impl Chord {
     }
 
     /// Bulk-construct a fully stabilized network of `n` nodes with random
-    /// distinct identifiers. This is the fast O(n log n) path used to set
-    /// up static experiments; incremental joins exercise the protocol
+    /// distinct identifiers. This is the fast path used to set up static
+    /// experiments — the id draw and the ring sort are its only O(n log n)
+    /// terms, all link state is then derived in O(64·n) by
+    /// [`Self::rebuild_all_state`]; incremental joins exercise the protocol
     /// path. Equivalent to `build_with_mode(n, cfg, BuildMode::Bulk)`.
     pub fn build(n: usize, cfg: ChordConfig) -> Self {
         Self::build_with_mode(n, cfg, BuildMode::Bulk)
@@ -363,7 +365,9 @@ impl Chord {
     }
 
     /// Recompute every node's successor list, predecessor and fingers from
-    /// ground truth (perfect stabilization). Used by `build` and by tests.
+    /// ground truth (perfect stabilization) in one pass around the sorted
+    /// ring, O(64·n). Used by `build`, by the discovery systems'
+    /// maintenance rounds and by tests.
     pub fn rebuild_all_state(&mut self) {
         self.bump_epoch();
         let n = self.sorted.len();
@@ -374,33 +378,44 @@ impl Chord {
             self.sorted.iter().all(|&i| self.alive[i.0]),
             "sorted ring must hold only live nodes"
         );
-        // Flat copies of the ring: the n·64 finger binary-searches below
-        // run over contiguous arrays instead of chasing `sorted[m].0`
-        // indirections per probe (bulk construction is the dominant cost
-        // of building Mercury's m hubs).
+        // Flat copies of the ring, laid out twice: seen from `pos`,
+        // position `c ∈ pos+1..=pos+n` is the node `c − pos` steps
+        // clockwise (`pos + n` is `pos` itself, a full turn away), so
+        // every neighbour below is a plain index, never a modulo.
         let live: Vec<u32> = self.sorted.iter().map(|&i| i.0 as u32).collect();
-        let ids: Vec<u64> = self.sorted.iter().map(|&i| self.ids[i.0]).collect();
+        let ids: Vec<u64> = live.iter().map(|&s| self.ids[s as usize]).collect();
+        let (live, ids) = (live.repeat(2), ids.repeat(2));
         let r = self.cfg.succ_list_len;
         let k_max = r.min(n.saturating_sub(1)).max(1);
         // lint:allow(panic-hygiene): k_max ≤ succ_list_len ≤ u8::MAX is
         // asserted in `Chord::new`, so this narrowing cannot fail.
         let k_len = u8::try_from(k_max).expect("succ_list_len capped at u8::MAX");
+        // Finger `i` of `pos` is the first `c` whose clockwise distance
+        // from `pos` reaches 2^i. Targets `id + 2^i` ascend with `pos`, so
+        // that `c` never moves backwards from one node to the next: one
+        // cursor per level sweeps the ring at most twice (≤ 2n steps)
+        // over the whole pass.
+        let mut cursor = [0usize; FINGER_BITS];
         for pos in 0..n {
             let slot = live[pos] as usize;
-            for k in 1..=k_max {
-                self.succs[slot * r + k - 1] = live[(pos + k) % n];
-            }
-            for e in &mut self.succs[slot * r + k_max..(slot + 1) * r] {
-                *e = NO_LINK;
-            }
+            self.succs[slot * r..slot * r + k_max].copy_from_slice(&live[pos + 1..=pos + k_max]);
+            self.succs[slot * r + k_max..(slot + 1) * r].fill(NO_LINK);
             self.succ_lens[slot] = k_len;
-            self.preds[slot] = live[(pos + n - 1) % n];
+            self.preds[slot] = live[pos + n - 1];
             let id = ids[pos];
             let frow = &mut self.fingers[slot * FINGER_BITS..(slot + 1) * FINGER_BITS];
-            for (i, f) in frow.iter_mut().enumerate() {
-                let target = id.wrapping_add(1u64 << i);
-                let fpos = ids.partition_point(|&v| v < target);
-                *f = live[fpos % n];
+            // Every level with 2^i ≤ the gap to the successor targets a
+            // point inside that gap (all but ≈ log2 n of the 64).
+            let gap = ids[pos + 1].wrapping_sub(id);
+            let in_gap = FINGER_BITS - gap.leading_zeros() as usize;
+            frow[..in_gap].fill(live[pos + 1]);
+            for i in in_gap..FINGER_BITS {
+                let mut c = cursor[i].max(pos + 1);
+                while c < pos + n && ids[c].wrapping_sub(id) < 1u64 << i {
+                    c += 1;
+                }
+                cursor[i] = c;
+                frow[i] = live[c];
             }
         }
     }

@@ -3,8 +3,9 @@
 //!
 //! The retired path performed one ordered insert per join (O(n) shifts
 //! each, O(n²) aggregate); `Chord::build` now assembles the ring from a
-//! single sorted id vector and derives all link state in one pass
-//! (O(n log n)). Quadrupling n must therefore cost ~4–5x, not ~16x.
+//! single sorted id vector (the id draw and that sort are its only
+//! O(n log n) terms) and derives all link state in one linear sweep
+//! around it. Quadrupling n must therefore cost ~4–5x, not ~16x.
 //! The threshold sits halfway between those regimes with generous slack
 //! for scheduler noise on a loaded 1-CPU runner; timings are best-of-3
 //! so a single stall cannot fake a regression.
@@ -38,6 +39,6 @@ fn bulk_build_time_grows_subquadratically() {
     assert!(
         ratio < 10.0,
         "4x nodes cost {ratio:.1}x build time ({small:.3}s -> {large:.3}s); \
-         O(n log n) predicts ~4.6x, quadratic predicts ~16x"
+         sort + linear sweep predicts ~4–4.6x, quadratic predicts ~16x"
     );
 }
