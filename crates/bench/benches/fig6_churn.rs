@@ -24,9 +24,8 @@ fn bench_churn_run(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(s.name()), &s, |b, &s| {
             b.iter(|| {
                 let mut sys = build_system(s, &workload, &cfg);
-                let cell =
-                    run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 1);
-                black_box(cell.avg)
+                let (sys, metric) = (sys.as_mut(), Metric::Hops);
+                black_box(run_churn_one(sys, &workload, &schedule, &setup, metric, 1, false).avg)
             });
         });
     }

@@ -1,7 +1,8 @@
 //! Regenerate the paper's tables and figures. See `bench` crate docs.
 #![allow(clippy::print_stdout)] // terminal output is this binary's UI
 
-use bench::{parse_args, render_json, run_artifact_report_cached, ArtifactRun};
+use bench::perf::PerfKernel;
+use bench::{parse_args, render_json, run_artifact_report, ArtifactRun, Mode, ReproConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,6 +55,50 @@ fn heap_bytes() -> (u64, u64) {
     (ALLOC_BYTES.load(Ordering::Relaxed), FREED_BYTES.load(Ordering::Relaxed))
 }
 
+/// Write the run's JSON export to the `--json` path, if one was given;
+/// exit 1 when the file cannot be written.
+fn write_json(cfg: &ReproConfig, label: &str, render: impl FnOnce() -> String) {
+    let Some(path) = &cfg.json else { return };
+    if let Err(e) = std::fs::write(path, render()) {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!("({label} written to {})", path.display());
+}
+
+/// Diff the run's kernels against the committed `--baseline` file, if one
+/// was given: print the per-kernel delta table and exit 1 on an unreadable
+/// baseline or a kernel that slowed past its gate.
+fn gate_on_baseline(cfg: &ReproConfig, what: &str, kernels: &[PerfKernel]) {
+    let Some(path) = &cfg.baseline else { return };
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("failed to read baseline {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    };
+    let base = match bench::perf::parse_baseline(&text) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("failed to parse baseline {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    };
+    let deltas = bench::perf::diff_baseline(kernels, &base);
+    println!("{}", bench::perf::render_delta_table(path, &deltas));
+    if deltas.iter().any(|d| d.regressed) {
+        eprintln!(
+            "{what} regression: at least one kernel slowed past its gate \
+             ({:.0}% query / {:.0}% build) vs {}",
+            (bench::perf::REGRESSION_THRESHOLD - 1.0) * 100.0,
+            (bench::perf::BUILD_REGRESSION_THRESHOLD - 1.0) * 100.0,
+            path.display()
+        );
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let (cfg, artifacts) = match parse_args(std::env::args().skip(1)) {
         Ok(plan) => plan,
@@ -62,183 +107,84 @@ fn main() {
             std::process::exit(2);
         }
     };
-    sim::experiments::set_default_shards(cfg.shards);
-    if cfg.perf {
-        println!(
-            "# LORM perf baseline — {} mode (seed {})\n",
-            if cfg.quick { "quick" } else { "full (paper §V)" },
-            cfg.seed
-        );
-        let kernels = bench::perf::run_perf(&cfg, Some(count_allocs));
-        println!("{}", bench::perf::render_perf_table(&kernels));
-        if let Some(path) = &cfg.json {
-            let json = bench::perf::render_perf_json(&cfg, &kernels);
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("(perf metrics written to {})", path.display());
-        }
-        if let Some(path) = &cfg.baseline {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("failed to read baseline {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            };
-            let base = match bench::perf::parse_baseline(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("failed to parse baseline {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            };
-            let deltas = bench::perf::diff_baseline(&kernels, &base);
-            println!("{}", bench::perf::render_delta_table(path, &deltas));
-            if deltas.iter().any(|d| d.regressed) {
-                eprintln!(
-                    "perf regression: at least one kernel slowed past its gate \
-                     ({:.0}% query / {:.0}% build) vs {}",
-                    (bench::perf::REGRESSION_THRESHOLD - 1.0) * 100.0,
-                    (bench::perf::BUILD_REGRESSION_THRESHOLD - 1.0) * 100.0,
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if cfg.scale {
-        println!(
-            "# LORM scale sweep — {} mode (seed {})\n",
-            if cfg.quick { "quick (1k-50k)" } else { "full (1k-1M)" },
-            cfg.seed
-        );
-        let run = bench::scale::run_scale(&cfg, Some(heap_bytes));
-        println!("{}", bench::scale::render_scale_table(&run));
-        if let Some(path) = &cfg.json {
-            let json = bench::scale::render_scale_json(&cfg, &run);
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("(scale metrics written to {})", path.display());
-        }
-        if run.checks.iter().any(|c| !c.ok) {
-            eprintln!("scale sweep: at least one growth check failed (see table above)");
-            std::process::exit(1);
-        }
-        // Same per-kernel wall-clock gate the perf mode applies: the
-        // scale export shares the perf-v2 kernel array, so a committed
-        // BENCH_scale_quick.json diffs with the identical machinery.
-        if let Some(path) = &cfg.baseline {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("failed to read baseline {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            };
-            let base = match bench::perf::parse_baseline(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("failed to parse baseline {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            };
-            let deltas = bench::perf::diff_baseline(&run.kernels, &base);
-            println!("{}", bench::perf::render_delta_table(path, &deltas));
-            if deltas.iter().any(|d| d.regressed) {
-                eprintln!(
-                    "scale regression: at least one kernel slowed past its gate \
-                     ({:.0}% query / {:.0}% build) vs {}",
-                    (bench::perf::REGRESSION_THRESHOLD - 1.0) * 100.0,
-                    (bench::perf::BUILD_REGRESSION_THRESHOLD - 1.0) * 100.0,
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if cfg.durability {
-        println!(
-            "# LORM durability sweep — {} mode (seed {})\n",
-            if cfg.quick { "quick" } else { "full (paper §V)" },
-            cfg.seed
-        );
-        let d = bench::durability::run_durability(&cfg);
-        println!("{d}");
-        if let Some(path) = &cfg.json {
-            let json = bench::durability::render_durability_json(&cfg, &d);
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("(durability metrics written to {})", path.display());
-        }
-        let violations = d.k_monotonicity_violations();
-        if !violations.is_empty() {
-            eprintln!(
-                "durability sweep: data loss was not monotone in the replication \
-                 degree ({} violation(s), see notes above)",
-                violations.len()
-            );
-            std::process::exit(1);
-        }
-        if d.theory_failures() > 0 {
-            eprintln!(
-                "durability sweep: {} churn theory check(s) fell outside their \
-                 tolerance bands (see table above)",
-                d.theory_failures()
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-    if cfg.chaos {
-        println!(
-            "# LORM chaos sweep — {} mode (seed {})\n",
-            if cfg.quick { "quick" } else { "full (paper §V)" },
-            cfg.seed
-        );
-        let c = bench::chaos::run_chaos(&cfg);
-        println!("{c}");
-        if let Some(path) = &cfg.json {
-            let json = bench::chaos::render_chaos_json(&cfg, &c);
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("(chaos metrics written to {})", path.display());
-        }
-        return;
-    }
-    println!(
-        "# LORM reproduction — {} mode (seed {})\n",
-        if cfg.quick { "quick" } else { "full (paper §V)" },
-        cfg.seed
-    );
+    let size = if cfg.quick { "quick" } else { "full (paper §V)" };
     // One cache for the whole invocation: artifacts sharing a bed
     // configuration (fig4 + fig5 + t410 at the same scale, say) build it
     // once and reuse it.
     let cache = sim::BedCache::new();
-    let mut runs: Vec<ArtifactRun> = Vec::with_capacity(artifacts.len());
-    for a in artifacts {
-        let started = std::time::Instant::now();
-        let report = run_artifact_report_cached(a, &cfg, &cache);
-        let elapsed = started.elapsed();
-        println!("{report}");
-        println!("(elapsed: {elapsed:.1?})\n");
-        runs.push(ArtifactRun { artifact: a, report, elapsed_ms: elapsed.as_secs_f64() * 1e3 });
-    }
-    if let Some(path) = &cfg.json {
-        let json = render_json(&cfg, &runs);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
+    match cfg.mode {
+        Mode::Perf => {
+            println!("# LORM perf baseline — {size} mode (seed {})\n", cfg.seed);
+            let kernels = bench::perf::run_perf(&cfg, Some(count_allocs));
+            println!("{}", bench::perf::render_perf_table(&kernels));
+            write_json(&cfg, "perf metrics", || bench::perf::render_perf_json(&cfg, &kernels));
+            gate_on_baseline(&cfg, "perf", &kernels);
         }
-        println!("(metrics written to {})", path.display());
+        Mode::Scale => {
+            println!(
+                "# LORM scale sweep — {} mode (seed {})\n",
+                if cfg.quick { "quick (1k-50k)" } else { "full (1k-1M)" },
+                cfg.seed
+            );
+            let run = bench::scale::run_scale(&cfg, Some(heap_bytes));
+            println!("{}", bench::scale::render_scale_table(&run));
+            write_json(&cfg, "scale metrics", || bench::scale::render_scale_json(&cfg, &run));
+            if run.checks.iter().any(|c| !c.ok) {
+                eprintln!("scale sweep: at least one growth check failed (see table above)");
+                std::process::exit(1);
+            }
+            // Same per-kernel wall-clock gate the perf mode applies: the
+            // scale export shares the perf-v2 kernel array, so a committed
+            // BENCH_scale_quick.json diffs with the identical machinery.
+            gate_on_baseline(&cfg, "scale", &run.kernels);
+        }
+        Mode::Durability => {
+            println!("# LORM durability sweep — {size} mode (seed {})\n", cfg.seed);
+            let d = bench::durability::run_durability(&cfg, &cache);
+            println!("{d}");
+            write_json(&cfg, "durability metrics", || {
+                bench::durability::render_durability_json(&cfg, &d)
+            });
+            let violations = d.k_monotonicity_violations();
+            if !violations.is_empty() {
+                eprintln!(
+                    "durability sweep: data loss was not monotone in the replication \
+                     degree ({} violation(s), see notes above)",
+                    violations.len()
+                );
+                std::process::exit(1);
+            }
+            if d.theory_failures() > 0 {
+                eprintln!(
+                    "durability sweep: {} churn theory check(s) fell outside their \
+                     tolerance bands (see table above)",
+                    d.theory_failures()
+                );
+                std::process::exit(1);
+            }
+        }
+        Mode::Chaos => {
+            println!("# LORM chaos sweep — {size} mode (seed {})\n", cfg.seed);
+            let c = bench::chaos::run_chaos(&cfg, &cache);
+            println!("{c}");
+            write_json(&cfg, "chaos metrics", || bench::chaos::render_chaos_json(&cfg, &c));
+        }
+        Mode::Figures => {
+            println!("# LORM reproduction — {size} mode (seed {})\n", cfg.seed);
+            let mut runs: Vec<ArtifactRun> = Vec::with_capacity(artifacts.len());
+            for a in artifacts {
+                let started = std::time::Instant::now();
+                let report = run_artifact_report(a, &cfg, &cache);
+                let elapsed = started.elapsed();
+                println!("{report}");
+                println!("(elapsed: {elapsed:.1?})\n");
+                runs.push(ArtifactRun {
+                    artifact: a,
+                    report,
+                    elapsed_ms: elapsed.as_secs_f64() * 1e3,
+                });
+            }
+            write_json(&cfg, "metrics", || render_json(&cfg, &runs));
+        }
     }
 }

@@ -14,21 +14,16 @@
 //!   forms within the stated tolerance bands.
 
 use crate::ReproConfig;
-use sim::experiments::durability::{durability_cached, Durability, DurabilitySetup};
+use sim::experiments::durability::{durability, Durability, DurabilitySetup};
 use sim::BedCache;
 
-/// Run the durability sweep at the configuration's scale.
-pub fn run_durability(cfg: &ReproConfig) -> Durability {
-    run_durability_cached(cfg, &BedCache::new())
-}
-
-/// Run the durability sweep against a shared bed cache: every (rate,
-/// degree, system) cell clones one cached prototype per system, so the
-/// sweep pays construction once per system total.
-pub fn run_durability_cached(cfg: &ReproConfig, cache: &BedCache) -> Durability {
+/// Run the durability sweep at the configuration's scale: every (rate,
+/// degree, system) cell clones one prototype per system out of `cache`,
+/// so the sweep pays construction once per system total.
+pub fn run_durability(cfg: &ReproConfig, cache: &BedCache) -> Durability {
     let mut setup = if cfg.quick { DurabilitySetup::quick() } else { DurabilitySetup::default() };
     setup.shards = cfg.shards;
-    durability_cached(&cfg.sim(), &setup, cache)
+    durability(&cfg.sim(), &setup, cache)
 }
 
 /// Serialize a durability sweep against the stable
@@ -117,7 +112,7 @@ mod tests {
     use sim::SimConfig;
 
     fn tiny_durability() -> (ReproConfig, Durability) {
-        let cfg = ReproConfig { quick: true, seed: 7, durability: true, ..ReproConfig::default() };
+        let cfg = ReproConfig { quick: true, seed: 7, ..ReproConfig::default() };
         let sim_cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let setup = DurabilitySetup {
@@ -128,7 +123,7 @@ mod tests {
             probe_per_origin: 2,
             ..DurabilitySetup::quick()
         };
-        (cfg, durability(&sim_cfg, &setup))
+        (cfg, durability(&sim_cfg, &setup, &sim::BedCache::new()))
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod perf;
 pub mod scale;
 
 use grid_resource::QueryPlan;
-use sim::experiments::{ablation, fig3, fig4, fig5, fig6, worstcase, Engine};
+use sim::experiments::{ablation, fig3, fig4, fig5, fig6, worstcase, Exec, Metric};
 use sim::{BedCache, Report, SimConfig};
 use std::path::PathBuf;
 
@@ -134,25 +134,49 @@ impl Artifact {
     }
 }
 
+/// What one `repro` invocation runs: the figure artifacts, or exactly one
+/// of the standalone sweeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    /// Regenerate the named figure artifacts.
+    #[default]
+    Figures,
+    /// The wall-clock perf kernels.
+    Perf,
+    /// The fault-injection chaos sweep.
+    Chaos,
+    /// The 1k → 1M scaling sweep.
+    Scale,
+    /// The replication/durability churn sweep.
+    Durability,
+}
+
+impl Mode {
+    /// The standalone mode a command-line target names, if it names one.
+    fn standalone(s: &str) -> Option<Mode> {
+        Some(match s {
+            "perf" => Mode::Perf,
+            "chaos" => Mode::Chaos,
+            "scale" => Mode::Scale,
+            "durability" => Mode::Durability,
+            _ => return None,
+        })
+    }
+}
+
 /// Harness configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReproConfig {
     /// Scale the experiments down for a smoke run.
     pub quick: bool,
     /// Root seed.
     pub seed: u64,
-    /// Worker threads per query batch (0 = auto-detect).
+    /// Worker threads per query batch (0 = one per available core).
     pub shards: usize,
     /// Write the machine-readable metrics export here.
     pub json: Option<PathBuf>,
-    /// Run the wall-clock perf kernels instead of the figures.
-    pub perf: bool,
-    /// Run the fault-injection chaos sweep instead of the figures.
-    pub chaos: bool,
-    /// Run the 1k → 1M scaling sweep instead of the figures.
-    pub scale: bool,
-    /// Run the replication/durability churn sweep instead of the figures.
-    pub durability: bool,
+    /// What to run: the figures, or one standalone sweep in their place.
+    pub mode: Mode,
     /// Perf and scale modes: diff the run against this committed BENCH
     /// file and exit non-zero on a per-kernel wall-clock regression.
     pub baseline: Option<PathBuf>,
@@ -175,10 +199,7 @@ impl Default for ReproConfig {
             seed: 0x1C99,
             shards: 0,
             json: None,
-            perf: false,
-            chaos: false,
-            scale: false,
-            durability: false,
+            mode: Mode::Figures,
             baseline: None,
             cached: true,
             plan: QueryPlan::Parallel,
@@ -216,28 +237,16 @@ impl ReproConfig {
         }
     }
 
-    fn engine(&self) -> Engine {
-        if self.cached {
-            Engine::Cached
-        } else {
-            Engine::Plain
-        }
+    fn exec(&self) -> Exec {
+        Exec { plan: self.plan, cached: self.cached, shards: self.shards }
     }
 }
 
-/// Run one artifact and build its structured report, with a transient
-/// bed cache (single-artifact callers). Batch callers — the `repro` main
-/// loop, the perf pipelines — use [`run_artifact_report_cached`] so one
-/// stabilized bed serves every artifact with the same configuration.
-pub fn run_artifact_report(a: Artifact, cfg: &ReproConfig) -> Report {
-    run_artifact_report_cached(a, cfg, &BedCache::new())
-}
-
-/// Run one artifact against a caller-owned [`BedCache`]: every artifact
-/// that mounts the standard test bed shares one `Arc` build per distinct
-/// configuration, and the churn sweeps clone cached prototypes instead of
-/// rebuilding per (rate, system) cell.
-pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCache) -> Report {
+/// Run one artifact and build its structured report against `cache`:
+/// every artifact that mounts the standard test bed shares one `Arc` build
+/// per distinct configuration, and the churn sweeps clone cached
+/// prototypes instead of rebuilding per (rate, system) cell.
+pub fn run_artifact_report(a: Artifact, cfg: &ReproConfig, cache: &BedCache) -> Report {
     let sim_cfg = cfg.sim();
     match a {
         Artifact::Fig3a => fig3::fig3a(&cfg.fig3a_dims(), sim_cfg.attrs, cfg.seed).report(),
@@ -249,28 +258,18 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             let bed = cache.bed(sim_cfg);
             // paper: 100 nodes × 10 queries each
             let (origins, per) = if cfg.quick { (20, 5) } else { (100, 10) };
-            fig4::fig4_planned(&bed, 1..=10, origins, per, cfg.engine(), cfg.plan).report()
+            fig4::fig4(&bed, 1..=10, origins, per, cfg.exec()).report()
         }
         Artifact::Fig5 => {
             let bed = cache.bed(sim_cfg);
-            fig5::fig5_planned(&bed, 1..=10, cfg.queries(), cfg.engine(), cfg.plan).report()
+            fig5::fig5(&bed, 1..=10, cfg.queries(), cfg.exec()).report()
         }
-        Artifact::Fig6a => fig6::fig6_with_engine(
-            &sim_cfg,
-            &cfg.churn_setup(),
-            sim::experiments::Metric::Hops,
-            cache,
-            cfg.engine(),
-        )
-        .report(),
-        Artifact::Fig6b => fig6::fig6_with_engine(
-            &sim_cfg,
-            &cfg.churn_setup(),
-            sim::experiments::Metric::Visited,
-            cache,
-            cfg.engine(),
-        )
-        .report(),
+        Artifact::Fig6a => {
+            fig6::fig6(&sim_cfg, &cfg.churn_setup(), Metric::Hops, cache, cfg.cached).report()
+        }
+        Artifact::Fig6b => {
+            fig6::fig6(&sim_cfg, &cfg.churn_setup(), Metric::Visited, cache, cfg.cached).report()
+        }
         Artifact::T410 => {
             let bed = cache.bed(sim_cfg);
             let queries = if cfg.quick { 5 } else { 20 };
@@ -280,14 +279,7 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             // range queries return many matches, so lost directory entries
             // are actually observable as stale answers
             let setup = fig6::ChurnSetup { graceful: false, ..cfg.churn_setup() };
-            let mut rep = fig6::fig6_with_engine(
-                &sim_cfg,
-                &setup,
-                sim::experiments::Metric::Visited,
-                cache,
-                cfg.engine(),
-            )
-            .report();
+            let mut rep = fig6::fig6(&sim_cfg, &setup, Metric::Visited, cache, cfg.cached).report();
             rep.note(
                 "(extension: departures are abrupt failures; stale links and lost \
                  directory entries persist until the next maintenance round)",
@@ -335,11 +327,6 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             rep
         }
     }
-}
-
-/// Run one artifact and render its report as text.
-pub fn run_artifact(a: Artifact, cfg: &ReproConfig) -> String {
-    run_artifact_report(a, cfg).to_string()
 }
 
 /// The ten theorems' closed forms at the given parameters — the paper's
@@ -405,6 +392,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
                           ablations | all]";
     let mut cfg = ReproConfig::default();
     let mut artifacts: Vec<Artifact> = Vec::new();
+    // The standalone mode named so far, with the word that named it.
+    let mut standalone: Option<(Mode, String)> = None;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -424,45 +413,51 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
                 cfg.baseline = Some(PathBuf::from(&s["--baseline=".len()..]));
             }
             s if s.starts_with("--seed=") => {
-                cfg.seed =
-                    s["--seed=".len()..].parse().map_err(|_| format!("bad seed in {s:?}"))?;
+                cfg.seed = s["--seed=".len()..]
+                    .parse()
+                    .map_err(|_| format!("bad seed in {s:?}\n{USAGE}"))?;
             }
             s if s.starts_with("--shards=") => {
                 cfg.shards = s["--shards=".len()..]
                     .parse()
-                    .map_err(|_| format!("bad shard count in {s:?}"))?;
+                    .map_err(|_| format!("bad shard count in {s:?}\n{USAGE}"))?;
             }
             s if s.starts_with("--plan=") => {
                 cfg.plan = QueryPlan::parse(&s["--plan=".len()..])
                     .ok_or(format!("bad plan in {s:?} (parallel|sequential|adaptive)\n{USAGE}"))?;
             }
             "--no-cache" => cfg.cached = false,
-            "perf" => cfg.perf = true,
-            "chaos" => cfg.chaos = true,
-            "scale" => cfg.scale = true,
-            "durability" => cfg.durability = true,
-            s => match Artifact::parse(s) {
-                Some(mut v) => artifacts.append(&mut v),
-                None => return Err(format!("unknown target {s:?}\n{USAGE}")),
+            s => match (Mode::standalone(s), Artifact::parse(s)) {
+                (Some(mode), _) => match &standalone {
+                    Some((prev, name)) if *prev != mode => {
+                        return Err(format!(
+                            "{name} and {s} are separate modes: run one at a time\n{USAGE}"
+                        ));
+                    }
+                    _ => standalone = Some((mode, s.to_owned())),
+                },
+                (None, Some(mut v)) => artifacts.append(&mut v),
+                (None, None) => return Err(format!("unknown target {s:?}\n{USAGE}")),
             },
         }
     }
-    // The standalone sweeps run the parallel plan only: refuse a plan
-    // they would silently ignore.
-    let standalone = [
-        (cfg.perf, "perf"),
-        (cfg.chaos, "chaos"),
-        (cfg.scale, "scale"),
-        (cfg.durability, "durability"),
-    ];
-    if let Some((_, mode)) = standalone.iter().find(|(on, _)| *on) {
-        if cfg.plan != QueryPlan::Parallel {
+    // A standalone sweep runs alone and under the parallel plan only:
+    // refuse whatever it would silently ignore.
+    cfg.mode = match standalone {
+        None => Mode::Figures,
+        Some((_, name)) if !artifacts.is_empty() => {
             return Err(format!(
-                "--plan={} cannot be combined with {mode}, which runs the parallel plan only\n{USAGE}",
+                "{name} is a mode of its own and cannot be combined with artifact names\n{USAGE}"
+            ));
+        }
+        Some((_, name)) if cfg.plan != QueryPlan::Parallel => {
+            return Err(format!(
+                "--plan={} cannot be combined with {name}, which runs the parallel plan only\n{USAGE}",
                 cfg.plan.name()
             ));
         }
-    }
+        Some((mode, _)) => mode,
+    };
     if artifacts.is_empty() {
         artifacts = Artifact::ALL.to_vec();
     }
@@ -567,7 +562,7 @@ mod tests {
     #[test]
     fn quick_t410_renders_table() {
         let cfg = ReproConfig { quick: true, seed: 7, ..ReproConfig::default() };
-        let out = run_artifact(Artifact::T410, &cfg);
+        let out = run_artifact_report(Artifact::T410, &cfg, &BedCache::new()).to_string();
         assert!(out.contains("Theorem 4.10"), "got: {out}");
         assert!(out.contains("LORM"));
     }
@@ -577,8 +572,9 @@ mod tests {
         // The full-scale run is recorded in EXPERIMENTS.md; this guards
         // that every artifact stays runnable. Quick mode, tiny batches.
         let cfg = ReproConfig { quick: true, seed: 3, ..ReproConfig::default() };
+        let cache = BedCache::new();
         for a in Artifact::ALL {
-            let rep = run_artifact_report(a, &cfg);
+            let rep = run_artifact_report(a, &cfg, &cache);
             let out = rep.to_string();
             assert!(out.contains('|'), "{a:?} produced no table:\n{out}");
             assert!(out.contains("##"), "{a:?} produced no title");
@@ -625,37 +621,28 @@ mod tests {
     #[test]
     fn parse_perf_target() {
         let (cfg, _) = parse_args(["--quick".into(), "perf".into()]).unwrap();
-        assert!(cfg.perf);
+        assert_eq!(cfg.mode, Mode::Perf);
         assert!(cfg.quick);
         let (cfg, _) = parse_args(["fig4".into()]).unwrap();
-        assert!(!cfg.perf);
+        assert_eq!(cfg.mode, Mode::Figures);
     }
 
     #[test]
     fn parse_chaos_target() {
         let (cfg, _) = parse_args(["--quick".into(), "chaos".into()]).unwrap();
-        assert!(cfg.chaos);
-        assert!(!cfg.perf);
-        let (cfg, _) = parse_args(["fig4".into()]).unwrap();
-        assert!(!cfg.chaos);
+        assert_eq!(cfg.mode, Mode::Chaos);
     }
 
     #[test]
     fn parse_scale_target() {
         let (cfg, _) = parse_args(["--quick".into(), "scale".into()]).unwrap();
-        assert!(cfg.scale);
-        assert!(!cfg.perf && !cfg.chaos);
-        let (cfg, _) = parse_args(["fig4".into()]).unwrap();
-        assert!(!cfg.scale);
+        assert_eq!(cfg.mode, Mode::Scale);
     }
 
     #[test]
     fn parse_durability_target() {
         let (cfg, _) = parse_args(["--quick".into(), "durability".into()]).unwrap();
-        assert!(cfg.durability);
-        assert!(!cfg.perf && !cfg.chaos && !cfg.scale);
-        let (cfg, _) = parse_args(["fig4".into()]).unwrap();
-        assert!(!cfg.durability);
+        assert_eq!(cfg.mode, Mode::Durability);
     }
 
     #[test]
@@ -708,10 +695,12 @@ mod tests {
             plan: QueryPlan::Adaptive,
             ..ReproConfig::default()
         };
-        let adaptive = run_artifact_report(Artifact::Fig5, &cfg);
+        let cache = BedCache::new();
+        let adaptive = run_artifact_report(Artifact::Fig5, &cfg, &cache);
         let parallel = run_artifact_report(
             Artifact::Fig5,
             &ReproConfig { plan: QueryPlan::Parallel, ..cfg.clone() },
+            &cache,
         );
         // adaptive short-circuits, so total visited nodes can only shrink
         let visited = |rep: &Report| rep.summaries().iter().map(|(_, s)| s.total()).sum::<f64>();
@@ -725,6 +714,71 @@ mod tests {
         assert!(parse_args(["--shards=x".into()]).is_err());
         let (cfg, _) = parse_args(Vec::<String>::new()).unwrap();
         assert_eq!(cfg.shards, 0, "default auto-detects");
+    }
+
+    #[test]
+    fn parse_args_accepts_or_rejects_every_invocation_shape() {
+        let parse = |line: &str| parse_args(line.split_whitespace().map(String::from));
+        // Malformed: rejected with the usage line, never silently narrowed.
+        for line in [
+            "fig9",
+            "--frobnicate",
+            "--json",
+            "fig4 --baseline",
+            "--seed=x",
+            "--seed=",
+            "--shards=many",
+            "--shards=-1",
+            "--plan=greedy",
+            "perf --plan=adaptive",
+            "--plan=adaptive chaos",
+            "scale --plan=adaptive",
+            "durability --plan=adaptive",
+            "perf chaos",
+            "scale --quick durability",
+            "chaos fig4",
+            "fig5 t410 perf",
+            "durability all",
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("usage: repro"), "{line}: {err}");
+        }
+        // Well-formed: every field lands where it was aimed.
+        let d = ReproConfig::default;
+        let all = &Artifact::ALL[..];
+        let cases: [(&str, ReproConfig, &[Artifact]); 10] = [
+            ("", d(), all),
+            ("all", d(), all),
+            (
+                "-q fig4 fig4 t410 --seed=9",
+                ReproConfig { quick: true, seed: 9, ..d() },
+                &[Artifact::Fig4, Artifact::T410],
+            ),
+            (
+                "fig5 --plan=adaptive --no-cache --shards=3",
+                ReproConfig { plan: QueryPlan::Adaptive, cached: false, shards: 3, ..d() },
+                &[Artifact::Fig5],
+            ),
+            ("perf --quick", ReproConfig { mode: Mode::Perf, quick: true, ..d() }, all),
+            ("perf perf", ReproConfig { mode: Mode::Perf, ..d() }, all),
+            ("chaos --plan=parallel", ReproConfig { mode: Mode::Chaos, ..d() }, all),
+            ("--shards=1 scale", ReproConfig { mode: Mode::Scale, shards: 1, ..d() }, all),
+            ("durability --shards=0", ReproConfig { mode: Mode::Durability, ..d() }, all),
+            (
+                "perf --json out.json --baseline=BENCH.json",
+                ReproConfig {
+                    mode: Mode::Perf,
+                    json: Some("out.json".into()),
+                    baseline: Some("BENCH.json".into()),
+                    ..d()
+                },
+                all,
+            ),
+        ];
+        for (line, want, arts) in cases {
+            let (cfg, got) = parse(line).expect(line);
+            assert_eq!((cfg, &got[..]), (want, arts), "{line}");
+        }
     }
 
     #[test]
@@ -745,7 +799,7 @@ mod tests {
             },
             ArtifactRun {
                 artifact: Artifact::T410,
-                report: run_artifact_report(Artifact::T410, &cfg),
+                report: run_artifact_report(Artifact::T410, &cfg, &BedCache::new()),
                 elapsed_ms: 20.0,
             },
         ];

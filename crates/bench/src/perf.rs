@@ -17,7 +17,7 @@
 //! library forbids `unsafe`, so the binary passes the counter in as a
 //! plain function pointer.
 
-use crate::{run_artifact_report_cached, Artifact, ReproConfig};
+use crate::{run_artifact_report, Artifact, Mode, ReproConfig};
 use analysis::System;
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
@@ -219,11 +219,11 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     {
         let mut cache = dht_core::RouteCache::new();
         for &(from, key) in &chord_plan {
-            let _ = dht_core::route_stats_cached(&chord, from, key, 0, &mut cache);
+            let _ = dht_core::Via::Cached(&mut cache).route_stats(&chord, from, key, 0, 0);
         }
         cache.reset_counters();
         for &(from, key) in &chord_plan {
-            let _ = dht_core::route_stats_cached(&chord, from, key, 0, &mut cache);
+            let _ = dht_core::Via::Cached(&mut cache).route_stats(&chord, from, key, 0, 0);
         }
         let hit_rate = cache.hit_rate();
         let cache_cell = std::cell::RefCell::new(cache);
@@ -236,7 +236,8 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
                 let (from, key) = plan[i % plan.len()];
                 let mut c = cache.borrow_mut();
                 std::hint::black_box(
-                    dht_core::route_stats_cached(net, from, key, 0, &mut c)
+                    dht_core::Via::Cached(&mut c)
+                        .route_stats(net, from, key, 0, 0)
                         .map(|r| r.hops)
                         .unwrap_or(0),
                 );
@@ -252,7 +253,8 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
                 let (from, key) = plan[i % plan.len()];
                 let mut c = cache.borrow_mut();
                 std::hint::black_box(
-                    dht_core::route_stats_cached(net, from, key, 0, &mut c)
+                    dht_core::Via::Cached(&mut c)
+                        .route_stats(net, from, key, 0, 0)
                         .map(|r| r.hops)
                         .unwrap_or(0),
                 );
@@ -435,7 +437,7 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     // these kernels measure the query phase the cache leaves behind; the
     // churn pipelines clone cached prototypes instead of rebuilding per
     // (rate, system) cell.
-    let fig_cfg = ReproConfig { quick: true, json: None, perf: false, ..cfg.clone() };
+    let fig_cfg = ReproConfig { quick: true, json: None, mode: Mode::Figures, ..cfg.clone() };
     for (name, arts) in [
         ("fig4_quick", &[Artifact::Fig4][..]),
         ("fig5_quick", &[Artifact::Fig5][..]),
@@ -443,15 +445,12 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     ] {
         kernels.push(time_kernel(name, "query", 1, || {
             for &a in arts {
-                std::hint::black_box(
-                    run_artifact_report_cached(a, &fig_cfg, &cache).tables().len(),
-                );
+                std::hint::black_box(run_artifact_report(a, &fig_cfg, &cache).tables().len());
             }
         }));
     }
-    let chaos_cfg = ReproConfig { chaos: true, ..fig_cfg.clone() };
     kernels.push(time_kernel("chaos_quick", "query", 1, || {
-        let c = crate::chaos::run_chaos_cached(&chaos_cfg, &cache);
+        let c = crate::chaos::run_chaos(&fig_cfg, &cache);
         std::hint::black_box(c.systems.len());
     }));
 

@@ -1,7 +1,7 @@
 //! Proves the cached routing path is allocation-free in steady state.
 //!
 //! After one warm pass over the lookup plan, every further pass through
-//! `route_stats_cached` — hits *and* collision-evicted misses — must
+//! `Via::Cached` routing — hits *and* collision-evicted misses — must
 //! leave the allocation counter untouched: the cache is flat arena
 //! storage, the miss path routes with the allocation-free `route_stats`,
 //! and walk recording recycles one scratch buffer. Same
@@ -10,7 +10,7 @@
 
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
-use dht_core::{route_stats_cached, NodeIdx, RouteCache};
+use dht_core::{NodeIdx, RouteCache, Via};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -65,22 +65,22 @@ fn cached_route_lookups_make_zero_heap_allocations() {
     let mut chord_cache = RouteCache::new();
     let mut cycloid_cache = RouteCache::new();
     for &(from, key) in &chord_plan {
-        black_box(route_stats_cached(&chord, from, key, 0, &mut chord_cache).expect("lookup").hops);
+        let r = Via::Cached(&mut chord_cache).route_stats(&chord, from, key, 0, 0);
+        black_box(r.expect("lookup").hops);
     }
     for &(from, key) in &cycloid_plan {
-        black_box(
-            route_stats_cached(&cycloid, from, key, 0, &mut cycloid_cache).expect("lookup").hops,
-        );
+        let r = Via::Cached(&mut cycloid_cache).route_stats(&cycloid, from, key, 0, 0);
+        black_box(r.expect("lookup").hops);
     }
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for &(from, key) in &chord_plan {
-        black_box(route_stats_cached(&chord, from, key, 0, &mut chord_cache).expect("lookup").hops);
+        let r = Via::Cached(&mut chord_cache).route_stats(&chord, from, key, 0, 0);
+        black_box(r.expect("lookup").hops);
     }
     for &(from, key) in &cycloid_plan {
-        black_box(
-            route_stats_cached(&cycloid, from, key, 0, &mut cycloid_cache).expect("lookup").hops,
-        );
+        let r = Via::Cached(&mut cycloid_cache).route_stats(&cycloid, from, key, 0, 0);
+        black_box(r.expect("lookup").hops);
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(

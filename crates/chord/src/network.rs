@@ -1,7 +1,7 @@
 //! The Chord network: arena of nodes, construction, churn, repair.
 
 use crate::node::{ChordNode, FINGER_BITS};
-use dht_core::{BuildMode, ConsistentHash, DhtError, NodeIdx, Overlay, RouteResult, RouteStats};
+use dht_core::{BuildMode, ConsistentHash, DhtError, NodeIdx, Overlay, RouteSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -560,7 +560,7 @@ impl Chord {
         self.bump_epoch();
         // Find the successor of the new id by routing from the bootstrap
         // (untraced: only the terminal matters).
-        let succ = self.route_stats_from(bootstrap, id)?.terminal;
+        let succ = self.route_stats(bootstrap, id)?.terminal;
         let idx = self.push_node(id);
         let r = self.cfg.succ_list_len;
         // Splice: new node's successor list comes from succ.
@@ -585,7 +585,7 @@ impl Chord {
         let mut frow = [NO_LINK; FINGER_BITS];
         for (i, f) in frow.iter_mut().enumerate() {
             let target = id.wrapping_add(1u64 << i);
-            *f = self.route_stats_from(succ, target).map(|r| r.terminal).unwrap_or(succ).0 as u32;
+            *f = self.route_stats(succ, target).map(|r| r.terminal).unwrap_or(succ).0 as u32;
         }
         self.fingers[idx.0 * FINGER_BITS..(idx.0 + 1) * FINGER_BITS].copy_from_slice(&frow);
         Ok(idx)
@@ -717,7 +717,7 @@ impl Chord {
         let id = self.ids[idx.0];
         for i in 0..FINGER_BITS {
             let target = id.wrapping_add(1u64 << i);
-            if let Ok(r) = self.route_stats_from(idx, target) {
+            if let Ok(r) = self.route_stats(idx, target) {
                 self.fingers[idx.0 * FINGER_BITS + i] = r.terminal.0 as u32;
             }
         }
@@ -797,27 +797,17 @@ impl Overlay for Chord {
         Ok(self.true_owner(key))
     }
 
-    fn route(&self, from: NodeIdx, key: u64) -> Result<RouteResult, DhtError> {
-        self.route_from(from, key)
+    fn route_budget(&self) -> usize {
+        4 * FINGER_BITS + 16
     }
 
-    fn route_stats(&self, from: NodeIdx, key: u64) -> Result<RouteStats, DhtError> {
-        self.route_stats_from(from, key)
-    }
-
-    fn route_stats_faulty(
+    fn route_with<S: RouteSink>(
         &self,
         from: NodeIdx,
         key: u64,
-        plan: &dht_core::FaultPlan,
-        msg: dht_core::MsgId,
-    ) -> Result<RouteStats, DhtError> {
-        // Inert plans take the plain fast path: zero-fault runs must be
-        // byte-identical to fault-free runs.
-        if plan.is_inert() {
-            return self.route_stats_from(from, key);
-        }
-        self.route_stats_faulty_from(from, key, plan, msg)
+        sink: &mut S,
+    ) -> Result<(NodeIdx, bool), DhtError> {
+        self.route_inner(from, key, sink)
     }
 
     fn outlinks(&self, node: NodeIdx) -> Result<usize, DhtError> {

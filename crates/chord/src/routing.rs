@@ -1,62 +1,19 @@
 //! Greedy iterative Chord routing, generic over the hop observer.
 //!
-//! One routing loop serves both public variants: the traced
-//! [`Overlay::route`] records every hop into a `Vec<NodeIdx>` path, while
-//! the zero-allocation [`Overlay::route_stats`] fast path drives the same
-//! loop with a bare [`HopCount`]. Sharing the loop makes divergence
-//! between the two impossible by construction (and proptests assert it).
+//! This is the one routing loop ([`Overlay::route_with`]); the traced
+//! [`Overlay::route`], the zero-allocation [`Overlay::route_stats`] and
+//! the fault-injecting [`Overlay::route_stats_faulty`] are `dht_core`'s
+//! provided methods driving it under three sinks.
 
 use crate::network::Chord;
-use crate::node::FINGER_BITS;
-use dht_core::fault::{check_forward, FaultPlan, FaultSink, MsgId};
-use dht_core::{
-    in_interval_oc, in_interval_oo, DhtError, HopCount, NodeIdx, Overlay, RouteResult, RouteSink,
-    RouteStats,
-};
+use dht_core::fault::check_forward;
+use dht_core::{in_interval_oc, in_interval_oo, DhtError, NodeIdx, Overlay, RouteSink};
 
 impl Chord {
-    /// Route a lookup for `key` starting at `from`, using only node-local
-    /// state at every hop, tracing the full path.
-    pub(crate) fn route_from(&self, from: NodeIdx, key: u64) -> Result<RouteResult, DhtError> {
-        // Sized to the routing budget (4·FINGER_BITS+16, +1 for the hop
-        // recorded on the budget check) so a traced route is exactly one
-        // allocation — pinned by crates/bench/tests/alloc_count.rs.
-        let mut path: Vec<NodeIdx> = Vec::with_capacity(4 * FINGER_BITS + 17);
-        let (terminal, exact) = self.route_inner(from, key, &mut path)?;
-        Ok(RouteResult { path, terminal, exact })
-    }
-
-    /// The allocation-free twin of [`Chord::route_from`]: identical
-    /// routing decisions, but only `(hops, terminal, exact)` come back.
-    pub(crate) fn route_stats_from(&self, from: NodeIdx, key: u64) -> Result<RouteStats, DhtError> {
-        let mut hops = HopCount::default();
-        let (terminal, exact) = self.route_inner(from, key, &mut hops)?;
-        Ok(RouteStats { hops: hops.get(), terminal, exact })
-    }
-
-    /// The fault-injecting variant: the same routing loop driven through a
-    /// [`FaultSink`], so per-message drop coins and the plan's failed-node
-    /// set can cut a lookup short with [`DhtError::MessageDropped`] /
-    /// [`DhtError::DeadHop`].
-    pub(crate) fn route_stats_faulty_from(
-        &self,
-        from: NodeIdx,
-        key: u64,
-        plan: &FaultPlan,
-        msg: MsgId,
-    ) -> Result<RouteStats, DhtError> {
-        let mut hops = HopCount::default();
-        let (terminal, exact) = {
-            let mut sink = FaultSink::new(&mut hops, plan, msg);
-            self.route_inner(from, key, &mut sink)?
-        };
-        Ok(RouteStats { hops: hops.get(), terminal, exact })
-    }
-
     /// The routing loop. Dead next-hops are skipped via the successor
     /// list, mirroring the protocol's failure handling. Every forwarding
     /// hop is reported to `sink`; the returned pair is `(terminal, exact)`.
-    fn route_inner<S: RouteSink>(
+    pub(crate) fn route_inner<S: RouteSink>(
         &self,
         from: NodeIdx,
         key: u64,
@@ -69,7 +26,7 @@ impl Chord {
         if self.len() == 1 {
             return Ok((from, true));
         }
-        let budget = 4 * FINGER_BITS + 16;
+        let budget = self.route_budget();
         let mut cur = from;
         loop {
             let cur_id = self.id_at(cur.0);
@@ -164,7 +121,7 @@ impl Chord {
 mod tests {
     use super::*;
     use crate::network::ChordConfig;
-    use dht_core::Summary;
+    use dht_core::{FaultPlan, MsgId, RouteStats, Summary};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -205,21 +162,6 @@ mod tests {
         assert_eq!(r.terminal, only);
         let s = c.route_stats(only, 12345).unwrap();
         assert_eq!(s, RouteStats::local(only));
-    }
-
-    #[test]
-    fn route_stats_matches_traced_route_when_stabilized() {
-        let c = net(512);
-        let mut rng = SmallRng::seed_from_u64(41);
-        for _ in 0..500 {
-            let from = c.random_node(&mut rng).unwrap();
-            let key: u64 = rng.gen();
-            let traced = c.route(from, key).unwrap();
-            let fast = c.route_stats(from, key).unwrap();
-            assert_eq!(fast.hops, traced.hops());
-            assert_eq!(fast.terminal, traced.terminal);
-            assert_eq!(fast.exact, traced.exact);
-        }
     }
 
     #[test]
@@ -329,26 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn route_from_dead_node_errors() {
+    fn routing_from_a_dead_node_errors() {
         let mut c = net(10);
         let v = c.nodes_by_id()[2];
         c.fail(v).unwrap();
         assert!(c.route(v, 7).is_err());
         assert!(c.route_stats(v, 7).is_err());
-    }
-
-    #[test]
-    fn inert_fault_plan_routes_identically() {
-        let c = net(256);
-        let plan = FaultPlan::none();
-        let mut rng = SmallRng::seed_from_u64(17);
-        for i in 0..300u64 {
-            let from = c.random_node(&mut rng).unwrap();
-            let key: u64 = rng.gen();
-            let plain = c.route_stats(from, key).unwrap();
-            let faulty = c.route_stats_faulty(from, key, &plan, MsgId::first(i)).unwrap();
-            assert_eq!(plain, faulty, "inert plan must not perturb routing");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::id::CycloidId;
 use crate::node::CycloidNode;
-use dht_core::{BuildMode, DhtError, NodeIdx, Overlay, RouteResult, RouteStats};
+use dht_core::{BuildMode, DhtError, NodeIdx, Overlay, RouteSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -594,27 +594,17 @@ impl Overlay for Cycloid {
         self.nearest_in_cluster(c, key.cyclic).ok_or(DhtError::EmptyOverlay)
     }
 
-    fn route(&self, from: NodeIdx, key: CycloidId) -> Result<RouteResult, DhtError> {
-        self.route_from(from, key)
+    fn route_budget(&self) -> usize {
+        8 * self.dimension() as usize + 32
     }
 
-    fn route_stats(&self, from: NodeIdx, key: CycloidId) -> Result<RouteStats, DhtError> {
-        self.route_stats_from(from, key)
-    }
-
-    fn route_stats_faulty(
+    fn route_with<S: RouteSink>(
         &self,
         from: NodeIdx,
         key: CycloidId,
-        plan: &dht_core::FaultPlan,
-        msg: dht_core::MsgId,
-    ) -> Result<RouteStats, DhtError> {
-        // Inert plans take the plain fast path: zero-fault runs must be
-        // byte-identical to fault-free runs.
-        if plan.is_inert() {
-            return self.route_stats_from(from, key);
-        }
-        self.route_stats_faulty_from(from, key, plan, msg)
+        sink: &mut S,
+    ) -> Result<(NodeIdx, bool), DhtError> {
+        self.route_inner(from, key, sink)
     }
 
     fn outlinks(&self, node: NodeIdx) -> Result<usize, DhtError> {

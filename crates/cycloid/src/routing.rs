@@ -21,16 +21,16 @@
 //! key's root when links are fresh, and at the nearest reachable node
 //! otherwise.
 //!
-//! As in `chord::routing`, one loop serves both public variants: the
-//! traced [`Overlay::route`] records the path into a `Vec<NodeIdx>`, the
-//! zero-allocation [`Overlay::route_stats`] drives the same loop with a
-//! bare [`HopCount`]. Divergence is impossible by construction (and
-//! proptests assert it).
+//! As in `chord::routing`, this is the one routing loop
+//! ([`Overlay::route_with`]); the traced [`Overlay::route`], the
+//! zero-allocation [`Overlay::route_stats`] and the fault-injecting
+//! [`Overlay::route_stats_faulty`] are `dht_core`'s provided methods
+//! driving it under three sinks.
 
 use crate::id::CycloidId;
 use crate::network::Cycloid;
-use dht_core::fault::{check_forward, FaultPlan, FaultSink, MsgId};
-use dht_core::{DhtError, HopCount, NodeIdx, Overlay, RouteResult, RouteSink, RouteStats};
+use dht_core::fault::check_forward;
+use dht_core::{DhtError, NodeIdx, Overlay, RouteSink};
 
 /// A routing decision: forward normally, or forward while committing to
 /// the final intra-cluster traverse (no further cluster-level moves).
@@ -40,59 +40,16 @@ enum Hop {
 }
 
 impl Cycloid {
-    pub(crate) fn route_from(
-        &self,
-        from: NodeIdx,
-        key: CycloidId,
-    ) -> Result<RouteResult, DhtError> {
-        // Sized to the routing budget (8d+32, +1 for the hop recorded on
-        // the budget check) so a traced route is exactly one allocation —
-        // pinned by crates/bench/tests/alloc_count.rs.
-        let mut path: Vec<NodeIdx> = Vec::with_capacity(8 * self.dimension() as usize + 33);
-        let (terminal, exact) = self.route_inner(from, key, &mut path)?;
-        Ok(RouteResult { path, terminal, exact })
-    }
-
-    /// The allocation-free twin of [`Cycloid::route_from`]: identical
-    /// routing decisions, but only `(hops, terminal, exact)` come back.
-    pub(crate) fn route_stats_from(
-        &self,
-        from: NodeIdx,
-        key: CycloidId,
-    ) -> Result<RouteStats, DhtError> {
-        let mut hops = HopCount::default();
-        let (terminal, exact) = self.route_inner(from, key, &mut hops)?;
-        Ok(RouteStats { hops: hops.get(), terminal, exact })
-    }
-
-    /// The fault-injecting variant: the same routing loop driven through a
-    /// [`FaultSink`], so per-message drop coins and the plan's failed-node
-    /// set can cut a lookup short with [`DhtError::MessageDropped`] /
-    /// [`DhtError::DeadHop`].
-    pub(crate) fn route_stats_faulty_from(
-        &self,
-        from: NodeIdx,
-        key: CycloidId,
-        plan: &FaultPlan,
-        msg: MsgId,
-    ) -> Result<RouteStats, DhtError> {
-        let mut hops = HopCount::default();
-        let (terminal, exact) = {
-            let mut sink = FaultSink::new(&mut hops, plan, msg);
-            self.route_inner(from, key, &mut sink)?
-        };
-        Ok(RouteStats { hops: hops.get(), terminal, exact })
-    }
-
-    fn route_inner<S: RouteSink>(
+    /// The routing loop: every forwarding hop is reported to `sink`; the
+    /// returned pair is `(terminal, exact)`.
+    pub(crate) fn route_inner<S: RouteSink>(
         &self,
         from: NodeIdx,
         key: CycloidId,
         sink: &mut S,
     ) -> Result<(NodeIdx, bool), DhtError> {
         self.live_node(from)?;
-        let d = self.dimension();
-        let budget = 8 * d as usize + 32;
+        let budget = self.route_budget();
         let mut cur = from;
         // Allow the "stuck, retry from the primary" ascent at most once per
         // cluster-distance value, so ascend/traverse cannot ping-pong.
@@ -274,7 +231,7 @@ impl Cycloid {
 mod tests {
     use super::*;
     use crate::network::CycloidConfig;
-    use dht_core::Summary;
+    use dht_core::{FaultPlan, MsgId, RouteStats, Summary};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -284,20 +241,6 @@ mod tests {
 
     fn random_key<R: Rng>(rng: &mut R, d: u8) -> CycloidId {
         CycloidId::new(rng.gen_range(0..d), rng.gen_range(0..(1u32 << d)), d)
-    }
-
-    #[test]
-    fn inert_fault_plan_routes_identically() {
-        let c = net(512, 7);
-        let plan = FaultPlan::none();
-        let mut rng = SmallRng::seed_from_u64(31);
-        for i in 0..300u64 {
-            let from = c.random_node(&mut rng).unwrap();
-            let key = random_key(&mut rng, 7);
-            let plain = c.route_stats(from, key).unwrap();
-            let faulty = c.route_stats_faulty(from, key, &plan, MsgId::first(i)).unwrap();
-            assert_eq!(plain, faulty, "inert plan must not perturb routing");
-        }
     }
 
     #[test]
@@ -388,21 +331,6 @@ mod tests {
         assert!(r.exact);
         let s = c.route_stats(only, CycloidId::new(0, 60, 6)).unwrap();
         assert_eq!(s, RouteStats::local(only));
-    }
-
-    #[test]
-    fn route_stats_matches_traced_route_when_stabilized() {
-        let c = net(1500, 8);
-        let mut rng = SmallRng::seed_from_u64(41);
-        for _ in 0..500 {
-            let from = c.random_node(&mut rng).unwrap();
-            let key = random_key(&mut rng, 8);
-            let traced = c.route(from, key).unwrap();
-            let fast = c.route_stats(from, key).unwrap();
-            assert_eq!(fast.hops, traced.hops());
-            assert_eq!(fast.terminal, traced.terminal);
-            assert_eq!(fast.exact, traced.exact);
-        }
     }
 
     #[test]
@@ -507,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn route_from_dead_node_errors() {
+    fn routing_from_a_dead_node_errors() {
         let mut c = net(64, 5);
         let v = c.live_nodes()[0];
         c.fail(v).unwrap();

@@ -35,9 +35,8 @@
 //! rule-terminated walks are cached — a budget-truncated walk is not a
 //! prefix-safe superset of anything.
 
-use crate::error::DhtError;
 use crate::hashing::splitmix64;
-use crate::overlay::{NodeIdx, Overlay};
+use crate::overlay::NodeIdx;
 use crate::trace::RouteStats;
 
 /// Direct-mapped route slots (power of two). ~32k entries cover the quick
@@ -344,26 +343,6 @@ impl RouteCache {
         self.arena.clear();
         self.reset_counters();
     }
-}
-
-/// Route `key` from `from` through the cache: answer from a fresh-epoch
-/// entry when present, otherwise route for real and memoize the result.
-/// Byte-identical to `overlay.route_stats(from, key)` by construction.
-pub fn route_stats_cached<O: Overlay>(
-    overlay: &O,
-    from: NodeIdx,
-    key: O::Key,
-    salt: u64,
-    cache: &mut RouteCache,
-) -> Result<RouteStats, DhtError> {
-    let bits = overlay.key_bits(key);
-    let epoch = overlay.epoch();
-    if let Some(stats) = cache.lookup(salt, from, bits, epoch) {
-        return Ok(stats);
-    }
-    let stats = overlay.route_stats(from, key)?;
-    cache.insert(salt, from, bits, epoch, stats);
-    Ok(stats)
 }
 
 #[cfg(test)]

@@ -110,10 +110,11 @@ impl FaultPlan {
         })
     }
 
-    /// The inert plan: nothing drops, nothing fails. Every fault-aware
-    /// entry point short-circuits to the fault-free code path when given
-    /// this plan, so results are byte-identical to not injecting faults
-    /// at all (the determinism suite asserts this).
+    /// The inert plan: nothing drops, nothing fails. No coin can fire
+    /// under it, and [`Overlay::route_stats_faulty`] and the `query` driver
+    /// send it down the fault-free code path, so results are
+    /// byte-identical to not injecting faults at all (the determinism
+    /// suite asserts this).
     pub fn none() -> Self {
         Self {
             seed: 0,
@@ -313,9 +314,6 @@ pub fn route_with_retry<O: Overlay + ?Sized>(
     msg_id: u64,
     acct: &mut FaultAccount,
 ) -> Result<RouteStats, DhtError> {
-    if plan.is_inert() {
-        return overlay.route_stats(from, key);
-    }
     let mut wasted = 0usize;
     let mut attempt = 0u32;
     loop {

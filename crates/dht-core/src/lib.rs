@@ -47,7 +47,7 @@ pub mod stats;
 pub mod trace;
 pub mod via;
 
-pub use cache::{route_stats_cached, RouteCache, WalkStep};
+pub use cache::{RouteCache, WalkStep};
 pub use error::DhtError;
 pub use fault::{
     check_forward, probe_step, route_with_retry, sub_msg_id, walk_msg_id, FaultAccount, FaultPlan,

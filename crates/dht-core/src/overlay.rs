@@ -5,8 +5,8 @@
 //! and the measurement harness are agnostic to which DHT is underneath.
 
 use crate::error::DhtError;
-use crate::fault::{FaultPlan, MsgId};
-use crate::trace::{RouteResult, RouteStats};
+use crate::fault::{FaultPlan, FaultSink, MsgId};
+use crate::trace::{HopCount, RouteResult, RouteSink, RouteStats};
 
 /// Arena index of a node within an overlay.
 ///
@@ -99,28 +99,53 @@ pub trait Overlay {
     /// routing. Used to verify that routed lookups are exact.
     fn owner_of(&self, key: Self::Key) -> Result<NodeIdx, DhtError>;
 
-    /// Route a lookup for `key` from `from`, tracing every hop.
-    fn route(&self, from: NodeIdx, key: Self::Key) -> Result<RouteResult, DhtError>;
+    /// Most hops one lookup may record before the routing loop gives up
+    /// with [`DhtError::RoutingLoop`] (Chord: `4·64 + 16`; Cycloid:
+    /// `8d + 32`).
+    fn route_budget(&self) -> usize;
 
-    /// Route a lookup for `key` from `from` without tracing the path:
-    /// only `(hops, terminal, exact)` are produced. Semantically identical
-    /// to [`Overlay::route`]; overlays override this with an
-    /// allocation-free hop counter (the default delegates to the traced
-    /// variant).
-    fn route_stats(&self, from: NodeIdx, key: Self::Key) -> Result<RouteStats, DhtError> {
-        // lint:allow(route-path-alloc): compatibility default for overlays
-        // without a dedicated fast path; both simulators override it.
-        let r = self.route(from, key)?;
-        Ok(RouteStats { hops: r.hops(), terminal: r.terminal, exact: r.exact })
+    /// The overlay's one routing loop: forward a lookup for `key` from
+    /// `from` using only node-local state at every hop, asking `sink`
+    /// before each forwarding ([`check_forward`](crate::fault::check_forward))
+    /// and reporting each hop
+    /// taken to it. Returns `(terminal, exact)`. What a lookup costs and
+    /// whether faults can cut it short is the sink's business, so
+    /// [`Overlay::route`], [`Overlay::route_stats`] and
+    /// [`Overlay::route_stats_faulty`] are this loop under three sinks and
+    /// cannot diverge.
+    fn route_with<S: RouteSink>(
+        &self,
+        from: NodeIdx,
+        key: Self::Key,
+        sink: &mut S,
+    ) -> Result<(NodeIdx, bool), DhtError>;
+
+    /// Route a lookup for `key` from `from`, tracing every hop. The path
+    /// is sized to the routing budget (+1 for the hop recorded on the
+    /// budget check), so a traced route is exactly one allocation — pinned
+    /// by `crates/bench/tests/alloc_count_traced.rs`.
+    fn route(&self, from: NodeIdx, key: Self::Key) -> Result<RouteResult, DhtError> {
+        let mut path: Vec<NodeIdx> = Vec::with_capacity(self.route_budget() + 1);
+        let (terminal, exact) = self.route_with(from, key, &mut path)?;
+        Ok(RouteResult { path, terminal, exact })
     }
 
-    /// Route a lookup under a fault plan: forwarding consults the plan's
-    /// per-message drop coins and failed-node set, surfacing
-    /// [`DhtError::MessageDropped`] / [`DhtError::DeadHop`] outcomes.
-    /// Overlays route through a `FaultSink`-wrapped routing loop and
-    /// short-circuit inert plans to the plain fast path (byte-identical
-    /// results); the default ignores the plan — fault-unaware overlays
-    /// simply never degrade.
+    /// Route a lookup for `key` from `from` without tracing the path: the
+    /// same loop under a bare [`HopCount`], so only `(hops, terminal,
+    /// exact)` come back and nothing is allocated.
+    fn route_stats(&self, from: NodeIdx, key: Self::Key) -> Result<RouteStats, DhtError> {
+        let mut hops = HopCount::default();
+        let (terminal, exact) = self.route_with(from, key, &mut hops)?;
+        Ok(RouteStats { hops: hops.get(), terminal, exact })
+    }
+
+    /// Route a lookup under a fault plan: the same loop under a
+    /// [`FaultSink`], so the plan's per-message drop coins and failed-node
+    /// set can cut it short with [`DhtError::MessageDropped`] /
+    /// [`DhtError::DeadHop`]. This is the one place below
+    /// [`Via`](crate::via::Via) that sends an inert plan down the plain
+    /// path (the coins could not fire anyway; skipping them keeps
+    /// zero-fault runs as fast as fault-free ones).
     fn route_stats_faulty(
         &self,
         from: NodeIdx,
@@ -128,8 +153,13 @@ pub trait Overlay {
         plan: &FaultPlan,
         msg: MsgId,
     ) -> Result<RouteStats, DhtError> {
-        let _ = (plan, msg);
-        self.route_stats(from, key)
+        if plan.is_inert() {
+            return self.route_stats(from, key);
+        }
+        let mut hops = HopCount::default();
+        let (terminal, exact) =
+            self.route_with(from, key, &mut FaultSink::new(&mut hops, plan, msg))?;
+        Ok(RouteStats { hops: hops.get(), terminal, exact })
     }
 
     /// Number of *distinct* outgoing links `node` currently maintains.

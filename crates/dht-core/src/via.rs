@@ -8,7 +8,7 @@
 //! *message*, not of the algorithm that sent it, so a [`Via`] owns those
 //! two operations and each system writes its recipe once against it.
 
-use crate::cache::{route_stats_cached, RouteCache};
+use crate::cache::RouteCache;
 use crate::error::DhtError;
 use crate::fault::{
     probe_step, route_with_retry, sub_msg_id, walk_msg_id, FaultAccount, FaultPlan,
@@ -60,7 +60,18 @@ impl<'a> Via<'a> {
     ) -> Result<RouteStats, DhtError> {
         match self {
             Via::Direct => overlay.route_stats(from, key),
-            Via::Cached(cache) => route_stats_cached(overlay, from, key, salt, cache),
+            // A fresh-epoch entry answers from memory; anything else routes
+            // for real and is memoized — byte-identical to `Via::Direct` by
+            // construction (see [`RouteCache`]).
+            Via::Cached(cache) => {
+                let (bits, epoch) = (overlay.key_bits(key), overlay.epoch());
+                if let Some(stats) = cache.lookup(salt, from, bits, epoch) {
+                    return Ok(stats);
+                }
+                let stats = overlay.route_stats(from, key)?;
+                cache.insert(salt, from, bits, epoch, stats);
+                Ok(stats)
+            }
             Via::Faulty { plan, acct, .. } => route_with_retry(overlay, from, key, plan, msg, acct),
         }
     }

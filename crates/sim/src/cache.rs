@@ -21,8 +21,7 @@
 //!   including RNGs, so driving it through a churn schedule is
 //!   byte-identical to driving a freshly built system.
 //!
-//! Determinism contract (enforced by `crates/sim/tests/determinism.rs`
-//! and the snapshot proptests): cache hits must produce **byte-identical**
+//! Determinism contract (enforced by `crates/sim/tests/snapshot.rs`): cache hits must produce **byte-identical**
 //! Report JSON to cache misses. This holds because construction is a pure
 //! function of `(System, Workload, SimConfig)` and clones are deep.
 
@@ -168,7 +167,7 @@ impl BedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{default_shards, query_batch, run_batch, BatchMode, Metric};
+    use crate::experiments::{query_batch, run_batch, BatchMode, Metric};
     use dht_core::Summary;
     use grid_resource::{Query, QueryMix, QueryPlan};
 
@@ -177,7 +176,7 @@ mod tests {
         batch: &[(usize, Query)],
         metric: Metric,
     ) -> Summary {
-        run_batch(sys, batch, metric, BatchMode::Direct(QueryPlan::Parallel), default_shards())
+        run_batch(sys, batch, metric, BatchMode::Direct(QueryPlan::Parallel), 0)
     }
 
     fn tiny() -> SimConfig {

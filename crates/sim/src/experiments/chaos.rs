@@ -15,7 +15,7 @@
 //!   failure fraction (guaranteed by the fault-coin construction, see
 //!   `dht_core::fault`).
 
-use crate::experiments::{default_shards, query_batch, run_batch, BatchMode, Metric};
+use crate::experiments::{query_batch, run_batch, BatchMode, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -122,7 +122,8 @@ pub struct Chaos {
 /// `setup.fault_seed`, so cells differ only in the configured rates —
 /// which is what makes the per-query monotonicity argument (and hence
 /// monotone success-rate curves) hold exactly, not just in expectation.
-pub fn chaos(bed: &TestBed, setup: ChaosSetup) -> Chaos {
+/// `shards` is [`run_batch`]'s worker count; it never shows in a cell.
+pub fn chaos(bed: &TestBed, setup: ChaosSetup, shards: usize) -> Chaos {
     let batch = query_batch(
         &bed.workload,
         bed.cfg.nodes,
@@ -134,15 +135,15 @@ pub fn chaos(bed: &TestBed, setup: ChaosSetup) -> Chaos {
     );
     let mut systems = Vec::with_capacity(bed.systems.len());
     for sys in &bed.systems {
-        let hops = |mode: BatchMode<'_>| {
-            run_batch(sys.as_ref(), &batch, Metric::Hops, mode, default_shards())
-        };
+        let hops =
+            |mode: BatchMode<'_>| run_batch(sys.as_ref(), &batch, Metric::Hops, mode, shards);
         let baseline = hops(BatchMode::Direct(QueryPlan::Parallel));
         let mut cells = Vec::with_capacity(setup.fail_fracs.len() * setup.loss_rates.len());
         for &fail_frac in &setup.fail_fracs {
             for &loss in &setup.loss_rates {
+                // Sweep rates come from the setup literal; an out-of-range
+                // rate is a harness bug.
                 let plan = FaultPlan::new(setup.fault_seed, loss, fail_frac)
-                    // lint:allow(panic-hygiene): sweep rates come from the setup literal; out-of-range rates are a harness bug
                     .expect("sweep rates must be probabilities");
                 let summary = hops(BatchMode::Faulty(&plan));
                 cells.push(ChaosCell { loss, fail_frac, summary });
@@ -226,7 +227,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let c = chaos(&bed, tiny_setup());
+        let c = chaos(&bed, tiny_setup(), 0);
         assert_eq!(c.queries, 30);
         for sys in &c.systems {
             let zero = &sys.cells[0];
@@ -258,7 +259,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let c = chaos(&bed, tiny_setup());
+        let c = chaos(&bed, tiny_setup(), 0);
         for sys in &c.systems {
             let lossy = &sys.cells[1];
             assert_eq!(lossy.loss, 0.2);

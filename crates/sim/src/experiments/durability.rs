@@ -29,7 +29,7 @@
 //! non-zero — the same pattern as `repro scale`'s growth checks.
 
 use crate::cache::BedCache;
-use crate::experiments::{run_batch, BatchMode, Metric};
+use crate::experiments::{fan_out, run_batch, BatchMode, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -69,8 +69,8 @@ pub struct DurabilitySetup {
     pub probe_per_origin: usize,
     /// Attributes per probe query.
     pub arity: usize,
-    /// Shard count for the probe batch (`0`/`1` runs inline; any value
-    /// produces bit-identical summaries).
+    /// Worker count for the probe batch, as [`run_batch`] reads it (`0`:
+    /// one per available core; any value produces bit-identical summaries).
     pub shards: usize,
 }
 
@@ -273,16 +273,11 @@ pub fn run_durability_one(
     }
 }
 
-/// Run the full durability sweep with a transient bed cache.
-pub fn durability(cfg: &SimConfig, setup: &DurabilitySetup) -> Durability {
-    durability_cached(cfg, setup, &BedCache::new())
-}
-
-/// [`durability`] against a caller-owned [`BedCache`]: every cell starts
-/// from a deep clone of one prototype per system, and the schedule for a
-/// rate is generated once and shared by every (system, degree) cell — a
-/// degree must never perturb the churn sample path.
-pub fn durability_cached(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCache) -> Durability {
+/// Run the full durability sweep. Every cell starts from a deep clone of
+/// one prototype per system held in `cache`, and the schedule for a rate
+/// is generated once and shared by every (system, degree) cell — a degree
+/// must never perturb the churn sample path.
+pub fn durability(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCache) -> Durability {
     let wl_seed = cfg.seed ^ 0xD7;
     let workload = cache.churn_workload(cfg, wl_seed);
     let mut rows = Vec::new();
@@ -295,50 +290,15 @@ pub fn durability_cached(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCa
             &mut sched_rng,
         );
         for &k in &setup.degrees {
-            let mut cells: Vec<(System, DurabilityCell)> = Vec::with_capacity(4);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = System::ALL
-                    .iter()
-                    .map(|&s| {
-                        let workload = &workload;
-                        let schedule = &schedule;
-                        scope.spawn(move |_| {
-                            let mut sys = cache.churn_proto(s, cfg, wl_seed);
-                            let cell = run_durability_one(
-                                sys.as_mut(),
-                                workload,
-                                schedule,
-                                setup,
-                                k,
-                                cfg.seed ^ 0xD6 ^ (rate * 100.0) as u64,
-                            );
-                            (s, cell)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // lint:allow(panic-hygiene): a panicked worker is
-                    // unrecoverable for the sweep — propagate it.
-                    cells.push(h.join().expect("durability worker"));
-                }
-            })
-            // lint:allow(panic-hygiene): scope only errs if a child panicked.
-            .expect("crossbeam scope");
-            let cell_of = |s: System| {
-                // lint:allow(panic-hygiene): one worker per System::ALL
-                // member pushed exactly one cell above.
-                cells.iter().find(|(x, _)| *x == s).map(|(_, c)| c.clone()).expect("cell")
-            };
-            rows.push(DurabilityRow {
-                rate,
-                k,
-                cells: [
-                    cell_of(System::Lorm),
-                    cell_of(System::Mercury),
-                    cell_of(System::Sword),
-                    cell_of(System::Maan),
-                ],
+            let cells = fan_out(System::ALL, |s| {
+                let mut sys = cache.churn_proto(s, cfg, wl_seed);
+                let seed = cfg.seed ^ 0xD6 ^ (rate * 100.0) as u64;
+                run_durability_one(sys.as_mut(), &workload, &schedule, setup, k, seed)
             });
+            // lint:allow(panic-hygiene): fan_out returns one cell per
+            // System::ALL member, in that order.
+            let cells = cells.try_into().expect("one cell per system");
+            rows.push(DurabilityRow { rate, k, cells });
         }
     }
     let theory = TheorySetup::for_sweep(setup, cfg.seed);
@@ -716,7 +676,7 @@ mod tests {
     fn sweep_is_monotone_and_reports() {
         let cfg = small_cfg();
         let setup = tiny_setup();
-        let d = durability(&cfg, &setup);
+        let d = durability(&cfg, &setup, &BedCache::new());
         assert_eq!(d.rows.len(), setup.rates.len() * setup.degrees.len());
         assert!(d.k_monotonicity_violations().is_empty());
         let rep = d.report();

@@ -7,13 +7,13 @@
 //! "Analysis-SWORD/Mercury" (= MAAN ÷ 2, Theorem 4.8) derived from the
 //! measured MAAN.
 
-use crate::experiments::{query_batch, run_batch_all, summary_of, CachePool, Engine, Metric};
+use crate::experiments::{query_batch, run_batch_all, summary_of, CachePool, Exec, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
 use analysis::{self as th, System};
 use dht_core::Summary;
-use grid_resource::{QueryMix, QueryPlan};
+use grid_resource::QueryMix;
 use std::fmt;
 
 /// One arity's measurements.
@@ -43,28 +43,18 @@ pub struct Fig4 {
     pub summaries: Vec<(&'static str, Summary)>,
 }
 
-/// Run the Figure 4 experiment on a mounted test bed.
+/// Run the Figure 4 experiment on a mounted test bed. Whether `exec`
+/// routes through caches and how many workers it shards over never shows
+/// in the figure. The parallel plan reproduces the paper's figure exactly;
+/// sequential/adaptive plans keep the answer sets but change hop counts
+/// (each sub-query after the first still pays its lookup walk, so the
+/// curve shifts, not the ordering).
 pub fn fig4(
     bed: &TestBed,
     arities: impl IntoIterator<Item = usize>,
     origins: usize,
     per_origin: usize,
-) -> Fig4 {
-    fig4_planned(bed, arities, origins, per_origin, Engine::Plain, QueryPlan::Parallel)
-}
-
-/// [`fig4`] on a chosen batch [`Engine`] (both engines produce the same
-/// figure bit-for-bit) under an explicit [`QueryPlan`]. The parallel plan
-/// reproduces the paper's figure exactly; sequential/adaptive plans keep
-/// the answer sets but change hop counts (each sub-query after the first
-/// still pays its lookup walk, so the curve shifts, not the ordering).
-pub fn fig4_planned(
-    bed: &TestBed,
-    arities: impl IntoIterator<Item = usize>,
-    origins: usize,
-    per_origin: usize,
-    engine: Engine,
-    plan: QueryPlan,
+    exec: Exec,
 ) -> Fig4 {
     let p = bed.cfg.params();
     let mut rows = Vec::new();
@@ -73,8 +63,7 @@ pub fn fig4_planned(
     // Cache pools persist across the arity sweep: the systems are not
     // mutated between rounds, so entries stay epoch-fresh and repeated
     // (origin, attribute) lookups across arities hit.
-    let mut pools: Option<Vec<CachePool>> =
-        (engine == Engine::Cached).then(|| bed.systems.iter().map(|_| CachePool::new()).collect());
+    let mut pools = vec![CachePool::new(); bed.systems.len()];
     for arity in arities {
         let batch = query_batch(
             &bed.workload,
@@ -85,8 +74,7 @@ pub fn fig4_planned(
             QueryMix::NonRange,
             bed.seeds.seed() ^ 0xF400 ^ arity as u64,
         );
-        let measured =
-            run_batch_all(&bed.systems, &batch, Metric::Hops, plan, pools.as_deref_mut());
+        let measured = run_batch_all(&bed.systems, &batch, Metric::Hops, exec, &mut pools);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -164,7 +152,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 896, attrs: 30, values: 60, dimension: 7, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig4(&bed, [1, 5], 30, 5);
+        let fig = fig4(&bed, [1, 5], 30, 5, Exec::default());
         assert_eq!(fig.rows.len(), 2);
         for r in &fig.rows {
             let [lorm, mercury, sword, maan] = r.avg;
@@ -189,8 +177,8 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let plain = fig4_planned(&bed, [1, 3], 10, 3, Engine::Plain, QueryPlan::Parallel);
-        let cached = fig4_planned(&bed, [1, 3], 10, 3, Engine::Cached, QueryPlan::Parallel);
+        let plain = fig4(&bed, [1, 3], 10, 3, Exec::default());
+        let cached = fig4(&bed, [1, 3], 10, 3, Exec { cached: true, ..Exec::default() });
         assert_eq!(plain.rows, cached.rows);
         assert_eq!(plain.report().to_json(), cached.report().to_json());
     }
@@ -200,7 +188,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig4(&bed, [2], 10, 3);
+        let fig = fig4(&bed, [2], 10, 3, Exec::default());
         let r = &fig.rows[0];
         let p = cfg.params();
         let maan = r.avg[3];

@@ -6,13 +6,13 @@
 //! `m(1 + n/4)` Mercury, `m(2 + n/4)` MAAN, `m(1 + d/4)` LORM, `m` SWORD
 //! (513m / 514m / 3m / m for the paper's parameters).
 
-use crate::experiments::{query_batch, run_batch_all, summary_of, CachePool, Engine, Metric};
+use crate::experiments::{query_batch, run_batch_all, summary_of, CachePool, Exec, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
 use analysis::{self as th, System};
 use dht_core::Summary;
-use grid_resource::{QueryMix, QueryPlan};
+use grid_resource::QueryMix;
 use std::fmt;
 
 /// One arity's measurements.
@@ -41,31 +41,24 @@ pub struct Fig5 {
     pub summaries: Vec<(&'static str, Summary)>,
 }
 
-/// Run the Figure 5 experiment.
-pub fn fig5(bed: &TestBed, arities: impl IntoIterator<Item = usize>, queries: usize) -> Fig5 {
-    fig5_planned(bed, arities, queries, Engine::Plain, QueryPlan::Parallel)
-}
-
-/// [`fig5`] on a chosen batch [`Engine`] (both engines produce the same
-/// figure bit-for-bit) under an explicit [`QueryPlan`]. The parallel plan
-/// reproduces the paper's figure exactly; the adaptive plan visits at most
-/// as many nodes (empty intermediate candidate sets short-circuit the
+/// Run the Figure 5 experiment. Whether `exec` routes through caches and
+/// how many workers it shards over never shows in the figure. The parallel
+/// plan reproduces the paper's figure exactly; the adaptive plan visits at
+/// most as many nodes (empty intermediate candidate sets short-circuit the
 /// remaining sub-query walks).
-pub fn fig5_planned(
+pub fn fig5(
     bed: &TestBed,
     arities: impl IntoIterator<Item = usize>,
     queries: usize,
-    engine: Engine,
-    plan: QueryPlan,
+    exec: Exec,
 ) -> Fig5 {
     let p = bed.cfg.params();
     let mut rows = Vec::new();
     let mut summaries: Vec<(&'static str, Summary)> =
         System::ALL.map(|s| (s.name(), Summary::new())).to_vec();
-    // Cache pools persist across the arity sweep (see `fig4_planned`):
-    // range walks anchored at the same segment heads recur across arities.
-    let mut pools: Option<Vec<CachePool>> =
-        (engine == Engine::Cached).then(|| bed.systems.iter().map(|_| CachePool::new()).collect());
+    // Cache pools persist across the arity sweep (see `fig4`): range
+    // walks anchored at the same segment heads recur across arities.
+    let mut pools = vec![CachePool::new(); bed.systems.len()];
     for arity in arities {
         let batch = query_batch(
             &bed.workload,
@@ -76,8 +69,7 @@ pub fn fig5_planned(
             QueryMix::Range,
             bed.seeds.seed() ^ 0xF500 ^ arity as u64,
         );
-        let measured =
-            run_batch_all(&bed.systems, &batch, Metric::Visited, plan, pools.as_deref_mut());
+        let measured = run_batch_all(&bed.systems, &batch, Metric::Visited, exec, &mut pools);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -147,7 +139,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 896, attrs: 30, values: 60, dimension: 7, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig5(&bed, [1, 4], 60);
+        let fig = fig5(&bed, [1, 4], 60, Exec::default());
         for r in &fig.rows {
             let [lorm, mercury, sword, maan] = r.avg;
             // Theorem 4.9 ordering: MAAN ≈ Mercury (the paper plots them
@@ -177,8 +169,8 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 8, values: 20, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let plain = fig5_planned(&bed, [1, 3], 25, Engine::Plain, QueryPlan::Parallel);
-        let cached = fig5_planned(&bed, [1, 3], 25, Engine::Cached, QueryPlan::Parallel);
+        let plain = fig5(&bed, [1, 3], 25, Exec::default());
+        let cached = fig5(&bed, [1, 3], 25, Exec { cached: true, ..Exec::default() });
         assert_eq!(plain.rows, cached.rows);
         assert_eq!(plain.report().to_json(), cached.report().to_json());
     }
@@ -188,7 +180,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 8, values: 20, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig5(&bed, [2], 25);
+        let fig = fig5(&bed, [2], 25, Exec::default());
         let r = &fig.rows[0];
         let p = cfg.params();
         for (i, s) in System::ALL.iter().enumerate() {

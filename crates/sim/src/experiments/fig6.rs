@@ -16,7 +16,7 @@
 //! their local neighborhood immediately, as the protocols do.
 
 use crate::cache::BedCache;
-use crate::experiments::{Engine, Metric};
+use crate::experiments::{fan_out, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -115,6 +115,9 @@ pub struct Fig6 {
 }
 
 /// Drive one system through one churn run. Returns the metric summary.
+/// With `route_cached` the run owns one persistent route cache; churn
+/// events bump the overlay epoch, so stale entries miss by construction
+/// and the cell is bit-identical to the uncached run.
 pub fn run_churn_one(
     sys: &mut (dyn ResourceDiscovery + Send + Sync),
     workload: &Workload,
@@ -122,23 +125,7 @@ pub fn run_churn_one(
     setup: &ChurnSetup,
     metric: Metric,
     seed: u64,
-) -> ChurnCell {
-    run_churn_one_with_engine(sys, workload, schedule, setup, metric, seed, Engine::Plain)
-}
-
-/// [`run_churn_one`] on a chosen batch [`Engine`]. Under
-/// [`Engine::Cached`] the run owns one persistent route cache; churn
-/// events bump the overlay epoch, so stale entries miss by construction
-/// and the cell is bit-identical to the plain run.
-#[allow(clippy::too_many_arguments)] // mirrors run_churn_one plus the engine
-pub fn run_churn_one_with_engine(
-    sys: &mut (dyn ResourceDiscovery + Send + Sync),
-    workload: &Workload,
-    schedule: &ChurnSchedule,
-    setup: &ChurnSetup,
-    metric: Metric,
-    seed: u64,
-    engine: Engine,
+    route_cached: bool,
 ) -> ChurnCell {
     let mut route_cache = RouteCache::new();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -214,9 +201,10 @@ pub fn run_churn_one_with_engine(
             continue;
         };
         let q = workload.random_query(setup.arity, mix, &mut rng);
-        let answer = match engine {
-            Engine::Plain => sys.query_from(origin, &q),
-            Engine::Cached => sys.query_from_cached(origin, &q, &mut route_cache),
+        let answer = if route_cached {
+            sys.query_from_cached(origin, &q, &mut route_cache)
+        } else {
+            sys.query_from(origin, &q)
         };
         match answer {
             Ok(out) => {
@@ -257,28 +245,18 @@ pub fn run_churn_one_with_engine(
     }
 }
 
-/// Run the full Figure 6 sweep for one metric, with a transient bed
-/// cache: each system is built once and every (rate, system) run starts
-/// from a deep clone of that prototype — identical to a fresh build, but
-/// the sweep pays construction once per system instead of once per cell.
-pub fn fig6(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric) -> Fig6 {
-    fig6_cached(cfg, setup, metric, &BedCache::new())
-}
-
-/// [`fig6`] against a caller-owned [`BedCache`], so repeated sweeps (both
-/// fig6 metrics, the perf kernels) share one set of prototypes.
-pub fn fig6_cached(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric, cache: &BedCache) -> Fig6 {
-    fig6_with_engine(cfg, setup, metric, cache, Engine::Plain)
-}
-
-/// [`fig6_cached`] on a chosen batch [`Engine`]; both engines produce the
-/// same figure bit-for-bit (see [`run_churn_one_with_engine`]).
-pub fn fig6_with_engine(
+/// Run the full Figure 6 sweep for one metric. Each system is built once
+/// in `cache` and every (rate, system) run starts from a deep clone of
+/// that prototype — identical to a fresh build, but the sweep pays
+/// construction once per system instead of once per cell, and repeated
+/// sweeps (both fig6 metrics, the perf kernels) share one set of
+/// prototypes. `route_cached` is handed to every [`run_churn_one`].
+pub fn fig6(
     cfg: &SimConfig,
     setup: &ChurnSetup,
     metric: Metric,
     cache: &BedCache,
-    engine: Engine,
+    route_cached: bool,
 ) -> Fig6 {
     let p = cfg.params();
     let wl_seed = cfg.seed ^ 0xF6;
@@ -293,53 +271,21 @@ pub fn fig6_with_engine(
             setup.graceful_ratio,
             &mut sched_rng,
         );
-        let mut cells: Vec<(System, ChurnCell)> = Vec::with_capacity(4);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = System::ALL
-                .iter()
-                .map(|&s| {
-                    let workload = &workload;
-                    let schedule = &schedule;
-                    scope.spawn(move |_| {
-                        // First rate: builds the prototype (misses run in
-                        // parallel, one per system). Later rates: a deep
-                        // clone, byte-identical to a fresh build.
-                        let mut sys = cache.churn_proto(s, cfg, wl_seed);
-                        let cell = run_churn_one_with_engine(
-                            sys.as_mut(),
-                            workload,
-                            schedule,
-                            setup,
-                            metric,
-                            cfg.seed ^ 0xC6 ^ (rate * 100.0) as u64,
-                            engine,
-                        );
-                        (s, cell)
-                    })
-                })
-                .collect();
-            for h in handles {
-                cells.push(h.join().expect("churn worker"));
-            }
-        })
-        .expect("crossbeam scope");
-        let cell_of =
-            |s: System| cells.iter().find(|(x, _)| *x == s).map(|(_, c)| c.clone()).expect("cell");
+        // First rate: builds the prototypes (misses run in parallel, one
+        // per system). Later rates: deep clones, byte-identical to fresh
+        // builds.
+        let cells = fan_out(System::ALL, |s| {
+            let mut sys = cache.churn_proto(s, cfg, wl_seed);
+            let seed = cfg.seed ^ 0xC6 ^ (rate * 100.0) as u64;
+            run_churn_one(sys.as_mut(), &workload, &schedule, setup, metric, seed, route_cached)
+        });
         let analysis = System::ALL.map(|s| match metric {
             Metric::Hops => th::nonrange_hops(&p, setup.arity, s),
             // closed forms exist for the paper's two figure metrics only
             _ => th::range_visited(&p, setup.arity, s),
         });
-        rows.push(Fig6Row {
-            rate,
-            cells: [
-                cell_of(System::Lorm),
-                cell_of(System::Mercury),
-                cell_of(System::Sword),
-                cell_of(System::Maan),
-            ],
-            analysis,
-        });
+        let cells = cells.try_into().expect("one cell per System::ALL member");
+        rows.push(Fig6Row { rate, cells, analysis });
     }
     Fig6 {
         mix: match metric {
@@ -443,7 +389,8 @@ mod tests {
         let mut sched_rng = SmallRng::seed_from_u64(2);
         let schedule = ChurnSchedule::generate(0.4, 15.0, &mut sched_rng);
         let mut sys = build_system(System::Lorm, &workload, &cfg);
-        let cell = run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 3);
+        let cell =
+            run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 3, false);
         assert_eq!(cell.failures, 0, "graceful churn must not fail queries");
         assert!(cell.avg > 1.0, "avg hops {}", cell.avg);
         assert!(cell.events > 0, "schedule should produce events");
@@ -461,26 +408,12 @@ mod tests {
         let mut sched_rng = SmallRng::seed_from_u64(12);
         let schedule = ChurnSchedule::generate_with_failures(0.4, 20.0, 0.5, &mut sched_rng);
         for s in [System::Lorm, System::Mercury] {
-            let mut plain_sys = build_system(s, &workload, &cfg);
-            let plain = run_churn_one_with_engine(
-                plain_sys.as_mut(),
-                &workload,
-                &schedule,
-                &setup,
-                Metric::Visited,
-                13,
-                Engine::Plain,
-            );
-            let mut cached_sys = build_system(s, &workload, &cfg);
-            let cached = run_churn_one_with_engine(
-                cached_sys.as_mut(),
-                &workload,
-                &schedule,
-                &setup,
-                Metric::Visited,
-                13,
-                Engine::Cached,
-            );
+            let run = |route_cached| {
+                let mut sys = build_system(s, &workload, &cfg);
+                let metric = Metric::Visited;
+                run_churn_one(sys.as_mut(), &workload, &schedule, &setup, metric, 13, route_cached)
+            };
+            let (plain, cached) = (run(false), run(true));
             assert_eq!(plain, cached, "{}", s.name());
         }
     }
@@ -495,7 +428,8 @@ mod tests {
         let mut sched_rng = SmallRng::seed_from_u64(5);
         let schedule = ChurnSchedule::generate(0.3, 20.0, &mut sched_rng);
         let mut sys = build_system(System::Sword, &workload, &cfg);
-        let cell = run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 6);
+        let cell =
+            run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 6, false);
         let expect = 3.0 * (384.0f64).log2() / 2.0;
         assert!((cell.avg - expect).abs() < expect * 0.35, "avg {} vs analysis {expect}", cell.avg);
     }

@@ -12,8 +12,6 @@ pub mod latency;
 pub mod maintenance;
 pub mod worstcase;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use analysis::System;
 use dht_core::{hashing::splitmix64, FaultPlan, RouteCache, Summary};
 use grid_resource::{
@@ -21,25 +19,6 @@ use grid_resource::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Shard-count override for [`run_batch`]; `0` means "auto" (one shard
-/// per available core).
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the number of shards [`run_batch`] splits each query batch into.
-/// `0` restores the default (one shard per available core). Applies
-/// process-wide; the `repro` binary wires its `--shards=N` flag here.
-pub fn set_default_shards(n: usize) {
-    DEFAULT_SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// The shard count [`run_batch`] currently uses.
-pub fn default_shards() -> usize {
-    match DEFAULT_SHARDS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    }
-}
 
 /// Generate the paper's query batch: `origins` random requester nodes,
 /// `per_origin` queries each, all with the given arity and mix.
@@ -186,10 +165,33 @@ fn run_chunk(
     s
 }
 
-/// Run a query batch against one system on `shards` workers (`0` or `1`
-/// runs inline on the calling thread), summarizing a chosen metric.
-/// Failed queries are counted via [`Summary::failures`] instead of being
-/// silently dropped.
+/// Run `work` on one scoped thread per item and collect the results in
+/// item order. Every thread fan-out in this crate — shard workers over
+/// their micro-chunk runs, one worker per mounted system — goes through
+/// here.
+pub(crate) fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> =
+            items.into_iter().map(|item| scope.spawn(move |_| work(item))).collect();
+        // lint:allow(panic-hygiene): join fails only if the worker
+        // panicked; re-raising that panic is the intended behaviour.
+        handles.into_iter().map(|h| h.join().expect("fan-out worker panicked")).collect()
+    })
+    // lint:allow(panic-hygiene): crossbeam scope errs only when a
+    // child panicked; re-raising that panic is the intended behaviour.
+    .expect("crossbeam scope")
+}
+
+/// Run a query batch against one system on `shards` workers, summarizing
+/// a chosen metric. `shards == 0` means one worker per available core —
+/// this is the one place that is resolved, so every caller (figures,
+/// chaos, durability, the CLI's `--shards`) reads 0 the same way; one
+/// worker runs inline on the calling thread. Failed queries are counted
+/// via [`Summary::failures`] instead of being silently dropped.
 ///
 /// Each worker takes a contiguous run of micro-chunks and the per-chunk
 /// summaries are merged in batch order, so the shard count decides only
@@ -202,7 +204,11 @@ pub fn run_batch(
     shards: usize,
 ) -> Summary {
     let micro: Vec<(usize, &[(usize, Query)])> = batch.chunks(MICRO_CHUNK).enumerate().collect();
-    let per_worker = micro.len().div_ceil(shards.max(1)).max(1);
+    let shards = match shards {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    let per_worker = micro.len().div_ceil(shards).max(1);
     let workers = micro.len().div_ceil(per_worker);
     let mut fresh: Vec<RouteCache> = Vec::new();
     // One entry per worker.
@@ -236,28 +242,12 @@ pub fn run_batch(
     // Workers return their per-chunk summaries in order, and the
     // single-threaded merge walks workers (and chunks within each worker)
     // in batch order.
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .zip(caches)
-            .map(|(chunks, mut cache)| {
-                scope.spawn(move |_| {
-                    let parts = chunks.iter().map(|chunk| summarize(chunk, cache.as_deref_mut()));
-                    parts.collect::<Vec<Summary>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            for part in h.join().expect("shard worker panicked") {
-                merged.merge(&part);
-            }
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
+    let parts = fan_out(micro.chunks(per_worker).zip(caches), |(chunks, mut cache)| {
+        chunks.iter().map(|chunk| summarize(chunk, cache.as_deref_mut())).collect::<Vec<_>>()
+    });
+    for part in parts.iter().flatten() {
+        merged.merge(part);
+    }
     merged
 }
 
@@ -285,64 +275,49 @@ pub fn run_batch_planned_cached_sharded(
     run_batch(sys, batch, metric, BatchMode::Cached(plan, cache), shards)
 }
 
-/// Which batch executor a figure pipeline runs on. Both engines produce
-/// bit-identical reports; [`Engine::Cached`] routes repeated lookups and
-/// overlapping range walks through the epoch-invalidated [`RouteCache`].
+/// How a figure pipeline executes its query batches. The three always
+/// travel together from the CLI to [`run_batch_all`]; `plan` changes what
+/// a query costs (never what it answers), while no choice of `cached` or
+/// `shards` moves a report by one bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Execute every query from scratch (the PR-7 behaviour).
-    #[default]
-    Plain,
-    /// Batched executor: locality-sorted micro-chunks over a per-worker
-    /// route cache, reduced in original order.
-    Cached,
+pub struct Exec {
+    /// The multi-attribute query plan (default: the paper's parallel one).
+    pub plan: QueryPlan,
+    /// Route repeated lookups and overlapping range walks through
+    /// epoch-invalidated [`RouteCache`]s instead of resolving every query
+    /// from scratch.
+    pub cached: bool,
+    /// Workers per query batch, as [`run_batch`] reads it (`0`: one per
+    /// available core).
+    pub shards: usize,
 }
 
-/// Run the same batch against every mounted system in parallel under
-/// `plan` (one thread per system — they are independent and queries take
-/// `&self` — each of which shards its batch further, for
-/// `systems × default_shards()` total workers).
+/// Run the same batch against every mounted system in parallel (one
+/// thread per system — they are independent and queries take `&self` —
+/// each of which shards its batch further, for `systems × exec.shards`
+/// total workers).
 ///
-/// With `pools` (one [`CachePool`] per system, in `systems` order) every
-/// system runs [`BatchMode::Pooled`] on its own pool; the fig-4/fig-5
-/// sweeps hold the pools across their arity loops. Without, every query
-/// resolves from scratch — bit-identical by construction.
+/// `pools` holds one [`CachePool`] per system, in `systems` order. With
+/// `exec.cached` every system runs [`BatchMode::Pooled`] on its own pool;
+/// the fig-4/fig-5 sweeps hold the pools across their arity loops.
+/// Without, the pools stay untouched and every query resolves from
+/// scratch — bit-identical by construction.
 pub fn run_batch_all(
     systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
     batch: &[(usize, Query)],
     metric: Metric,
-    plan: QueryPlan,
-    pools: Option<&mut [CachePool]>,
+    exec: Exec,
+    pools: &mut [CachePool],
 ) -> Vec<(&'static str, Summary)> {
-    let mut pools: Vec<Option<&mut CachePool>> = match pools {
-        Some(pools) => {
-            assert_eq!(systems.len(), pools.len(), "one cache pool per system");
-            pools.iter_mut().map(Some).collect()
-        }
-        None => systems.iter().map(|_| None).collect(),
-    };
-    let mut out: Vec<(&'static str, Summary)> = Vec::with_capacity(systems.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = systems
-            .iter()
-            .zip(pools.drain(..))
-            .map(|(sys, pool)| {
-                let sys = sys.as_ref();
-                scope.spawn(move |_| {
-                    let mode = match pool {
-                        Some(pool) => BatchMode::Pooled(plan, pool),
-                        None => BatchMode::Direct(plan),
-                    };
-                    (sys.name(), run_batch(sys, batch, metric, mode, default_shards()))
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("batch worker panicked"));
-        }
+    assert_eq!(systems.len(), pools.len(), "one cache pool per system");
+    fan_out(systems.iter().zip(pools), |(sys, pool)| {
+        let mode = if exec.cached {
+            BatchMode::Pooled(exec.plan, pool)
+        } else {
+            BatchMode::Direct(exec.plan)
+        };
+        (sys.name(), run_batch(sys.as_ref(), batch, metric, mode, exec.shards))
     })
-    .expect("crossbeam scope");
-    out
 }
 
 /// Which tally field an experiment reports.
@@ -392,7 +367,9 @@ mod tests {
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 20, 2, 2, QueryMix::Range, 0x77);
-        let parallel = run_batch_all(&bed.systems, &batch, Metric::Visited, PARALLEL, None);
+        let mut pools = vec![CachePool::new(); bed.systems.len()];
+        let parallel =
+            run_batch_all(&bed.systems, &batch, Metric::Visited, Exec::default(), &mut pools);
         for (name, par) in &parallel {
             let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
             let seq =
@@ -549,10 +526,12 @@ mod tests {
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 2, QueryMix::Range, 0xE7A1);
-        let plain = run_batch_all(&bed.systems, &batch, Metric::Visited, PARALLEL, None);
-        let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
-        let cached =
-            run_batch_all(&bed.systems, &batch, Metric::Visited, PARALLEL, Some(&mut pools));
+        let mut pools = vec![CachePool::new(); bed.systems.len()];
+        let mut run = |cached| {
+            let exec = Exec { cached, ..Exec::default() };
+            run_batch_all(&bed.systems, &batch, Metric::Visited, exec, &mut pools)
+        };
+        let (plain, cached) = (run(false), run(true));
         for (name, p) in &plain {
             let c = &cached.iter().find(|(n, _)| n == name).unwrap().1;
             assert_summaries_bit_identical(c, p, name);

@@ -8,6 +8,7 @@
 use dht_core::BuildMode;
 use proptest::prelude::*;
 use sim::experiments::fig5::fig5;
+use sim::experiments::Exec;
 use sim::setup::{SimConfig, TestBed};
 
 /// Render the same fig5 report from a bulk-built and an incrementally
@@ -15,7 +16,7 @@ use sim::setup::{SimConfig, TestBed};
 fn fig5_both_modes(cfg: SimConfig) -> (String, String) {
     let render = |mode: BuildMode| {
         let bed = TestBed::new_with_mode(cfg, mode);
-        fig5(&bed, [1, 3], 12).report().to_json()
+        fig5(&bed, [1, 3], 12, Exec::default()).report().to_json()
     };
     (render(BuildMode::Bulk), render(BuildMode::Incremental))
 }
@@ -70,7 +71,7 @@ fn soak_100k_bed_builds_and_answers() {
         ..SimConfig::default()
     };
     let bed = TestBed::new(cfg);
-    let json = fig5(&bed, [1, 2], 8).report().to_json();
+    let json = fig5(&bed, [1, 2], 8, Exec::default()).report().to_json();
     assert!(json.contains("\"tables\""), "report must render");
     for sys in &bed.systems {
         assert!(sys.total_pieces() > 0, "{} placed no reports", sys.name());

@@ -42,7 +42,7 @@ fn soak_sweep_degrades_monotonically_and_accounts_every_query() {
         arity: 3,
         ..ChaosSetup::default()
     };
-    let c = chaos(bed(), setup.clone());
+    let c = chaos(bed(), setup.clone(), 0);
     let total = (setup.origins * setup.per_origin) as u64;
     assert_eq!(c.queries as u64, total);
     assert_eq!(c.systems.len(), 4, "all four systems swept");
@@ -133,6 +133,7 @@ fn churn_with_interleaved_ungraceful_failures_stays_sound() {
     // routing state — cluster collapses, dead successor-list entries —
     // without panicking, and stay deterministic.
     use sim::experiments::fig6::{fig6, ChurnSetup};
+    use sim::BedCache;
     let cfg = SimConfig {
         nodes: 384,
         dimension: 6,
@@ -143,12 +144,48 @@ fn churn_with_interleaved_ungraceful_failures_stays_sound() {
     };
     let setup =
         ChurnSetup { graceful_ratio: 0.5, requests: 200, rates: vec![0.4], ..ChurnSetup::quick() };
-    let once = fig6(&cfg, &setup, Metric::Hops).report().to_json();
-    let again = fig6(&cfg, &setup, Metric::Hops).report().to_json();
+    let run = || fig6(&cfg, &setup, Metric::Hops, &BedCache::new(), false).report().to_json();
+    let (once, again) = (run(), run());
     assert_eq!(once, again, "ungraceful churn must stay deterministic");
     for name in ["LORM", "Mercury", "SWORD", "MAAN"] {
         assert!(once.contains(name), "{name} missing from report: {once}");
     }
+}
+
+#[test]
+fn graceful_ratio_one_leaves_fig6_byte_identical() {
+    // The failure-enabled schedule generator draws zero extra RNG at
+    // ratio 1.0, so threading `graceful_ratio` through the churn
+    // pipeline must not perturb the paper's figures at the default.
+    use sim::experiments::fig6::{fig6, ChurnSetup};
+    use sim::BedCache;
+    let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
+    let setup = ChurnSetup { requests: 200, rates: vec![0.2], ..ChurnSetup::quick() };
+    assert_eq!(setup.graceful_ratio, 1.0, "default is graceful-only");
+    let explicit = ChurnSetup { graceful_ratio: 1.0, ..setup.clone() };
+    let cache = BedCache::new();
+    let default_json = fig6(&cfg, &setup, Metric::Hops, &cache, false).report().to_json();
+    let explicit_json = fig6(&cfg, &explicit, Metric::Hops, &cache, false).report().to_json();
+    assert_eq!(default_json, explicit_json);
+}
+
+#[test]
+fn failure_schedule_generation_is_deterministic() {
+    // Same seed, same ratio → the interleaved ChurnKind::Fail events
+    // land at identical times in identical order.
+    use grid_resource::ChurnSchedule;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    let gen = || {
+        let mut rng = SmallRng::seed_from_u64(0xF41D);
+        ChurnSchedule::generate_with_failures(0.4, 100.0, 0.5, &mut rng)
+    };
+    let (a, b) = (gen(), gen());
+    assert_eq!(a.events(), b.events());
+    assert!(
+        a.events().iter().any(|e| e.kind == grid_resource::ChurnKind::Fail),
+        "ratio 0.5 over 100s must schedule some abrupt failures"
+    );
 }
 
 #[test]
@@ -160,7 +197,7 @@ fn soak_data_loss_is_monotone_in_replication_degree() {
     // replays the identical churn sample and both placement rules
     // (successor-list and leaf-set/cluster) are prefix rules in k — so
     // the assertion is exact, on integer counts.
-    use sim::experiments::durability::{durability_cached, DurabilitySetup};
+    use sim::experiments::durability::{durability, DurabilitySetup};
     use sim::BedCache;
     let cfg =
         SimConfig { nodes: 1024, dimension: 8, attrs: 20, values: 60, ..SimConfig::default() };
@@ -173,7 +210,7 @@ fn soak_data_loss_is_monotone_in_replication_degree() {
         probe_per_origin: 2,
         ..DurabilitySetup::quick()
     };
-    let d = durability_cached(&cfg, &setup, &BedCache::new());
+    let d = durability(&cfg, &setup, &BedCache::new());
     assert_eq!(d.rows.len(), 6, "2 rates x 3 degrees");
     let violations = d.k_monotonicity_violations();
     assert!(violations.is_empty(), "{violations:?}");

@@ -114,12 +114,13 @@ fn set_replication_one_reproduces_unreplicated_churn_bytes() {
     let schedule = ChurnSchedule::generate_with_failures(0.4, 15.0, 0.5, &mut sched_rng);
     for system in analysis::System::ALL {
         let mut pristine = build_system(system, &workload, &cfg);
+        let visited = Metric::Visited;
         let baseline =
-            run_churn_one(pristine.as_mut(), &workload, &schedule, &setup, Metric::Visited, 33);
+            run_churn_one(pristine.as_mut(), &workload, &schedule, &setup, visited, 33, false);
         let mut wired = build_system(system, &workload, &cfg);
         wired.set_replication(1);
         assert_eq!(wired.replication(), 1);
-        let cell = run_churn_one(wired.as_mut(), &workload, &schedule, &setup, Metric::Visited, 33);
+        let cell = run_churn_one(wired.as_mut(), &workload, &schedule, &setup, visited, 33, false);
         assert_eq!(
             summary_json(system.name(), &cell.stats),
             summary_json(system.name(), &baseline.stats),

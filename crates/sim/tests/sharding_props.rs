@@ -1,12 +1,15 @@
 //! Property tests for sharded batch execution (observation equivalence
 //! with the sequential path for *any* shard count) and for the
 //! `Summary::merge` reduction it relies on (associativity, identity,
-//! failure accounting).
+//! failure accounting), plus the end-to-end form of the same contract:
+//! the exported `Report` JSON of a real figure pipeline is a pure
+//! function of the experiment seed, whatever shard count it is handed.
 
 use dht_core::Summary;
 use grid_resource::QueryPlan;
 use proptest::prelude::*;
-use sim::experiments::{run_batch, BatchMode, Metric};
+use sim::experiments::chaos::{chaos, ChaosSetup};
+use sim::experiments::{fig4::fig4, fig5::fig5, run_batch, BatchMode, Exec, Metric};
 use sim::setup::{SimConfig, TestBed};
 use std::sync::OnceLock;
 
@@ -23,6 +26,31 @@ fn bed() -> &'static TestBed {
             ..SimConfig::default()
         })
     })
+}
+
+#[test]
+fn figure_reports_are_bit_identical_across_runs_and_shard_counts() {
+    let bed = bed();
+    // ~200 queries per batch: four micro-chunks, so up to four workers.
+    let setup = ChaosSetup { origins: 70, ..ChaosSetup::quick() };
+    // Each pipeline's report JSON at a given shard count (0: one per core).
+    let reports = |shards: usize| {
+        let exec = Exec { shards, ..Exec::default() };
+        [
+            fig4(bed, [1, 3], 40, 5, exec).report().to_json(),
+            fig5(bed, [1, 3], 200, exec).report().to_json(),
+            chaos(bed, setup.clone(), shards).report().to_json(),
+        ]
+    };
+    let once = reports(1);
+    assert_eq!(once, reports(1), "same seed, same shard count must give identical JSON");
+    for shards in [2, 3, 7, 0] {
+        assert_eq!(
+            once,
+            reports(shards),
+            "shards={shards}: the shard count is an execution detail and must not leak into results"
+        );
+    }
 }
 
 /// Build a Summary from observations plus a failure count.

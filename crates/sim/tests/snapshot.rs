@@ -3,13 +3,15 @@
 //! state *observationally identical* to a bed that was never churned —
 //! same live population, same stored pieces, same query results. This
 //! is the contract that lets the `BedCache` hand one stabilized build
-//! to many consumers.
+//! to many consumers — whose own side of the contract (a cached bed or
+//! prototype yields byte-identical Report JSON to a fresh build) is
+//! checked on real figure pipelines at the end of this file.
 
 use grid_resource::{QueryMix, QueryPlan};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sim::experiments::{default_shards, query_batch, run_batch, BatchMode, Metric};
+use sim::experiments::{query_batch, run_batch, BatchMode, Metric};
 use sim::setup::{SimConfig, TestBed};
 use std::sync::OnceLock;
 
@@ -34,7 +36,7 @@ fn observe(bed: &TestBed) -> Vec<(usize, usize, dht_core::Summary)> {
         .iter()
         .map(|s| {
             let mode = BatchMode::Direct(QueryPlan::Parallel);
-            let visited = run_batch(s.as_ref(), &batch, Metric::Visited, mode, default_shards());
+            let visited = run_batch(s.as_ref(), &batch, Metric::Visited, mode, 0);
             (s.num_physical(), s.total_pieces(), visited)
         })
         .collect()
@@ -101,4 +103,40 @@ fn churn_actually_perturbs_observations() {
     assert_ne!(observe(&bed), baseline, "churn must be visible before restore");
     bed.restore(snap);
     assert_eq!(observe(&bed), baseline);
+}
+
+#[test]
+fn cached_bed_fig4_is_byte_identical_to_fresh_build() {
+    // A report produced from a cached (shared) bed must be byte-for-byte
+    // the report a freshly built bed produces — at every shard count.
+    use sim::experiments::{fig4::fig4, Exec};
+    use sim::BedCache;
+    let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
+    for shards in [1usize, 3] {
+        let json = |bed: &TestBed| {
+            fig4(bed, [1, 3], 16, 4, Exec { shards, ..Exec::default() }).report().to_json()
+        };
+        let cache = BedCache::new();
+        let cached_json = json(&cache.bed(cfg));
+        assert_eq!(cached_json, json(&TestBed::new(cfg)), "cached vs fresh at shards={shards}");
+        assert_eq!(cached_json, json(&cache.bed(cfg)), "second cache hit at shards={shards}");
+        assert_eq!(cache.builds(), 1, "one build serves every consumer");
+    }
+}
+
+#[test]
+fn cached_churn_prototypes_leave_fig6_byte_identical() {
+    // fig6 clones cached prototypes instead of rebuilding per churn
+    // rate; the clones must behave exactly like fresh builds, and a
+    // second run off the same cache must reproduce the first.
+    use sim::experiments::fig6::{fig6, ChurnSetup};
+    use sim::BedCache;
+    let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
+    let setup = ChurnSetup { requests: 150, rates: vec![0.2, 0.5], ..ChurnSetup::quick() };
+    let json = |cache: &BedCache| fig6(&cfg, &setup, Metric::Hops, cache, false).report().to_json();
+    let fresh = json(&BedCache::new());
+    let cache = BedCache::new();
+    let (cached, again) = (json(&cache), json(&cache));
+    assert_eq!(fresh, cached, "a warm cache's prototypes vs a cold cache's builds");
+    assert_eq!(cached, again, "prototype clones are reusable");
 }

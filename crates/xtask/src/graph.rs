@@ -26,18 +26,14 @@ use crate::items::{is_keyword, ItemTree};
 use crate::lexer::{Tok, TokKind};
 use crate::lints::FileCtx;
 
-/// The functions the reproducibility contract is anchored to: the sharded
-/// query engines, the chaos sweep, the scale sweep, and the durability
-/// sweep. A sim-purity violation matters exactly when it can flow into
-/// these.
-pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    ("sim", "run_batch"),
-    ("bench", "run_chaos"),
-    ("bench", "run_chaos_cached"),
-    ("bench", "run_scale"),
-    ("bench", "run_scale_at"),
-    ("bench", "run_durability"),
-];
+/// The functions the reproducibility contract is anchored to: the one
+/// batch executor every query experiment (figures, chaos) funnels
+/// through, plus the two harness sweeps that drive simulation code no
+/// query batch reaches — the scale sweep (bed builds, bare routing) and
+/// the durability sweep (the churn loop that mutates the overlays). A
+/// sim-purity violation matters exactly when it can flow into these.
+pub const ENTRY_POINTS: &[(&str, &str)] =
+    &[("sim", "run_batch"), ("bench", "run_scale"), ("bench", "run_durability")];
 
 /// One function node in the workspace call graph.
 #[derive(Debug, Clone)]
@@ -48,7 +44,7 @@ pub struct FnNode {
     pub file: String,
     /// Function name.
     pub name: String,
-    /// Impl/trait-qualified display name (`Chord::route_from`).
+    /// Impl/trait-qualified display name (`Chord::route_inner`).
     pub qualified: String,
     /// Line span of the item.
     pub line: u32,

@@ -39,7 +39,7 @@ pub struct FnItem {
 }
 
 impl FnItem {
-    /// Display name with impl context, e.g. `Chord::route_from`.
+    /// Display name with impl context, e.g. `Chord::route_inner`.
     pub fn qualified(&self) -> String {
         match (&self.self_type, &self.trait_name) {
             (Some(t), _) => format!("{t}::{}", self.name),
@@ -379,11 +379,11 @@ mod tests {
 
     #[test]
     fn inherent_and_trait_impl_context() {
-        let src = "impl Chord {\n    fn route_from(&self) {}\n}\n\
+        let src = "impl Chord {\n    fn route_inner(&self) {}\n}\n\
                    impl Overlay for Chord {\n    fn route(&self) {}\n}\n\
                    impl<K: Ord> Directory<K> {\n    fn insert(&mut self, k: K) {}\n}";
         let f = fns(src);
-        assert_eq!(f[0].qualified(), "Chord::route_from");
+        assert_eq!(f[0].qualified(), "Chord::route_inner");
         assert_eq!(f[1].self_type.as_deref(), Some("Chord"));
         assert_eq!(f[1].trait_name.as_deref(), Some("Overlay"));
         assert_eq!(f[2].qualified(), "Directory::insert");

@@ -306,8 +306,8 @@ fn workspace_is_lint_clean() {
     let json = render_json(&report);
     assert!(json.contains("\"schema\": \"lorm-repro/lint-v1\""));
     assert!(json.contains("\"clean\": true"));
-    // lint-v2: all six entry points resolve and the graph is non-trivial.
-    assert_eq!(report.entry_points.len(), 6, "{:?}", report.entry_points);
+    // lint-v2: all three entry points resolve and the graph is non-trivial.
+    assert_eq!(report.entry_points.len(), 3, "{:?}", report.entry_points);
     assert!(
         report.reachable_functions > 0 && report.reachable_functions < report.functions_indexed,
         "reachable {} of {}",

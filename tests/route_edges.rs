@@ -83,3 +83,46 @@ fn sparse_cycloid_paths_follow_links_too() {
         }
     }
 }
+
+/// `route`, `route_stats` and `route_stats_faulty` are `dht_core`'s
+/// provided methods: one `route_with` loop under three sinks. Under an
+/// inert plan all three — and the bare [`FaultSink`] the inert check
+/// normally skips — must agree on `(hops, terminal, exact)` for every
+/// `(live node, key)` pair, and the traced path must end at the terminal.
+fn fronts_agree<O: Overlay>(net: &O, keys: &[O::Key]) {
+    use dht_core::{FaultPlan, FaultSink, HopCount, MsgId, RouteStats};
+    let plan = FaultPlan::new(0xFA57, 0.0, 0.0).unwrap();
+    for &from in net.live_nodes() {
+        for (i, &key) in keys.iter().enumerate() {
+            let ctx = format!("{from} -> {key:?}");
+            let traced = net.route(from, key).unwrap();
+            let fast = net.route_stats(from, key).unwrap();
+            let msg = MsgId::first(i as u64);
+            let mut hops = HopCount::default();
+            let (terminal, exact) =
+                net.route_with(from, key, &mut FaultSink::new(&mut hops, &plan, msg)).unwrap();
+            assert_eq!(
+                RouteStats { hops: traced.hops(), terminal: traced.terminal, exact: traced.exact },
+                fast,
+                "{ctx}"
+            );
+            assert_eq!(net.route_stats_faulty(from, key, &plan, msg).unwrap(), fast, "{ctx}");
+            assert_eq!(RouteStats { hops: hops.get(), terminal, exact }, fast, "{ctx}");
+            assert_eq!(traced.path.last().copied().unwrap_or(from), fast.terminal, "{ctx}");
+            assert!(fast.hops <= net.route_budget(), "{ctx}");
+        }
+    }
+}
+
+#[test]
+fn routing_fronts_agree_from_every_live_node_of_a_sparse_overlay() {
+    let mut rng = SmallRng::seed_from_u64(0xED71);
+    let ring = chord::Chord::build(150, chord::ChordConfig::default());
+    let keys: Vec<u64> = (0..12).map(|_| rng.gen()).collect();
+    fronts_agree(&ring, &keys);
+    // 120 of 6·2^6 = 384 slots: most clusters are partly or wholly empty.
+    let sparse = Cycloid::build(120, CycloidConfig { dimension: 6, seed: 0x52 });
+    let keys: Vec<CycloidId> =
+        (0..12).map(|_| CycloidId::new(rng.gen_range(0..6), rng.gen_range(0..64), 6)).collect();
+    fronts_agree(&sparse, &keys);
+}
