@@ -22,13 +22,9 @@
 //!   node keeps `O(log n)` links (between LORM's O(1) and Mercury's
 //!   `m·log n`).
 
-use crate::host::ChordHost;
-use dht_core::{ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx, Via};
-use grid_resource::{
-    AttrId, AttributeSpace, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
-    SelectivityEstimator, SubQuery, SubState, ValueTarget,
-};
-use rand::rngs::SmallRng;
+use crate::system::{ChordSystem, KeyScheme};
+use dht_core::{ConsistentHash, LocalityHash};
+use grid_resource::{AttrId, AttributeSpace};
 
 /// Construction parameters for [`CompositeFlat`].
 #[derive(Debug, Clone, Copy)]
@@ -47,210 +43,67 @@ impl Default for CompositeConfig {
     }
 }
 
-/// The flat composite-key ablation system.
-#[derive(Clone)]
-pub struct CompositeFlat {
-    host: ChordHost,
+/// The composite key rule: `H(attribute) | ℋ(value)`; a range walks its
+/// attribute's segment.
+#[derive(Debug, Clone)]
+pub struct CompositeScheme {
     /// Per-attribute segment base (`H(attr)` truncated to the prefix).
     segment_base: Vec<u64>,
     lph: LocalityHash,
     prefix_bits: u8,
-    phys_node: Vec<Option<NodeIdx>>,
-    /// Per-attribute value histograms for the adaptive query plan.
-    sel: SelectivityEstimator,
 }
 
-impl CompositeFlat {
-    /// Build a system of `n` physical nodes.
-    pub fn new(n: usize, space: &AttributeSpace, cfg: CompositeConfig) -> Self {
+impl KeyScheme for CompositeScheme {
+    type Config = CompositeConfig;
+    const NAME: &'static str = "Composite";
+
+    /// # Panics
+    /// Panics unless `1 <= cfg.prefix_bits < 64`.
+    fn new(space: &AttributeSpace, cfg: &CompositeConfig) -> Self {
         assert!((1..64).contains(&cfg.prefix_bits), "prefix bits must be in 1..64");
-        let host = ChordHost::build(n, cfg.seed);
         let hash = ConsistentHash::new(cfg.seed);
-        let shift = 64 - cfg.prefix_bits as u32;
-        let segment_base =
-            space.ids().map(|a| (hash.hash_str(space.name(a)) >> shift) << shift).collect();
-        // values map onto the in-segment suffix
-        let lph = space.lph(1u64 << shift);
+        let shift = 64 - u32::from(cfg.prefix_bits);
+        let base = |a| (hash.hash_str(space.name(a)) >> shift) << shift;
         Self {
-            host,
-            segment_base,
-            lph,
+            segment_base: space.ids().map(base).collect(),
+            // values map onto the in-segment suffix
+            lph: space.lph(1u64 << shift),
             prefix_bits: cfg.prefix_bits,
-            phys_node: (0..n).map(|i| Some(NodeIdx(i))).collect(),
-            sel: SelectivityEstimator::new(space),
         }
     }
 
+    fn seed(cfg: &CompositeConfig) -> u64 {
+        cfg.seed
+    }
+
+    fn key_of(&self, attr: AttrId, value: f64) -> u64 {
+        self.segment_base[attr.0 as usize] | self.lph.hash(value)
+    }
+}
+
+/// The flat composite-key ablation system.
+pub type CompositeFlat = ChordSystem<CompositeScheme>;
+
+impl CompositeFlat {
     /// The composite key of an (attribute, value) pair.
     pub fn key_of(&self, attr: AttrId, value: f64) -> u64 {
-        self.segment_base[attr.0 as usize] | self.lph.hash(value)
+        self.scheme.key_of(attr, value)
     }
 
     /// Attribute-prefix bits in use.
     pub fn prefix_bits(&self) -> u8 {
-        self.prefix_bits
-    }
-
-    fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
-        self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
-    }
-}
-
-impl ResourceDiscovery for CompositeFlat {
-    fn clone_box(&self) -> Box<dyn ResourceDiscovery + Send + Sync> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "Composite"
-    }
-
-    fn num_physical(&self) -> usize {
-        self.phys_node.iter().filter(|n| n.is_some()).count()
-    }
-
-    fn is_live(&self, phys: usize) -> bool {
-        self.phys_node.get(phys).copied().flatten().is_some()
-    }
-
-    fn place_all(&mut self, reports: &[ResourceInfo]) {
-        self.host.clear();
-        self.sel.rebuild(reports);
-        for &r in reports {
-            let _ = self.host.store_at_owner(self.key_of(r.attr, r.value), r);
-        }
-    }
-
-    fn register(&mut self, info: ResourceInfo) -> Result<LookupTally, DhtError> {
-        let from = self.node_of(info.owner)?;
-        let key = self.key_of(info.attr, info.value);
-        let route = self.host.store_routed(from, key, info)?;
-        self.sel.record(&info);
-        Ok(LookupTally { hops: route.hops, lookups: 1, visited: 1, matches: 0 })
-    }
-
-    fn selectivity(&self) -> Option<&SelectivityEstimator> {
-        Some(&self.sel)
-    }
-
-    fn resolve_sub(
-        &self,
-        phys: usize,
-        sub: &SubQuery,
-        msg: u64,
-        via: &mut Via<'_>,
-        out: &mut QueryOutcome,
-    ) -> Result<SubState, DhtError> {
-        let from = self.node_of(phys)?;
-        let (lo, hi) = match sub.target {
-            ValueTarget::Point(v) => (v, None),
-            ValueTarget::Range { low, high } => (low, Some(high)),
-        };
-        let lo_key = self.key_of(sub.attr, lo);
-        out.tally.lookups += 1;
-        let route = via.route_stats(self.host.net(), from, lo_key, 0, msg)?;
-        out.tally.hops += route.hops;
-        let first = out.probed.len();
-        let truncated = match hi {
-            None => {
-                out.probed.push(route.terminal);
-                false
-            }
-            Some(h) => self.host.walk_range_via(
-                route.terminal,
-                lo_key,
-                self.key_of(sub.attr, h),
-                0,
-                msg,
-                via,
-                &mut out.probed,
-            ),
-        };
-        out.tally.visited += out.probed.len() - first;
-        for &node in &out.probed[first..] {
-            self.host.matches_in_into(node, sub.attr, &sub.target, &mut out.owners);
-        }
-        out.tally.matches += out.owners.len();
-        Ok(if truncated { SubState::Degraded } else { SubState::Resolved })
-    }
-
-    fn directory_loads(&self) -> LoadDist {
-        LoadDist::from_counts(&self.host.loads())
-    }
-
-    fn total_pieces(&self) -> usize {
-        self.host.total_pieces()
-    }
-
-    fn outlinks_per_node(&self) -> LoadDist {
-        LoadDist::from_counts(&self.host.outlinks())
-    }
-
-    fn join_physical(&mut self, _rng: &mut SmallRng) -> Result<usize, DhtError> {
-        let boot = self.phys_node.iter().copied().flatten().next().ok_or(DhtError::EmptyOverlay)?;
-        let idx = self.host.net_mut().join(boot)?;
-        self.host.sync_arena();
-        let phys = self.phys_node.len();
-        self.phys_node.push(Some(idx));
-        Ok(phys)
-    }
-
-    fn leave_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
-        let handoff = self.host.drain_directory(node);
-        self.host.clear_replicas_of(node);
-        self.host.net_mut().leave(node)?;
-        self.phys_node[phys] = None;
-        for info in handoff {
-            let _ = self.host.store_at_owner(self.key_of(info.attr, info.value), info);
-        }
-        Ok(())
-    }
-
-    fn fail_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
-        let _lost = self.host.drain_directory(node);
-        self.host.clear_replicas_of(node);
-        self.host.net_mut().fail(node)?;
-        self.phys_node[phys] = None;
-        Ok(())
-    }
-
-    fn stabilize(&mut self) {
-        self.host.net_mut().rebuild_all_state();
-        let segment_base = &self.segment_base;
-        let lph = &self.lph;
-        self.host.repair_replicas_with(&mut |info, keys| {
-            keys.push(segment_base[info.attr.0 as usize] | lph.hash(info.value));
-        });
-    }
-
-    fn set_replication(&mut self, k: usize) {
-        let segment_base = &self.segment_base;
-        let lph = &self.lph;
-        self.host.set_replication_with(k, &mut |info, keys| {
-            keys.push(segment_base[info.attr.0 as usize] | lph.hash(info.value));
-        });
-    }
-
-    fn replication(&self) -> usize {
-        self.host.replication()
-    }
-
-    fn repair_stats(&self) -> dht_core::RepairStats {
-        self.host.repair_stats()
-    }
-
-    fn surviving_pieces_into(&self, out: &mut Vec<PieceKey>) {
-        self.host.surviving_pieces_into(out);
+        self.scheme.prefix_bits
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_resource::{discovery::join_owners, Query, QueryMix, Workload, WorkloadConfig};
-    use rand::{Rng, SeedableRng};
+    use grid_resource::{
+        discovery::join_owners, Query, QueryMix, ResourceDiscovery, ValueTarget, Workload,
+        WorkloadConfig,
+    };
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn setup() -> (Workload, CompositeFlat) {
         let mut rng = SmallRng::seed_from_u64(0xC0);

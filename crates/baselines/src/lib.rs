@@ -28,6 +28,11 @@
 //! A fifth system, [`CompositeFlat`], is **ours**, not the paper's: LORM's
 //! composite index emulated on a flat Chord, used by the `flatlorm`
 //! ablation to isolate what Cycloid's hierarchy actually buys.
+//!
+//! All four are one struct, [`ChordSystem`] — Chord ring(s) with a
+//! directory on every node ([`ChordHost`]) and one `ResourceDiscovery`
+//! body — under four [`KeyScheme`]s, each of which states only which
+//! key(s) a piece is stored and looked up under.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,9 +42,11 @@ mod host;
 mod maan;
 mod mercury;
 mod sword;
+mod system;
 
-pub use composite::{CompositeConfig, CompositeFlat};
+pub use composite::{CompositeConfig, CompositeFlat, CompositeScheme};
 pub use host::ChordHost;
-pub use maan::{Maan, MaanConfig};
-pub use mercury::{Mercury, MercuryConfig};
-pub use sword::{Sword, SwordConfig};
+pub use maan::{Maan, MaanConfig, MaanScheme};
+pub use mercury::{Mercury, MercuryConfig, MercuryScheme};
+pub use sword::{Sword, SwordConfig, SwordScheme};
+pub use system::{ChordSystem, KeyScheme};

@@ -15,16 +15,9 @@
 //! lookups (Theorems 4.7/4.8), and a range sub-query walks the value ring
 //! system-wide: `2 + n/4` visited nodes on average (Theorem 4.9).
 
-use crate::host::ChordHost;
-use dht_core::{
-    hashing::splitmix64, BuildMode, ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally,
-    NodeIdx, Via,
-};
-use grid_resource::{
-    AttrId, AttributeSpace, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
-    SelectivityEstimator, SubQuery, SubState, ValueTarget,
-};
-use rand::rngs::SmallRng;
+use crate::system::{ChordSystem, KeyScheme};
+use dht_core::{ConsistentHash, LocalityHash};
+use grid_resource::{AttrId, AttributeSpace};
 
 /// Construction parameters for [`Maan`].
 #[derive(Debug, Clone, Copy)]
@@ -39,292 +32,53 @@ impl Default for MaanConfig {
     }
 }
 
-/// The MAAN baseline system.
-#[derive(Clone)]
-pub struct Maan {
-    host: ChordHost,
+/// MAAN's key rule: `H(attribute)` first, then the ring-wide `ℋ(value)`.
+/// Both share one ring (and one cache salt — the keys themselves
+/// disambiguate); a range walks the value ring.
+#[derive(Debug, Clone)]
+pub struct MaanScheme {
     attr_keys: Vec<u64>,
     lph: LocalityHash,
-    phys_node: Vec<Option<NodeIdx>>,
-    mode: BuildMode,
-    /// Per-attribute value histograms for the adaptive query plan.
-    sel: SelectivityEstimator,
 }
 
-impl Maan {
-    /// Build a MAAN system of `n` physical nodes.
-    pub fn new(n: usize, space: &AttributeSpace, cfg: MaanConfig) -> Self {
-        Self::new_with_mode(n, space, cfg, BuildMode::Bulk)
-    }
+impl KeyScheme for MaanScheme {
+    type Config = MaanConfig;
+    const NAME: &'static str = "MAAN";
 
-    /// Build with an explicit construction mode (overlay assembly and
-    /// report placement; both modes are byte-identical, see [`BuildMode`]).
-    pub fn new_with_mode(
-        n: usize,
-        space: &AttributeSpace,
-        cfg: MaanConfig,
-        mode: BuildMode,
-    ) -> Self {
-        let host = ChordHost::build_with_mode(n, cfg.seed, mode);
+    fn new(space: &AttributeSpace, cfg: &MaanConfig) -> Self {
         let hash = ConsistentHash::new(cfg.seed);
-        let attr_keys = space.ids().map(|a| hash.hash_str(space.name(a))).collect();
-        // 0 span = the full 64-bit ring: the paper's system-wide value space.
-        let lph = space.lph(0);
         Self {
-            host,
-            attr_keys,
-            lph,
-            phys_node: (0..n).map(|i| Some(NodeIdx(i))).collect(),
-            mode,
-            sel: SelectivityEstimator::new(space),
+            attr_keys: space.ids().map(|a| hash.hash_str(space.name(a))).collect(),
+            // 0 span = the full 64-bit ring: the paper's system-wide value space.
+            lph: space.lph(0),
         }
     }
 
+    fn seed(cfg: &MaanConfig) -> u64 {
+        cfg.seed
+    }
+
+    fn attr_key(&self, attr: AttrId) -> Option<u64> {
+        Some(self.attr_keys[attr.0 as usize])
+    }
+
+    fn key_of(&self, _attr: AttrId, value: f64) -> u64 {
+        self.lph.hash(value)
+    }
+}
+
+/// The MAAN baseline system.
+pub type Maan = ChordSystem<MaanScheme>;
+
+impl Maan {
     /// The attribute-registration key.
     pub fn attr_key(&self, attr: AttrId) -> u64 {
-        self.attr_keys[attr.0 as usize]
+        self.scheme.attr_keys[attr.0 as usize]
     }
 
     /// The value-registration key.
     pub fn value_key(&self, value: f64) -> u64 {
-        self.lph.hash(value)
-    }
-
-    /// The underlying host (read-only).
-    pub fn host(&self) -> &ChordHost {
-        &self.host
-    }
-
-    fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
-        self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
-    }
-}
-
-impl ResourceDiscovery for Maan {
-    fn clone_box(&self) -> Box<dyn ResourceDiscovery + Send + Sync> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "MAAN"
-    }
-
-    fn num_physical(&self) -> usize {
-        self.phys_node.iter().filter(|n| n.is_some()).count()
-    }
-
-    fn is_live(&self, phys: usize) -> bool {
-        self.phys_node.get(phys).copied().flatten().is_some()
-    }
-
-    fn place_all(&mut self, reports: &[ResourceInfo]) {
-        self.host.clear();
-        self.sel.rebuild(reports);
-        match self.mode {
-            BuildMode::Bulk => {
-                // Two registrations per report, in the same per-report
-                // attr-then-value order as the sequential path.
-                let items: Vec<(u64, ResourceInfo)> = reports
-                    .iter()
-                    .flat_map(|&r| [(self.attr_key(r.attr), r), (self.value_key(r.value), r)])
-                    .collect();
-                self.host.store_all_at_owners(items);
-            }
-            BuildMode::Incremental => {
-                for &r in reports {
-                    let _ = self.host.store_at_owner(self.attr_key(r.attr), r);
-                    let _ = self.host.store_at_owner(self.value_key(r.value), r);
-                }
-            }
-        }
-    }
-
-    fn register(&mut self, info: ResourceInfo) -> Result<LookupTally, DhtError> {
-        let from = self.node_of(info.owner)?;
-        let r1 = self.host.store_routed(from, self.attr_key(info.attr), info)?;
-        let r2 = self.host.store_routed(from, self.value_key(info.value), info)?;
-        self.sel.record(&info);
-        Ok(LookupTally { hops: r1.hops + r2.hops, lookups: 2, visited: 2, matches: 0 })
-    }
-
-    fn selectivity(&self) -> Option<&SelectivityEstimator> {
-        Some(&self.sel)
-    }
-
-    fn resolve_sub(
-        &self,
-        phys: usize,
-        sub: &SubQuery,
-        msg: u64,
-        via: &mut Via<'_>,
-        out: &mut QueryOutcome,
-    ) -> Result<SubState, DhtError> {
-        let from = self.node_of(phys)?;
-        // Lookup 1: the attribute registration (existence/metadata).
-        // Attribute and value keys share one ring, so one cache salt
-        // serves both — the keys themselves disambiguate. Losing this
-        // lookup degrades the sub-query (metadata unavailable), but the
-        // value walk can still produce the owners.
-        out.tally.lookups += 1;
-        let attr_ok = match via.route_stats(
-            self.host.net(),
-            from,
-            self.attr_key(sub.attr),
-            0,
-            splitmix64(msg),
-        ) {
-            Ok(r) => {
-                out.tally.hops += r.hops;
-                out.tally.visited += 1;
-                out.probed.push(r.terminal);
-                true
-            }
-            Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                out.tally.hops += hops;
-                false
-            }
-            Err(e) => return Err(e),
-        };
-        // Lookup 2: the value registration; ranges walk the ring.
-        // Without it the sub-query has no owners at all.
-        let (lo, hi) = match sub.target {
-            ValueTarget::Point(v) => (v, None),
-            ValueTarget::Range { low, high } => (low, Some(high)),
-        };
-        out.tally.lookups += 1;
-        let value_route = via.route_stats(self.host.net(), from, self.value_key(lo), 0, msg)?;
-        out.tally.hops += value_route.hops;
-        let first = out.probed.len();
-        let truncated = match hi {
-            None => {
-                out.probed.push(value_route.terminal);
-                false
-            }
-            Some(h) => self.host.walk_range_via(
-                value_route.terminal,
-                self.value_key(lo),
-                self.value_key(h),
-                0,
-                msg,
-                via,
-                &mut out.probed,
-            ),
-        };
-        out.tally.visited += out.probed.len() - first;
-        for &node in &out.probed[first..] {
-            self.host.matches_in_into(node, sub.attr, &sub.target, &mut out.owners);
-        }
-        out.tally.matches += out.owners.len();
-        Ok(if attr_ok && !truncated { SubState::Resolved } else { SubState::Degraded })
-    }
-
-    fn directory_loads(&self) -> LoadDist {
-        LoadDist::from_counts(&self.host.loads())
-    }
-
-    fn total_pieces(&self) -> usize {
-        self.host.total_pieces()
-    }
-
-    fn outlinks_per_node(&self) -> LoadDist {
-        LoadDist::from_counts(&self.host.outlinks())
-    }
-
-    fn join_physical(&mut self, _rng: &mut SmallRng) -> Result<usize, DhtError> {
-        let boot = self.phys_node.iter().copied().flatten().next().ok_or(DhtError::EmptyOverlay)?;
-        let idx = self.host.net_mut().join(boot)?;
-        self.host.sync_arena();
-        let phys = self.phys_node.len();
-        self.phys_node.push(Some(idx));
-        Ok(phys)
-    }
-
-    fn leave_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
-        // Capture the departing node's key interval (pred, me] *before*
-        // the ring splices it out, so each drained copy can be attributed
-        // to the registration (attribute or value) it was stored under.
-        let my_id = self.host.net().id_of(node)?;
-        let pred_id =
-            self.host.net().node(node)?.predecessor().and_then(|p| self.host.net().id_of(p).ok());
-        let handoff = self.host.drain_directory(node);
-        self.host.clear_replicas_of(node);
-        self.host.net_mut().leave(node)?;
-        self.phys_node[phys] = None;
-        // A piece stored under both keys appears twice in the handoff;
-        // alternate attribution so exactly one copy lands under each key.
-        // Sorted flat Vec as a set: handoffs are one directory's worth of
-        // pieces, so binary-search + ordered insert beats a tree.
-        let mut attr_placed: Vec<(u32, u64, usize)> = Vec::new();
-        for info in handoff {
-            let ak = self.attr_key(info.attr);
-            let vk = self.value_key(info.value);
-            let owned = |key: u64| match pred_id {
-                Some(p) => dht_core::in_interval_oc(p, my_id, key),
-                None => true,
-            };
-            let sig = (info.attr.0, info.value.to_bits(), info.owner);
-            let key = match (owned(ak), owned(vk)) {
-                (true, false) => ak,
-                (false, true) => vk,
-                // both (or indeterminate): first copy to the attribute
-                // root, second to the value root
-                _ => match attr_placed.binary_search(&sig) {
-                    Err(pos) => {
-                        attr_placed.insert(pos, sig);
-                        ak
-                    }
-                    Ok(_) => vk,
-                },
-            };
-            let _ = self.host.store_at_owner(key, info);
-        }
-        Ok(())
-    }
-
-    fn fail_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
-        let _lost = self.host.drain_directory(node);
-        self.host.clear_replicas_of(node);
-        self.host.net_mut().fail(node)?;
-        self.phys_node[phys] = None;
-        Ok(())
-    }
-
-    fn stabilize(&mut self) {
-        // The simulator's maintenance tick: perfect repair from ground
-        // truth (the protocol-level stabilize/fix_fingers path is
-        // exercised by the chord crate's own tests), then replica repair.
-        self.host.net_mut().rebuild_all_state();
-        let attr_keys = &self.attr_keys;
-        let lph = &self.lph;
-        self.host.repair_replicas_with(&mut |info, keys| {
-            // MAAN registers every piece twice: promoted replicas reroute
-            // under both the attribute and the value key.
-            keys.push(attr_keys[info.attr.0 as usize]);
-            keys.push(lph.hash(info.value));
-        });
-    }
-
-    fn set_replication(&mut self, k: usize) {
-        let attr_keys = &self.attr_keys;
-        let lph = &self.lph;
-        self.host.set_replication_with(k, &mut |info, keys| {
-            keys.push(attr_keys[info.attr.0 as usize]);
-            keys.push(lph.hash(info.value));
-        });
-    }
-
-    fn replication(&self) -> usize {
-        self.host.replication()
-    }
-
-    fn repair_stats(&self) -> dht_core::RepairStats {
-        self.host.repair_stats()
-    }
-
-    fn surviving_pieces_into(&self, out: &mut Vec<PieceKey>) {
-        self.host.surviving_pieces_into(out);
+        self.scheme.lph.hash(value)
     }
 }
 
@@ -333,9 +87,10 @@ mod tests {
     use super::*;
     use dht_core::FaultPlan;
     use grid_resource::{
-        discovery::join_owners, Query, QueryMix, QueryMode, Workload, WorkloadConfig,
+        discovery::join_owners, Query, QueryMix, QueryMode, ResourceDiscovery, ValueTarget,
+        Workload, WorkloadConfig,
     };
-    use rand::SeedableRng;
+    use rand::{rngs::SmallRng, SeedableRng};
 
     fn setup() -> (Workload, Maan) {
         let mut rng = SmallRng::seed_from_u64(0x3A);

@@ -8,13 +8,9 @@
 //! cost (`m` visited nodes, Theorem 4.9) at the price of the worst load
 //! concentration (Theorem 4.4: `d×` worse than LORM on the percentiles).
 
-use crate::host::ChordHost;
-use dht_core::{BuildMode, ConsistentHash, DhtError, LoadDist, LookupTally, NodeIdx, Via};
-use grid_resource::{
-    AttrId, AttributeSpace, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
-    SelectivityEstimator, SubQuery, SubState,
-};
-use rand::rngs::SmallRng;
+use crate::system::{ChordSystem, KeyScheme};
+use dht_core::ConsistentHash;
+use grid_resource::{AttrId, AttributeSpace};
 
 /// Construction parameters for [`Sword`].
 #[derive(Debug, Clone, Copy)]
@@ -29,198 +25,40 @@ impl Default for SwordConfig {
     }
 }
 
-/// The SWORD baseline system.
-#[derive(Clone)]
-pub struct Sword {
-    host: ChordHost,
+/// SWORD's key rule: `H(attribute)`, whatever the value — the attribute
+/// root holds everything, so no range ever walks.
+#[derive(Debug, Clone)]
+pub struct SwordScheme {
     /// `H(attribute name)`, cached per attribute.
     attr_keys: Vec<u64>,
-    phys_node: Vec<Option<NodeIdx>>,
-    mode: BuildMode,
-    /// Per-attribute value histograms for the adaptive query plan.
-    sel: SelectivityEstimator,
 }
 
-impl Sword {
-    /// Build a SWORD system of `n` physical nodes.
-    pub fn new(n: usize, space: &AttributeSpace, cfg: SwordConfig) -> Self {
-        Self::new_with_mode(n, space, cfg, BuildMode::Bulk)
-    }
+impl KeyScheme for SwordScheme {
+    type Config = SwordConfig;
+    const NAME: &'static str = "SWORD";
+    const WALKS: bool = false;
 
-    /// Build with an explicit construction mode (overlay assembly and
-    /// report placement; both modes are byte-identical, see [`BuildMode`]).
-    pub fn new_with_mode(
-        n: usize,
-        space: &AttributeSpace,
-        cfg: SwordConfig,
-        mode: BuildMode,
-    ) -> Self {
-        let host = ChordHost::build_with_mode(n, cfg.seed, mode);
+    fn new(space: &AttributeSpace, cfg: &SwordConfig) -> Self {
         let hash = ConsistentHash::new(cfg.seed);
-        let attr_keys = space.ids().map(|a| hash.hash_str(space.name(a))).collect();
-        Self {
-            host,
-            attr_keys,
-            phys_node: (0..n).map(|i| Some(NodeIdx(i))).collect(),
-            mode,
-            sel: SelectivityEstimator::new(space),
-        }
+        Self { attr_keys: space.ids().map(|a| hash.hash_str(space.name(a))).collect() }
     }
 
-    /// The DHT key of an attribute.
-    pub fn key_of(&self, attr: AttrId) -> u64 {
+    fn seed(cfg: &SwordConfig) -> u64 {
+        cfg.seed
+    }
+
+    fn key_of(&self, attr: AttrId, _value: f64) -> u64 {
         self.attr_keys[attr.0 as usize]
     }
-
-    /// The underlying host (read-only, for tests and inspection).
-    pub fn host(&self) -> &ChordHost {
-        &self.host
-    }
-
-    fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
-        self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
-    }
 }
 
-impl ResourceDiscovery for Sword {
-    fn clone_box(&self) -> Box<dyn ResourceDiscovery + Send + Sync> {
-        Box::new(self.clone())
-    }
+/// The SWORD baseline system.
+pub type Sword = ChordSystem<SwordScheme>;
 
-    fn name(&self) -> &'static str {
-        "SWORD"
-    }
-
-    fn num_physical(&self) -> usize {
-        self.phys_node.iter().filter(|n| n.is_some()).count()
-    }
-
-    fn is_live(&self, phys: usize) -> bool {
-        self.phys_node.get(phys).copied().flatten().is_some()
-    }
-
-    fn place_all(&mut self, reports: &[ResourceInfo]) {
-        self.host.clear();
-        self.sel.rebuild(reports);
-        match self.mode {
-            BuildMode::Bulk => {
-                let items: Vec<(u64, ResourceInfo)> =
-                    reports.iter().map(|&r| (self.key_of(r.attr), r)).collect();
-                self.host.store_all_at_owners(items);
-            }
-            BuildMode::Incremental => {
-                for &r in reports {
-                    let _ = self.host.store_at_owner(self.key_of(r.attr), r);
-                }
-            }
-        }
-    }
-
-    fn register(&mut self, info: ResourceInfo) -> Result<LookupTally, DhtError> {
-        let from = self.node_of(info.owner)?;
-        let key = self.key_of(info.attr);
-        let route = self.host.store_routed(from, key, info)?;
-        self.sel.record(&info);
-        Ok(LookupTally { hops: route.hops, lookups: 1, visited: 1, matches: 0 })
-    }
-
-    fn selectivity(&self) -> Option<&SelectivityEstimator> {
-        Some(&self.sel)
-    }
-
-    fn resolve_sub(
-        &self,
-        phys: usize,
-        sub: &SubQuery,
-        msg: u64,
-        via: &mut Via<'_>,
-        out: &mut QueryOutcome,
-    ) -> Result<SubState, DhtError> {
-        let from = self.node_of(phys)?;
-        out.tally.lookups += 1;
-        let route = via.route_stats(self.host.net(), from, self.key_of(sub.attr), 0, msg)?;
-        out.tally.hops += route.hops;
-        // SWORD stops at the attribute root: it holds everything, so there
-        // is no probing and no walk a fault could truncate — a sub-query
-        // that reached the root is fully resolved.
-        out.tally.visited += 1;
-        out.probed.push(route.terminal);
-        self.host.matches_in_into(route.terminal, sub.attr, &sub.target, &mut out.owners);
-        out.tally.matches += out.owners.len();
-        Ok(SubState::Resolved)
-    }
-
-    fn directory_loads(&self) -> LoadDist {
-        LoadDist::from_counts(&self.host.loads())
-    }
-
-    fn total_pieces(&self) -> usize {
-        self.host.total_pieces()
-    }
-
-    fn outlinks_per_node(&self) -> LoadDist {
-        LoadDist::from_counts(&self.host.outlinks())
-    }
-
-    fn join_physical(&mut self, _rng: &mut SmallRng) -> Result<usize, DhtError> {
-        let boot = self.phys_node.iter().copied().flatten().next().ok_or(DhtError::EmptyOverlay)?;
-        let idx = self.host.net_mut().join(boot)?;
-        self.host.sync_arena();
-        let phys = self.phys_node.len();
-        self.phys_node.push(Some(idx));
-        Ok(phys)
-    }
-
-    fn leave_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
-        let handoff = self.host.drain_directory(node);
-        self.host.clear_replicas_of(node);
-        self.host.net_mut().leave(node)?;
-        self.phys_node[phys] = None;
-        for info in handoff {
-            let _ = self.host.store_at_owner(self.key_of(info.attr), info);
-        }
-        Ok(())
-    }
-
-    fn fail_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
-        let _lost = self.host.drain_directory(node);
-        self.host.clear_replicas_of(node);
-        self.host.net_mut().fail(node)?;
-        self.phys_node[phys] = None;
-        Ok(())
-    }
-
-    fn stabilize(&mut self) {
-        // The simulator's maintenance tick: perfect repair from ground
-        // truth (the protocol-level stabilize/fix_fingers path is
-        // exercised by the chord crate's own tests), then replica repair
-        // over the freshly repaired successor lists.
-        self.host.net_mut().rebuild_all_state();
-        let attr_keys = &self.attr_keys;
-        self.host.repair_replicas_with(&mut |info, keys| {
-            keys.push(attr_keys[info.attr.0 as usize]);
-        });
-    }
-
-    fn set_replication(&mut self, k: usize) {
-        let attr_keys = &self.attr_keys;
-        self.host.set_replication_with(k, &mut |info, keys| {
-            keys.push(attr_keys[info.attr.0 as usize]);
-        });
-    }
-
-    fn replication(&self) -> usize {
-        self.host.replication()
-    }
-
-    fn repair_stats(&self) -> dht_core::RepairStats {
-        self.host.repair_stats()
-    }
-
-    fn surviving_pieces_into(&self, out: &mut Vec<PieceKey>) {
-        self.host.surviving_pieces_into(out);
+impl Sword {
+    /// The DHT key of an attribute.
+    pub fn key_of(&self, attr: AttrId) -> u64 {
+        self.scheme.attr_keys[attr.0 as usize]
     }
 }
 
@@ -229,10 +67,10 @@ mod tests {
     use super::*;
     use dht_core::{FaultPlan, Overlay};
     use grid_resource::{
-        canonicalize_pieces, count_surviving, discovery::join_owners, QueryMix, QueryMode,
-        Workload, WorkloadConfig,
+        canonicalize_pieces, count_surviving, discovery::join_owners, PieceKey, QueryMix,
+        QueryMode, ResourceDiscovery, ValueTarget, Workload, WorkloadConfig,
     };
-    use rand::{Rng, SeedableRng};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn setup() -> (Workload, Sword) {
         let mut rng = SmallRng::seed_from_u64(0x51);
@@ -248,7 +86,7 @@ mod tests {
         (w, s)
     }
 
-    fn brute(w: &Workload, attr: AttrId, t: &grid_resource::ValueTarget) -> Vec<usize> {
+    fn brute(w: &Workload, attr: AttrId, t: &ValueTarget) -> Vec<usize> {
         let mut v: Vec<usize> = w
             .reports
             .iter()
@@ -264,12 +102,9 @@ mod tests {
     fn all_info_of_attr_on_one_node() {
         let (w, s) = setup();
         for attr in w.space.ids() {
-            let root = s.host.net().owner_of(s.key_of(attr)).unwrap();
-            let here = s.host.matches_in(
-                root,
-                attr,
-                &grid_resource::ValueTarget::Range { low: 0.0, high: 1e9 },
-            );
+            let root = s.host().net().owner_of(s.key_of(attr)).unwrap();
+            let everything = ValueTarget::Range { low: 0.0, high: 1e9 };
+            let here = s.host().directory(root).matching_owners(attr, &everything);
             assert_eq!(here.len(), 80, "attribute {attr} not pooled on its root");
         }
     }

@@ -223,12 +223,6 @@ impl Chord {
         }
     }
 
-    /// Size of the node arena (live + tomb-stoned slots). Directory
-    /// bookkeeping in higher layers indexes by arena slot.
-    pub fn arena_len(&self) -> usize {
-        self.ids.len()
-    }
-
     /// Configuration the network was built with.
     pub fn config(&self) -> &ChordConfig {
         &self.cfg
@@ -438,7 +432,7 @@ impl Chord {
     }
 
     fn check_live(&self, idx: NodeIdx) -> Result<(), DhtError> {
-        if *self.alive.get(idx.0).unwrap_or(&false) {
+        if self.is_alive(idx) {
             Ok(())
         } else {
             Err(DhtError::NodeNotFound { index: idx.0 })
@@ -470,43 +464,6 @@ impl Chord {
             p if p != NO_LINK && self.alive[p as usize] => Ok(NodeIdx(p as usize)),
             _ => Err(DhtError::EmptyOverlay),
         }
-    }
-
-    /// Append up to `k - 1` replica targets for live node `idx`: the first
-    /// distinct *alive* entries of its successor list, never `idx` itself.
-    ///
-    /// The result at degree `k` is a prefix of the result at `k + 1`
-    /// (successor-list placement is a prefix rule), which makes piece
-    /// survival monotone in the replication degree. Right after
-    /// [`Self::rebuild_all_state`] the list is ground truth, so targets
-    /// are the `k - 1` live nodes clockwise of `idx`.
-    pub fn replica_targets_into(
-        &self,
-        idx: NodeIdx,
-        k: usize,
-        out: &mut Vec<NodeIdx>,
-    ) -> Result<(), DhtError> {
-        self.check_live(idx)?;
-        if k <= 1 {
-            return Ok(());
-        }
-        let want = k - 1;
-        let before = out.len();
-        for &s in self.raw_succs(idx.0) {
-            let slot = s as usize;
-            if slot == idx.0 || !self.alive[slot] {
-                continue;
-            }
-            let cand = NodeIdx(slot);
-            if out[before..].contains(&cand) {
-                continue;
-            }
-            out.push(cand);
-            if out.len() - before == want {
-                break;
-            }
-        }
-        Ok(())
     }
 
     /// Sample successor staleness over every live node's *node-local*
@@ -790,6 +747,51 @@ impl Overlay for Chord {
         &self.sorted
     }
 
+    fn arena_len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn is_alive(&self, idx: NodeIdx) -> bool {
+        self.alive.get(idx.0).copied().unwrap_or(false)
+    }
+
+    /// Append up to `k - 1` replica targets for live node `idx`: the first
+    /// distinct *alive* entries of its successor list, never `idx` itself.
+    ///
+    /// The result at degree `k` is a prefix of the result at `k + 1`
+    /// (successor-list placement is a prefix rule), which makes piece
+    /// survival monotone in the replication degree. Right after
+    /// [`Chord::rebuild_all_state`] the list is ground truth, so targets
+    /// are the `k - 1` live nodes clockwise of `idx`.
+    fn replica_targets_into(
+        &self,
+        idx: NodeIdx,
+        k: usize,
+        out: &mut Vec<NodeIdx>,
+    ) -> Result<(), DhtError> {
+        self.check_live(idx)?;
+        if k <= 1 {
+            return Ok(());
+        }
+        let want = k - 1;
+        let before = out.len();
+        for &s in self.raw_succs(idx.0) {
+            let slot = s as usize;
+            if slot == idx.0 || !self.alive[slot] {
+                continue;
+            }
+            let cand = NodeIdx(slot);
+            if out[before..].contains(&cand) {
+                continue;
+            }
+            out.push(cand);
+            if out.len() - before == want {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     fn owner_of(&self, key: u64) -> Result<NodeIdx, DhtError> {
         if self.sorted.is_empty() {
             return Err(DhtError::EmptyOverlay);
@@ -1022,7 +1024,7 @@ mod tests {
             let n = c.random_node(&mut rng).unwrap();
             assert!(c.node(n).unwrap().is_alive());
         }
-        for idx in c.live_nodes_cloned() {
+        for idx in c.live_nodes().to_vec() {
             if c.len() > 1 {
                 let _ = c.leave(idx);
             }

@@ -6,7 +6,7 @@ use dht_core::{
     BuildMode, DhtError, LoadDist, LookupTally, NodeIdx, Overlay, RepairStats, Via, WalkStep,
 };
 use grid_resource::{
-    AttributeSpace, Directory, PieceKey, QueryOutcome, ReplicaStore, ResourceDiscovery,
+    AttributeSpace, Directory, Host, PhysMap, PieceKey, QueryOutcome, ResourceDiscovery,
     ResourceInfo, SelectivityEstimator, SubQuery, SubState, ValueTarget,
 };
 use rand::rngs::SmallRng;
@@ -34,23 +34,15 @@ impl Default for LormConfig {
 /// Physical node `p` of the grid is Cycloid node `NodeIdx(p)` at
 /// construction; nodes joining later get fresh indices. Every node keeps a
 /// *directory*: the resource information pieces whose `rescID` it is the
-/// root of.
+/// root of. Directories, replica stores (placed along the inside leaf set:
+/// cluster members clockwise of the root) and their repair are the shared
+/// [`Host`]; what LORM adds is the key rule — a piece is stored and looked
+/// up under its rescID — and the intra-cluster range walk.
 #[derive(Clone)]
 pub struct Lorm {
-    overlay: Cycloid,
+    host: Host<Cycloid>,
     keys: KeyDeriver,
-    /// Directory per arena slot.
-    directories: Vec<Directory>,
-    /// Physical node -> overlay node (`None` after departure).
-    phys_node: Vec<Option<NodeIdx>>,
-    total_pieces: usize,
-    mode: BuildMode,
-    /// Replication degree (1 = unreplicated, no replica state at all).
-    repl: usize,
-    /// Replica store per arena slot, placed along the inside leaf set
-    /// (cluster members clockwise of the root). Empty below degree 2.
-    replicas: Vec<ReplicaStore>,
-    repair: RepairStats,
+    phys: PhysMap,
     /// Per-attribute value histograms driving the adaptive query plan,
     /// rebuilt at `place_all` and updated per routed `register`.
     sel: SelectivityEstimator,
@@ -81,25 +73,17 @@ impl Lorm {
             CycloidConfig { dimension: cfg.dimension, seed: cfg.seed },
             mode,
         );
-        let keys = KeyDeriver::with_placement(space, cfg.dimension, cfg.seed, cfg.placement);
-        let arena = overlay.arena_len();
         Self {
-            overlay,
-            keys,
-            directories: vec![Directory::new(); arena],
-            phys_node: (0..n).map(|i| Some(NodeIdx(i))).collect(),
-            total_pieces: 0,
-            mode,
-            repl: 1,
-            replicas: Vec::new(),
-            repair: RepairStats::new(),
+            host: Host::new(overlay, mode),
+            keys: KeyDeriver::with_placement(space, cfg.dimension, cfg.seed, cfg.placement),
+            phys: PhysMap::identity(n),
             sel: SelectivityEstimator::new(space),
         }
     }
 
     /// The underlying Cycloid overlay (read-only).
     pub fn overlay(&self) -> &Cycloid {
-        &self.overlay
+        self.host.net()
     }
 
     /// The key deriver (rescID computation).
@@ -109,97 +93,13 @@ impl Lorm {
 
     /// Directory of a specific overlay node (for inspection).
     pub fn directory(&self, node: NodeIdx) -> &Directory {
-        &self.directories[node.0]
+        self.host.directory(node)
     }
 
-    /// Replica store of one node (inspection/tests).
-    pub fn replicas_of(&self, node: NodeIdx) -> Option<&ReplicaStore> {
-        self.replicas.get(node.0)
-    }
-
-    fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
-        self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
-    }
-
-    /// Pack a rescID into the replica layer's `u64` routing key (the
-    /// replica entry format is overlay-agnostic; promotion unpacks it).
-    fn pack_id(id: CycloidId) -> u64 {
-        (u64::from(id.cubical) << 8) | u64::from(id.cyclic)
-    }
-
-    fn unpack_id(key: u64) -> CycloidId {
-        CycloidId { cubical: (key >> 8) as u32, cyclic: (key & 0xFF) as u8 }
-    }
-
-    /// Copy every live primary piece to its current leaf-set targets,
-    /// skipping copies that already exist. With `account` the new copies
-    /// are charged to the repair counters (repair); without it they are
-    /// free (initial seeding).
-    fn replicate_primaries(&mut self, account: bool) {
-        let mut targets: Vec<NodeIdx> = Vec::new();
-        for &p in self.overlay.live_nodes() {
-            targets.clear();
-            if self.overlay.replica_targets_into(p, self.repl, &mut targets).is_err()
-                || targets.is_empty()
-            {
-                continue;
-            }
-            let Some(dir) = self.directories.get(p.0) else { continue };
-            for info in dir.iter() {
-                let key = Self::pack_id(self.keys.resc_id(info.attr, info.value));
-                for &t in &targets {
-                    if self.replicas[t.0].insert(p, key, *info) && account {
-                        self.repair.record_copy();
-                    }
-                }
-            }
-        }
-    }
-
-    /// One replica-repair round, run right after the overlay's own link
-    /// repair: promote replicas whose primary died to the rescID's current
-    /// root (unless a graceful handoff already put the piece there), then
-    /// re-replicate every live primary to its current targets. No-op
-    /// below degree 2; mirrors `ChordHost::repair_replicas_with`.
-    fn repair_replicas(&mut self) {
-        if self.repl <= 1 {
-            return;
-        }
-        let arena = self.overlay.arena_len();
-        if self.replicas.len() < arena {
-            self.replicas.resize(arena, ReplicaStore::new());
-        }
-        if self.directories.len() < arena {
-            self.directories.resize(arena, Directory::new());
-        }
-        self.repair.record_round();
-        let overlay = &self.overlay;
-        for holder in 0..self.replicas.len() {
-            if !overlay.node(NodeIdx(holder)).map(|n| n.is_alive()).unwrap_or(false) {
-                continue;
-            }
-            let dead = self.replicas[holder]
-                .drain_dead(|p| overlay.node(p).map(|n| n.is_alive()).unwrap_or(false));
-            for e in dead {
-                match overlay.owner_of(Self::unpack_id(e.key)) {
-                    Ok(root) if !self.directories[root.0].contains(&e.info) => {
-                        self.directories[root.0].push(e.info);
-                        self.total_pieces += 1;
-                        self.repair.record_promotion();
-                    }
-                    _ => self.repair.record_dropped(),
-                }
-            }
-        }
-        self.replicate_primaries(true);
-    }
-
-    fn store(&mut self, node: NodeIdx, info: ResourceInfo) {
-        if self.directories.len() < self.overlay.arena_len() {
-            self.directories.resize(self.overlay.arena_len(), Directory::new());
-        }
-        self.directories[node.0].push(info);
-        self.total_pieces += 1;
+    /// The overlay with its directories and replica stores (read-only, for
+    /// tests and inspection).
+    pub fn host(&self) -> &Host<Cycloid> {
+        &self.host
     }
 
     /// Probe the intra-cluster walk of a range query: starting at the root
@@ -234,9 +134,9 @@ impl Lorm {
         via: &mut Via<'_>,
         out: &mut Vec<NodeIdx>,
     ) -> bool {
-        let d = self.overlay.dimension();
+        let d = self.overlay().dimension();
         let span = u64::from(CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d));
-        let epoch = self.overlay.epoch();
+        let epoch = self.overlay().epoch();
         out.push(start);
         let mut rec = None;
         if let Some(cache) = via.cache() {
@@ -253,7 +153,7 @@ impl Lorm {
         let mut cur = start;
         let mut rule_stop = false;
         for step in 1..=usize::from(d) {
-            let Some(next) = self.overlay.cluster_successor(cur).ok().flatten() else {
+            let Some(next) = self.overlay().cluster_successor(cur).ok().flatten() else {
                 break;
             };
             if next == start {
@@ -287,9 +187,9 @@ impl Lorm {
     /// by `next` rather than `cur` (the boundary between their sectors
     /// under the nearest-with-clockwise-tie ownership rule).
     fn transition_position(&self, cur: NodeIdx, next: NodeIdx) -> Option<u8> {
-        let d = self.overlay.dimension();
-        let ck = self.overlay.id_of(cur).ok()?.cyclic;
-        let nk = self.overlay.id_of(next).ok()?.cyclic;
+        let d = self.overlay().dimension();
+        let ck = self.overlay().id_of(cur).ok()?.cyclic;
+        let nk = self.overlay().id_of(next).ok()?.cyclic;
         for step in 1..=d {
             let p = (ck + step) % d;
             let dc = CycloidId::cyclic_dist(ck, p, d);
@@ -316,11 +216,11 @@ impl Lorm {
         via: &mut Via<'_>,
         out: &mut Vec<NodeIdx>,
     ) -> bool {
-        let d = self.overlay.dimension();
+        let d = self.overlay().dimension();
         out.push(start);
         let mut cur = start;
         for step in 1..=usize::from(d) {
-            match self.overlay.cluster_successor(cur).ok().flatten() {
+            match self.overlay().cluster_successor(cur).ok().flatten() {
                 Some(next) if next != start => {
                     if !via.admit_step(msg, step, next) {
                         return true;
@@ -345,62 +245,27 @@ impl ResourceDiscovery for Lorm {
     }
 
     fn num_physical(&self) -> usize {
-        self.phys_node.iter().filter(|n| n.is_some()).count()
+        self.phys.num_live()
     }
 
     fn is_live(&self, phys: usize) -> bool {
-        self.phys_node.get(phys).copied().flatten().is_some()
+        self.phys.is_live(phys)
     }
 
     fn place_all(&mut self, reports: &[ResourceInfo]) {
-        self.directories = vec![Directory::new(); self.overlay.arena_len()];
-        self.total_pieces = 0;
+        self.host.clear();
         self.sel.rebuild(reports);
-        if self.repl > 1 {
-            // Re-placement invalidates old replica attribution; the next
-            // repair round re-seeds replicas from the new primaries.
-            self.replicas = vec![ReplicaStore::new(); self.overlay.arena_len()];
-        }
-        match self.mode {
-            BuildMode::Bulk => {
-                // Resolve every report's root, group by root with one
-                // stable sort, and hand each node its whole batch — the
-                // same directories the per-report loop produces, without
-                // one shifting `Vec::insert` per new attribute bucket.
-                let mut routed: Vec<(NodeIdx, ResourceInfo)> = reports
-                    .iter()
-                    .filter_map(|&r| {
-                        let id = self.keys.resc_id(r.attr, r.value);
-                        self.overlay.owner_of(id).ok().map(|root| (root, r))
-                    })
-                    .collect();
-                self.total_pieces = routed.len();
-                routed.sort_by_key(|&(root, _)| root);
-                let mut rest = routed.as_slice();
-                while let Some(&(root, _)) = rest.first() {
-                    let run = rest.iter().take_while(|&&(n, _)| n == root).count();
-                    self.directories[root.0]
-                        .bulk_load(rest[..run].iter().map(|&(_, r)| r).collect());
-                    rest = &rest[run..];
-                }
-            }
-            BuildMode::Incremental => {
-                for &r in reports {
-                    let id = self.keys.resc_id(r.attr, r.value);
-                    if let Ok(root) = self.overlay.owner_of(id) {
-                        self.store(root, r);
-                    }
-                }
-            }
-        }
+        let keys = &self.keys;
+        self.host.store_all_at_owners(reports.iter().map(|&r| (keys.resc_id(r.attr, r.value), r)));
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn register(&mut self, info: ResourceInfo) -> Result<LookupTally, DhtError> {
-        let from = self.node_of(info.owner)?;
+        let from = self.phys.node_of(info.owner)?;
         let id = self.keys.resc_id(info.attr, info.value);
-        let route = self.overlay.route_stats(from, id)?;
-        self.store(route.terminal, info);
+        let route = self.host.store_routed(from, id, info)?;
         self.sel.record(&info);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(LookupTally { hops: route.hops, lookups: 1, visited: 1, matches: 0 })
     }
 
@@ -416,7 +281,7 @@ impl ResourceDiscovery for Lorm {
         via: &mut Via<'_>,
         out: &mut QueryOutcome,
     ) -> Result<SubState, DhtError> {
-        let from = self.node_of(phys)?;
+        let from = self.phys.node_of(phys)?;
         let (lookup_value, bounds) = match sub.target {
             ValueTarget::Point(v) => (v, None),
             ValueTarget::Range { low, high } => {
@@ -425,7 +290,7 @@ impl ResourceDiscovery for Lorm {
         };
         let resc_id = self.keys.resc_id(sub.attr, lookup_value);
         out.tally.lookups += 1;
-        let route = via.route_stats(&self.overlay, from, resc_id, 0, msg)?;
+        let route = via.route_stats(self.overlay(), from, resc_id, 0, msg)?;
         out.tally.hops += route.hops;
         let first = out.probed.len();
         let truncated = match bounds {
@@ -447,110 +312,86 @@ impl ResourceDiscovery for Lorm {
         };
         out.tally.visited += out.probed.len() - first;
         for &node in &out.probed[first..] {
-            self.directories[node.0].matching_owners_into(sub.attr, &sub.target, &mut out.owners);
+            self.host.directory(node).matching_owners_into(sub.attr, &sub.target, &mut out.owners);
         }
         out.tally.matches += out.owners.len();
         Ok(if truncated { SubState::Degraded } else { SubState::Resolved })
     }
 
     fn directory_loads(&self) -> LoadDist {
-        let counts: Vec<usize> =
-            self.overlay.live_nodes().iter().map(|&n| self.directories[n.0].len()).collect();
-        LoadDist::from_counts(&counts)
+        LoadDist::new(self.phys.live().map(|n| self.host.directory(n).len() as f64).collect())
     }
 
     fn total_pieces(&self) -> usize {
-        self.total_pieces
+        self.host.total_pieces()
     }
 
     fn outlinks_per_node(&self) -> LoadDist {
-        let links: Vec<usize> = self
-            .overlay
-            .live_nodes()
-            .iter()
-            .map(|&n| self.overlay.outlinks(n).unwrap_or(0))
-            .collect();
-        LoadDist::from_counts(&links)
+        let links = |n| self.overlay().outlinks(n).unwrap_or(0) as f64;
+        LoadDist::new(self.phys.live().map(links).collect())
     }
 
     fn join_physical(&mut self, rng: &mut SmallRng) -> Result<usize, DhtError> {
-        let slot = self.overlay.random_free_slot(rng).ok_or(DhtError::IdSpaceExhausted)?;
-        let idx = self.overlay.join_with_id(slot)?;
-        self.directories.resize(self.overlay.arena_len(), Directory::new());
-        if self.repl > 1 {
-            self.replicas.resize(self.overlay.arena_len(), ReplicaStore::new());
-        }
-        let phys = self.phys_node.len();
-        self.phys_node.push(Some(idx));
+        let slot = self.overlay().random_free_slot(rng).ok_or(DhtError::IdSpaceExhausted)?;
+        let idx = self.host.update_net(|net| net.join_with_id(slot))?;
+        let phys = self.phys.push(idx);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(phys)
     }
 
     fn leave_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
+        let node = self.phys.node_of(phys)?;
         // Hand off stored objects before departing (Cycloid's
         // self-organization keeps stored objects available). The node's
         // replica store dies with it.
-        let handoff = self.directories[node.0].drain();
-        if let Some(store) = self.replicas.get_mut(node.0) {
-            store.clear();
-        }
-        self.overlay.leave(node)?;
-        self.phys_node[phys] = None;
-        self.total_pieces -= handoff.len();
-        for info in handoff {
-            let id = self.keys.resc_id(info.attr, info.value);
-            if let Ok(root) = self.overlay.owner_of(id) {
-                self.store(root, info);
-            }
-        }
+        let handoff = self.host.retire(node);
+        self.host.update_net(|net| net.leave(node))?;
+        self.phys.remove(phys);
+        let keys = &self.keys;
+        self.host
+            .store_all_at_owners(handoff.into_iter().map(|r| (keys.resc_id(r.attr, r.value), r)));
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(())
     }
 
     fn fail_physical(&mut self, phys: usize) -> Result<(), DhtError> {
-        let node = self.node_of(phys)?;
-        let lost = self.directories[node.0].drain();
-        self.total_pieces -= lost.len();
-        if let Some(store) = self.replicas.get_mut(node.0) {
-            store.clear();
-        }
-        self.overlay.fail(node)?;
-        self.phys_node[phys] = None;
+        let node = self.phys.node_of(phys)?;
+        let _lost = self.host.retire(node);
+        self.host.update_net(|net| net.fail(node))?;
+        self.phys.remove(phys);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(())
     }
 
     fn stabilize(&mut self) {
-        self.overlay.rebuild_all_links();
-        self.repair_replicas();
+        self.host.update_net(Cycloid::rebuild_all_links);
+        let keys = &self.keys;
+        self.host.repair_replicas_with(|info, out| out.push(keys.resc_id(info.attr, info.value)));
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn set_replication(&mut self, k: usize) {
-        self.repl = k.max(1);
-        self.repair = RepairStats::new();
-        if self.repl <= 1 {
-            self.replicas = Vec::new();
-            return;
-        }
-        self.replicas = vec![ReplicaStore::new(); self.overlay.arena_len()];
-        self.replicate_primaries(false);
+        let keys = &self.keys;
+        self.host
+            .set_replication_with(k, |info, out| out.push(keys.resc_id(info.attr, info.value)));
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     fn replication(&self) -> usize {
-        self.repl
+        self.host.replication()
     }
 
     fn repair_stats(&self) -> RepairStats {
-        self.repair
+        self.host.repair_stats()
     }
 
     fn surviving_pieces_into(&self, out: &mut Vec<PieceKey>) {
-        for &n in self.overlay.live_nodes() {
-            if let Some(dir) = self.directories.get(n.0) {
-                out.extend(dir.iter().map(PieceKey::of));
-            }
-            if let Some(store) = self.replicas.get(n.0) {
-                store.keys_into(out);
-            }
-        }
+        self.host.surviving_pieces_into(out);
+    }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        self.host.check_invariants()?;
+        self.phys.check_mounted_on(self.overlay())
     }
 }
 
@@ -768,7 +609,7 @@ mod tests {
     #[test]
     fn leave_hands_off_directory() {
         let (w, mut l) = small_workload();
-        let victim_node = l.node_of(200).unwrap();
+        let victim_node = l.phys.node_of(200).unwrap();
         let victim_load = l.directory(victim_node).len();
         let total = l.total_pieces();
         l.leave_physical(200).unwrap();
@@ -787,7 +628,7 @@ mod tests {
                 let _ = l.join_physical(&mut rng);
             } else {
                 // pick a live physical node to remove
-                let phys = (0..l.phys_node.len()).find(|&p| l.is_live(p)).unwrap();
+                let phys = (0..600).find(|&p| l.is_live(p)).unwrap();
                 l.leave_physical(phys).unwrap();
             }
         }
@@ -796,7 +637,7 @@ mod tests {
         let mut rng2 = SmallRng::seed_from_u64(14);
         for _ in 0..50 {
             let q = w.random_query(2, QueryMix::Range, &mut rng2);
-            let phys = (0..l.phys_node.len()).rev().find(|&p| l.is_live(p)).unwrap();
+            let phys = (0..600).rev().find(|&p| l.is_live(p)).unwrap();
             let out = l.query_from(phys, &q).unwrap();
             let expected = grid_resource::discovery::join_owners(
                 q.subs.iter().map(|s| brute(&w, s.attr, &s.target)).collect(),

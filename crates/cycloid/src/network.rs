@@ -184,12 +184,6 @@ impl Cycloid {
         self.slots.len()
     }
 
-    /// Size of the node arena (live + tomb-stoned slots). Directory
-    /// bookkeeping in higher layers indexes by arena slot.
-    pub fn arena_len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The dimension `d`.
     pub fn dimension(&self) -> u8 {
         self.cfg.dimension
@@ -310,30 +304,6 @@ impl Cycloid {
     pub fn cluster_predecessor(&self, idx: NodeIdx) -> Result<Option<NodeIdx>, DhtError> {
         let n = self.live_node(idx)?;
         Ok(n.inside_pred.filter(|&s| self.nodes[s.0].alive))
-    }
-
-    /// Append up to `k - 1` replica targets for live node `idx`: the next
-    /// members of its own cluster in cyclic order (leaf-set placement),
-    /// wrapping around, never `idx` itself. A cluster smaller than `k`
-    /// caps the target set at its size — replication is best-effort
-    /// within the leaf set, exactly like a short successor list.
-    ///
-    /// The result at degree `k` is a prefix of the result at `k + 1`
-    /// ([`dht_core::replica_targets`] is a prefix rule), which makes
-    /// piece survival monotone in the replication degree.
-    pub fn replica_targets_into(
-        &self,
-        idx: NodeIdx,
-        k: usize,
-        out: &mut Vec<NodeIdx>,
-    ) -> Result<(), DhtError> {
-        let id = self.live_node(idx)?.id;
-        let members = self.cluster_members(id.cubical);
-        let Some(pos) = members.iter().position(|&m| m == idx) else {
-            return Err(DhtError::NodeNotFound { index: idx.0 });
-        };
-        dht_core::replica_targets(members, pos, k, out);
-        Ok(())
     }
 
     /// Pick a uniformly random live node.
@@ -587,6 +557,38 @@ impl Overlay for Cycloid {
 
     fn live_nodes(&self) -> &[NodeIdx] {
         &self.live_sorted
+    }
+
+    fn arena_len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn is_alive(&self, idx: NodeIdx) -> bool {
+        self.nodes.get(idx.0).is_some_and(|n| n.alive)
+    }
+
+    /// Append up to `k - 1` replica targets for live node `idx`: the next
+    /// members of its own cluster in cyclic order (leaf-set placement),
+    /// wrapping around, never `idx` itself. A cluster smaller than `k`
+    /// caps the target set at its size — replication is best-effort
+    /// within the leaf set, exactly like a short successor list.
+    ///
+    /// The result at degree `k` is a prefix of the result at `k + 1`
+    /// ([`dht_core::replica_targets`] is a prefix rule), which makes
+    /// piece survival monotone in the replication degree.
+    fn replica_targets_into(
+        &self,
+        idx: NodeIdx,
+        k: usize,
+        out: &mut Vec<NodeIdx>,
+    ) -> Result<(), DhtError> {
+        let id = self.live_node(idx)?.id;
+        let members = self.cluster_members(id.cubical);
+        let Some(pos) = members.iter().position(|&m| m == idx) else {
+            return Err(DhtError::NodeNotFound { index: idx.0 });
+        };
+        dht_core::replica_targets(members, pos, k, out);
+        Ok(())
     }
 
     fn owner_of(&self, key: CycloidId) -> Result<NodeIdx, DhtError> {
@@ -850,7 +852,6 @@ mod tests {
         for &i in live {
             assert!(c.node(i).unwrap().is_alive());
         }
-        assert_eq!(c.live_nodes_cloned(), live.to_vec());
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub enum BuildMode {
 /// The associated `Key` type is the overlay's identifier: a plain `u64` for
 /// Chord, a (cyclic, cubical) pair for Cycloid.
 pub trait Overlay {
-    /// Identifier type of keys and nodes.
-    type Key: Copy + std::fmt::Debug;
+    /// Identifier type of keys and nodes. Totally ordered, so a replica
+    /// store can keep its entries sorted by the key they reroute under.
+    type Key: Copy + Ord + std::fmt::Debug;
 
     /// Number of live nodes.
     fn len(&self) -> usize;
@@ -88,12 +89,25 @@ pub trait Overlay {
     /// overlay-specific (ring order for Chord, arena order for Cycloid).
     fn live_nodes(&self) -> &[NodeIdx];
 
-    /// Owned copy of [`Overlay::live_nodes`] — only for callers that must
-    /// mutate the overlay while iterating (maintenance loops). Hot paths
-    /// borrow instead; the `route-path-alloc` lint flags new clones.
-    fn live_nodes_cloned(&self) -> Vec<NodeIdx> {
-        self.live_nodes().to_vec()
-    }
+    /// Size of the node arena (live + tomb-stoned slots). Directory and
+    /// replica bookkeeping in higher layers indexes by arena slot.
+    fn arena_len(&self) -> usize;
+
+    /// Is arena slot `idx` a live node? `false` for tomb-stoned slots and
+    /// for indices past the arena.
+    fn is_alive(&self, idx: NodeIdx) -> bool;
+
+    /// Append up to `k - 1` replica targets for live node `idx`, drawn
+    /// from its neighbour set (successor list on Chord, own cluster on
+    /// Cycloid), never `idx` itself. The result at degree `k` is a prefix
+    /// of the result at `k + 1`, which makes piece survival monotone in
+    /// the replication degree.
+    fn replica_targets_into(
+        &self,
+        idx: NodeIdx,
+        k: usize,
+        out: &mut Vec<NodeIdx>,
+    ) -> Result<(), DhtError>;
 
     /// Ground-truth owner of a key (consistent-hashing assignment), without
     /// routing. Used to verify that routed lookups are exact.

@@ -8,7 +8,7 @@
 //! `m` hub nodes for Mercury.
 
 use crate::model::{Query, ResourceInfo, SubQuery};
-use crate::planner::{self, QueryPlan};
+use crate::planner::{self, intersect_sorted, QueryPlan};
 use crate::replication::PieceKey;
 use crate::selectivity::SelectivityEstimator;
 use dht_core::{DhtError, FaultPlan, LoadDist, LookupTally, NodeIdx, RepairStats, RouteCache, Via};
@@ -311,6 +311,13 @@ pub trait ResourceDiscovery {
     /// canonicalization (sort + dedup); duplicate registrations of one
     /// logical piece are expected and collapse there.
     fn surviving_pieces_into(&self, out: &mut Vec<PieceKey>);
+
+    /// Check the store-path invariants — storage covers every overlay
+    /// arena exactly, retired slots hold nothing, the physical-node map
+    /// agrees with overlay membership — naming the first one broken.
+    /// Implementations `debug_assert!` this at the end of every mutating
+    /// operation; it is O(arena) and compiled out of release builds.
+    fn check_invariants(&self) -> Result<(), String>;
 }
 
 impl Clone for Box<dyn ResourceDiscovery + Send + Sync> {
@@ -375,7 +382,7 @@ pub fn join_owners(mut per_sub: Vec<Vec<usize>>) -> Vec<usize> {
     for mut set in per_sub {
         set.sort_unstable();
         set.dedup();
-        acc.retain(|o| set.binary_search(o).is_ok());
+        intersect_sorted(&mut acc, &set);
     }
     acc
 }

@@ -15,6 +15,9 @@
 //! * [`discovery`] — the `ResourceDiscovery` trait: the narrow interface
 //!   the experiment engine drives, implemented by `lorm` and by
 //!   `baselines::{Mercury, Sword, Maan}`;
+//! * [`host`] — the store path those systems share: one overlay with a
+//!   directory and a replica store per node (`Host<O>`), and the
+//!   physical-node map (`PhysMap`);
 //! * [`planner`] — trait-level multi-attribute query plans
 //!   (`Parallel | Sequential | Adaptive`) with candidate-set threading
 //!   and a zero-allocation sorted-merge intersection;
@@ -27,6 +30,7 @@
 pub mod churn;
 pub mod directory;
 pub mod discovery;
+pub mod host;
 pub mod model;
 pub mod planner;
 pub mod replication;
@@ -36,6 +40,7 @@ pub mod workload;
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use directory::Directory;
 pub use discovery::{FaultyOutcome, QueryMode, QueryOutcome, ResourceDiscovery, SubState};
+pub use host::{Host, PhysMap};
 pub use model::{AttrId, AttributeSpace, Query, ResourceInfo, SubQuery, ValueTarget};
 pub use planner::{intersect_sorted, QueryPlan};
 pub use replication::{canonicalize_pieces, count_surviving, PieceKey, ReplicaEntry, ReplicaStore};

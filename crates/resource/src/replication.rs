@@ -41,21 +41,22 @@ impl PieceKey {
     }
 }
 
-/// One replica held on behalf of a (possibly dead) primary.
+/// One replica held on behalf of a (possibly dead) primary. `K` is the
+/// overlay's key type (`dht_core::Overlay::Key`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaEntry {
+pub struct ReplicaEntry<K> {
     /// Arena slot of the node this piece was copied from.
     pub primary: NodeIdx,
     /// Routing key the primary stored the piece under (systems place by
-    /// different keys — attribute hash, locality hash of the value — so
-    /// promotion must reroute by the original key).
-    pub key: u64,
+    /// different keys — attribute hash, locality hash of the value, a
+    /// Cycloid rescID — so promotion must reroute by the original key).
+    pub key: K,
     /// The replicated report.
     pub info: ResourceInfo,
 }
 
-impl ReplicaEntry {
-    fn sort_key(&self) -> (usize, u64, u32, u64, usize) {
+impl<K: Copy + Ord> ReplicaEntry<K> {
+    fn sort_key(&self) -> (usize, K, u32, u64, usize) {
         let p = PieceKey::of(&self.info);
         (self.primary.0, self.key, p.attr, p.value_bits, p.owner)
     }
@@ -63,12 +64,18 @@ impl ReplicaEntry {
 
 /// A node's replica set, kept sorted by `(primary, key, piece)` so that
 /// insertion is dedup-checked and iteration order is deterministic.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReplicaStore {
-    entries: Vec<ReplicaEntry>,
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplicaStore<K> {
+    entries: Vec<ReplicaEntry<K>>,
 }
 
-impl ReplicaStore {
+impl<K> Default for ReplicaStore<K> {
+    fn default() -> Self {
+        Self { entries: Vec::new() }
+    }
+}
+
+impl<K: Copy + Ord> ReplicaStore<K> {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
@@ -76,7 +83,7 @@ impl ReplicaStore {
 
     /// Insert a replica; returns `false` (and stores nothing) when an
     /// identical entry is already present.
-    pub fn insert(&mut self, primary: NodeIdx, key: u64, info: ResourceInfo) -> bool {
+    pub fn insert(&mut self, primary: NodeIdx, key: K, info: ResourceInfo) -> bool {
         let e = ReplicaEntry { primary, key, info };
         match self.entries.binary_search_by_key(&e.sort_key(), ReplicaEntry::sort_key) {
             Ok(_) => false,
@@ -88,14 +95,14 @@ impl ReplicaStore {
     }
 
     /// Whether an identical replica entry is present.
-    pub fn contains(&self, primary: NodeIdx, key: u64, info: &ResourceInfo) -> bool {
+    pub fn contains(&self, primary: NodeIdx, key: K, info: &ResourceInfo) -> bool {
         let e = ReplicaEntry { primary, key, info: *info };
         self.entries.binary_search_by_key(&e.sort_key(), ReplicaEntry::sort_key).is_ok()
     }
 
     /// Remove and return every entry whose primary fails `alive`, in
     /// sorted order — the promotion work-list of one repair round.
-    pub fn drain_dead(&mut self, mut alive: impl FnMut(NodeIdx) -> bool) -> Vec<ReplicaEntry> {
+    pub fn drain_dead(&mut self, mut alive: impl FnMut(NodeIdx) -> bool) -> Vec<ReplicaEntry<K>> {
         let mut dead = Vec::new();
         self.entries.retain(|e| {
             if alive(e.primary) {
@@ -114,7 +121,7 @@ impl ReplicaStore {
     }
 
     /// Entries in sorted order.
-    pub fn entries(&self) -> &[ReplicaEntry] {
+    pub fn entries(&self) -> &[ReplicaEntry<K>] {
         &self.entries
     }
 
@@ -166,7 +173,7 @@ mod tests {
 
     #[test]
     fn insert_dedups_identical_entries() {
-        let mut s = ReplicaStore::new();
+        let mut s = ReplicaStore::<u64>::new();
         assert!(s.insert(NodeIdx(1), 42, info(0, 2.0, 5)));
         assert!(!s.insert(NodeIdx(1), 42, info(0, 2.0, 5)));
         assert!(s.insert(NodeIdx(2), 42, info(0, 2.0, 5)), "distinct primary");
@@ -178,7 +185,7 @@ mod tests {
 
     #[test]
     fn drain_dead_splits_by_primary_liveness() {
-        let mut s = ReplicaStore::new();
+        let mut s = ReplicaStore::<u64>::new();
         s.insert(NodeIdx(1), 10, info(0, 1.0, 1));
         s.insert(NodeIdx(2), 11, info(1, 2.0, 2));
         s.insert(NodeIdx(3), 12, info(2, 3.0, 3));

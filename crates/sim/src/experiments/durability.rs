@@ -29,7 +29,7 @@
 //! non-zero — the same pattern as `repro scale`'s growth checks.
 
 use crate::cache::BedCache;
-use crate::experiments::{fan_out, run_batch, BatchMode, Metric};
+use crate::experiments::{fan_out, run_batch, BatchMode, ChurnCursor, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -41,7 +41,7 @@ use grid_resource::{
     ResourceDiscovery, Workload,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt;
 
 /// Durability sweep parameters.
@@ -161,9 +161,9 @@ pub struct Durability {
 
 /// Drive one system through one durability run.
 ///
-/// The event loop mirrors the Figure 6 churn loop (same tick clock, same
-/// live-node picking, same join/leave/fail handling) with two deliberate
-/// differences: no queries are issued during the run, and maintenance
+/// The event loop is the Figure 6 churn loop (the same `ChurnCursor` on
+/// the same tick clock) with two deliberate differences: no queries are
+/// issued during the run, and maintenance
 /// never calls `place_all` — only `stabilize`, so losses are permanent
 /// unless replication saves them.
 ///
@@ -186,52 +186,12 @@ pub fn run_durability_one(
     sys.surviving_pieces_into(&mut initial);
     canonicalize_pieces(&mut initial);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut events_applied = 0usize;
-    let mut event_iter = schedule.events().iter().peekable();
+    let mut churn = ChurnCursor::new(schedule, sys);
     let mut next_maintenance = setup.maintenance_period;
-    let mut max_phys = sys.num_physical();
-    let pick_live =
-        |sys: &(dyn ResourceDiscovery + Send + Sync), max: usize, rng: &mut SmallRng| {
-            for _ in 0..64 {
-                let p = rng.gen_range(0..max);
-                if sys.is_live(p) {
-                    return Some(p);
-                }
-            }
-            None
-        };
     let ticks = (setup.duration * setup.tick_rate).round() as usize;
     for i in 0..ticks {
         let now = (i + 1) as f64 / setup.tick_rate;
-        while let Some(e) = event_iter.peek() {
-            if e.time > now {
-                break;
-            }
-            // lint:allow(panic-hygiene): peek above returned Some.
-            let e = event_iter.next().expect("peeked");
-            match e.kind {
-                ChurnKind::Join => {
-                    if sys.join_physical(&mut rng).is_ok() {
-                        max_phys += 1;
-                    }
-                }
-                ChurnKind::Leave => {
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = sys.leave_physical(p);
-                        }
-                    }
-                }
-                ChurnKind::Fail => {
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = sys.fail_physical(p);
-                        }
-                    }
-                }
-            }
-            events_applied += 1;
-        }
+        churn.apply_due(sys, now, true, &mut rng);
         // Maintenance repairs links and replicas — never the workload.
         if now >= next_maintenance {
             sys.stabilize();
@@ -246,7 +206,7 @@ pub fn run_durability_one(
     // Post-churn availability probe from live origins.
     let mut batch = Vec::with_capacity(setup.probe_origins * setup.probe_per_origin);
     for _ in 0..setup.probe_origins {
-        if let Some(origin) = pick_live(sys, max_phys, &mut rng) {
+        if let Some(origin) = churn.pick_live(sys, &mut rng) {
             for _ in 0..setup.probe_per_origin {
                 batch.push((origin, workload.random_query(setup.arity, QueryMix::Range, &mut rng)));
             }
@@ -264,7 +224,7 @@ pub fn run_durability_one(
         initial: initial.len(),
         surviving,
         loss,
-        events: events_applied,
+        events: churn.applied,
         repair_rounds: rs.rounds(),
         repair_copies: rs.copies(),
         repair_promotions: rs.promotions(),

@@ -16,15 +16,15 @@
 //! their local neighborhood immediately, as the protocols do.
 
 use crate::cache::BedCache;
-use crate::experiments::{fan_out, Metric};
+use crate::experiments::{fan_out, ChurnCursor, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
 use analysis::{self as th, System};
 use dht_core::{RouteCache, Summary};
-use grid_resource::{ChurnKind, ChurnSchedule, QueryMix, ResourceDiscovery, Workload};
+use grid_resource::{ChurnSchedule, QueryMix, ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt;
 
 /// Churn experiment parameters.
@@ -45,7 +45,7 @@ pub struct ChurnSetup {
     /// fail or return stale results between rounds).
     pub graceful: bool,
     /// Fraction of scheduled departures handled gracefully; the rest
-    /// become [`ChurnKind::Fail`] events. At the default `1.0` the
+    /// become [`grid_resource::ChurnKind::Fail`] events. At the default `1.0` the
     /// schedule is byte-identical to the graceful-only model (no extra
     /// RNG draws), so the paper's figures are unchanged.
     pub graceful_ratio: f64,
@@ -136,59 +136,13 @@ pub fn run_churn_one(
         _ => QueryMix::Range,
     };
     let mut stats = Summary::new();
-    let mut events_applied = 0usize;
     let mut stale = 0usize;
     let mut sampled = 0usize;
-    let mut event_iter = schedule.events().iter().peekable();
+    let mut churn = ChurnCursor::new(schedule, sys);
     let mut next_maintenance = setup.maintenance_period;
-    let mut max_phys = sys.num_physical();
-    let pick_live =
-        |sys: &(dyn ResourceDiscovery + Send + Sync), max: usize, rng: &mut SmallRng| {
-            for _ in 0..64 {
-                let p = rng.gen_range(0..max);
-                if sys.is_live(p) {
-                    return Some(p);
-                }
-            }
-            None
-        };
     for i in 0..setup.requests {
         let now = (i + 1) as f64 / setup.request_rate;
-        // apply all churn events up to `now`
-        while let Some(e) = event_iter.peek() {
-            if e.time > now {
-                break;
-            }
-            let e = event_iter.next().expect("peeked");
-            match e.kind {
-                ChurnKind::Join => {
-                    if sys.join_physical(&mut rng).is_ok() {
-                        max_phys += 1;
-                    }
-                }
-                ChurnKind::Leave => {
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = if setup.graceful {
-                                sys.leave_physical(p)
-                            } else {
-                                sys.fail_physical(p)
-                            };
-                        }
-                    }
-                }
-                ChurnKind::Fail => {
-                    // Scheduled ungraceful failure: no handoff regardless
-                    // of the graceful-departure setting.
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = sys.fail_physical(p);
-                        }
-                    }
-                }
-            }
-            events_applied += 1;
-        }
+        churn.apply_due(sys, now, setup.graceful, &mut rng);
         // periodic maintenance: repair links, refresh reports
         if now >= next_maintenance {
             sys.stabilize();
@@ -196,7 +150,7 @@ pub fn run_churn_one(
             next_maintenance += setup.maintenance_period;
         }
         // issue one query from a random live node
-        let Some(origin) = pick_live(sys, max_phys, &mut rng) else {
+        let Some(origin) = churn.pick_live(sys, &mut rng) else {
             stats.record_failure();
             continue;
         };
@@ -239,7 +193,7 @@ pub fn run_churn_one(
         failures: stats.failures() as usize,
         stats,
         queries: setup.requests,
-        events: events_applied,
+        events: churn.applied,
         stale,
         sampled,
     }

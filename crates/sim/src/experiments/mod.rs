@@ -15,7 +15,8 @@ pub mod worstcase;
 use analysis::System;
 use dht_core::{hashing::splitmix64, FaultPlan, RouteCache, Summary};
 use grid_resource::{
-    Query, QueryMix, QueryMode, QueryPlan, ResourceDiscovery, ValueTarget, Workload,
+    ChurnEvent, ChurnKind, ChurnSchedule, Query, QueryMix, QueryMode, QueryPlan, ResourceDiscovery,
+    ValueTarget, Workload,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -184,6 +185,70 @@ pub(crate) fn fan_out<T: Send, R: Send>(
     // lint:allow(panic-hygiene): crossbeam scope errs only when a
     // child panicked; re-raising that panic is the intended behaviour.
     .expect("crossbeam scope")
+}
+
+/// The churn loop Figure 6 and the durability sweep share: a cursor over a
+/// [`ChurnSchedule`] that applies the events due by `now` to one system,
+/// and the live-node picker both experiments draw origins and victims
+/// with. One definition, so the RNG draw order — and with it every byte
+/// of both reports — cannot drift between the two.
+pub(crate) struct ChurnCursor<'a> {
+    events: std::iter::Peekable<std::slice::Iter<'a, ChurnEvent>>,
+    /// One past the highest physical id handed out so far.
+    max_phys: usize,
+    /// Events applied so far.
+    pub(crate) applied: usize,
+}
+
+impl<'a> ChurnCursor<'a> {
+    pub(crate) fn new(schedule: &'a ChurnSchedule, sys: &dyn ResourceDiscovery) -> Self {
+        Self {
+            events: schedule.events().iter().peekable(),
+            max_phys: sys.num_physical(),
+            applied: 0,
+        }
+    }
+
+    /// A uniformly random live physical node (64 draws, then give up).
+    pub(crate) fn pick_live(
+        &self,
+        sys: &dyn ResourceDiscovery,
+        rng: &mut SmallRng,
+    ) -> Option<usize> {
+        (0..64).map(|_| rng.gen_range(0..self.max_phys)).find(|&p| sys.is_live(p))
+    }
+
+    /// Apply every event scheduled up to `now`. A `Leave` is a handoff
+    /// when `graceful` and an abrupt failure otherwise; a `Fail` is abrupt
+    /// regardless. Departures stop at two live nodes.
+    pub(crate) fn apply_due(
+        &mut self,
+        sys: &mut dyn ResourceDiscovery,
+        now: f64,
+        graceful: bool,
+        rng: &mut SmallRng,
+    ) {
+        while let Some(e) = self.events.next_if(|e| e.time <= now) {
+            match e.kind {
+                ChurnKind::Join => {
+                    if sys.join_physical(rng).is_ok() {
+                        self.max_phys += 1;
+                    }
+                }
+                ChurnKind::Leave | ChurnKind::Fail if sys.num_physical() > 2 => {
+                    if let Some(p) = self.pick_live(sys, rng) {
+                        let _ = if graceful && e.kind == ChurnKind::Leave {
+                            sys.leave_physical(p)
+                        } else {
+                            sys.fail_physical(p)
+                        };
+                    }
+                }
+                ChurnKind::Leave | ChurnKind::Fail => {}
+            }
+            self.applied += 1;
+        }
+    }
 }
 
 /// Run a query batch against one system on `shards` workers, summarizing
