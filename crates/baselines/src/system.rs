@@ -207,7 +207,7 @@ impl<S: KeyScheme> ResourceDiscovery for ChordSystem<S> {
             // (metadata unavailable), but the lookup below can still
             // produce the owners.
             out.tally.lookups += 1;
-            match via.route_stats(hub.net(), from, attr_key, salt, splitmix64(msg)) {
+            match via.route_stats(hub.net(), from, attr_key, splitmix64(msg)) {
                 Ok(r) => {
                     out.tally.hops += r.hops;
                     out.tally.visited += 1;
@@ -223,7 +223,7 @@ impl<S: KeyScheme> ResourceDiscovery for ChordSystem<S> {
         // Without this lookup the sub-query has no owners at all.
         let lo_key = self.scheme.key_of(sub.attr, lo);
         out.tally.lookups += 1;
-        let route = via.route_stats(hub.net(), from, lo_key, salt, msg)?;
+        let route = via.route_stats(hub.net(), from, lo_key, msg)?;
         out.tally.hops += route.hops;
         let first = out.probed.len();
         match hi {

@@ -68,7 +68,8 @@ fn write_json(cfg: &ReproConfig, label: &str, render: impl FnOnce() -> String) {
 
 /// Diff the run's kernels against the committed `--baseline` file, if one
 /// was given: print the per-kernel delta table and exit 1 on an unreadable
-/// baseline or a kernel that slowed past its gate.
+/// baseline, one that shares no kernel with the run, or a kernel that
+/// slowed past its gate.
 fn gate_on_baseline(cfg: &ReproConfig, what: &str, kernels: &[PerfKernel]) {
     let Some(path) = &cfg.baseline else { return };
     let text = match std::fs::read_to_string(path) {
@@ -85,7 +86,10 @@ fn gate_on_baseline(cfg: &ReproConfig, what: &str, kernels: &[PerfKernel]) {
             std::process::exit(1);
         }
     };
-    let deltas = bench::perf::diff_baseline(kernels, &base);
+    let Some(deltas) = bench::perf::diff_baseline(kernels, &base) else {
+        eprintln!("baseline {} shares no kernel with this {what} run", path.display());
+        std::process::exit(1);
+    };
     println!("{}", bench::perf::render_delta_table(path, &deltas));
     if deltas.iter().any(|d| d.regressed) {
         eprintln!(

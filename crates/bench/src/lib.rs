@@ -2,9 +2,8 @@
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
 //! evaluation section and prints them as markdown tables (the same rows /
-//! series the paper plots). The Criterion benches under `benches/`
-//! measure the cost of the underlying kernels (routing, placement, query
-//! batches, churn) per system.
+//! series the paper plots). `repro perf` times the underlying kernels
+//! (routing, range probes, bed construction, the quick pipelines).
 //!
 //! ```text
 //! repro [--quick] [fig3a fig3 fig4 fig5 fig6a fig6b t410 ablations | all]
@@ -180,10 +179,6 @@ pub struct ReproConfig {
     /// Perf and scale modes: diff the run against this committed BENCH
     /// file and exit non-zero on a per-kernel wall-clock regression.
     pub baseline: Option<PathBuf>,
-    /// Run the figure pipelines through the route-cached batch executor
-    /// (the default — reports are bit-identical to the plain engine;
-    /// `--no-cache` flips this to re-verify that equivalence end to end).
-    pub cached: bool,
     /// Multi-attribute query plan for the query-driven figures (fig4,
     /// fig5): parallel (the paper's §III semantics, the default),
     /// sequential, or adaptive selective-first. The standalone sweeps
@@ -201,7 +196,6 @@ impl Default for ReproConfig {
             json: None,
             mode: Mode::Figures,
             baseline: None,
-            cached: true,
             plan: QueryPlan::Parallel,
         }
     }
@@ -238,7 +232,7 @@ impl ReproConfig {
     }
 
     fn exec(&self) -> Exec {
-        Exec { plan: self.plan, cached: self.cached, shards: self.shards }
+        Exec { plan: self.plan, shards: self.shards }
     }
 }
 
@@ -264,11 +258,9 @@ pub fn run_artifact_report(a: Artifact, cfg: &ReproConfig, cache: &BedCache) -> 
             let bed = cache.bed(sim_cfg);
             fig5::fig5(&bed, 1..=10, cfg.queries(), cfg.exec()).report()
         }
-        Artifact::Fig6a => {
-            fig6::fig6(&sim_cfg, &cfg.churn_setup(), Metric::Hops, cache, cfg.cached).report()
-        }
+        Artifact::Fig6a => fig6::fig6(&sim_cfg, &cfg.churn_setup(), Metric::Hops, cache).report(),
         Artifact::Fig6b => {
-            fig6::fig6(&sim_cfg, &cfg.churn_setup(), Metric::Visited, cache, cfg.cached).report()
+            fig6::fig6(&sim_cfg, &cfg.churn_setup(), Metric::Visited, cache).report()
         }
         Artifact::T410 => {
             let bed = cache.bed(sim_cfg);
@@ -279,7 +271,7 @@ pub fn run_artifact_report(a: Artifact, cfg: &ReproConfig, cache: &BedCache) -> 
             // range queries return many matches, so lost directory entries
             // are actually observable as stale answers
             let setup = fig6::ChurnSetup { graceful: false, ..cfg.churn_setup() };
-            let mut rep = fig6::fig6(&sim_cfg, &setup, Metric::Visited, cache, cfg.cached).report();
+            let mut rep = fig6::fig6(&sim_cfg, &setup, Metric::Visited, cache).report();
             rep.note(
                 "(extension: departures are abrupt failures; stale links and lost \
                  directory entries persist until the next maintenance round)",
@@ -383,8 +375,9 @@ pub fn theorem_table(p: &analysis::Params) -> String {
 pub fn parse_args<I: IntoIterator<Item = String>>(
     args: I,
 ) -> Result<(ReproConfig, Vec<Artifact>), String> {
-    const USAGE: &str = "usage: repro [--quick] [--seed=N] [--shards=N] \
-                         [--json <path>] [--baseline <BENCH.json>] [--no-cache] \
+    const USAGE: &str = "usage: repro [--quick] [--seed=N] \
+                         [--shards=N (0: one worker per core, the default)] \
+                         [--json <path>] [--baseline <BENCH.json>] \
                          [--plan=parallel|sequential|adaptive] \
                          [perf | chaos | scale | durability | theorems fig3a \
                           fig3bcd fig3sweep fig4 fig5 fig6a fig6b t410 \
@@ -426,7 +419,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
                 cfg.plan = QueryPlan::parse(&s["--plan=".len()..])
                     .ok_or(format!("bad plan in {s:?} (parallel|sequential|adaptive)\n{USAGE}"))?;
             }
-            "--no-cache" => cfg.cached = false,
             s => match (Mode::standalone(s), Artifact::parse(s)) {
                 (Some(mode), _) => match &standalone {
                     Some((prev, name)) if *prev != mode => {
@@ -730,6 +722,7 @@ mod tests {
             "--shards=many",
             "--shards=-1",
             "--plan=greedy",
+            "--no-cache",
             "perf --plan=adaptive",
             "--plan=adaptive chaos",
             "scale --plan=adaptive",
@@ -755,8 +748,8 @@ mod tests {
                 &[Artifact::Fig4, Artifact::T410],
             ),
             (
-                "fig5 --plan=adaptive --no-cache --shards=3",
-                ReproConfig { plan: QueryPlan::Adaptive, cached: false, shards: 3, ..d() },
+                "fig5 --plan=adaptive --shards=3",
+                ReproConfig { plan: QueryPlan::Adaptive, shards: 3, ..d() },
                 &[Artifact::Fig5],
             ),
             ("perf --quick", ReproConfig { mode: Mode::Perf, quick: true, ..d() }, all),

@@ -54,8 +54,8 @@ pub struct PerfKernel {
     pub ops_per_sec: f64,
     /// Mean heap allocations per iteration, when a counter was installed.
     pub allocs_per_iter: Option<f64>,
-    /// Route-cache hit rate over one deterministic warm pass, for the
-    /// cached kernels only. A pure function of the seed and the cache
+    /// Walk-cache hit rate over one deterministic warm pass, for the
+    /// cached kernel only. A pure function of the seed and the cache
     /// geometry — CI pins it exactly against the committed baseline.
     pub cache_hit_rate: Option<f64>,
 }
@@ -209,62 +209,6 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     });
     kernels.push(k);
 
-    // --- cached routing: the same plan through the route cache ---------
-    // Hit rate is measured FIRST, on a deterministic schedule (fresh
-    // cache, one warm pass, reset, one counted pass): the timing loop's
-    // pass count varies with wall-clock, so counting hits there would
-    // not reproduce across runs. Route-slot contents after any full pass
-    // over the plan depend only on the plan, so the rate is a pure
-    // function of the seed and CI pins it exactly.
-    {
-        let mut cache = dht_core::RouteCache::new();
-        for &(from, key) in &chord_plan {
-            let _ = dht_core::Via::Cached(&mut cache).route_stats(&chord, from, key, 0, 0);
-        }
-        cache.reset_counters();
-        for &(from, key) in &chord_plan {
-            let _ = dht_core::Via::Cached(&mut cache).route_stats(&chord, from, key, 0, 0);
-        }
-        let hit_rate = cache.hit_rate();
-        let cache_cell = std::cell::RefCell::new(cache);
-        let mut k = time_kernel("chord_route_cached", "query", route_iters, {
-            let mut i = 0usize;
-            let plan = &chord_plan;
-            let net = &chord;
-            let cache = &cache_cell;
-            move || {
-                let (from, key) = plan[i % plan.len()];
-                let mut c = cache.borrow_mut();
-                std::hint::black_box(
-                    dht_core::Via::Cached(&mut c)
-                        .route_stats(net, from, key, 0, 0)
-                        .map(|r| r.hops)
-                        .unwrap_or(0),
-                );
-                i += 1;
-            }
-        });
-        measure_allocs(&mut k, counter, probe_iters, {
-            let mut i = 0usize;
-            let plan = &chord_plan;
-            let net = &chord;
-            let cache = &cache_cell;
-            move || {
-                let (from, key) = plan[i % plan.len()];
-                let mut c = cache.borrow_mut();
-                std::hint::black_box(
-                    dht_core::Via::Cached(&mut c)
-                        .route_stats(net, from, key, 0, 0)
-                        .map(|r| r.hops)
-                        .unwrap_or(0),
-                );
-                i += 1;
-            }
-        });
-        k.cache_hit_rate = hit_rate;
-        kernels.push(k);
-    }
-
     // --- maintenance: the perfect-repair tick every churn round pays ---
     let maint_iters = if cfg.quick { 10 } else { 20 };
     let mut maint_net =
@@ -294,14 +238,17 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     }));
 
     // --- batched LORM range probing: the sim executor's cached path ----
-    // One iteration = one full batch through the locality-sorted,
-    // route-cached executor (shards=1 so the caller's cache persists).
-    // Hit rate measured first on the same deterministic schedule as
-    // chord_route_cached, with TWO warm passes: two-touch admission means
+    // One iteration = one full batch through the walk-cached executor
+    // (shards=1 so the caller's cache persists). The hit rate is measured
+    // FIRST, on a deterministic schedule — the timing loop's pass count
+    // varies with wall-clock, so counting hits there would not reproduce
+    // across runs — and after TWO warm passes: two-touch admission means
     // a repeated walk key is stamped on pass one and recorded on pass
-    // two, so pass three is the first steady-state pass. The equivalence
-    // tests in `sim` prove the batch summary is bit-identical to the
-    // plain executor's.
+    // two, so pass three is the first steady-state pass. Cache contents
+    // after any full pass depend only on the batch, so the rate is a pure
+    // function of the seed and CI pins it exactly. The equivalence tests
+    // in `sim` prove the batch summary is bit-identical to the plain
+    // executor's.
     {
         let mut batch_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x12);
         let batch: Vec<(usize, grid_resource::Query)> = (0..probe_q)
@@ -584,8 +531,13 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
 
 /// Compare the current run against a parsed baseline. Only kernels
 /// present in both are compared — the same rule CI applies, so renamed
-/// or newly added kernels never trip the gate.
-pub fn diff_baseline(current: &[PerfKernel], baseline: &[(String, f64)]) -> Vec<KernelDelta> {
+/// or newly added kernels never trip the gate. `None` when the two share
+/// no kernel at all: a baseline of the wrong kind (a scale export handed
+/// to `perf`, or the reverse) would compare nothing and so gate nothing.
+pub fn diff_baseline(
+    current: &[PerfKernel],
+    baseline: &[(String, f64)],
+) -> Option<Vec<KernelDelta>> {
     let mut out = Vec::new();
     for k in current {
         let Some((_, base_ms)) = baseline.iter().find(|(n, _)| n == k.name) else { continue };
@@ -600,7 +552,7 @@ pub fn diff_baseline(current: &[PerfKernel], baseline: &[(String, f64)]) -> Vec<
             regressed: ratio > threshold,
         });
     }
-    out
+    (!out.is_empty()).then_some(out)
 }
 
 /// Render a baseline comparison as a markdown table.
@@ -768,7 +720,7 @@ mod tests {
             ("fig4_quick".to_string(), 75.0),
             ("retired_kernel".to_string(), 1.0),
         ];
-        let deltas = diff_baseline(&kernels, &base);
+        let deltas = diff_baseline(&kernels, &base).expect("three kernels in common");
         assert_eq!(deltas.len(), 3, "only kernels present in both are compared");
         let fig4 = deltas.iter().find(|d| d.name == "fig4_quick").unwrap();
         assert!(fig4.regressed, "2x slowdown trips the {REGRESSION_THRESHOLD}x gate");
@@ -781,5 +733,18 @@ mod tests {
         let t = render_delta_table(std::path::Path::new("BENCH.json"), &deltas);
         assert!(t.contains("REGRESSED"), "{t}");
         assert!(t.contains("| ok |"), "{t}");
+    }
+
+    #[test]
+    fn a_baseline_of_the_wrong_kind_shares_no_kernel() {
+        let perf_base = parse_baseline(include_str!("../../../BENCH_perf_quick.json")).unwrap();
+        let scale_base = parse_baseline(include_str!("../../../BENCH_scale_quick.json")).unwrap();
+        let perf_run = sample_kernels();
+        let scale_run = vec![PerfKernel { name: "chord_build_n1k", ..perf_run[1].clone() }];
+        assert!(diff_baseline(&perf_run, &scale_base).is_none(), "perf run, scale baseline");
+        assert!(diff_baseline(&scale_run, &perf_base).is_none(), "scale run, perf baseline");
+        // Each against its own kind compares something.
+        assert_eq!(diff_baseline(&perf_run, &perf_base).map(|d| d.len()), Some(3));
+        assert_eq!(diff_baseline(&scale_run, &scale_base).map(|d| d.len()), Some(1));
     }
 }

@@ -739,10 +739,6 @@ impl Overlay for Chord {
         self.epoch
     }
 
-    fn key_bits(&self, key: u64) -> u64 {
-        key
-    }
-
     fn live_nodes(&self) -> &[NodeIdx] {
         &self.sorted
     }

@@ -290,7 +290,7 @@ impl ResourceDiscovery for Lorm {
         };
         let resc_id = self.keys.resc_id(sub.attr, lookup_value);
         out.tally.lookups += 1;
-        let route = via.route_stats(self.overlay(), from, resc_id, 0, msg)?;
+        let route = via.route_stats(self.overlay(), from, resc_id, msg)?;
         out.tally.hops += route.hops;
         let first = out.probed.len();
         let truncated = match bounds {

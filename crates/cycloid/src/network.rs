@@ -550,11 +550,6 @@ impl Overlay for Cycloid {
         self.epoch
     }
 
-    fn key_bits(&self, key: CycloidId) -> u64 {
-        // injective pack of the (cyclic, cubical) pair
-        (u64::from(key.cyclic) << 32) | u64::from(key.cubical)
-    }
-
     fn live_nodes(&self) -> &[NodeIdx] {
         &self.live_sorted
     }

@@ -1,56 +1,51 @@
-//! Epoch-invalidated route cache — memoized routing over a static bed.
+//! Epoch-invalidated walk cache — memoized range walks over a static bed.
 //!
-//! Every figure pipeline re-routes thousands of sub-queries against an
-//! overlay that is *static between churn events*: routing is a pure
-//! function of `(overlay state, from, key)`, so the second identical
-//! lookup can answer from memory. D1HT makes the general point that
-//! trading memory for hops is the highest-leverage lever in DHT lookup
-//! cost; this cache applies it to the simulator itself.
+//! Every range sub-query walks a run of successor (or cluster) links on an
+//! overlay that is *static between churn events*: the walk is a pure
+//! function of `(overlay state, start, lo, span)`, so a second walk over
+//! the same segment can replay from memory. D1HT makes the general point
+//! that trading memory for lookups pays when lookups repeat; range walks
+//! anchored at the same segment head do repeat (≈ 60–80 % of walks on the
+//! range workloads), point lookups do not (≈ 2–3 %), so this cache holds
+//! walks only — point routes always route for real (EXPERIMENTS.md,
+//! "Earn-its-keep audit").
 //!
 //! Correctness is *by construction*, not by probabilistic tagging:
 //!
-//! * Entries store the **full** `(salt, from, key)` triple and compare it
+//! * Heads store the **full** `(salt, start, lo)` triple and compare it
 //!   exactly on lookup — a slot-index collision evicts, it can never
 //!   produce a false hit.
-//! * Entries are stamped with the overlay [`epoch`](crate::Overlay::epoch)
+//! * Heads are stamped with the overlay [`epoch`](crate::Overlay::epoch)
 //!   at insert time. Every mutating overlay operation strictly increases
-//!   the epoch (enforced by the `epoch-bump` lint and proptests), so an
-//!   entry whose stamp differs from the current epoch is a miss. Between
+//!   the epoch (enforced by the `epoch-bump` lint and proptests), so a
+//!   head whose stamp differs from the current epoch is a miss. Between
 //!   equal epoch observations the overlay is bit-identical, hence so is
-//!   the route the cache replays.
+//!   the walk the cache replays.
 //!
-//! Storage is a flat, direct-mapped slot array (power-of-two length,
-//! SplitMix64 slot hash) — no hash maps, so the `hash-collections` lint
-//! stays clean and lookups are one predictable probe. Slots are packed
-//! into `u64` words so construction takes the `alloc_zeroed` fast path:
-//! a fresh cache maps lazy zero pages and the executors can afford one
-//! cache per worker thread.
+//! Storage is a flat, direct-mapped head array (power-of-two length,
+//! SplitMix64 slot hash) over one step arena — no hash maps, so the
+//! `hash-collections` lint stays clean and a lookup is one predictable
+//! probe. Heads are packed into `u64` words so construction takes the
+//! `alloc_zeroed` fast path: a fresh cache maps lazy zero pages and the
+//! executor can afford one cache per worker thread.
 //!
-//! Alongside full-route results the cache stores **walk segments**: the
-//! `(node, distance)` sequence a range walk emits from a given start node
-//! for a `[lo, lo+span]` segment. Walk admission is monotone in the
-//! distance from `lo`, so a narrower query replays as a take-while prefix
-//! of a cached wider walk under the walker's own stop rule (strict `<`
-//! for ring walks, inclusive `<=` for LORM cluster walks). Only
-//! rule-terminated walks are cached — a budget-truncated walk is not a
-//! prefix-safe superset of anything.
+//! A cached **walk segment** is the `(node, distance)` sequence a range
+//! walk emits from a given start node for a `[lo, lo+span]` segment. Walk
+//! admission is monotone in the distance from `lo`, so a narrower query
+//! replays as a take-while prefix of a cached wider walk under the
+//! walker's own stop rule (strict `<` for ring walks, inclusive `<=` for
+//! LORM cluster walks). Only rule-terminated walks are cached — a
+//! budget-truncated walk is not a prefix-safe superset of anything.
 
 use crate::hashing::splitmix64;
 use crate::overlay::NodeIdx;
-use crate::trace::RouteStats;
-
-/// Direct-mapped route slots (power of two). ~32k entries cover the quick
-/// figure workloads (hundreds of origins x tens of attribute keys) with
-/// negligible conflict eviction, at ~1.5 MiB of *address space* per cache
-/// (zero pages, faulted in only as slots are actually written).
-const ROUTE_SLOTS: usize = 1 << 15;
 
 /// Direct-mapped walk headers (power of two).
 const WALK_HEADS: usize = 1 << 12;
 
-/// Walk-step arena capacity. Crossing it resets the walk side of the
-/// cache wholesale — deterministic, since the reset point depends only on
-/// the insert sequence, never on wall-clock or addresses.
+/// Walk-step arena capacity. Crossing it resets the cache wholesale —
+/// deterministic, since the reset point depends only on the insert
+/// sequence, never on wall-clock or addresses.
 const WALK_ARENA_CAP: usize = 1 << 20;
 
 /// One emitted step of a range walk: the visited node and its (monotone)
@@ -64,19 +59,14 @@ pub struct WalkStep {
     pub dist: u64,
 }
 
-/// Words per packed route slot: `[salt, from, key, epoch, hops<<1|exact,
-/// terminal]`. An all-zero slot is empty — overlay epochs start at 1
-/// (construction itself mutates state), so a zero stamp never matches.
-const ROUTE_WORDS: usize = 6;
-
 /// Words per packed walk head: `[salt, start, lo, epoch, span, off, len]`.
-/// `span` is the span the cached walk was run for — a query with
-/// `span <= this` replays as a prefix; a wider query is a miss (and
-/// re-inserts).
+/// An all-zero head is empty — overlay epochs start at 1 (construction
+/// itself mutates state), so a zero stamp never matches. `span` is the
+/// span the cached walk was run for — a query with `span <= this` replays
+/// as a prefix; a wider query is a miss (and re-inserts).
 const WALK_WORDS: usize = 7;
 
-/// Deterministic, epoch-invalidated cache of [`RouteStats`] results and
-/// range-walk segments.
+/// Deterministic, epoch-invalidated cache of range-walk segments.
 ///
 /// One cache serves one system's query stream (multiple overlays are
 /// namespaced by the `salt` argument — e.g. the hub index for Mercury's
@@ -84,20 +74,16 @@ const WALK_WORDS: usize = 7;
 /// one per worker, which is what keeps sharded results byte-identical.
 #[derive(Debug, Clone)]
 pub struct RouteCache {
-    /// Packed route slots ([`ROUTE_WORDS`] words each). Flat `u64` arrays
-    /// take the `alloc_zeroed` fast path, so a fresh cache maps lazy zero
-    /// pages instead of writing megabytes of empty slots — constructing
-    /// per-worker caches is O(1) actual memory traffic.
-    routes: Vec<u64>,
-    /// Packed walk heads ([`WALK_WORDS`] words each).
+    /// Packed walk heads ([`WALK_WORDS`] words each). A flat `u64` array
+    /// takes the `alloc_zeroed` fast path, so a fresh cache maps lazy zero
+    /// pages instead of writing empty heads — constructing per-worker
+    /// caches is O(1) actual memory traffic.
     heads: Vec<u64>,
     arena: Vec<WalkStep>,
     /// Two-touch admission fingerprints (see [`Self::admit_walk`]): a walk
     /// is only *recorded* once its key has been seen before, so streams
     /// whose keys never repeat skip the recording copy entirely.
     cand: Vec<u64>,
-    hits: u64,
-    misses: u64,
     walk_hits: u64,
     walk_misses: u64,
     walk_resets: u64,
@@ -116,12 +102,9 @@ impl RouteCache {
     /// An empty cache with the default slot geometry.
     pub fn new() -> Self {
         Self {
-            routes: vec![0; ROUTE_WORDS * ROUTE_SLOTS],
             heads: vec![0; WALK_WORDS * WALK_HEADS],
             arena: Vec::new(),
             cand: vec![0; WALK_HEADS],
-            hits: 0,
-            misses: 0,
             walk_hits: 0,
             walk_misses: 0,
             walk_resets: 0,
@@ -154,56 +137,9 @@ impl RouteCache {
     }
 
     #[inline]
-    fn route_slot(salt: u64, from: u64, key: u64) -> usize {
-        let h = splitmix64(salt ^ splitmix64(from ^ splitmix64(key)));
-        (h & (ROUTE_SLOTS as u64 - 1)) as usize
-    }
-
-    #[inline]
     fn walk_slot(salt: u64, start: u64, lo: u64) -> usize {
         let h = splitmix64(salt.rotate_left(17) ^ splitmix64(start ^ splitmix64(lo)));
         (h & (WALK_HEADS as u64 - 1)) as usize
-    }
-
-    /// Look up a cached route. A hit requires the full `(salt, from, key)`
-    /// triple to match *and* the stamp to equal the overlay's current
-    /// `epoch` — anything else is a miss.
-    // `lookup` and `insert` inline across crates: out of line, the
-    // `RouteStats` travels through memory, and on Mercury's memory-bound
-    // hubs the reload behind the routing chain costs 13-20% of a cached
-    // point query (measured, paired runs).
-    #[inline]
-    pub fn lookup(&mut self, salt: u64, from: NodeIdx, key: u64, epoch: u64) -> Option<RouteStats> {
-        let from = from.index() as u64;
-        let b = Self::route_slot(salt, from, key) * ROUTE_WORDS;
-        let s = &self.routes[b..b + ROUTE_WORDS];
-        if s[3] == epoch && s[0] == salt && s[1] == from && s[2] == key {
-            self.hits += 1;
-            Some(RouteStats {
-                hops: (s[4] >> 1) as usize,
-                terminal: NodeIdx(s[5] as usize),
-                exact: s[4] & 1 == 1,
-            })
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    /// Store a route result under the overlay's current epoch. Conflicting
-    /// entries are evicted (direct-mapped).
-    #[inline]
-    pub fn insert(&mut self, salt: u64, from: NodeIdx, key: u64, epoch: u64, stats: RouteStats) {
-        let from = from.index() as u64;
-        let b = Self::route_slot(salt, from, key) * ROUTE_WORDS;
-        self.routes[b..b + ROUTE_WORDS].copy_from_slice(&[
-            salt,
-            from,
-            key,
-            epoch,
-            ((stats.hops as u64) << 1) | u64::from(stats.exact),
-            stats.terminal.index() as u64,
-        ]);
     }
 
     /// Look up a cached walk segment from `start` anchored at `lo`. Hits
@@ -258,7 +194,7 @@ impl RouteCache {
 
     /// Cache a *rule-terminated* walk's emission. Callers must not insert
     /// budget-truncated walks: those are not prefix-safe supersets of
-    /// narrower queries. Crossing the arena capacity resets the walk side
+    /// narrower queries. Crossing the arena capacity resets the cache
     /// wholesale (deterministically).
     pub fn walk_insert(
         &mut self,
@@ -292,14 +228,16 @@ impl RouteCache {
         ]);
     }
 
-    /// Route lookups answered from cache since the last counter reset.
+    /// Always 0: point routes are not memoized. Kept, with
+    /// [`Self::misses`], only because `benchmark/src/api.rs` names both;
+    /// they go with the `query_from*` shims (ROADMAP 2 (c)).
     pub fn hits(&self) -> u64 {
-        self.hits
+        0
     }
 
-    /// Route lookups that had to route for real since the last reset.
+    /// Always 0 (see [`Self::hits`]).
     pub fn misses(&self) -> u64 {
-        self.misses
+        0
     }
 
     /// Walk lookups answered from cache since the last counter reset.
@@ -312,24 +250,18 @@ impl RouteCache {
         self.walk_misses
     }
 
-    /// Combined (route + walk) hit fraction, `None` before any lookup.
-    /// Counters observe the cache without influencing any result, so the
-    /// rate is deterministic for a deterministic query stream.
+    /// Walk hit fraction, `None` before any walk lookup. Counters observe
+    /// the cache without influencing any result, so the rate is
+    /// deterministic for a deterministic query stream.
     pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses + self.walk_hits + self.walk_misses;
-        if total == 0 {
-            None
-        } else {
-            Some((self.hits + self.walk_hits) as f64 / total as f64)
-        }
+        let total = self.walk_hits + self.walk_misses;
+        (total != 0).then(|| self.walk_hits as f64 / total as f64)
     }
 
     /// Zero the hit/miss counters, keeping every cached entry. The perf
     /// harness warms the cache, resets, then measures exactly one pass so
     /// the reported hit rate is machine-independent.
     pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
         self.walk_hits = 0;
         self.walk_misses = 0;
         self.walk_resets = 0;
@@ -337,7 +269,6 @@ impl RouteCache {
 
     /// Drop every cached entry and zero the counters.
     pub fn clear(&mut self) {
-        self.routes.fill(0);
         self.heads.fill(0);
         self.cand.fill(0);
         self.arena.clear();
@@ -348,44 +279,6 @@ impl RouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn stats(hops: usize, t: usize) -> RouteStats {
-        RouteStats { hops, terminal: NodeIdx(t), exact: true }
-    }
-
-    #[test]
-    fn route_roundtrip_and_epoch_invalidation() {
-        let mut c = RouteCache::new();
-        assert_eq!(c.lookup(1, NodeIdx(4), 99, 7), None);
-        c.insert(1, NodeIdx(4), 99, 7, stats(3, 11));
-        assert_eq!(c.lookup(1, NodeIdx(4), 99, 7), Some(stats(3, 11)));
-        // any epoch drift is a miss — older or newer
-        assert_eq!(c.lookup(1, NodeIdx(4), 99, 8), None);
-        assert_eq!(c.lookup(1, NodeIdx(4), 99, 6), None);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 3);
-    }
-
-    #[test]
-    fn full_key_comparison_never_false_hits() {
-        let mut c = RouteCache::new();
-        c.insert(1, NodeIdx(4), 99, 7, stats(3, 11));
-        assert_eq!(c.lookup(2, NodeIdx(4), 99, 7), None, "salt differs");
-        assert_eq!(c.lookup(1, NodeIdx(5), 99, 7), None, "origin differs");
-        assert_eq!(c.lookup(1, NodeIdx(4), 98, 7), None, "key differs");
-    }
-
-    #[test]
-    fn conflicting_insert_evicts() {
-        // Force a slot conflict by brute-forcing two keys that collide.
-        let target = RouteCache::route_slot(0, 0, 0);
-        let other = (1..).find(|&k| RouteCache::route_slot(0, 0, k) == target).unwrap();
-        let mut c = RouteCache::new();
-        c.insert(0, NodeIdx(0), 0, 5, stats(1, 1));
-        c.insert(0, NodeIdx(0), other, 5, stats(2, 2));
-        assert_eq!(c.lookup(0, NodeIdx(0), 0, 5), None, "evicted by conflict");
-        assert_eq!(c.lookup(0, NodeIdx(0), other, 5), Some(stats(2, 2)));
-    }
 
     #[test]
     fn walk_prefix_replay() {
@@ -458,18 +351,18 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_counts_routes_and_walks() {
+    fn hit_rate_counts_walks() {
         let mut c = RouteCache::new();
         assert_eq!(c.hit_rate(), None);
-        c.insert(0, NodeIdx(1), 5, 2, stats(1, 1));
-        let _ = c.lookup(0, NodeIdx(1), 5, 2); // hit
-        let _ = c.lookup(0, NodeIdx(1), 6, 2); // miss
+        c.walk_insert(0, NodeIdx(1), 5, 9, 2, &[WalkStep { node: NodeIdx(1), dist: 0 }]);
+        let _ = c.walk_lookup(0, NodeIdx(1), 5, 9, 2); // hit
+        let _ = c.walk_lookup(0, NodeIdx(1), 6, 9, 2); // miss
         assert_eq!(c.hit_rate(), Some(0.5));
         c.reset_counters();
         assert_eq!(c.hit_rate(), None);
-        let _ = c.lookup(0, NodeIdx(1), 5, 2); // entries survive a counter reset
+        let _ = c.walk_lookup(0, NodeIdx(1), 5, 9, 2); // entries survive a counter reset
         assert_eq!(c.hit_rate(), Some(1.0));
         c.clear();
-        assert_eq!(c.lookup(0, NodeIdx(1), 5, 2), None, "clear drops entries");
+        assert!(c.walk_lookup(0, NodeIdx(1), 5, 9, 2).is_none(), "clear drops entries");
     }
 }

@@ -21,11 +21,11 @@
 //!   in which every figure of the paper is measured.
 //! * **Overlay trait** ([`overlay`]): the narrow interface a DHT overlay
 //!   must implement to be driven by the experiment engine.
-//! * **Route cache** ([`cache`]): epoch-invalidated memoization of
-//!   routing results and range-walk segments over a static bed —
-//!   byte-identical to uncached routing by construction.
+//! * **Walk cache** ([`cache`]): epoch-invalidated memoization of
+//!   range-walk segments over a static bed — byte-identical to uncached
+//!   walks by construction.
 //! * **Message transport** ([`via`]): the one value a query body is
-//!   written against — direct, through the route cache, or under a
+//!   written against — direct, through the walk cache, or under a
 //!   [`fault`] plan.
 //!
 //! Everything here is deterministic: the same seed produces the same

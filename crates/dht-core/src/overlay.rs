@@ -78,12 +78,6 @@ pub trait Overlay {
     /// `epoch == 0` as its empty-slot sentinel.
     fn epoch(&self) -> u64;
 
-    /// Fold a key into 64 bits for cache addressing. Must be injective
-    /// over the overlay's key space so distinct keys can never alias a
-    /// cache entry: the identity for Chord's `u64` ring positions, the
-    /// packed `(cyclic << 32) | cubical` pair for Cycloid.
-    fn key_bits(&self, key: Self::Key) -> u64;
-
     /// Arena indices of all live nodes, borrowed from the overlay's
     /// internal index (no allocation). The order is deterministic and
     /// overlay-specific (ring order for Chord, arena order for Cycloid).

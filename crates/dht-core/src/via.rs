@@ -2,11 +2,12 @@
 //!
 //! Every discovery system resolves a sub-query by the same recipe — DHT
 //! lookup(s), an optional successor walk, a directory match — and the
-//! fault-free, route-cached and fault-injected executions of that recipe
-//! differ in exactly two operations: how one lookup is routed, and whether
-//! a walk may advance one more step. A fault is a property of the
+//! fault-free, walk-cached and fault-injected executions of that recipe
+//! differ in three operations only: how one lookup is routed and whether
+//! a walk may advance one more step (faults), and whether a walk may
+//! replay from memory (the cache). A fault is a property of the
 //! *message*, not of the algorithm that sent it, so a [`Via`] owns those
-//! two operations and each system writes its recipe once against it.
+//! operations and each system writes its recipe once against it.
 
 use crate::cache::RouteCache;
 use crate::error::DhtError;
@@ -21,8 +22,9 @@ use crate::trace::RouteStats;
 pub enum Via<'a> {
     /// Every message is delivered; every lookup routes for real.
     Direct,
-    /// Every message is delivered; lookups and range walks are memoized in
-    /// the cache (byte-identical to [`Via::Direct`], see [`RouteCache`]).
+    /// Every message is delivered and every lookup routes for real; range
+    /// walks are memoized in the cache (byte-identical to [`Via::Direct`],
+    /// see [`RouteCache`]).
     Cached(&'a mut RouteCache),
     /// Messages are subject to `plan`'s drop and dead-node coins, with
     /// bounded retry. `msg_seed` identifies the query in the coin stream:
@@ -44,34 +46,19 @@ impl<'a> Via<'a> {
         Via::Faulty { plan, msg_seed, acct: FaultAccount::default() }
     }
 
-    /// Route `key` from `from` on `overlay`. `salt` namespaces overlays
-    /// sharing one cache (Mercury passes the hub index, single-overlay
-    /// systems 0); `msg` is the lookup's id in the fault coin stream (see
-    /// [`Self::sub_msg`]). Under faults a lookup that exhausts its retries
-    /// returns [`DhtError::MessageDropped`] or [`DhtError::DeadHop`]
-    /// carrying the hops it wasted.
+    /// Route `key` from `from` on `overlay`. `msg` is the lookup's id in
+    /// the fault coin stream (see [`Self::sub_msg`]). Under faults a lookup
+    /// that exhausts its retries returns [`DhtError::MessageDropped`] or
+    /// [`DhtError::DeadHop`] carrying the hops it wasted.
     pub fn route_stats<O: Overlay>(
         &mut self,
         overlay: &O,
         from: NodeIdx,
         key: O::Key,
-        salt: u64,
         msg: u64,
     ) -> Result<RouteStats, DhtError> {
         match self {
-            Via::Direct => overlay.route_stats(from, key),
-            // A fresh-epoch entry answers from memory; anything else routes
-            // for real and is memoized — byte-identical to `Via::Direct` by
-            // construction (see [`RouteCache`]).
-            Via::Cached(cache) => {
-                let (bits, epoch) = (overlay.key_bits(key), overlay.epoch());
-                if let Some(stats) = cache.lookup(salt, from, bits, epoch) {
-                    return Ok(stats);
-                }
-                let stats = overlay.route_stats(from, key)?;
-                cache.insert(salt, from, bits, epoch, stats);
-                Ok(stats)
-            }
+            Via::Direct | Via::Cached(_) => overlay.route_stats(from, key),
             Via::Faulty { plan, acct, .. } => route_with_retry(overlay, from, key, plan, msg, acct),
         }
     }

@@ -114,8 +114,9 @@ pub enum SubState {
 pub enum QueryMode<'a> {
     /// Every message delivered, every lookup routed for real.
     Direct(QueryPlan),
-    /// Every message delivered, lookups and range walks memoized over the
-    /// current overlay epoch (every mutating op invalidates).
+    /// Every message delivered, every lookup routed for real, range walks
+    /// memoized over the current overlay epoch (every mutating op
+    /// invalidates).
     Cached(QueryPlan, &'a mut RouteCache),
     /// The parallel plan while the [`FaultPlan`] injects message drops and
     /// routes around ungracefully failed nodes, with bounded retry,
@@ -185,7 +186,7 @@ pub trait ResourceDiscovery {
     /// empties — remaining sub-queries are skipped entirely, their lookups
     /// never happen. All three plans return identical `owners`; `probed`
     /// differs as documented on [`QueryOutcome::probed`], and tally
-    /// semantics are documented in [`crate::planner`]. A route cache never
+    /// semantics are documented in [`crate::planner`]. A walk cache never
     /// alters a result, and neither does a fault plan under which no fault
     /// can fire.
     fn query(
@@ -221,7 +222,7 @@ pub trait ResourceDiscovery {
     }
 
     /// [`Self::query_from`] through a [`RouteCache`]: identical results,
-    /// with the repeated O(log n) lookups of a static bed answered from
+    /// with the repeated range walks of a static bed replayed from
     /// memory.
     fn query_from_cached(
         &self,

@@ -8,6 +8,7 @@
 //! * **3(c)**: SWORD vs LORM vs analysis (Theorems 4.2/4.4).
 //! * **3(d)**: Mercury vs LORM vs analysis (Theorems 4.2/4.5).
 
+use crate::experiments::fan_out;
 use crate::report::Report;
 use crate::setup::{SimConfig, TestBed};
 use crate::table::Table;
@@ -62,16 +63,10 @@ pub fn fig3a(dimensions: &[u8], attrs: usize, seed: u64) -> Fig3a {
             let total: usize = net.live_nodes().iter().map(|&i| net.outlinks(i).unwrap_or(0)).sum();
             total as f64 / n as f64
         };
-        let mercury_avg: f64 = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let hub_avg = &hub_avg;
-                    scope.spawn(move |_| (w..attrs).step_by(workers).map(hub_avg).sum::<f64>())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("hub worker")).sum()
-        })
-        .expect("crossbeam scope");
+        let mercury_avg: f64 =
+            fan_out(0..workers, |w| (w..attrs).step_by(workers).map(hub_avg).sum::<f64>())
+                .into_iter()
+                .sum();
         // LORM: one Cycloid of the same size.
         let cy = Cycloid::build(n, CycloidConfig { dimension: d, seed });
         let lorm_total: usize = cy.live_nodes().iter().map(|&i| cy.outlinks(i).unwrap_or(0)).sum();

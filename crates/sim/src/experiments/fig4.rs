@@ -7,7 +7,7 @@
 //! "Analysis-SWORD/Mercury" (= MAAN ÷ 2, Theorem 4.8) derived from the
 //! measured MAAN.
 
-use crate::experiments::{query_batch, run_batch_all, summary_of, CachePool, Exec, Metric};
+use crate::experiments::{query_batch, run_batch_all, summary_of, Exec, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -43,12 +43,11 @@ pub struct Fig4 {
     pub summaries: Vec<(&'static str, Summary)>,
 }
 
-/// Run the Figure 4 experiment on a mounted test bed. Whether `exec`
-/// routes through caches and how many workers it shards over never shows
-/// in the figure. The parallel plan reproduces the paper's figure exactly;
-/// sequential/adaptive plans keep the answer sets but change hop counts
-/// (each sub-query after the first still pays its lookup walk, so the
-/// curve shifts, not the ordering).
+/// Run the Figure 4 experiment on a mounted test bed. How many workers
+/// `exec` shards over never shows in the figure. The parallel plan
+/// reproduces the paper's figure exactly; sequential/adaptive plans keep
+/// the answer sets but change hop counts (each sub-query after the first
+/// still pays its lookup walk, so the curve shifts, not the ordering).
 pub fn fig4(
     bed: &TestBed,
     arities: impl IntoIterator<Item = usize>,
@@ -60,10 +59,6 @@ pub fn fig4(
     let mut rows = Vec::new();
     let mut summaries: Vec<(&'static str, Summary)> =
         System::ALL.map(|s| (s.name(), Summary::new())).to_vec();
-    // Cache pools persist across the arity sweep: the systems are not
-    // mutated between rounds, so entries stay epoch-fresh and repeated
-    // (origin, attribute) lookups across arities hit.
-    let mut pools = vec![CachePool::new(); bed.systems.len()];
     for arity in arities {
         let batch = query_batch(
             &bed.workload,
@@ -74,7 +69,7 @@ pub fn fig4(
             QueryMix::NonRange,
             bed.seeds.seed() ^ 0xF400 ^ arity as u64,
         );
-        let measured = run_batch_all(&bed.systems, &batch, Metric::Hops, exec, &mut pools);
+        let measured = run_batch_all(&bed.systems, &batch, Metric::Hops, exec);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -170,17 +165,6 @@ mod tests {
         // totals = avg × count
         let r = &fig.rows[0];
         assert!((r.total[3] - r.avg[3] * r.queries as f64).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cached_engine_reproduces_fig4_bit_for_bit() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let plain = fig4(&bed, [1, 3], 10, 3, Exec::default());
-        let cached = fig4(&bed, [1, 3], 10, 3, Exec { cached: true, ..Exec::default() });
-        assert_eq!(plain.rows, cached.rows);
-        assert_eq!(plain.report().to_json(), cached.report().to_json());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `m(1 + n/4)` Mercury, `m(2 + n/4)` MAAN, `m(1 + d/4)` LORM, `m` SWORD
 //! (513m / 514m / 3m / m for the paper's parameters).
 
-use crate::experiments::{query_batch, run_batch_all, summary_of, CachePool, Exec, Metric};
+use crate::experiments::{query_batch, run_batch_all, summary_of, Exec, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -41,11 +41,11 @@ pub struct Fig5 {
     pub summaries: Vec<(&'static str, Summary)>,
 }
 
-/// Run the Figure 5 experiment. Whether `exec` routes through caches and
-/// how many workers it shards over never shows in the figure. The parallel
-/// plan reproduces the paper's figure exactly; the adaptive plan visits at
-/// most as many nodes (empty intermediate candidate sets short-circuit the
-/// remaining sub-query walks).
+/// Run the Figure 5 experiment. How many workers `exec` shards over
+/// never shows in the figure. The parallel plan reproduces the paper's
+/// figure exactly; the adaptive plan visits at most as many nodes (empty
+/// intermediate candidate sets short-circuit the remaining sub-query
+/// walks).
 pub fn fig5(
     bed: &TestBed,
     arities: impl IntoIterator<Item = usize>,
@@ -56,9 +56,6 @@ pub fn fig5(
     let mut rows = Vec::new();
     let mut summaries: Vec<(&'static str, Summary)> =
         System::ALL.map(|s| (s.name(), Summary::new())).to_vec();
-    // Cache pools persist across the arity sweep (see `fig4`): range
-    // walks anchored at the same segment heads recur across arities.
-    let mut pools = vec![CachePool::new(); bed.systems.len()];
     for arity in arities {
         let batch = query_batch(
             &bed.workload,
@@ -69,7 +66,7 @@ pub fn fig5(
             QueryMix::Range,
             bed.seeds.seed() ^ 0xF500 ^ arity as u64,
         );
-        let measured = run_batch_all(&bed.systems, &batch, Metric::Visited, exec, &mut pools);
+        let measured = run_batch_all(&bed.systems, &batch, Metric::Visited, exec);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -162,17 +159,6 @@ mod tests {
                 mercury / r.arity as f64
             );
         }
-    }
-
-    #[test]
-    fn cached_engine_reproduces_fig5_bit_for_bit() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 8, values: 20, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let plain = fig5(&bed, [1, 3], 25, Exec::default());
-        let cached = fig5(&bed, [1, 3], 25, Exec { cached: true, ..Exec::default() });
-        assert_eq!(plain.rows, cached.rows);
-        assert_eq!(plain.report().to_json(), cached.report().to_json());
     }
 
     #[test]

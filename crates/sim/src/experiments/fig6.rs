@@ -21,7 +21,7 @@ use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
 use analysis::{self as th, System};
-use dht_core::{RouteCache, Summary};
+use dht_core::Summary;
 use grid_resource::{ChurnSchedule, QueryMix, ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -115,9 +115,6 @@ pub struct Fig6 {
 }
 
 /// Drive one system through one churn run. Returns the metric summary.
-/// With `route_cached` the run owns one persistent route cache; churn
-/// events bump the overlay epoch, so stale entries miss by construction
-/// and the cell is bit-identical to the uncached run.
 pub fn run_churn_one(
     sys: &mut (dyn ResourceDiscovery + Send + Sync),
     workload: &Workload,
@@ -125,9 +122,7 @@ pub fn run_churn_one(
     setup: &ChurnSetup,
     metric: Metric,
     seed: u64,
-    route_cached: bool,
 ) -> ChurnCell {
-    let mut route_cache = RouteCache::new();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mix = match metric {
         Metric::Hops => QueryMix::NonRange,
@@ -155,12 +150,7 @@ pub fn run_churn_one(
             continue;
         };
         let q = workload.random_query(setup.arity, mix, &mut rng);
-        let answer = if route_cached {
-            sys.query_from_cached(origin, &q, &mut route_cache)
-        } else {
-            sys.query_from(origin, &q)
-        };
-        match answer {
+        match sys.query_from(origin, &q) {
             Ok(out) => {
                 stats.record(metric.of(&out.tally));
                 // Sample completeness against the ground-truth reports:
@@ -204,14 +194,8 @@ pub fn run_churn_one(
 /// that prototype — identical to a fresh build, but the sweep pays
 /// construction once per system instead of once per cell, and repeated
 /// sweeps (both fig6 metrics, the perf kernels) share one set of
-/// prototypes. `route_cached` is handed to every [`run_churn_one`].
-pub fn fig6(
-    cfg: &SimConfig,
-    setup: &ChurnSetup,
-    metric: Metric,
-    cache: &BedCache,
-    route_cached: bool,
-) -> Fig6 {
+/// prototypes.
+pub fn fig6(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric, cache: &BedCache) -> Fig6 {
     let p = cfg.params();
     let wl_seed = cfg.seed ^ 0xF6;
     let workload = cache.churn_workload(cfg, wl_seed);
@@ -231,7 +215,7 @@ pub fn fig6(
         let cells = fan_out(System::ALL, |s| {
             let mut sys = cache.churn_proto(s, cfg, wl_seed);
             let seed = cfg.seed ^ 0xC6 ^ (rate * 100.0) as u64;
-            run_churn_one(sys.as_mut(), &workload, &schedule, setup, metric, seed, route_cached)
+            run_churn_one(sys.as_mut(), &workload, &schedule, setup, metric, seed)
         });
         let analysis = System::ALL.map(|s| match metric {
             Metric::Hops => th::nonrange_hops(&p, setup.arity, s),
@@ -343,33 +327,10 @@ mod tests {
         let mut sched_rng = SmallRng::seed_from_u64(2);
         let schedule = ChurnSchedule::generate(0.4, 15.0, &mut sched_rng);
         let mut sys = build_system(System::Lorm, &workload, &cfg);
-        let cell =
-            run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 3, false);
+        let cell = run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 3);
         assert_eq!(cell.failures, 0, "graceful churn must not fail queries");
         assert!(cell.avg > 1.0, "avg hops {}", cell.avg);
         assert!(cell.events > 0, "schedule should produce events");
-    }
-
-    #[test]
-    fn cached_engine_reproduces_churn_run_bit_for_bit() {
-        // Same system prototype, same schedule, Plain vs Cached: the
-        // persistent route cache rides through joins, graceful departures
-        // and failures on epoch invalidation alone.
-        let cfg = small_cfg();
-        let mut wl_rng = SmallRng::seed_from_u64(11);
-        let workload = Workload::generate(cfg.workload_config(), &mut wl_rng).unwrap();
-        let setup = ChurnSetup { requests: 200, graceful_ratio: 0.5, ..ChurnSetup::quick() };
-        let mut sched_rng = SmallRng::seed_from_u64(12);
-        let schedule = ChurnSchedule::generate_with_failures(0.4, 20.0, 0.5, &mut sched_rng);
-        for s in [System::Lorm, System::Mercury] {
-            let run = |route_cached| {
-                let mut sys = build_system(s, &workload, &cfg);
-                let metric = Metric::Visited;
-                run_churn_one(sys.as_mut(), &workload, &schedule, &setup, metric, 13, route_cached)
-            };
-            let (plain, cached) = (run(false), run(true));
-            assert_eq!(plain, cached, "{}", s.name());
-        }
     }
 
     #[test]
@@ -382,8 +343,7 @@ mod tests {
         let mut sched_rng = SmallRng::seed_from_u64(5);
         let schedule = ChurnSchedule::generate(0.3, 20.0, &mut sched_rng);
         let mut sys = build_system(System::Sword, &workload, &cfg);
-        let cell =
-            run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 6, false);
+        let cell = run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 6);
         let expect = 3.0 * (384.0f64).log2() / 2.0;
         assert!((cell.avg - expect).abs() < expect * 0.35, "avg {} vs analysis {expect}", cell.avg);
     }

@@ -16,7 +16,7 @@ use analysis::System;
 use dht_core::{hashing::splitmix64, FaultPlan, RouteCache, Summary};
 use grid_resource::{
     ChurnEvent, ChurnKind, ChurnSchedule, Query, QueryMix, QueryMode, QueryPlan, ResourceDiscovery,
-    ValueTarget, Workload,
+    Workload,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -51,33 +51,19 @@ pub fn query_batch(
 /// point — bit-identical across shard counts.
 const MICRO_CHUNK: usize = 64;
 
-/// A per-system pool of worker route caches (see [`BatchMode::Pooled`]).
-pub type CachePool = Vec<RouteCache>;
-
-/// What a batch's queries resolve under, and where the workers' route
-/// caches come from. Caches never alter results, so every fault-free mode
-/// yields bit-identical summaries at every shard count.
+/// What a batch's queries resolve under. A cache never alters results, so
+/// every fault-free mode yields bit-identical summaries at every shard
+/// count.
 #[derive(Debug)]
 pub enum BatchMode<'a> {
     /// Every query from scratch under the plan.
     Direct(QueryPlan),
-    /// Through a route cache. On one worker the caller's cache persists
-    /// across the whole batch (the perf harness warms it and then measures
-    /// its hit rate); several workers each run their own fresh cache.
+    /// Range walks through a walk cache. On one worker the caller's cache
+    /// persists across the whole batch (the perf harness warms it and then
+    /// measures its hit rate); several workers each run their own fresh
+    /// cache. A cache must never outlive its system's overlay state: two
+    /// bed clones can share an epoch value while holding different links.
     Cached(QueryPlan, &'a mut RouteCache),
-    /// Through a caller-owned pool: worker `i` always draws `pool[i]` (the
-    /// pool grows to the worker count on first use), so a pool held across
-    /// calls keeps each worker's cache warm for its stable slice of the
-    /// batch stream. The figure pipelines hold one pool per system across
-    /// their sweep loops, so later rounds replay routes and walks the
-    /// earlier rounds recorded against the *same* (unmutated, equal-epoch)
-    /// system.
-    ///
-    /// Pools must never outlive their system's overlay state: two bed
-    /// clones can share an epoch value while holding different links,
-    /// which is why the churn pipeline (fig 6) builds a fresh cache per
-    /// run instead.
-    Pooled(QueryPlan, &'a mut CachePool),
     /// The parallel plan under a fault plan. Fault coins are a pure
     /// function of `(plan seed, global batch position)`, so the
     /// degradation counters are bit-identical across shard counts too, and
@@ -93,27 +79,6 @@ enum Resolve<'a> {
     Faults(&'a FaultPlan),
 }
 
-/// Locality sort key of one batched query: the first sub-query's
-/// `(attribute, low value)` pair, then the origin. Queries sharing an
-/// attribute and nearby range anchors route to the same keys and walk
-/// overlapping segments, so executing a micro-chunk in this order turns
-/// the route cache's repeated-lookup hits into back-to-back hits and lets
-/// coalescing walk spans serve one another.
-fn locality_key(phys: usize, q: &Query) -> (u32, u64, usize) {
-    match q.subs.first() {
-        Some(sub) => {
-            let lo = match sub.target {
-                ValueTarget::Point(v) => v,
-                ValueTarget::Range { low, .. } => low,
-            };
-            // Workload values are non-negative, so the bit pattern orders
-            // like the number; a heuristic sort needs nothing stronger.
-            (sub.attr.0, lo.to_bits(), phys)
-        }
-        None => (u32::MAX, 0, phys),
-    }
-}
-
 /// The fault-coin seed of the query at global batch position `index`: a
 /// pure function of the plan seed and the position, so sharding can
 /// never change which faults a query draws.
@@ -121,11 +86,9 @@ fn msg_seed_at(plan: &FaultPlan, index: usize) -> u64 {
     splitmix64(plan.seed() ^ index as u64)
 }
 
-/// Run one micro-chunk on the calling thread; `base` is the global batch
-/// index of its first query. Holding a cache, the chunk executes in
-/// locality order, but every query keeps the fault seed of — and is
-/// recorded at — its *original* position: the fault draw and the Summary
-/// fold never observe the sort.
+/// Run one micro-chunk on the calling thread, in batch order; `base` is
+/// the global batch index of its first query. A chunk holding a cache
+/// differs from a plain one only in the [`QueryMode`] it passes.
 fn run_chunk(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     chunk: &[(usize, Query)],
@@ -134,34 +97,27 @@ fn run_chunk(
     base: usize,
     mut cache: Option<&mut RouteCache>,
 ) -> Summary {
-    let mut order: Vec<usize> = (0..chunk.len()).collect();
-    if cache.is_some() {
-        order.sort_by_key(|&j| locality_key(chunk[j].0, &chunk[j].1));
-    }
-    // What each query contributes: its metric value (`None`: it failed),
-    // whether that value is partial, and its retry / dropped-message counts.
-    let mut samples: Vec<(Option<f64>, bool, u64, u64)> = vec![(None, false, 0, 0); chunk.len()];
-    for &j in &order {
-        let (phys, q) = &chunk[j];
+    let mut s = Summary::new();
+    for (j, (phys, q)) in chunk.iter().enumerate() {
         let mode = match (resolve, cache.as_deref_mut()) {
             (Resolve::Plan(plan), None) => QueryMode::Direct(plan),
             (Resolve::Plan(plan), Some(cache)) => QueryMode::Cached(plan, cache),
             (Resolve::Faults(plan), _) => QueryMode::Faulty(plan, msg_seed_at(plan, base + j)),
         };
-        if let Ok(f) = sys.query(*phys, q, mode) {
-            let value = (!f.is_failed()).then(|| metric.of(&f.outcome.tally));
-            samples[j] = (value, f.is_partial(), f.retries, f.dropped_msgs);
+        let Ok(f) = sys.query(*phys, q, mode) else {
+            s.record_failure();
+            continue;
+        };
+        let value = metric.of(&f.outcome.tally);
+        if f.is_failed() {
+            s.record_failure();
+        } else if f.is_partial() {
+            s.record_partial(value);
+        } else {
+            s.record(value);
         }
-    }
-    let mut s = Summary::new();
-    for (value, partial, retries, dropped_msgs) in samples {
-        match value {
-            Some(v) if partial => s.record_partial(v),
-            Some(v) => s.record(v),
-            None => s.record_failure(),
-        }
-        s.add_retries(retries);
-        s.add_dropped_msgs(dropped_msgs);
+        s.add_retries(f.retries);
+        s.add_dropped_msgs(f.dropped_msgs);
     }
     s
 }
@@ -175,16 +131,13 @@ pub(crate) fn fan_out<T: Send, R: Send>(
     work: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
     let work = &work;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> =
-            items.into_iter().map(|item| scope.spawn(move |_| work(item))).collect();
+            items.into_iter().map(|item| scope.spawn(move || work(item))).collect();
         // lint:allow(panic-hygiene): join fails only if the worker
         // panicked; re-raising that panic is the intended behaviour.
         handles.into_iter().map(|h| h.join().expect("fan-out worker panicked")).collect()
     })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope")
 }
 
 /// The churn loop Figure 6 and the durability sweep share: a cursor over a
@@ -286,12 +239,6 @@ pub fn run_batch(
             fresh.resize_with(workers, RouteCache::new);
             (Resolve::Plan(plan), fresh.iter_mut().map(Some).collect())
         }
-        BatchMode::Pooled(plan, pool) => {
-            if pool.len() < workers {
-                pool.resize_with(workers, RouteCache::new);
-            }
-            (Resolve::Plan(plan), pool.iter_mut().map(Some).collect())
-        }
     };
     let summarize = |&(i, chunk): &(usize, &[(usize, Query)]), cache: Option<&mut RouteCache>| {
         run_chunk(sys, chunk, metric, resolve, i * MICRO_CHUNK, cache)
@@ -327,7 +274,7 @@ pub fn run_batch_planned_sharded(
     run_batch(sys, batch, metric, BatchMode::Direct(plan), shards)
 }
 
-/// [`run_batch`] through the caller's route cache under an explicit
+/// [`run_batch`] through the caller's walk cache under an explicit
 /// [`QueryPlan`] (see [`BatchMode::Cached`]).
 pub fn run_batch_planned_cached_sharded(
     sys: &(dyn ResourceDiscovery + Send + Sync),
@@ -340,18 +287,14 @@ pub fn run_batch_planned_cached_sharded(
     run_batch(sys, batch, metric, BatchMode::Cached(plan, cache), shards)
 }
 
-/// How a figure pipeline executes its query batches. The three always
+/// How a figure pipeline executes its query batches. The two always
 /// travel together from the CLI to [`run_batch_all`]; `plan` changes what
-/// a query costs (never what it answers), while no choice of `cached` or
-/// `shards` moves a report by one bit.
+/// a query costs (never what it answers), while no choice of `shards`
+/// moves a report by one bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Exec {
     /// The multi-attribute query plan (default: the paper's parallel one).
     pub plan: QueryPlan,
-    /// Route repeated lookups and overlapping range walks through
-    /// epoch-invalidated [`RouteCache`]s instead of resolving every query
-    /// from scratch.
-    pub cached: bool,
     /// Workers per query batch, as [`run_batch`] reads it (`0`: one per
     /// available core).
     pub shards: usize,
@@ -360,27 +303,15 @@ pub struct Exec {
 /// Run the same batch against every mounted system in parallel (one
 /// thread per system — they are independent and queries take `&self` —
 /// each of which shards its batch further, for `systems × exec.shards`
-/// total workers).
-///
-/// `pools` holds one [`CachePool`] per system, in `systems` order. With
-/// `exec.cached` every system runs [`BatchMode::Pooled`] on its own pool;
-/// the fig-4/fig-5 sweeps hold the pools across their arity loops.
-/// Without, the pools stay untouched and every query resolves from
-/// scratch — bit-identical by construction.
+/// total workers), every query from scratch under `exec.plan`.
 pub fn run_batch_all(
     systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
     batch: &[(usize, Query)],
     metric: Metric,
     exec: Exec,
-    pools: &mut [CachePool],
 ) -> Vec<(&'static str, Summary)> {
-    assert_eq!(systems.len(), pools.len(), "one cache pool per system");
-    fan_out(systems.iter().zip(pools), |(sys, pool)| {
-        let mode = if exec.cached {
-            BatchMode::Pooled(exec.plan, pool)
-        } else {
-            BatchMode::Direct(exec.plan)
-        };
+    fan_out(systems, |sys| {
+        let mode = BatchMode::Direct(exec.plan);
         (sys.name(), run_batch(sys.as_ref(), batch, metric, mode, exec.shards))
     })
 }
@@ -432,9 +363,7 @@ mod tests {
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 20, 2, 2, QueryMix::Range, 0x77);
-        let mut pools = vec![CachePool::new(); bed.systems.len()];
-        let parallel =
-            run_batch_all(&bed.systems, &batch, Metric::Visited, Exec::default(), &mut pools);
+        let parallel = run_batch_all(&bed.systems, &batch, Metric::Visited, Exec::default());
         for (name, par) in &parallel {
             let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
             let seq =
@@ -531,9 +460,9 @@ mod tests {
 
     #[test]
     fn cached_batch_is_bit_identical_to_plain_batch() {
-        // The batched executor sorts each micro-chunk and runs through the
-        // route cache; the summary must still be bit-identical to the plain
-        // executor, for both metrics and at shard counts 1 and 3.
+        // The cached executor replays range walks from memory; the summary
+        // must still be bit-identical to the plain executor, for both
+        // metrics and at shard counts 1 and 3.
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
@@ -583,47 +512,6 @@ mod tests {
             let cached = run(BatchMode::Cached(PARALLEL, cache));
             assert_summaries_bit_identical(&cached, &plain, &format!("{} post-churn", sys.name()));
         }
-    }
-
-    #[test]
-    fn pooled_run_batch_all_matches_plain() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 2, QueryMix::Range, 0xE7A1);
-        let mut pools = vec![CachePool::new(); bed.systems.len()];
-        let mut run = |cached| {
-            let exec = Exec { cached, ..Exec::default() };
-            run_batch_all(&bed.systems, &batch, Metric::Visited, exec, &mut pools)
-        };
-        let (plain, cached) = (run(false), run(true));
-        for (name, p) in &plain {
-            let c = &cached.iter().find(|(n, _)| n == name).unwrap().1;
-            assert_summaries_bit_identical(c, p, name);
-        }
-    }
-
-    #[test]
-    fn pooled_worker_i_draws_slot_i_and_the_pool_persists() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let sys = bed.systems[0].as_ref();
-        // 200 queries: four micro-chunks, two per worker at shards = 3.
-        let batch = query_batch(&bed.workload, cfg.nodes, 50, 4, 2, QueryMix::Range, 0xB001);
-        let lookups = |c: &RouteCache| c.hits() + c.misses();
-        let mut pool = CachePool::new();
-        let base = run_batch(sys, &batch, Metric::Hops, BatchMode::Direct(PARALLEL), 1);
-        let first = run_batch(sys, &batch, Metric::Hops, BatchMode::Pooled(PARALLEL, &mut pool), 3);
-        assert_summaries_bit_identical(&first, &base, "pooled shards=3");
-        assert_eq!(pool.len(), 2, "two chunks per worker: the pool grows to the worker count");
-        assert!(pool.iter().all(|c| lookups(c) > 0), "every worker used its own slot");
-        // A one-worker run draws slot 0 only, and finds it warm.
-        let (hits, idle) = (pool[0].hits(), lookups(&pool[1]));
-        let again = run_batch(sys, &batch, Metric::Hops, BatchMode::Pooled(PARALLEL, &mut pool), 1);
-        assert_summaries_bit_identical(&again, &base, "pooled shards=1");
-        assert!(pool[0].hits() > hits, "slot 0 kept what the first run recorded");
-        assert_eq!(lookups(&pool[1]), idle, "slot 1 stays idle on one worker");
     }
 
     #[test]

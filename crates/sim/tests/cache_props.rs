@@ -1,4 +1,4 @@
-//! Property tests for the route cache: for any batch shape and any churn
+//! Property tests for the walk cache: for any batch shape and any churn
 //! interleaving, the cache-on and cache-off runs must render
 //! byte-identical Report JSON at shard counts 1 and 3. The cache
 //! is supposed to be semantically invisible — these tests make "invisible"
@@ -17,7 +17,7 @@ fn cfg() -> SimConfig {
 }
 
 proptest! {
-    // Each case builds a fresh two-system bed and runs eight batches
+    // Each case builds a fresh two-system bed and runs twelve batches
     // through it; a handful of cases already sweeps batch shape and churn
     // interleavings.
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -72,12 +72,20 @@ proptest! {
                 }
             }
             for (sys, cache) in bed.systems.iter().zip(caches.iter_mut()) {
-                for shards in [1usize, 3] {
-                    let label = format!("{} phase{phase} shards{shards}", sys.name());
+                // Three cached passes per phase: two-touch admission stamps
+                // a walk on the first and records it on the second, so only
+                // the third replays from memory — and an equivalence that
+                // never saw a hit would be vacuous.
+                for (pass, shards) in [1usize, 3, 1].into_iter().enumerate() {
+                    let label = format!("{} phase{phase} pass{pass} shards{shards}", sys.name());
+                    let hits = cache.walk_hits();
                     let run =
                         |mode| run_batch(sys.as_ref(), &batch, Metric::Visited, mode, shards);
                     plain_rep.summary(label.clone(), run(BatchMode::Direct(QueryPlan::Parallel)));
                     cached_rep.summary(label, run(BatchMode::Cached(QueryPlan::Parallel, cache)));
+                    if pass == 2 {
+                        prop_assert!(cache.walk_hits() > hits, "{} phase{}", sys.name(), phase);
+                    }
                 }
             }
         }

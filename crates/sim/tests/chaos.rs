@@ -144,7 +144,7 @@ fn churn_with_interleaved_ungraceful_failures_stays_sound() {
     };
     let setup =
         ChurnSetup { graceful_ratio: 0.5, requests: 200, rates: vec![0.4], ..ChurnSetup::quick() };
-    let run = || fig6(&cfg, &setup, Metric::Hops, &BedCache::new(), false).report().to_json();
+    let run = || fig6(&cfg, &setup, Metric::Hops, &BedCache::new()).report().to_json();
     let (once, again) = (run(), run());
     assert_eq!(once, again, "ungraceful churn must stay deterministic");
     for name in ["LORM", "Mercury", "SWORD", "MAAN"] {
@@ -164,8 +164,8 @@ fn graceful_ratio_one_leaves_fig6_byte_identical() {
     assert_eq!(setup.graceful_ratio, 1.0, "default is graceful-only");
     let explicit = ChurnSetup { graceful_ratio: 1.0, ..setup.clone() };
     let cache = BedCache::new();
-    let default_json = fig6(&cfg, &setup, Metric::Hops, &cache, false).report().to_json();
-    let explicit_json = fig6(&cfg, &explicit, Metric::Hops, &cache, false).report().to_json();
+    let default_json = fig6(&cfg, &setup, Metric::Hops, &cache).report().to_json();
+    let explicit_json = fig6(&cfg, &explicit, Metric::Hops, &cache).report().to_json();
     assert_eq!(default_json, explicit_json);
 }
 

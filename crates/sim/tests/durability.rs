@@ -115,12 +115,11 @@ fn set_replication_one_reproduces_unreplicated_churn_bytes() {
     for system in analysis::System::ALL {
         let mut pristine = build_system(system, &workload, &cfg);
         let visited = Metric::Visited;
-        let baseline =
-            run_churn_one(pristine.as_mut(), &workload, &schedule, &setup, visited, 33, false);
+        let baseline = run_churn_one(pristine.as_mut(), &workload, &schedule, &setup, visited, 33);
         let mut wired = build_system(system, &workload, &cfg);
         wired.set_replication(1);
         assert_eq!(wired.replication(), 1);
-        let cell = run_churn_one(wired.as_mut(), &workload, &schedule, &setup, visited, 33, false);
+        let cell = run_churn_one(wired.as_mut(), &workload, &schedule, &setup, visited, 33);
         assert_eq!(
             summary_json(system.name(), &cell.stats),
             summary_json(system.name(), &baseline.stats),

@@ -133,7 +133,7 @@ fn cached_churn_prototypes_leave_fig6_byte_identical() {
     use sim::BedCache;
     let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
     let setup = ChurnSetup { requests: 150, rates: vec![0.2, 0.5], ..ChurnSetup::quick() };
-    let json = |cache: &BedCache| fig6(&cfg, &setup, Metric::Hops, cache, false).report().to_json();
+    let json = |cache: &BedCache| fig6(&cfg, &setup, Metric::Hops, cache).report().to_json();
     let fresh = json(&BedCache::new());
     let cache = BedCache::new();
     let (cached, again) = (json(&cache), json(&cache));

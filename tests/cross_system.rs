@@ -186,11 +186,17 @@ fn every_mode_agrees_with_the_direct_path_on_every_system() {
                     );
                 }
             };
-        // The second pass over the same stream answers its lookups from
-        // memory and must still match the direct path exactly.
+        // The second pass over the same stream replays its range walks
+        // from memory and must still match the direct path exactly. SWORD
+        // resolves a range at one root and never walks; for every other
+        // system an equivalence that never saw a hit would be vacuous.
         cached_equals_direct(sys.as_ref(), &mut cache, "cold cache");
+        let cold_hits = cache.walk_hits();
         cached_equals_direct(sys.as_ref(), &mut cache, "warm cache");
-        assert!(cache.hits() > 0, "{name}: repeated lookups must hit");
+        assert!(
+            cache.walk_hits() > cold_hits || name == "SWORD",
+            "{name}: repeated range walks must hit"
+        );
 
         let mut degraded = 0;
         for (i, (origin, q)) in queries.iter().enumerate() {
