@@ -31,7 +31,7 @@ use crate::ReproConfig;
 use baselines::{Mercury, MercuryConfig};
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
-use dht_core::Overlay;
+use dht_core::{DhtError, Overlay, RouteStats};
 use grid_resource::{AttrId, AttributeSpace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -76,8 +76,12 @@ pub struct ScalePoint {
     pub bytes_per_node: Option<f64>,
     /// Routed lookups per second against the built overlay.
     pub query_ops_per_sec: f64,
-    /// Mean hops over the routed lookups.
+    /// Mean hops over the routed lookups that succeeded.
     pub mean_hops: f64,
+    /// Routed lookups that returned an error: counted, failed by the
+    /// `route_errors` growth check, never averaged in as 0-hop routes.
+    /// Not serialized per point; the check carries the counts.
+    pub route_errors: u64,
     /// Maximum distinct outlinks over a deterministic node sample (for
     /// Mercury: within one hub).
     pub max_outlinks: usize,
@@ -91,12 +95,14 @@ pub struct GrowthCheck {
     /// What is being claimed (stable, machine-readable).
     pub claim: &'static str,
     /// The per-size statistic: `(n, mean_hops / log2 n)` for hop-growth
-    /// checks, `(n, max_outlinks)` for the degree check.
+    /// checks, `(n, max_outlinks)` for the degree check, `(n, failed
+    /// lookups)` for `route_errors`.
     pub per_size: Vec<(usize, f64)>,
     /// The observed spread: `max/min` ratio for hop growth, the maximum
-    /// statistic for the degree bound.
+    /// statistic for the degree bound, the total for `route_errors`.
     pub observed: f64,
-    /// The allowed limit ([`HOP_GROWTH_BAND`] or [`DEGREE_BOUND`]).
+    /// The allowed limit ([`HOP_GROWTH_BAND`], [`DEGREE_BOUND`], or 0
+    /// failed lookups).
     pub limit: f64,
     /// Whether the observation stayed within the limit.
     pub ok: bool,
@@ -232,24 +238,33 @@ fn max_outlinks_sampled<O: Overlay>(net: &O) -> usize {
 struct QueryMeasure {
     ops_per_sec: f64,
     mean_hops: f64,
+    route_errors: u64,
     elapsed_ms: f64,
 }
 
+/// Drive `iters` lookups. A lookup that errors is counted in
+/// `route_errors` and left out of `mean_hops` (the mean is over the
+/// routes that arrived).
 fn measure_queries(
     iters: u64,
-    mut route_one: impl FnMut(&mut SmallRng) -> usize,
+    mut route_one: impl FnMut(&mut SmallRng) -> Result<RouteStats, DhtError>,
     seed: u64,
 ) -> QueryMeasure {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut hops_total: u64 = 0;
+    let mut route_errors: u64 = 0;
     let started = Instant::now();
     for _ in 0..iters {
-        hops_total += route_one(&mut rng) as u64;
+        match route_one(&mut rng) {
+            Ok(route) => hops_total += route.hops as u64,
+            Err(_) => route_errors += 1,
+        }
     }
     let secs = started.elapsed().as_secs_f64();
     QueryMeasure {
         ops_per_sec: iters as f64 / secs.max(1e-12),
-        mean_hops: hops_total as f64 / iters.max(1) as f64,
+        mean_hops: hops_total as f64 / (iters - route_errors).max(1) as f64,
+        route_errors,
         elapsed_ms: secs * 1e3,
     }
 }
@@ -311,7 +326,7 @@ pub fn run_scale_at(
                 // lint:allow(panic-hygiene): built above with n >= 1 live nodes.
                 let from = chord.random_node(rng).expect("live node");
                 let key: u64 = rng.gen();
-                chord.route_stats(from, key).map(|s| s.hops).unwrap_or(0)
+                chord.route_stats(from, key)
             },
             seed ^ (n as u64).wrapping_mul(0x9E3779B97F4A7C15),
         );
@@ -326,6 +341,7 @@ pub fn run_scale_at(
                 bytes_per_node: bpn,
                 query_ops_per_sec: q.ops_per_sec,
                 mean_hops: q.mean_hops,
+                route_errors: q.route_errors,
                 max_outlinks: max_deg,
             },
             q.elapsed_ms,
@@ -345,7 +361,7 @@ pub fn run_scale_at(
                 // lint:allow(panic-hygiene): built above with n >= 1 live nodes.
                 let from = cycloid.random_node(rng).expect("live node");
                 let key = CycloidId::new(rng.gen_range(0..d), rng.gen_range(0..(1u32 << d)), d);
-                cycloid.route_stats(from, key).map(|s| s.hops).unwrap_or(0)
+                cycloid.route_stats(from, key)
             },
             seed ^ (n as u64).wrapping_mul(0xC0FFEE),
         );
@@ -360,6 +376,7 @@ pub fn run_scale_at(
                 bytes_per_node: bpn,
                 query_ops_per_sec: q.ops_per_sec,
                 mean_hops: q.mean_hops,
+                route_errors: q.route_errors,
                 max_outlinks: max_deg,
             },
             q.elapsed_ms,
@@ -382,7 +399,7 @@ pub fn run_scale_at(
                 // lint:allow(panic-hygiene): hubs were built with n >= 1 live nodes.
                 let from = hub.random_node(rng).expect("live node");
                 let key: u64 = rng.gen();
-                hub.route_stats(from, key).map(|s| s.hops).unwrap_or(0)
+                hub.route_stats(from, key)
             },
             seed ^ (n as u64).wrapping_mul(0x9E3779B9),
         );
@@ -400,6 +417,7 @@ pub fn run_scale_at(
                 bytes_per_node: bpn,
                 query_ops_per_sec: q.ops_per_sec,
                 mean_hops: q.mean_hops,
+                route_errors: q.route_errors,
                 max_outlinks: max_deg,
             },
             q.elapsed_ms,
@@ -412,7 +430,9 @@ pub fn run_scale_at(
 }
 
 /// Derive the growth checks from a sweep's points: O(log n) hop growth
-/// for Chord and Mercury, constant degree for Cycloid.
+/// for Chord and Mercury, constant degree for Cycloid, and no failed
+/// lookup on any of the three (a routing error must fail the run, not
+/// dilute a mean).
 pub fn growth_checks(points: &[ScalePoint]) -> Vec<GrowthCheck> {
     let mut out = Vec::new();
     for system in ["chord", "mercury"] {
@@ -447,6 +467,22 @@ pub fn growth_checks(points: &[ScalePoint]) -> Vec<GrowthCheck> {
         observed,
         limit: DEGREE_BOUND as f64,
     });
+    for system in ["chord", "cycloid", "mercury"] {
+        let per_size: Vec<(usize, f64)> = points
+            .iter()
+            .filter(|p| p.system == system)
+            .map(|p| (p.n, p.route_errors as f64))
+            .collect();
+        let observed: f64 = per_size.iter().map(|&(_, e)| e).sum();
+        out.push(GrowthCheck {
+            system,
+            claim: "route_errors",
+            ok: !per_size.is_empty() && observed == 0.0,
+            per_size,
+            observed,
+            limit: 0.0,
+        });
+    }
     out
 }
 
@@ -624,10 +660,13 @@ mod tests {
             assert!(p.bytes_per_node.is_none(), "no probe installed");
             assert!(p.max_outlinks > 0);
         }
-        assert_eq!(run.checks.len(), 3);
-        let cyc = run.checks.iter().find(|c| c.system == "cycloid").unwrap();
-        assert_eq!(cyc.claim, "constant_degree");
+        assert_eq!(run.checks.len(), 6);
+        let cyc = run.checks.iter().find(|c| c.claim == "constant_degree").unwrap();
+        assert_eq!(cyc.system, "cycloid");
         assert!(cyc.ok, "cycloid degree {} past bound", cyc.observed);
+        for c in run.checks.iter().filter(|c| c.claim == "route_errors") {
+            assert!(c.ok, "{}: {} lookups failed", c.system, c.observed);
+        }
         let table = render_scale_table(&run);
         assert!(table.contains("## Scale sweep"));
         assert!(table.contains("## Growth checks"));
@@ -643,25 +682,32 @@ mod tests {
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 
-    #[test]
-    fn growth_checks_flag_superlogarithmic_hops() {
-        // Synthetic points: hops growing like sqrt(n) must fail the
-        // O(log n) band; hops at 0.5·log2 n must pass.
-        let mk = |system: &'static str, n: usize, hops: f64| ScalePoint {
+    /// A synthetic point every growth check passes: 0.5·log2 n hops,
+    /// degree 7, no failed lookup.
+    fn point(system: &'static str, n: usize) -> ScalePoint {
+        ScalePoint {
             system,
             n,
             build_ms: 1.0,
             bytes_per_node: None,
             query_ops_per_sec: 1.0,
-            mean_hops: hops,
+            mean_hops: 0.5 * (n as f64).log2(),
+            route_errors: 0,
             max_outlinks: 7,
-        };
+        }
+    }
+
+    #[test]
+    fn growth_checks_flag_superlogarithmic_hops() {
+        // Synthetic points: hops growing like sqrt(n) must fail the
+        // O(log n) band; hops at 0.5·log2 n must pass.
+        let mk = |system, n, hops| ScalePoint { mean_hops: hops, ..point(system, n) };
         let good: Vec<ScalePoint> = [1_000usize, 10_000, 100_000]
             .iter()
             .map(|&n| mk("chord", n, 0.5 * (n as f64).log2()))
             .collect();
         let checks = growth_checks(&good);
-        assert!(checks.iter().find(|c| c.system == "chord").unwrap().ok);
+        assert!(checks.iter().filter(|c| c.system == "chord").all(|c| c.ok));
         let bad: Vec<ScalePoint> = [1_000usize, 10_000, 100_000]
             .iter()
             .map(|&n| mk("chord", n, (n as f64).sqrt()))
@@ -677,6 +723,47 @@ mod tests {
         for c in growth_checks(&[]) {
             assert!(!c.ok, "{} ok on empty sweep", c.system);
         }
+    }
+
+    #[test]
+    fn routing_errors_are_counted_and_fail_their_check() {
+        // Every third lookup errors: the mean is over the routes that
+        // arrived (4 hops each), not diluted by 0-hop stand-ins.
+        let mut calls = 0u32;
+        let q = measure_queries(
+            9,
+            |_| {
+                calls += 1;
+                if calls.is_multiple_of(3) {
+                    Err(DhtError::EmptyOverlay)
+                } else {
+                    Ok(RouteStats { hops: 4, terminal: dht_core::NodeIdx(0), exact: true })
+                }
+            },
+            1,
+        );
+        assert_eq!((q.route_errors, q.mean_hops), (3, 4.0));
+
+        let mk = |system, n, route_errors| ScalePoint { route_errors, ..point(system, n) };
+        let points: Vec<ScalePoint> = ["chord", "cycloid", "mercury"]
+            .into_iter()
+            .flat_map(|s| [mk(s, 1_000, 0), mk(s, 10_000, u64::from(s == "cycloid"))])
+            .collect();
+        let checks = growth_checks(&points);
+        let errors: Vec<&GrowthCheck> =
+            checks.iter().filter(|c| c.claim == "route_errors").collect();
+        assert_eq!(
+            errors.iter().map(|c| c.system).collect::<Vec<_>>(),
+            ["chord", "cycloid", "mercury"]
+        );
+        for c in errors {
+            assert_eq!(c.ok, c.system != "cycloid", "{}", c.system);
+            assert_eq!(c.observed, if c.ok { 0.0 } else { 1.0 });
+            assert_eq!(c.limit, 0.0);
+        }
+        // One failed lookup leaves the other claims standing but fails the sweep.
+        assert!(checks.iter().filter(|c| c.claim != "route_errors").all(|c| c.ok));
+        assert!(!checks.iter().all(|c| c.ok));
     }
 
     #[test]

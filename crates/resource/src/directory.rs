@@ -1,15 +1,117 @@
-//! Per-node directory storage, indexed by attribute.
+//! Per-node directory storage, indexed by attribute and ordered by value.
 //!
 //! Every discovery system keeps a directory on each node: the resource
 //! information pieces the node is root of. Directory checks during range
-//! probes filter by attribute first, so the store buckets pieces per
-//! attribute — a probed node answers a sub-query in time proportional to
-//! its *matching* pieces, not its total load (exactly like the inverted
-//! index a real directory node would keep).
+//! probes filter by attribute first and by value second, so the store
+//! buckets pieces per attribute and keeps each bucket in value order — a
+//! probed node answers a sub-query with a binary search for the target's
+//! lower bound and a copy that stops at its upper bound, in time
+//! proportional to its *matching* pieces, not its bucket or its total
+//! load (exactly like the inverted index a real directory node would
+//! keep). SWORD pools a whole attribute on one root (Theorem 4.4), so its
+//! point queries are where a scan of the bucket and a search of it differ
+//! most.
+//!
+//! # Order
+//!
+//! A bucket is ordered by the total key `(value, owner)`: numbers
+//! ascending (`-0.0` just before `0.0`), then every NaN of either sign —
+//! a NaN never matches a target, and a leading negative NaN would break
+//! the monotone predicate the binary search relies on. What a directory
+//! iterates, drains and answers is therefore a pure function of the
+//! multiset it holds, whatever sequence of [`Directory::push`] and
+//! [`Directory::bulk_load`] calls built it.
+//!
+//! # Registration
+//!
+//! Keeping one sorted `Vec` would make every routed registration shift
+//! half a fat bucket. A bucket is instead two ascending runs: a sealed
+//! run, and a tail of at most `TAIL_MAX` (256) pieces that `push`
+//! binary-inserts into. When the tail outgrows the bound the two runs are
+//! merged by one stable sort (linear on two runs); reads search both.
 
 use crate::model::{AttrId, ResourceInfo, ValueTarget};
 
-/// One node's directory: resource information bucketed by attribute.
+/// Most pieces a bucket's tail holds before it is merged into the sealed
+/// run: a `push` moves at most this many pieces (6 KB), a read searches
+/// one extra run this long, and a fat bucket pays its linear merge once
+/// per this many registrations. Chosen from the measurements in
+/// EXPERIMENTS.md § "Value-ordered directories (PR 24)".
+const TAIL_MAX: u32 = 256;
+
+/// Order-preserving integer image of a value: `-∞` is 0, numbers ascend
+/// (`-0.0` just before `0.0`), and every NaN of either sign lies above
+/// `+∞`. Injective, so no two distinct bit patterns tie.
+fn value_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    // `f64::total_cmp`'s order as an unsigned integer ...
+    let ordered = if bits >> 63 == 0 { bits | 1 << 63 } else { !bits };
+    // ... rotated so the negative NaNs, which it puts below `-∞`, wrap
+    // around past the positive ones.
+    ordered.wrapping_sub(!f64::NEG_INFINITY.to_bits())
+}
+
+/// The key a directory's pieces are stored by: attribute bucket first,
+/// then the bucket's total order `(value, owner)`.
+pub(crate) fn sort_key(r: &ResourceInfo) -> (u32, u64, usize) {
+    (r.attr.0, value_key(r.value), r.owner)
+}
+
+/// One attribute's pieces, as two runs each ascending under [`sort_key`].
+#[derive(Debug, Clone)]
+struct Bucket {
+    attr: u32,
+    /// Length of the tail run: `pieces[..len - tail]` is the sealed run,
+    /// `pieces[len - tail..]` the tail registrations insert into.
+    tail: u32,
+    pieces: Vec<ResourceInfo>,
+}
+
+impl Bucket {
+    /// The sealed run and the tail.
+    fn runs(&self) -> [&[ResourceInfo]; 2] {
+        let (sealed, tail) = self.pieces.split_at(self.pieces.len() - self.tail as usize);
+        [sealed, tail]
+    }
+
+    fn push(&mut self, info: ResourceInfo) {
+        let [sealed, tail] = self.runs();
+        let key = sort_key(&info);
+        let at = sealed.len() + tail.partition_point(|r| sort_key(r) <= key);
+        self.pieces.insert(at, info);
+        self.tail += 1;
+        if self.tail > TAIL_MAX {
+            self.seal();
+        }
+    }
+
+    /// Merge the tail into the sealed run (the stable sort recognises the
+    /// two runs and merges them in linear time).
+    fn seal(&mut self) {
+        self.pieces.sort_by_key(sort_key);
+        self.tail = 0;
+    }
+
+    /// Both runs merged into the bucket's one order.
+    fn iter(&self) -> impl Iterator<Item = &ResourceInfo> {
+        let [mut sealed, mut tail] = self.runs();
+        std::iter::from_fn(move || {
+            let from_tail = match (sealed.first(), tail.first()) {
+                (Some(s), Some(t)) => sort_key(t) < sort_key(s),
+                (None, _) => true,
+                (Some(_), None) => false,
+            };
+            let run = if from_tail { &mut tail } else { &mut sealed };
+            let (head, rest) = run.split_first()?;
+            *run = rest;
+            Some(head)
+        })
+    }
+}
+
+/// One node's directory: resource information bucketed by attribute and
+/// ordered by value within a bucket (see the module docs for the order
+/// and the two-run layout).
 ///
 /// Buckets live in a flat `Vec` sorted by attribute id, so that
 /// [`Directory::drain`] and [`Directory::iter`] walk attributes in a
@@ -20,9 +122,8 @@ use crate::model::{AttrId, ResourceInfo, ValueTarget};
 /// binary search over at most `m` attribute buckets.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    /// `(attr, pieces)` buckets, sorted by attribute id. Within a bucket
-    /// pieces stay in insertion order.
-    by_attr: Vec<(u32, Vec<ResourceInfo>)>,
+    /// Buckets in strictly ascending attribute order, none empty.
+    by_attr: Vec<Bucket>,
     len: usize,
 }
 
@@ -32,63 +133,53 @@ impl Directory {
         Self::default()
     }
 
-    fn bucket(&self, attr: u32) -> Option<&[ResourceInfo]> {
-        self.by_attr
-            .binary_search_by_key(&attr, |&(a, _)| a)
-            .ok()
-            .map(|i| self.by_attr[i].1.as_slice())
+    fn bucket(&self, attr: u32) -> Option<&Bucket> {
+        self.by_attr.binary_search_by_key(&attr, |b| b.attr).ok().map(|i| &self.by_attr[i])
     }
 
-    /// Store one piece.
+    /// The bucket of `attr`, created empty if absent — the caller fills it.
+    fn bucket_mut(&mut self, attr: u32) -> &mut Bucket {
+        let i = match self.by_attr.binary_search_by_key(&attr, |b| b.attr) {
+            Ok(i) => i,
+            Err(i) => {
+                self.by_attr.insert(i, Bucket { attr, tail: 0, pieces: Vec::new() });
+                i
+            }
+        };
+        &mut self.by_attr[i]
+    }
+
+    /// Store one piece (the runtime path of an individual registration).
     pub fn push(&mut self, info: ResourceInfo) {
-        match self.by_attr.binary_search_by_key(&info.attr.0, |&(a, _)| a) {
-            Ok(i) => self.by_attr[i].1.push(info),
-            Err(i) => self.by_attr.insert(i, (info.attr.0, vec![info])),
-        }
+        self.bucket_mut(info.attr.0).push(info);
         self.len += 1;
     }
 
     /// Store a batch of pieces in one pass.
     ///
-    /// Observationally identical to pushing the pieces one by one in the
-    /// given order — ascending attribute buckets, insertion order within a
-    /// bucket — but built with a single stable sort plus a sorted merge
-    /// instead of one shifting `Vec::insert` per previously-unseen
-    /// attribute. Bed construction hands each node its whole placement
-    /// batch through this path; the incremental [`Directory::push`] stays
-    /// the runtime path for individual registrations.
+    /// Observationally identical to pushing the pieces one by one in any
+    /// order, but built with one sort of the batch and one merge per
+    /// attribute it touches. Bed construction hands each node its whole
+    /// placement batch through this path.
     pub fn bulk_load(&mut self, mut batch: Vec<ResourceInfo>) {
-        if batch.is_empty() {
-            return;
-        }
+        batch.sort_unstable_by_key(sort_key);
+        self.load_sorted(&batch);
+    }
+
+    /// Store a batch already ascending under [`sort_key`].
+    pub(crate) fn load_sorted(&mut self, batch: &[ResourceInfo]) {
+        debug_assert!(batch.is_sorted_by_key(sort_key));
         self.len += batch.len();
-        // Stable: preserves arrival order within an attribute.
-        batch.sort_by_key(|r| r.attr.0);
-        let old = std::mem::take(&mut self.by_attr);
-        self.by_attr.reserve(old.len() + 1);
-        let mut old_it = old.into_iter().peekable();
-        let mut new_it = batch.into_iter().peekable();
-        while let Some(attr) = new_it.peek().map(|r| r.attr.0) {
-            // Carry over existing buckets below the next incoming attr.
-            while old_it.peek().is_some_and(|&(a, _)| a < attr) {
-                // lint:allow(panic-hygiene): peek above guarantees Some.
-                self.by_attr.push(old_it.next().expect("peeked"));
-            }
-            let mut bucket = match old_it.peek() {
-                Some(&(a, _)) if a == attr => {
-                    // lint:allow(panic-hygiene): peek above guarantees Some.
-                    old_it.next().expect("peeked").1
-                }
-                _ => Vec::new(),
-            };
-            while new_it.peek().is_some_and(|r| r.attr.0 == attr) {
-                // lint:allow(panic-hygiene): peek above guarantees Some.
-                bucket.push(new_it.next().expect("peeked"));
-            }
-            self.by_attr.push((attr, bucket));
+        for run in batch.chunk_by(|a, b| a.attr == b.attr) {
+            let bucket = self.bucket_mut(run[0].attr.0);
+            // Grow to the capacity the same pieces would have reached
+            // arriving one by one, so the registrations that follow a
+            // placement round do not each start with a reallocation.
+            let held = bucket.pieces.len();
+            bucket.pieces.reserve_exact((held + run.len()).next_power_of_two() - held);
+            bucket.pieces.extend_from_slice(run);
+            bucket.seal();
         }
-        self.by_attr.extend(old_it);
-        debug_assert!(self.by_attr.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     /// Total stored pieces.
@@ -101,12 +192,13 @@ impl Directory {
         self.len == 0
     }
 
-    /// Remove and return everything (departure handoff), in ascending
-    /// attribute order.
+    /// Remove and return everything (departure handoff), in the order
+    /// [`Directory::iter`] yields.
     pub fn drain(&mut self) -> Vec<ResourceInfo> {
         let mut out = Vec::with_capacity(self.len);
-        for (_, mut v) in std::mem::take(&mut self.by_attr) {
-            out.append(&mut v);
+        for mut bucket in std::mem::take(&mut self.by_attr) {
+            bucket.seal();
+            out.append(&mut bucket.pieces);
         }
         self.len = 0;
         out
@@ -128,28 +220,80 @@ impl Directory {
 
     /// Append matching owners into `out` — the allocation-free variant the
     /// query hot loops use, so one scratch buffer serves every probed node
-    /// of a sub-query.
+    /// of a sub-query. The same multiset as filtering the bucket with
+    /// [`ValueTarget::matches`]: per run, a lower-bound search and a copy
+    /// that stops past the upper bound (a second search would cost a
+    /// point query more than the few matches it skips). Owners arrive in
+    /// no order callers may rely on.
     pub fn matching_owners_into(&self, attr: AttrId, target: &ValueTarget, out: &mut Vec<usize>) {
-        if let Some(v) = self.bucket(attr.0) {
-            out.extend(v.iter().filter(|r| target.matches(r.value)).map(|r| r.owner));
+        let (low, high) = match *target {
+            ValueTarget::Point(p) => (p, p),
+            ValueTarget::Range { low, high } => (low, high),
+        };
+        // A NaN bound matches nothing, and `<` against one would not
+        // partition the run.
+        if low.is_nan() {
+            return;
+        }
+        let Some(bucket) = self.bucket(attr.0) else {
+            return;
+        };
+        for run in bucket.runs() {
+            let from = run.partition_point(|r| r.value < low);
+            out.extend(run[from..].iter().take_while(|r| r.value <= high).map(|r| r.owner));
         }
     }
 
-    /// Iterate over all stored pieces (inspection/tests).
+    /// Iterate over all stored pieces (inspection, replication, tests):
+    /// ascending attribute, and the bucket's `(value, owner)` order within
+    /// one.
     pub fn iter(&self) -> impl Iterator<Item = &ResourceInfo> {
-        self.by_attr.iter().flat_map(|(_, v)| v.iter())
+        self.by_attr.iter().flat_map(Bucket::iter)
     }
 
     /// Does the directory hold any piece of this attribute?
     pub fn has_attr(&self, attr: AttrId) -> bool {
-        self.bucket(attr.0).is_some_and(|v| !v.is_empty())
+        self.bucket(attr.0).is_some()
     }
 
     /// Is an identical piece already stored? Used by replica promotion to
     /// avoid double-storing a piece the new owner already received via a
-    /// graceful handoff (bucketed: a binary search plus one bucket scan).
+    /// graceful handoff. Binary searches to the pieces of equal value in
+    /// each run, then compares those (`==` on pieces equates `-0.0` with
+    /// `0.0`, which the stored order tells apart).
     pub fn contains(&self, info: &ResourceInfo) -> bool {
-        self.bucket(info.attr.0).is_some_and(|v| v.contains(info))
+        self.bucket(info.attr.0).is_some_and(|bucket| {
+            bucket.runs().iter().any(|run| {
+                let from = run.partition_point(|r| r.value < info.value);
+                run[from..].iter().take_while(|r| r.value == info.value).any(|r| r == info)
+            })
+        })
+    }
+
+    /// What must hold after every mutating operation: buckets strictly
+    /// ascending by attribute and none empty, both runs of every bucket
+    /// ascending under the total key, and `len` the sum of the bucket
+    /// lengths. O(len).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if !self.by_attr.is_sorted_by(|a, b| a.attr < b.attr) {
+            return Err("attribute buckets out of order".into());
+        }
+        for b in &self.by_attr {
+            if b.pieces.is_empty() {
+                return Err(format!("empty bucket for attribute {}", b.attr));
+            }
+            if b.runs().iter().any(|run| !run.is_sorted_by_key(sort_key)) {
+                return Err(format!("attribute {} bucket out of value order", b.attr));
+            }
+            if b.pieces.iter().any(|r| r.attr.0 != b.attr) {
+                return Err(format!("attribute {} bucket holds a foreign piece", b.attr));
+            }
+        }
+        let held: usize = self.by_attr.iter().map(|b| b.pieces.len()).sum();
+        if held != self.len {
+            return Err(format!("len {} but {held} pieces held", self.len));
+        }
+        Ok(())
     }
 }
 
@@ -214,60 +358,86 @@ mod tests {
     }
 
     #[test]
-    fn iteration_order_is_stable_across_identical_builds() {
-        // Two directories filled identically must iterate (and drain)
-        // identically — this is what rules out a hash-seeded bucket map.
-        let build = || {
-            let mut d = Directory::new();
-            // Insertion order deliberately scrambled relative to attr order.
-            for (attr, owner) in [(7u32, 1), (2, 2), (9, 3), (2, 4), (7, 5), (0, 6)] {
-                d.push(info(attr, attr as f64, owner));
-            }
-            d
-        };
-        let (a, mut b) = (build(), build());
-        let seq_a: Vec<usize> = a.iter().map(|r| r.owner).collect();
-        let seq_b: Vec<usize> = b.iter().map(|r| r.owner).collect();
-        assert_eq!(seq_a, seq_b);
-        // And the order is the deterministic one: ascending attribute,
-        // insertion order within an attribute.
-        assert_eq!(seq_a, vec![6, 2, 4, 1, 5, 3]);
-        let drained: Vec<usize> = b.drain().into_iter().map(|r| r.owner).collect();
-        assert_eq!(drained, seq_a);
+    fn order_is_a_function_of_the_multiset() {
+        // Ascending attribute, then (value, owner) — however the pieces
+        // arrived. This is also what rules out a hash-seeded bucket map.
+        let pieces = [
+            (7, 2.0, 1),
+            (2, 5.0, 2),
+            (9, 1.0, 3),
+            (2, 5.0, 0),
+            (7, 1.0, 5),
+            (0, 3.0, 6),
+            (2, 4.0, 9),
+        ]
+        .map(|(attr, value, owner)| info(attr, value, owner));
+        let want = vec![6, 9, 0, 2, 5, 1, 3];
+        let owners = |d: &Directory| d.iter().map(|r| r.owner).collect::<Vec<_>>();
+        let mut pushed = Directory::new();
+        pieces.iter().for_each(|&p| pushed.push(p));
+        let mut reversed = Directory::new();
+        pieces.iter().rev().for_each(|&p| reversed.push(p));
+        let mut bulk = Directory::new();
+        bulk.bulk_load(pieces.to_vec());
+        for d in [&pushed, &reversed, &bulk] {
+            assert_eq!(owners(d), want);
+            assert_eq!(d.check_invariants(), Ok(()));
+        }
+        let drained: Vec<usize> = bulk.drain().into_iter().map(|r| r.owner).collect();
+        assert_eq!(drained, want);
     }
 
     #[test]
-    fn bulk_load_matches_sequential_push() {
-        // The bulk path must be observationally identical to pushing one
-        // piece at a time: same bucket order, same within-bucket order,
-        // same len — including when it merges into pre-existing buckets.
-        let pieces: Vec<ResourceInfo> = [(7u32, 1), (2, 2), (9, 3), (2, 4), (7, 5), (0, 6)]
-            .into_iter()
-            .map(|(attr, owner)| info(attr, attr as f64, owner))
-            .collect();
+    fn bulk_load_merges_into_existing_buckets() {
+        let first = [(7, 1), (2, 2), (9, 3), (2, 4), (7, 5), (0, 6)];
+        let more = [(5, 7), (2, 8), (11, 9), (0, 10)];
+        let piece = |(attr, owner): (u32, usize)| info(attr, (owner % 3) as f64, owner);
         let mut seq = Directory::new();
         let mut bulk = Directory::new();
-        for &p in &pieces {
-            seq.push(p);
-        }
-        bulk.bulk_load(pieces.clone());
-        assert_eq!(seq.len(), bulk.len());
-        let owners = |d: &Directory| d.iter().map(|r| r.owner).collect::<Vec<_>>();
-        assert_eq!(owners(&seq), owners(&bulk));
-        assert_eq!(owners(&bulk), vec![6, 2, 4, 1, 5, 3]);
-        // Second batch merges into existing buckets and interleaves new ones.
-        let more: Vec<ResourceInfo> = [(5u32, 7), (2, 8), (11, 9), (0, 10)]
-            .into_iter()
-            .map(|(attr, owner)| info(attr, attr as f64, owner))
-            .collect();
-        for &p in &more {
-            seq.push(p);
-        }
-        bulk.bulk_load(more);
-        assert_eq!(seq.len(), bulk.len());
-        assert_eq!(owners(&seq), owners(&bulk));
+        first.iter().chain(&more).for_each(|&p| seq.push(piece(p)));
+        bulk.bulk_load(first.map(piece).to_vec());
+        bulk.bulk_load(more.map(piece).to_vec());
         bulk.bulk_load(Vec::new());
-        assert_eq!(owners(&seq), owners(&bulk), "empty batch is a no-op");
+        assert_eq!(seq.len(), bulk.len());
+        assert_eq!(seq.iter().collect::<Vec<_>>(), bulk.iter().collect::<Vec<_>>());
+        assert_eq!(bulk.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn reads_see_the_sealed_run_and_the_tail() {
+        // Three times the tail bound, pushed in descending value order:
+        // every read must combine a sealed run with a non-empty tail.
+        let n = 3 * TAIL_MAX as usize + 7;
+        let mut d = Directory::new();
+        for i in (0..n).rev() {
+            d.push(info(1, (i / 2) as f64, i));
+            assert_eq!(d.check_invariants(), Ok(()));
+        }
+        assert_eq!(d.iter().map(|r| r.owner).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+        let mut hit = d.matching_owners(AttrId(1), &ValueTarget::Range { low: 3.0, high: 40.0 });
+        hit.sort_unstable();
+        assert_eq!(hit, (6..82).collect::<Vec<_>>());
+        assert_eq!(d.matching_owners(AttrId(1), &ValueTarget::Point(0.0)).len(), 2);
+        assert!(d.contains(&info(1, 0.0, 1)) && !d.contains(&info(1, 0.0, 2)));
+    }
+
+    #[test]
+    fn nan_and_signed_zero_follow_value_target() {
+        let mut d = Directory::new();
+        for (value, owner) in [(-f64::NAN, 1), (0.0, 2), (f64::NAN, 3), (-0.0, 4), (-1.0, 5)] {
+            d.push(info(1, value, owner));
+        }
+        assert_eq!(d.check_invariants(), Ok(()));
+        assert_eq!(d.iter().map(|r| r.owner).collect::<Vec<_>>(), vec![5, 4, 2, 3, 1]);
+        let owners = |t| d.matching_owners(AttrId(1), &t);
+        assert_eq!(owners(ValueTarget::Point(0.0)), vec![4, 2]);
+        assert_eq!(owners(ValueTarget::Point(f64::NAN)), vec![]);
+        assert_eq!(owners(ValueTarget::Range { low: f64::NAN, high: 9.0 }), vec![]);
+        assert_eq!(owners(ValueTarget::Range { low: -9.0, high: f64::NAN }), vec![]);
+        assert_eq!(owners(ValueTarget::Range { low: 9.0, high: -9.0 }), vec![]);
+        assert_eq!(owners(ValueTarget::Range { low: -9.0, high: 9.0 }), vec![5, 4, 2]);
+        assert!(d.contains(&info(1, -0.0, 2)), "`==` on pieces equates the zeros");
+        assert!(!d.contains(&info(1, f64::NAN, 3)), "NaN equals nothing");
     }
 
     #[test]

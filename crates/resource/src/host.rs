@@ -10,7 +10,7 @@
 //! al., "Reliable Data Storage in DHTs": one algorithm, parameterised only
 //! by the overlay's neighbour set ([`Overlay::replica_targets_into`]).
 
-use crate::directory::Directory;
+use crate::directory::{sort_key, Directory};
 use crate::model::ResourceInfo;
 use crate::replication::{PieceKey, ReplicaStore};
 use dht_core::{BuildMode, DhtError, NodeIdx, Overlay, RepairStats, RouteStats};
@@ -273,11 +273,11 @@ impl<O: Overlay> Host<O> {
     ///
     /// Items whose key cannot be resolved (empty overlay) are skipped.
     /// `Incremental` is one directory push per item, the reference.
-    /// `Bulk` groups the batch by destination node with one stable sort,
-    /// and each node's group lands through [`Directory::bulk_load`] — so
-    /// per-node arrival order (and therefore every report byte) is
-    /// identical to the per-item path, without its per-attribute
-    /// `Vec::insert` shifts.
+    /// `Bulk` groups the batch by destination with a counting sort over
+    /// the arena slots it spans into one scratch buffer, orders each node's group
+    /// by the directory's integer key and lands it through one merge per
+    /// attribute. A directory's order is a function of what it holds (see
+    /// [`Directory`]), so both modes leave identical hosts.
     pub fn store_all_at_owners(&mut self, items: impl IntoIterator<Item = (O::Key, ResourceInfo)>) {
         match self.mode {
             BuildMode::Incremental => {
@@ -288,14 +288,45 @@ impl<O: Overlay> Host<O> {
                 }
             }
             BuildMode::Bulk => {
-                let mut routed: Vec<(NodeIdx, ResourceInfo)> = items
+                let routed: Vec<(NodeIdx, ResourceInfo)> = items
                     .into_iter()
-                    .filter_map(|(key, info)| self.net.owner_of(key).ok().map(|root| (root, info)))
+                    .filter_map(|(key, info)| Some((self.net.owner_of(key).ok()?, info)))
                     .collect();
-                routed.sort_by_key(|&(root, _)| root);
-                for run in routed.chunk_by(|a, b| a.0 == b.0) {
-                    let (root, _) = run[0];
-                    self.dirs[root.0].bulk_load(run.iter().map(|&(_, info)| info).collect());
+                let Some(&(_, filler)) = routed.first() else {
+                    return;
+                };
+                // Only the slots between the lowest and the highest
+                // destination take part: a handoff lands on a neighbour or
+                // two, a placement round on the whole arena.
+                let (lo, hi) = routed
+                    .iter()
+                    .fold((usize::MAX, 0), |(lo, hi), &(root, _)| (lo.min(root.0), hi.max(root.0)));
+                // `bounds[s - lo]` counts slot `s`'s group, then (running
+                // sum) is where it starts, then (scatter) where it ends.
+                let mut bounds = vec![0usize; hi - lo + 1];
+                for &(root, _) in &routed {
+                    bounds[root.0 - lo] += 1;
+                }
+                let mut start = 0;
+                for bound in &mut bounds {
+                    start += std::mem::replace(bound, start);
+                }
+                let mut grouped = vec![filler; routed.len()];
+                for &(root, info) in &routed {
+                    let next = &mut bounds[root.0 - lo];
+                    grouped[*next] = info;
+                    *next += 1;
+                }
+                // One copy of the batch is live while the directories grow.
+                drop(routed);
+                let mut start = 0;
+                for (dir, &end) in self.dirs[lo..=hi].iter_mut().zip(&bounds) {
+                    if start < end {
+                        let group = &mut grouped[start..end];
+                        group.sort_unstable_by_key(sort_key);
+                        dir.load_sorted(group);
+                        start = end;
+                    }
                 }
             }
         }
@@ -326,11 +357,12 @@ impl<O: Overlay> Host<O> {
     }
 
     /// What must hold after every mutating operation: directory (and,
-    /// when replicating, replica) storage covers the arena exactly, and a
-    /// retired slot holds neither primaries nor replicas — its stores died
-    /// with the node. Replicas held *for* a dead primary are legitimate
-    /// until the next repair round (Krishnamurthy et al.'s staleness
-    /// window), so they are not checked here. O(arena).
+    /// when replicating, replica) storage covers the arena exactly, every
+    /// directory keeps its own invariants, and a retired slot holds neither
+    /// primaries nor replicas — its stores died with the node. Replicas
+    /// held *for* a dead primary are legitimate until the next repair round
+    /// (Krishnamurthy et al.'s staleness window), so they are not checked
+    /// here. O(arena + pieces).
     pub fn check_invariants(&self) -> Result<(), String> {
         let arena = self.net.arena_len();
         if self.dirs.len() != arena {
@@ -343,6 +375,9 @@ impl<O: Overlay> Host<O> {
                 self.replicas.len(),
                 self.repl
             ));
+        }
+        for (slot, dir) in self.dirs.iter().enumerate() {
+            dir.check_invariants().map_err(|e| format!("directory of slot {slot}: {e}"))?;
         }
         for slot in (0..arena).map(NodeIdx).filter(|&n| !self.net.is_alive(n)) {
             if !self.dirs[slot.0].is_empty() {

@@ -6,16 +6,28 @@
 //! through 60 scripted operations from a fixed-seed RNG — joins, graceful
 //! departures, abrupt failures, routed registrations, a `stabilize` every
 //! tenth operation and no second `place_all`, so handoff, promotion and
-//! re-replication stay visible in the final state. The FNV-1a digest
-//! covers every arena slot's directory (pieces in stored order) and
-//! replica store (entries in store order), `total_pieces`, the
-//! `RepairStats` counters, every `register` tally and every id
-//! `join_physical` returned.
+//! re-replication stay visible in the final state. Two FNV-1a digests
+//! cover every arena slot's directory and replica store, `total_pieces`,
+//! the `RepairStats` counters, every `register` tally and every id
+//! `join_physical` returned:
 //!
-//! The constants were recorded on the commit *before* the store path was
-//! rewritten onto one `Host<O>` (PR 17) and must not change: a refactor of
-//! the store path that moves one piece, one replica entry or one counter
-//! fails here. Runs in tier-1 (`cargo test -q`, facade package).
+//! * **canonical form** — each slot's pieces sorted by `(attr, value
+//!   bits, owner)` and each replica store's entries by `(attr, value bits,
+//!   owner, key, primary)` before folding: *what* is stored *where*,
+//!   independent of layout. Recorded on the parent of PR 24 (insertion-
+//!   ordered buckets) and unchanged by it: a change to the store path that
+//!   moves one piece, one replica entry or one counter between nodes fails
+//!   here.
+//! * **stored order** — pieces as `Directory::iter` yields them, entries
+//!   in store order. First recorded on the commit before PR 17 rewrote the
+//!   store path onto one `Host<O>`; re-recorded by PR 24, which orders a
+//!   bucket by `(value, owner)` instead of by arrival (at k = 1 on this
+//!   all-positive workload the two forms now coincide; at k = 3 they
+//!   differ only in how a replica store's entries are ordered). A change
+//!   that alters the observable order of a directory fails here and must
+//!   say why.
+//!
+//! Runs in tier-1 (`cargo test -q`, facade package).
 
 use lorm_repro::baselines::{ChordSystem, CompositeConfig, CompositeFlat, KeyScheme};
 use lorm_repro::grid_resource::Host;
@@ -46,40 +58,68 @@ impl Fnv {
         self.word(r.value.to_bits());
         self.word(r.owner as u64);
     }
+
+    /// One replica entry: `(primary slot, routing key, piece)`.
+    fn entry(&mut self, &(primary, key, info): &(u64, u64, ResourceInfo)) {
+        self.word(primary);
+        self.word(key);
+        self.piece(&info);
+    }
 }
 
-/// Fold one host into the digest; `key_bits` is how the parent stored a
+/// The two digests of one final state: `stored` folds every directory
+/// and replica store in the order it is kept, `canonical` after sorting
+/// each by value identity — what is stored where, whatever the layout.
+struct Digests {
+    stored: Fnv,
+    canonical: Fnv,
+}
+
+impl Digests {
+    /// Fold a word both forms share (ids, tallies, counters, lengths).
+    fn word(&mut self, w: u64) {
+        self.stored.word(w);
+        self.canonical.word(w);
+    }
+}
+
+/// Fold one host into both digests; `key_bits` is how the parent stored a
 /// replica's routing key as a `u64` (Chord: the key itself; LORM:
 /// `(cubical << 8) | cyclic`).
-fn dump<O: Overlay>(h: &Host<O>, key_bits: impl Fn(O::Key) -> u64, f: &mut Fnv) {
+fn dump<O: Overlay>(h: &Host<O>, key_bits: impl Fn(O::Key) -> u64, f: &mut Digests) {
     let arena = h.net().arena_len();
     f.word(arena as u64);
     for slot in (0..arena).map(NodeIdx) {
         f.word(h.directory(slot).len() as u64);
-        h.directory(slot).iter().for_each(|r| f.piece(r));
+        let mut pieces: Vec<ResourceInfo> = h.directory(slot).iter().copied().collect();
+        pieces.iter().for_each(|r| f.stored.piece(r));
+        pieces.sort_by_key(|r| (r.attr.0, r.value.to_bits(), r.owner));
+        pieces.iter().for_each(|r| f.canonical.piece(r));
+
         let entries = h.replicas_of(slot).map_or(&[][..], |s| s.entries());
         f.word(entries.len() as u64);
-        for e in entries {
-            f.word(e.primary.0 as u64);
-            f.word(key_bits(e.key));
-            f.piece(&e.info);
-        }
+        let mut entries: Vec<(u64, u64, ResourceInfo)> =
+            entries.iter().map(|e| (e.primary.0 as u64, key_bits(e.key), e.info)).collect();
+        entries.iter().for_each(|e| f.stored.entry(e));
+        entries
+            .sort_by_key(|&(primary, key, r)| (r.attr.0, r.value.to_bits(), r.owner, key, primary));
+        entries.iter().for_each(|e| f.canonical.entry(e));
     }
 }
 
 /// A system whose stored state can be folded into a digest.
 trait Golden: ResourceDiscovery {
-    fn dump(&self, f: &mut Fnv);
+    fn dump(&self, f: &mut Digests);
 }
 
 impl Golden for Lorm {
-    fn dump(&self, f: &mut Fnv) {
+    fn dump(&self, f: &mut Digests) {
         dump(self.host(), |id| (u64::from(id.cubical) << 8) | u64::from(id.cyclic), f);
     }
 }
 
 impl<S: KeyScheme> Golden for ChordSystem<S> {
-    fn dump(&self, f: &mut Fnv) {
+    fn dump(&self, f: &mut Digests) {
         for hub in 0..self.num_hubs() {
             dump(self.hub(AttrId(hub as u32)), |key| key, f);
         }
@@ -105,9 +145,10 @@ fn pick_live(sys: &impl Golden, max_phys: usize, rng: &mut SmallRng) -> usize {
     }
 }
 
-/// Place, replicate at `k`, run the script, digest the final state.
-fn digest(mut sys: impl Golden, w: &Workload, k: usize) -> u64 {
-    let mut f = Fnv::new();
+/// Place, replicate at `k`, run the script, digest the final state:
+/// `(stored-order, canonical-form)`.
+fn digest(mut sys: impl Golden, w: &Workload, k: usize) -> (u64, u64) {
+    let mut f = Digests { stored: Fnv::new(), canonical: Fnv::new() };
     sys.place_all(&w.reports);
     sys.set_replication(k);
     let mut rng = SmallRng::seed_from_u64(4 + k as u64);
@@ -157,14 +198,14 @@ fn digest(mut sys: impl Golden, w: &Workload, k: usize) -> u64 {
     for x in [rs.rounds(), rs.copies(), rs.promotions(), rs.dropped()] {
         f.word(x);
     }
-    f.0
+    (f.stored.0, f.canonical.0)
 }
 
 #[test]
 fn store_path_digests_match_the_recorded_parent() {
     let w = workload();
     let lorm = || Lorm::new(NODES, &w.space, LormConfig { dimension: 6, ..Default::default() });
-    let got: Vec<(&str, usize, u64)> = [1usize, 3]
+    let got: Vec<(&str, usize, (u64, u64))> = [1usize, 3]
         .into_iter()
         .flat_map(|k| {
             [
@@ -184,20 +225,23 @@ fn store_path_digests_match_the_recorded_parent() {
             ]
         })
         .collect();
-    let want: [(&str, usize, u64); 10] = [
-        ("LORM", 1, 0xf54e_f23a_43f9_dba2),
-        ("Mercury", 1, 0x5611_c166_bbb2_a429),
-        ("SWORD", 1, 0x1229_2bba_481c_c322),
-        ("MAAN", 1, 0x9ca6_7029_bac4_5e8e),
-        ("Composite", 1, 0x5d75_2964_620c_0079),
-        ("LORM", 3, 0xb40a_1055_0762_0522),
-        ("Mercury", 3, 0x896a_7657_e95e_6cd5),
-        ("SWORD", 3, 0xe1cc_7549_a88e_cc26),
-        ("MAAN", 3, 0x3bf0_c2fc_63c2_f001),
-        ("Composite", 3, 0x52c8_c653_507a_0396),
+    // (system, k, (stored-order, canonical-form))
+    let want: [(&str, usize, (u64, u64)); 10] = [
+        ("LORM", 1, (0xd837_9135_fd79_3a06, 0xd837_9135_fd79_3a06)),
+        ("Mercury", 1, (0xf39b_08ba_9787_1259, 0xf39b_08ba_9787_1259)),
+        ("SWORD", 1, (0x9fdb_0adc_87df_e862, 0x9fdb_0adc_87df_e862)),
+        ("MAAN", 1, (0x5dce_e575_d7b6_2062, 0x5dce_e575_d7b6_2062)),
+        ("Composite", 1, (0xa98b_cd2b_7fdf_4f0d, 0xa98b_cd2b_7fdf_4f0d)),
+        ("LORM", 3, (0x50e3_3416_f1bf_98f6, 0xd46a_1fd2_9a76_9e6e)),
+        ("Mercury", 3, (0xb105_eee0_3035_45d1, 0xb105_eee0_3035_45d1)),
+        ("SWORD", 3, (0x2148_9e17_b267_d126, 0x55f4_45be_707a_432e)),
+        ("MAAN", 3, (0x5b27_b994_b5fa_00cd, 0x8870_5a73_4dc6_8561)),
+        ("Composite", 3, (0x6b2c_6639_1de5_7cc2, 0xbf0f_83dc_4c9c_e9f6)),
     ];
-    let hex = |v: &[(&str, usize, u64)]| -> Vec<String> {
-        v.iter().map(|(s, k, d)| format!("(\"{s}\", {k}, {d:#018x})")).collect()
+    let hex = |v: &[(&str, usize, (u64, u64))]| -> Vec<String> {
+        v.iter()
+            .map(|(s, k, (st, ca))| format!("(\"{s}\", {k}, ({st:#018x}, {ca:#018x}))"))
+            .collect()
     };
     assert_eq!(hex(&got), hex(&want));
 }
