@@ -2,7 +2,7 @@
 //! shared by all Chord-hosted systems.
 
 use chord::{Chord, ChordConfig};
-use dht_core::{BuildMode, NodeIdx, Overlay, Via, WalkStep};
+use dht_core::{clockwise_dist, Advance, NodeIdx, Overlay, Via, WalkMemo};
 use grid_resource::Host;
 use std::ops::{Deref, DerefMut};
 
@@ -30,12 +30,9 @@ impl DerefMut for ChordHost {
 }
 
 impl ChordHost {
-    /// Build a stabilized host of `n` nodes; `mode` is how the ring is
-    /// assembled and how placement batches land (both modes yield
-    /// byte-identical hosts; see [`BuildMode`]).
-    pub(crate) fn build_with_mode(n: usize, seed: u64, mode: BuildMode) -> Self {
-        let net = Chord::build_with_mode(n, ChordConfig { seed, ..ChordConfig::default() }, mode);
-        Self(Host::new(net, mode))
+    /// Build a stabilized host of `n` nodes.
+    pub(crate) fn build(n: usize, seed: u64) -> Self {
+        Self(Host::new(Chord::build(n, ChordConfig { seed, ..ChordConfig::default() })))
     }
 
     /// Clockwise range walk: starting at the root of `lo_key`, probe
@@ -58,24 +55,17 @@ impl ChordHost {
         self.walk_range_via(start, lo_key, hi_key, 0, 0, &mut Via::Direct, out);
     }
 
-    /// [`Self::walk_range_into`] with the walk's messages travelling
-    /// `via` — the host's one walk loop. Returns `true` when a fault
-    /// truncated the walk before the arc was covered.
+    /// [`Self::walk_range_into`] as a [`Via::walk`] whose messages travel
+    /// `via`: every advance to the next clockwise node is a probe message
+    /// of the walk that follows lookup `msg`, and a cached walk is keyed
+    /// by `salt` (Mercury passes the hub index; single-ring systems pass
+    /// 0), its start and `lo_key`. Returns `true` when a fault truncated
+    /// the walk before the arc was covered.
     ///
-    /// Under faults every advance to the next clockwise node is a probe
-    /// message of the walk that follows lookup `msg`, subject to
-    /// [`Via::admit_step`].
-    ///
-    /// Through a cache the emission is identical by construction. A
-    /// fresh-epoch segment cached for at least this span replays through
-    /// the walk's own stop rule (`dist < span`); otherwise the walk runs
-    /// for real and its emission is recorded. A walk that stopped for a
-    /// span-*independent* reason (broken pointers, full circle, probe
-    /// budget) emitted everything reachable from `start`, so it is cached
-    /// with an unbounded span and replays exactly for wider queries too;
-    /// only a walk stopped by the arc rule is bounded to the span it was
-    /// run for. `salt` namespaces overlays sharing one cache (Mercury
-    /// passes the hub index; single-ring systems pass 0).
+    /// A node covers keys up to its own id, so the stop rule tests the
+    /// *current* node: once it sits at or past `hi_key` (walking clockwise
+    /// from `lo_key`) the arc is covered, and each step records the
+    /// distance of the node that admitted it.
     #[allow(clippy::too_many_arguments)] // the plain walk plus the (salt, msg, via) triple
     pub(crate) fn walk_range_via(
         &self,
@@ -87,62 +77,29 @@ impl ChordHost {
         via: &mut Via<'_>,
         out: &mut Vec<NodeIdx>,
     ) -> bool {
-        use dht_core::clockwise_dist;
         let net = self.net();
         let span = clockwise_dist(lo_key, hi_key);
-        let epoch = net.epoch();
-        out.push(start);
-        let mut rec = None;
-        if let Some(cache) = via.cache() {
-            if let Some(steps) = cache.walk_lookup(salt, start, lo_key, span, epoch) {
-                out.extend(steps.iter().take_while(|s| s.dist < span).map(|s| s.node));
-                return false;
-            }
-            // Two-touch admission: a first-sighted key runs the walk plain
-            // (recording a never-repeating walk is pure overhead); only a
-            // repeat offender pays the per-step copy and gets cached.
-            if cache.admit_walk(salt, start, lo_key, epoch) {
-                rec = Some(cache.begin_walk());
-            }
-        }
-        let mut cur = start;
-        let budget = net.len();
-        let mut rule_stop = false;
-        let mut step = 0usize;
-        for _ in 0..budget {
-            let cur_id = match net.id_of(cur) {
-                Ok(id) => id,
-                Err(_) => break,
-            };
-            // `cur` covers keys up to its own id; once it sits at or past
-            // hi (walking clockwise from lo), the arc is covered.
-            let dist = clockwise_dist(lo_key, cur_id);
-            if dist >= span {
-                rule_stop = true;
-                break;
-            }
-            match net.next_clockwise(cur) {
-                Ok(next) if next != start => {
-                    step += 1;
-                    if !via.admit_step(msg, step, next) {
-                        return true;
-                    }
-                    // Each step stores the distance of the node that
-                    // admitted it — the quantity the stop rule tests.
-                    if let Some(rec) = rec.as_mut() {
-                        rec.push(WalkStep { node: next, dist });
-                    }
-                    out.push(next);
-                    cur = next;
+        let memo = WalkMemo { salt, lo: lo_key, span, epoch: net.epoch() };
+        via.walk(
+            start,
+            net.len(),
+            msg,
+            Some(memo),
+            |cur| {
+                let Ok(id) = net.id_of(cur) else {
+                    return Advance::End;
+                };
+                let dist = clockwise_dist(lo_key, id);
+                if dist >= span {
+                    return Advance::Covered;
                 }
-                _ => break,
-            }
-        }
-        if let (Some(rec), Some(cache)) = (rec, via.cache()) {
-            let stored_span = if rule_stop { span } else { u64::MAX };
-            cache.commit_walk(salt, start, lo_key, stored_span, epoch, rec);
-        }
-        false
+                match net.next_clockwise(cur) {
+                    Ok(node) if node != start => Advance::To { node, dist },
+                    _ => Advance::End,
+                }
+            },
+            out,
+        )
     }
 }
 
@@ -151,10 +108,6 @@ mod tests {
     use super::*;
     use dht_core::{FaultAccount, FaultPlan, RouteCache};
     use grid_resource::{AttrId, ResourceInfo, ValueTarget};
-
-    fn build(n: usize, seed: u64) -> ChordHost {
-        ChordHost::build_with_mode(n, seed, BuildMode::Bulk)
-    }
 
     fn info(owner: usize) -> ResourceInfo {
         ResourceInfo { attr: AttrId(0), value: 1.0, owner }
@@ -180,7 +133,7 @@ mod tests {
 
     #[test]
     fn store_at_owner_places_on_root() {
-        let mut h = build(64, 1);
+        let mut h = ChordHost::build(64, 1);
         h.store_all_at_owners([(12345, info(7))]);
         assert_eq!(h.directory(h.net().owner_of(12345).unwrap()).len(), 1);
         assert_eq!(h.total_pieces(), 1);
@@ -188,7 +141,7 @@ mod tests {
 
     #[test]
     fn store_routed_reaches_same_root() {
-        let mut h = build(64, 2);
+        let mut h = ChordHost::build(64, 2);
         let from = h.net().nodes_by_id()[0];
         let r = h.store_routed(from, 999, info(3)).unwrap();
         assert_eq!(r.terminal, h.net().owner_of(999).unwrap());
@@ -197,7 +150,7 @@ mod tests {
 
     #[test]
     fn matches_filter_by_attr_and_value() {
-        let mut h = build(16, 3);
+        let mut h = ChordHost::build(16, 3);
         h.store_all_at_owners([
             (5, ResourceInfo { attr: AttrId(1), value: 10.0, owner: 4 }),
             (5, ResourceInfo { attr: AttrId(2), value: 10.0, owner: 9 }),
@@ -211,7 +164,7 @@ mod tests {
 
     #[test]
     fn walk_covers_arc_to_root() {
-        let h = build(128, 4);
+        let h = ChordHost::build(128, 4);
         let start_key = 0u64;
         let hi_key = u64::MAX / 4; // a quarter of the ring
         let start = h.net().owner_of(start_key).unwrap();
@@ -227,17 +180,28 @@ mod tests {
 
     #[test]
     fn walk_to_own_key_is_single_probe() {
-        let h = build(32, 5);
+        let h = ChordHost::build(32, 5);
         let root = h.net().owner_of(777).unwrap();
         let walk = walk(&h, root, 776, 777);
         assert_eq!(walk, vec![root]);
     }
 
     #[test]
+    fn walk_ending_on_a_node_id_stops_at_that_node() {
+        // A node covers keys up to its own id: an arc ending exactly on
+        // it is covered there, without probing its successor.
+        let h = ChordHost::build(32, 5);
+        let node = h.net().nodes_by_id()[7];
+        let id = h.net().id_of(node).unwrap();
+        assert_eq!(h.net().owner_of(id - 1).unwrap(), node, "gap below the node");
+        assert_eq!(walk(&h, node, id - 1, id), vec![node]);
+    }
+
+    #[test]
     fn full_ring_walk_probes_every_node() {
         // Regression: a range spanning the whole key space has
         // root(lo) == root(hi), but must still probe all n nodes.
-        let h = build(64, 8);
+        let h = ChordHost::build(64, 8);
         let start = h.net().owner_of(0).unwrap();
         let walk = walk(&h, start, 0, u64::MAX);
         assert_eq!(walk.len(), 64);
@@ -245,7 +209,7 @@ mod tests {
 
     #[test]
     fn cached_walk_matches_plain_walk() {
-        let h = build(128, 4);
+        let h = ChordHost::build(128, 4);
         let start = h.net().owner_of(0).unwrap();
         let mut cache = RouteCache::new();
         // Two-touch admission: the first sighting runs plain (and is
@@ -265,7 +229,7 @@ mod tests {
     fn exhaustion_terminated_walk_serves_any_span() {
         // A full-circle walk stopped for a span-independent reason emits
         // everything reachable: it must serve narrower queries too.
-        let h = build(64, 8);
+        let h = ChordHost::build(64, 8);
         let start = h.net().owner_of(0).unwrap();
         let mut cache = RouteCache::new();
         // Twice: the first sighting only stamps the admission candidate.
@@ -279,7 +243,7 @@ mod tests {
 
     #[test]
     fn churn_invalidates_cached_walks() {
-        let mut h = build(64, 9);
+        let mut h = ChordHost::build(64, 9);
         let start = h.net().owner_of(0).unwrap();
         let mut cache = RouteCache::new();
         let before = cached_walk(&h, start, 0, u64::MAX / 4, &mut cache);
@@ -297,7 +261,7 @@ mod tests {
 
     #[test]
     fn inert_faulty_walk_matches_plain_walk() {
-        let h = build(128, 4);
+        let h = ChordHost::build(128, 4);
         let start = h.net().owner_of(0).unwrap();
         let plan = FaultPlan::none();
         let mut via = Via::faulty(&plan, 9);
@@ -310,7 +274,7 @@ mod tests {
 
     #[test]
     fn total_loss_truncates_walk_at_start() {
-        let h = build(128, 4);
+        let h = ChordHost::build(128, 4);
         let start = h.net().owner_of(0).unwrap();
         let plan = FaultPlan::new(1, 1.0, 0.0).unwrap();
         let mut via = Via::faulty(&plan, 9);
@@ -323,10 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn bulk_store_matches_sequential_store() {
-        // Scrambled keys and duplicate destinations: the bulk path must
-        // reproduce the per-item (`Incremental`) path's per-node
-        // directories exactly.
+    fn batch_store_matches_one_routed_store_per_piece() {
+        // Scrambled keys and duplicate destinations: one placement batch
+        // (counting sort by destination, one sorted load per directory)
+        // must leave every directory exactly as routing each piece to its
+        // root and pushing it there does — the insert routed registrations
+        // take at runtime.
         let pieces: Vec<(u64, ResourceInfo)> = (0..200u64)
             .map(|i| {
                 let key = i.wrapping_mul(0x9e3779b97f4a7c15);
@@ -334,27 +300,30 @@ mod tests {
                     key,
                     ResourceInfo {
                         attr: AttrId((i % 7) as u32),
-                        value: i as f64,
+                        value: (i % 13) as f64,
                         owner: i as usize,
                     },
                 )
             })
             .collect();
-        let mut seq = ChordHost::build_with_mode(64, 11, BuildMode::Incremental);
-        let mut bulk = build(64, 11);
-        seq.store_all_at_owners(pieces.iter().copied());
-        bulk.store_all_at_owners(pieces.iter().copied());
-        assert_eq!(seq.total_pieces(), bulk.total_pieces());
-        for &node in seq.net().live_nodes() {
-            let a: Vec<usize> = seq.directory(node).iter().map(|r| r.owner).collect();
-            let b: Vec<usize> = bulk.directory(node).iter().map(|r| r.owner).collect();
+        let mut one_by_one = ChordHost::build(64, 11);
+        let mut batch = ChordHost::build(64, 11);
+        let from = one_by_one.net().nodes_by_id()[0];
+        for &(key, info) in &pieces {
+            one_by_one.store_routed(from, key, info).unwrap();
+        }
+        batch.store_all_at_owners(pieces.iter().copied());
+        assert_eq!(one_by_one.total_pieces(), batch.total_pieces());
+        for &node in batch.net().live_nodes() {
+            let a: Vec<ResourceInfo> = one_by_one.directory(node).iter().copied().collect();
+            let b: Vec<ResourceInfo> = batch.directory(node).iter().copied().collect();
             assert_eq!(a, b, "directory of {node} diverged");
         }
     }
 
     #[test]
     fn drain_removes_pieces() {
-        let mut h = build(8, 6);
+        let mut h = ChordHost::build(8, 6);
         h.store_all_at_owners([(1, info(0))]);
         let root = h.net().owner_of(1).unwrap();
         let drained = h.retire(root);
@@ -364,7 +333,7 @@ mod tests {
 
     #[test]
     fn clear_resets_all() {
-        let mut h = build(8, 7);
+        let mut h = ChordHost::build(8, 7);
         h.store_all_at_owners([(1, info(0)), (2, info(1))]);
         h.clear();
         assert_eq!(h.total_pieces(), 0);

@@ -9,8 +9,7 @@
 use crate::host::ChordHost;
 use chord::Chord;
 use dht_core::{
-    hashing::splitmix64, in_interval_oc, BuildMode, DhtError, LoadDist, LookupTally, Overlay,
-    RepairStats, Via,
+    hashing::splitmix64, in_interval_oc, DhtError, LoadDist, LookupTally, Overlay, RepairStats, Via,
 };
 use grid_resource::{
     AttrId, AttributeSpace, PhysMap, PieceKey, QueryOutcome, ResourceDiscovery, ResourceInfo,
@@ -81,21 +80,10 @@ impl<S: KeyScheme> ChordSystem<S> {
     /// hundred MB. For outlink measurements at larger `n`, build rings one
     /// at a time instead (see `sim`'s Figure 3(a) harness).
     pub fn new(n: usize, space: &AttributeSpace, cfg: S::Config) -> Self {
-        Self::new_with_mode(n, space, cfg, BuildMode::Bulk)
-    }
-
-    /// Build with an explicit construction mode (ring assembly and report
-    /// placement; both modes are byte-identical, see [`BuildMode`]).
-    pub fn new_with_mode(
-        n: usize,
-        space: &AttributeSpace,
-        cfg: S::Config,
-        mode: BuildMode,
-    ) -> Self {
         let rings = if S::HUB_PER_ATTRIBUTE { space.len() } else { 1 };
         let ring_seed = |h: usize| S::seed(&cfg) ^ (h as u64).wrapping_mul(0x9e3779b97f4a7c15);
         Self {
-            hubs: (0..rings).map(|h| ChordHost::build_with_mode(n, ring_seed(h), mode)).collect(),
+            hubs: (0..rings).map(|h| ChordHost::build(n, ring_seed(h))).collect(),
             scheme: S::new(space, &cfg),
             phys: PhysMap::identity(n),
             sel: SelectivityEstimator::new(space),

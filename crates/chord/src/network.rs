@@ -1,7 +1,7 @@
 //! The Chord network: arena of nodes, construction, churn, repair.
 
 use crate::node::{ChordNode, FINGER_BITS};
-use dht_core::{BuildMode, ConsistentHash, DhtError, NodeIdx, Overlay, RouteSink};
+use dht_core::{ConsistentHash, DhtError, NodeIdx, Overlay, RouteSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -153,41 +153,22 @@ impl Chord {
     /// distinct identifiers. This is the fast path used to set up static
     /// experiments — the id draw and the ring sort are its only O(n log n)
     /// terms, all link state is then derived in O(64·n) by
-    /// [`Self::rebuild_all_state`]; incremental joins exercise the protocol
-    /// path. Equivalent to `build_with_mode(n, cfg, BuildMode::Bulk)`.
+    /// [`Self::rebuild_all_state`]; runtime joins exercise the protocol
+    /// path. The result is the overlay one ordered insert per drawn id
+    /// would assemble (pinned by a unit test against exactly that).
     pub fn build(n: usize, cfg: ChordConfig) -> Self {
-        Self::build_with_mode(n, cfg, BuildMode::Bulk)
-    }
-
-    /// Construct a fully stabilized network with an explicit build mode.
-    /// Both modes draw the same identifier sequence and produce
-    /// byte-identical overlays; `Incremental` is the O(n²)-aggregate
-    /// reference path kept for validating the bulk constructor.
-    pub fn build_with_mode(n: usize, cfg: ChordConfig, mode: BuildMode) -> Self {
         let mut net = Self::new(cfg);
-        match mode {
-            BuildMode::Bulk => net.bulk_join(n),
-            BuildMode::Incremental => {
-                let hash = ConsistentHash::new(cfg.seed);
-                for i in 0..n {
-                    let mut id = hash.hash_u64(i as u64);
-                    while net.id_used(id) {
-                        id = id.wrapping_add(0x9e3779b97f4a7c15);
-                    }
-                    net.push_node(id);
-                }
-            }
-        }
+        net.bulk_join(n);
         net.rebuild_all_state();
         net
     }
 
     /// Assemble the initial membership in one sorted pass: draw all `n`
-    /// identifiers (same collision-probing sequence as the incremental
-    /// path, against a `BTreeSet` instead of repeated ordered `Vec`
-    /// inserts), push the arena rows in draw order, then derive `used_ids`
-    /// and the sorted ring by sorting once — O(n log n) total where the
-    /// per-join inserts were O(n²) aggregate.
+    /// identifiers (probing past collisions against a `BTreeSet` instead
+    /// of repeated ordered `Vec` inserts), push the arena rows in draw
+    /// order, then derive `used_ids` and the sorted ring by sorting once —
+    /// O(n log n) total where one ordered insert per node is O(n²)
+    /// aggregate.
     fn bulk_join(&mut self, n: usize) {
         debug_assert!(self.ids.is_empty(), "bulk join only assembles fresh overlays");
         self.bump_epoch();
@@ -453,17 +434,6 @@ impl Chord {
             .find(|&s| self.alive[s as usize])
             .map(|s| NodeIdx(s as usize))
             .ok_or(DhtError::EmptyOverlay)
-    }
-
-    /// Predecessor pointer if alive (node-local view). Range probes that
-    /// walk counter-clockwise use this; a dead predecessor stalls the walk
-    /// until stabilization, exactly as in the real protocol.
-    pub fn next_counterclockwise(&self, idx: NodeIdx) -> Result<NodeIdx, DhtError> {
-        self.check_live(idx)?;
-        match self.preds[idx.0] {
-            p if p != NO_LINK && self.alive[p as usize] => Ok(NodeIdx(p as usize)),
-            _ => Err(DhtError::EmptyOverlay),
-        }
     }
 
     /// Sample successor staleness over every live node's *node-local*
@@ -875,11 +845,22 @@ mod tests {
     }
 
     #[test]
-    fn bulk_and_incremental_builds_are_identical() {
+    fn bulk_build_equals_one_ordered_insert_per_node() {
+        // The reference assembly: the same id draw, landed one ordered
+        // insert at a time through the runtime join's `push_node`.
         for n in [1usize, 2, 5, 64, 257] {
             let cfg = ChordConfig::default();
-            let bulk = Chord::build_with_mode(n, cfg, BuildMode::Bulk);
-            let inc = Chord::build_with_mode(n, cfg, BuildMode::Incremental);
+            let bulk = Chord::build(n, cfg);
+            let mut inc = Chord::new(cfg);
+            let hash = ConsistentHash::new(cfg.seed);
+            for i in 0..n {
+                let mut id = hash.hash_u64(i as u64);
+                while inc.id_used(id) {
+                    id = id.wrapping_add(0x9e3779b97f4a7c15);
+                }
+                inc.push_node(id);
+            }
+            inc.rebuild_all_state();
             assert_eq!(bulk.ids, inc.ids, "arena order diverged at n={n}");
             assert_eq!(bulk.used_ids, inc.used_ids);
             assert_eq!(bulk.sorted, inc.sorted);

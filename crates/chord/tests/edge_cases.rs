@@ -33,8 +33,8 @@ fn two_node_ring_neighbors_point_at_each_other() {
     let [a, b] = [net.nodes_by_id()[0], net.nodes_by_id()[1]];
     assert_eq!(net.next_clockwise(a).unwrap(), b);
     assert_eq!(net.next_clockwise(b).unwrap(), a);
-    assert_eq!(net.next_counterclockwise(a).unwrap(), b);
-    assert_eq!(net.next_counterclockwise(b).unwrap(), a);
+    assert_eq!(net.node(a).unwrap().predecessor(), Some(b));
+    assert_eq!(net.node(b).unwrap().predecessor(), Some(a));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use crate::keys::{KeyDeriver, Placement};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
 use dht_core::{
-    BuildMode, DhtError, LoadDist, LookupTally, NodeIdx, Overlay, RepairStats, Via, WalkStep,
+    Advance, DhtError, LoadDist, LookupTally, NodeIdx, Overlay, RepairStats, Via, WalkMemo,
 };
 use grid_resource::{
     AttributeSpace, Directory, Host, PhysMap, PieceKey, QueryOutcome, ResourceDiscovery,
@@ -54,27 +54,9 @@ impl Lorm {
     /// # Panics
     /// Panics if `n` exceeds the Cycloid capacity `d·2^d`.
     pub fn new(n: usize, space: &AttributeSpace, cfg: LormConfig) -> Self {
-        Self::new_with_mode(n, space, cfg, BuildMode::Bulk)
-    }
-
-    /// Build with an explicit construction mode (overlay assembly and
-    /// report placement; both modes are byte-identical, see [`BuildMode`]).
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the Cycloid capacity `d·2^d`.
-    pub fn new_with_mode(
-        n: usize,
-        space: &AttributeSpace,
-        cfg: LormConfig,
-        mode: BuildMode,
-    ) -> Self {
-        let overlay = Cycloid::build_with_mode(
-            n,
-            CycloidConfig { dimension: cfg.dimension, seed: cfg.seed },
-            mode,
-        );
+        let overlay = Cycloid::build(n, CycloidConfig { dimension: cfg.dimension, seed: cfg.seed });
         Self {
-            host: Host::new(overlay, mode),
+            host: Host::new(overlay),
             keys: KeyDeriver::with_placement(space, cfg.dimension, cfg.seed, cfg.placement),
             phys: PhysMap::identity(n),
             sel: SelectivityEstimator::new(space),
@@ -105,26 +87,17 @@ impl Lorm {
     /// Probe the intra-cluster walk of a range query: starting at the root
     /// of `ℋ(low)`, follow inside-leaf successors while the next member's
     /// value sector still intersects the queried arc `[ℋ(low), ℋ(high)]`
-    /// (Proposition 3.1). Appends the probed nodes in walk order, including
-    /// the start; returns `true` when a fault truncated the walk before the
-    /// stop rule fired (each advance is a probe message of the walk that
-    /// follows lookup `msg`, subject to [`Via::admit_step`]).
+    /// (Proposition 3.1) — a [`Via::walk`] of at most `d` steps. Appends
+    /// the probed nodes in walk order, including the start; returns `true`
+    /// when a fault truncated the walk before the stop rule fired.
     ///
     /// The stop rule is the *sector transition*: a successor is probed iff
     /// the first cyclic position it owns (rather than the current node)
     /// lies within the arc. This stays correct when nearest-neighbor
     /// ownership wraps — e.g. a two-member cluster where `root(low)` and
     /// `root(high)` coincide but the member in between owns interior
-    /// positions.
-    ///
-    /// Through a cache the emission is identical by construction. A
-    /// fresh-epoch segment cached for at least this span replays through
-    /// the walk's own stop rule (`dist <= span`); otherwise the walk runs
-    /// for real and its emission is recorded. A walk that stopped for a
-    /// span-*independent* reason (no successor, full circle, no sector
-    /// transition, the `d`-probe budget) emitted everything reachable and
-    /// is cached with an unbounded span; only a walk stopped by the arc
-    /// rule is bounded to the span it ran for.
+    /// positions. The arc is inclusive, so the walk's exclusive span is
+    /// one past its cyclic length.
     fn range_walk_into(
         &self,
         start: NodeIdx,
@@ -134,53 +107,32 @@ impl Lorm {
         via: &mut Via<'_>,
         out: &mut Vec<NodeIdx>,
     ) -> bool {
-        let d = self.overlay().dimension();
-        let span = u64::from(CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d));
-        let epoch = self.overlay().epoch();
-        out.push(start);
-        let mut rec = None;
-        if let Some(cache) = via.cache() {
-            if let Some(steps) = cache.walk_lookup(0, start, u64::from(lo_pos), span, epoch) {
-                out.extend(steps.iter().take_while(|s| s.dist <= span).map(|s| s.node));
-                return false;
-            }
-            // Two-touch admission (see `RouteCache::admit_walk`): record only
-            // keys seen before, so one-shot walks skip the per-step copy.
-            if cache.admit_walk(0, start, u64::from(lo_pos), epoch) {
-                rec = Some(cache.begin_walk());
-            }
-        }
-        let mut cur = start;
-        let mut rule_stop = false;
-        for step in 1..=usize::from(d) {
-            let Some(next) = self.overlay().cluster_successor(cur).ok().flatten() else {
-                break;
-            };
-            if next == start {
-                break;
-            }
-            let Some(p) = self.transition_position(cur, next) else {
-                break;
-            };
-            let dist = u64::from(CycloidId::cw_cyclic_dist(lo_pos, p, d));
-            if dist > span {
-                rule_stop = true;
-                break;
-            }
-            if !via.admit_step(msg, step, next) {
-                return true;
-            }
-            if let Some(rec) = rec.as_mut() {
-                rec.push(WalkStep { node: next, dist });
-            }
-            out.push(next);
-            cur = next;
-        }
-        if let (Some(rec), Some(cache)) = (rec, via.cache()) {
-            let stored_span = if rule_stop { span } else { u64::MAX };
-            cache.commit_walk(0, start, u64::from(lo_pos), stored_span, epoch, rec);
-        }
-        false
+        let net = self.overlay();
+        let d = net.dimension();
+        let span = u64::from(CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d)) + 1;
+        let memo = WalkMemo { salt: 0, lo: u64::from(lo_pos), span, epoch: net.epoch() };
+        via.walk(
+            start,
+            usize::from(d),
+            msg,
+            Some(memo),
+            |cur| {
+                let Some(node) = net.cluster_successor(cur).ok().flatten() else {
+                    return Advance::End;
+                };
+                if node == start {
+                    return Advance::End;
+                }
+                let Some(p) = self.transition_position(cur, node) else {
+                    return Advance::End;
+                };
+                match u64::from(CycloidId::cw_cyclic_dist(lo_pos, p, d)) {
+                    dist if dist >= span => Advance::Covered,
+                    dist => Advance::To { node, dist },
+                }
+            },
+            out,
+        )
     }
 
     /// First cyclic position, walking clockwise from `cur`, that is owned
@@ -216,22 +168,18 @@ impl Lorm {
         via: &mut Via<'_>,
         out: &mut Vec<NodeIdx>,
     ) -> bool {
-        let d = self.overlay().dimension();
-        out.push(start);
-        let mut cur = start;
-        for step in 1..=usize::from(d) {
-            match self.overlay().cluster_successor(cur).ok().flatten() {
-                Some(next) if next != start => {
-                    if !via.admit_step(msg, step, next) {
-                        return true;
-                    }
-                    out.push(next);
-                    cur = next;
-                }
-                _ => break,
-            }
-        }
-        false
+        let net = self.overlay();
+        via.walk(
+            start,
+            usize::from(net.dimension()),
+            msg,
+            None,
+            |cur| match net.cluster_successor(cur).ok().flatten() {
+                Some(node) if node != start => Advance::To { node, dist: 0 },
+                _ => Advance::End,
+            },
+            out,
+        )
     }
 }
 
@@ -580,6 +528,27 @@ mod tests {
             let t = ValueTarget::Range { low: dmin, high: dmax };
             assert_eq!(got, brute(&w, attr, &t), "full-domain range on {attr}");
         }
+    }
+
+    #[test]
+    fn cached_range_walks_replay_the_direct_walks() {
+        // LORM's arc is inclusive and the shared walk's span exclusive
+        // (one past the arc): a walk stopped exactly at `hi` and every
+        // narrower replay of a cached wider one must still equal the
+        // direct walk, probe for probe.
+        let (w, l) = full_workload();
+        let mut cache = dht_core::RouteCache::new();
+        let mut rng = SmallRng::seed_from_u64(15);
+        let qs: Vec<Query> =
+            (0..300).map(|_| w.random_query(1, QueryMix::Range, &mut rng)).collect();
+        for _pass in 0..3 {
+            for q in &qs {
+                let direct = l.query_from(0, q).unwrap();
+                let cached = l.query_from_cached(0, q, &mut cache).unwrap();
+                assert_eq!(cached, direct, "{q:?}");
+            }
+        }
+        assert!(cache.walk_hits() > 0, "repeated walks must replay");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::id::CycloidId;
 use crate::node::CycloidNode;
-use dht_core::{BuildMode, DhtError, NodeIdx, Overlay, RouteSink};
+use dht_core::{DhtError, NodeIdx, Overlay, RouteSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,47 +105,41 @@ impl Cycloid {
 
     /// Bulk-construct a fully repaired network of `n ≤ d·2^d` nodes on
     /// uniformly random distinct slots (all slots when `n` equals the
-    /// capacity, as in the paper's 2048-node setup with `d = 8`).
-    /// Equivalent to `build_with_mode(n, cfg, BuildMode::Bulk)`.
+    /// capacity, as in the paper's 2048-node setup with `d = 8`). The
+    /// result is the overlay one `occupy` per drawn slot — the runtime
+    /// join's insert, shifting the sorted `occupied` list on every first
+    /// member, O(n·2^d) aggregate — would assemble (pinned by a unit test
+    /// against exactly that).
     ///
     /// # Panics
     /// Panics if `n` exceeds the identifier-space capacity.
     pub fn build(n: usize, cfg: CycloidConfig) -> Self {
-        Self::build_with_mode(n, cfg, BuildMode::Bulk)
-    }
-
-    /// Construct a fully repaired network with an explicit build mode.
-    /// Both modes draw the same slot sample and produce byte-identical
-    /// overlays; `Incremental` occupies one slot at a time (each insert
-    /// shifting the sorted `occupied` list — O(n·2^d) aggregate) and is
-    /// kept as the reference path for validating the bulk constructor.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the identifier-space capacity.
-    pub fn build_with_mode(n: usize, cfg: CycloidConfig, mode: BuildMode) -> Self {
         let mut net = Self::new(cfg);
-        let cap = net.capacity();
-        assert!(n <= cap, "cannot place {n} nodes in {cap} Cycloid slots");
-        // Partial Fisher-Yates over slot numbers for a uniform sample.
-        let mut slots: Vec<usize> = (0..cap).collect();
-        for i in 0..n {
-            let j = net.rng.gen_range(i..cap);
-            slots.swap(i, j);
-        }
-        match mode {
-            BuildMode::Bulk => net.bulk_occupy(&slots[..n]),
-            BuildMode::Incremental => {
-                for &s in &slots[..n] {
-                    net.occupy(CycloidId::from_slot(s, cfg.dimension));
-                }
-            }
-        }
+        let slots = net.draw_slots(n);
+        net.bulk_occupy(&slots);
         net.rebuild_all_links();
         net
     }
 
+    /// The first `n` slots of a partial Fisher-Yates shuffle of all slot
+    /// numbers: a uniform sample without replacement, in draw order.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the identifier-space capacity.
+    fn draw_slots(&mut self, n: usize) -> Vec<usize> {
+        let cap = self.capacity();
+        assert!(n <= cap, "cannot place {n} nodes in {cap} Cycloid slots");
+        let mut slots: Vec<usize> = (0..cap).collect();
+        for i in 0..n {
+            let j = self.rng.gen_range(i..cap);
+            slots.swap(i, j);
+        }
+        slots.truncate(n);
+        slots
+    }
+
     /// Assemble the membership tables in one sorted pass: push the arena
-    /// rows in draw order (matching the incremental path), then derive the
+    /// rows in draw order (as one `occupy` per slot would), then derive the
     /// cluster member lists and the `occupied` list from one sort of
     /// `(cubical, cyclic, idx)` triples — O(n log n) total where per-slot
     /// `occupy` calls shift the sorted occupied list on every first member.
@@ -298,12 +292,6 @@ impl Cycloid {
     pub fn cluster_successor(&self, idx: NodeIdx) -> Result<Option<NodeIdx>, DhtError> {
         let n = self.live_node(idx)?;
         Ok(n.inside_succ.filter(|&s| self.nodes[s.0].alive))
-    }
-
-    /// Intra-cluster predecessor via the node-local inside leaf set.
-    pub fn cluster_predecessor(&self, idx: NodeIdx) -> Result<Option<NodeIdx>, DhtError> {
-        let n = self.live_node(idx)?;
-        Ok(n.inside_pred.filter(|&s| self.nodes[s.0].alive))
     }
 
     /// Pick a uniformly random live node.
@@ -630,11 +618,17 @@ mod tests {
     }
 
     #[test]
-    fn bulk_and_incremental_builds_are_identical() {
+    fn bulk_build_equals_one_occupy_per_node() {
+        // The reference assembly: the same slot draw, landed one runtime
+        // `occupy` at a time.
         for (n, d) in [(1usize, 4u8), (13, 4), (500, 8), (2048, 8)] {
             let cfg = CycloidConfig { dimension: d, seed: 7 };
-            let bulk = Cycloid::build_with_mode(n, cfg, BuildMode::Bulk);
-            let inc = Cycloid::build_with_mode(n, cfg, BuildMode::Incremental);
+            let bulk = Cycloid::build(n, cfg);
+            let mut inc = Cycloid::new(cfg);
+            for s in inc.draw_slots(n) {
+                inc.occupy(CycloidId::from_slot(s, d));
+            }
+            inc.rebuild_all_links();
             assert_eq!(bulk.nodes, inc.nodes, "arena diverged at n={n} d={d}");
             assert_eq!(bulk.slots, inc.slots);
             assert_eq!(bulk.occupied, inc.occupied);

@@ -46,7 +46,7 @@ fn single_member_clusters_have_no_inside_ring() {
     let a = net.join_with_id(CycloidId::new(2, 7, 5)).unwrap();
     let _b = net.join_with_id(CycloidId::new(0, 20, 5)).unwrap();
     assert!(net.cluster_successor(a).unwrap().is_none());
-    assert!(net.cluster_predecessor(a).unwrap().is_none());
+    assert!(net.node(a).unwrap().inside_pred().is_none());
     // but outside leafs connect the two clusters
     let (op, os) = net.node(a).unwrap().outside_leaf();
     assert!(op.is_some() && os.is_some());
@@ -59,7 +59,7 @@ fn two_member_cluster_ring_is_mutual() {
     let b = net.join_with_id(CycloidId::new(4, 9, 6)).unwrap();
     assert_eq!(net.cluster_successor(a).unwrap(), Some(b));
     assert_eq!(net.cluster_successor(b).unwrap(), Some(a));
-    assert_eq!(net.cluster_predecessor(a).unwrap(), Some(b));
+    assert_eq!(net.node(a).unwrap().inside_pred(), Some(b));
     assert_eq!(net.primary_of(9), Some(b), "cyclic 4 > cyclic 1");
 }
 
@@ -162,7 +162,7 @@ fn cluster_collapse_to_single_live_member_stays_routable() {
     net.rebuild_all_links();
     // collapsed: no inside ring left around the survivor
     assert!(net.cluster_successor(survivor).unwrap().is_none());
-    assert!(net.cluster_predecessor(survivor).unwrap().is_none());
+    assert!(net.node(survivor).unwrap().inside_pred().is_none());
     assert_eq!(net.cluster_members(cub), &[survivor]);
     // every key of the collapsed cluster resolves to the survivor
     let mut rng = SmallRng::seed_from_u64(0xC1);

@@ -30,12 +30,17 @@
 //! executor can afford one cache per worker thread.
 //!
 //! A cached **walk segment** is the `(node, distance)` sequence a range
-//! walk emits from a given start node for a `[lo, lo+span]` segment. Walk
+//! walk emits from a given start node for a `[lo, lo+span)` segment. Walk
 //! admission is monotone in the distance from `lo`, so a narrower query
-//! replays as a take-while prefix of a cached wider walk under the
-//! walker's own stop rule (strict `<` for ring walks, inclusive `<=` for
-//! LORM cluster walks). Only rule-terminated walks are cached — a
-//! budget-truncated walk is not a prefix-safe superset of anything.
+//! replays as a take-while prefix of a cached wider walk under the one
+//! stop rule every walk runs by, `dist < span` ([`Via::walk`], the only
+//! caller). A walk ended for a span-independent reason (a broken pointer,
+//! a full circle, the probe budget, which is one) emitted everything
+//! reachable and is stored with an unbounded span; only a walk stopped by
+//! the rule is bounded to the span it ran for. Faulty walks never reach
+//! the cache.
+//!
+//! [`Via::walk`]: crate::Via::walk
 
 use crate::hashing::splitmix64;
 use crate::overlay::NodeIdx;
@@ -51,7 +56,7 @@ const WALK_ARENA_CAP: usize = 1 << 20;
 /// One emitted step of a range walk: the visited node and its (monotone)
 /// walk distance from the segment's `lo` anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalkStep {
+pub(crate) struct WalkStep {
     /// The node the walk visited.
     pub node: NodeIdx,
     /// Clockwise (or cyclic) distance of `node` from the walk's `lo`
@@ -115,7 +120,7 @@ impl RouteCache {
     /// Take the cleared walk-recording scratch buffer. Walkers fill it on
     /// a miss and hand it back through [`Self::commit_walk`], so repeated
     /// misses reuse one allocation.
-    pub fn begin_walk(&mut self) -> Vec<WalkStep> {
+    pub(crate) fn begin_walk(&mut self) -> Vec<WalkStep> {
         let mut buf = core::mem::take(&mut self.scratch);
         buf.clear();
         buf
@@ -123,7 +128,7 @@ impl RouteCache {
 
     /// Insert a recorded walk (see [`Self::walk_insert`] for the caching
     /// contract) and return the recording buffer to the scratch pool.
-    pub fn commit_walk(
+    pub(crate) fn commit_walk(
         &mut self,
         salt: u64,
         start: NodeIdx,
@@ -147,7 +152,7 @@ impl RouteCache {
     /// span at least as wide as `span`; the caller replays the returned
     /// steps through its own stop rule (take-while on `dist`), which
     /// truncates a wider cached walk to exactly the uncached emission.
-    pub fn walk_lookup(
+    pub(crate) fn walk_lookup(
         &mut self,
         salt: u64,
         start: NodeIdx,
@@ -180,7 +185,7 @@ impl RouteCache {
     /// corrupt a result. The policy is a pure function of the lookup
     /// sequence, so admission (and therefore the hit-rate telemetry) is
     /// deterministic.
-    pub fn admit_walk(&mut self, salt: u64, start: NodeIdx, lo: u64, epoch: u64) -> bool {
+    pub(crate) fn admit_walk(&mut self, salt: u64, start: NodeIdx, lo: u64, epoch: u64) -> bool {
         let start = start.index() as u64;
         let fp = splitmix64(salt ^ splitmix64(start ^ splitmix64(lo ^ splitmix64(epoch)))) | 1;
         let slot = &mut self.cand[Self::walk_slot(salt, start, lo)];
@@ -192,11 +197,10 @@ impl RouteCache {
         }
     }
 
-    /// Cache a *rule-terminated* walk's emission. Callers must not insert
-    /// budget-truncated walks: those are not prefix-safe supersets of
-    /// narrower queries. Crossing the arena capacity resets the cache
-    /// wholesale (deterministically).
-    pub fn walk_insert(
+    /// Cache a walk's emission under the span it is valid for (`u64::MAX`
+    /// for a walk that emitted everything reachable). Crossing the arena
+    /// capacity resets the cache wholesale (deterministically).
+    pub(crate) fn walk_insert(
         &mut self,
         salt: u64,
         start: NodeIdx,

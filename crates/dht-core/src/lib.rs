@@ -26,7 +26,7 @@
 //!   walks by construction.
 //! * **Message transport** ([`via`]): the one value a query body is
 //!   written against — direct, through the walk cache, or under a
-//!   [`fault`] plan.
+//!   [`fault`] plan — and the one range-walk loop ([`Via::walk`]).
 //!
 //! Everything here is deterministic: the same seed produces the same
 //! network, the same workload and the same measurements.
@@ -47,7 +47,7 @@ pub mod stats;
 pub mod trace;
 pub mod via;
 
-pub use cache::{RouteCache, WalkStep};
+pub use cache::RouteCache;
 pub use error::DhtError;
 pub use fault::{
     check_forward, probe_step, route_with_retry, sub_msg_id, walk_msg_id, FaultAccount, FaultPlan,
@@ -55,10 +55,10 @@ pub use fault::{
 };
 pub use hashing::{lex_hash, lex_prefix_end, ConsistentHash, LocalityHash};
 pub use latency::LatencyModel;
-pub use overlay::{BuildMode, NodeIdx, Overlay};
+pub use overlay::{NodeIdx, Overlay};
 pub use replication::{replica_targets, RepairStats};
 pub use ring::{clockwise_dist, in_interval_co, in_interval_oc, in_interval_oo, ring_dist};
 pub use sampling::{BoundedPareto, SeedSpawner, Zipf};
 pub use stats::{Histogram, LoadDist, Percentiles, Summary};
 pub use trace::{Forward, HopCount, LookupTally, RouteResult, RouteSink, RouteStats};
-pub use via::Via;
+pub use via::{Advance, Via, WalkMemo};

@@ -30,25 +30,6 @@ impl std::fmt::Display for NodeIdx {
     }
 }
 
-/// How an overlay (or a system mounted on one) assembles its initial
-/// membership and directory state.
-///
-/// Both modes produce byte-identical overlays — the equivalence is pinned
-/// by proptests — so the choice is purely a construction-cost knob:
-/// `Bulk` sorts the drawn identifiers once and derives all link state in
-/// one pass (O(n log n)), while `Incremental` performs one ordered insert
-/// per node (O(n²) aggregate), which is the reference path and the shape
-/// genuine runtime joins take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildMode {
-    /// Sorted bulk construction — the default for experiment beds.
-    #[default]
-    Bulk,
-    /// Per-node ordered inserts — the reference path used to validate the
-    /// bulk constructors.
-    Incremental,
-}
-
 /// A structured DHT overlay, as seen by the discovery layer.
 ///
 /// The associated `Key` type is the overlay's identifier: a plain `u64` for

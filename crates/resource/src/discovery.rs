@@ -158,8 +158,8 @@ pub trait ResourceDiscovery {
     /// system: derive the key(s) of `sub`, look them up from physical node
     /// `phys`, walk on for a range, and match the directory of every node
     /// the walk reached. Every lookup goes through [`Via::route_stats`]
-    /// and every walk advance through [`Via::admit_step`], with `msg` the
-    /// sub-query's id in the fault coin stream.
+    /// and every walk is a [`Via::walk`], with `msg` the sub-query's id in
+    /// the fault coin stream.
     ///
     /// The step *adds* its cost to `out.tally` (counting a lookup before it
     /// is routed, so lost lookups are counted too) and its directory nodes

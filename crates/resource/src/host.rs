@@ -13,7 +13,7 @@
 use crate::directory::{sort_key, Directory};
 use crate::model::ResourceInfo;
 use crate::replication::{PieceKey, ReplicaStore};
-use dht_core::{BuildMode, DhtError, NodeIdx, Overlay, RepairStats, RouteStats};
+use dht_core::{DhtError, NodeIdx, Overlay, RepairStats, RouteStats};
 
 /// Physical node → overlay node, for the dense `usize` ids that stand in
 /// for the grid machines' IP addresses. A departed node keeps its id (ids
@@ -98,7 +98,6 @@ impl PhysMap {
 #[derive(Debug, Clone)]
 pub struct Host<O: Overlay> {
     net: O,
-    mode: BuildMode,
     dirs: Vec<Directory>,
     repl: usize,
     replicas: Vec<ReplicaStore<O::Key>>,
@@ -106,12 +105,10 @@ pub struct Host<O: Overlay> {
 }
 
 impl<O: Overlay> Host<O> {
-    /// Mount empty directories on every node of `net`. `mode` selects how
-    /// [`Self::store_all_at_owners`] lands a placement batch (both modes
-    /// yield byte-identical hosts; see [`BuildMode`]).
-    pub fn new(net: O, mode: BuildMode) -> Self {
+    /// Mount empty directories on every node of `net`.
+    pub fn new(net: O) -> Self {
         let dirs = vec![Directory::new(); net.arena_len()];
-        Self { net, mode, dirs, repl: 1, replicas: Vec::new(), repair: RepairStats::new() }
+        Self { net, dirs, repl: 1, replicas: Vec::new(), repair: RepairStats::new() }
     }
 
     /// The underlying overlay.
@@ -268,66 +265,54 @@ impl<O: Overlay> Host<O> {
     }
 
     /// Store a batch (a periodic report refresh, a departure's handoff) at
-    /// the ground-truth owners of its keys — the one place the host's
-    /// [`BuildMode`] is read.
+    /// the ground-truth owners of its keys. Items whose key cannot be
+    /// resolved (empty overlay) are skipped.
     ///
-    /// Items whose key cannot be resolved (empty overlay) are skipped.
-    /// `Incremental` is one directory push per item, the reference.
-    /// `Bulk` groups the batch by destination with a counting sort over
-    /// the arena slots it spans into one scratch buffer, orders each node's group
-    /// by the directory's integer key and lands it through one merge per
-    /// attribute. A directory's order is a function of what it holds (see
-    /// [`Directory`]), so both modes leave identical hosts.
+    /// The batch is grouped by destination with a counting sort over the
+    /// arena slots it spans into one scratch buffer; each node's group is
+    /// ordered by the directory's integer key and lands through one merge
+    /// per attribute. A directory's order is a function of what it holds
+    /// (see [`Directory`]), so the hosts this leaves are those of one
+    /// push per item, in any order.
     pub fn store_all_at_owners(&mut self, items: impl IntoIterator<Item = (O::Key, ResourceInfo)>) {
-        match self.mode {
-            BuildMode::Incremental => {
-                for (key, info) in items {
-                    if let Ok(root) = self.net.owner_of(key) {
-                        self.dirs[root.0].push(info);
-                    }
-                }
-            }
-            BuildMode::Bulk => {
-                let routed: Vec<(NodeIdx, ResourceInfo)> = items
-                    .into_iter()
-                    .filter_map(|(key, info)| Some((self.net.owner_of(key).ok()?, info)))
-                    .collect();
-                let Some(&(_, filler)) = routed.first() else {
-                    return;
-                };
-                // Only the slots between the lowest and the highest
-                // destination take part: a handoff lands on a neighbour or
-                // two, a placement round on the whole arena.
-                let (lo, hi) = routed
-                    .iter()
-                    .fold((usize::MAX, 0), |(lo, hi), &(root, _)| (lo.min(root.0), hi.max(root.0)));
-                // `bounds[s - lo]` counts slot `s`'s group, then (running
-                // sum) is where it starts, then (scatter) where it ends.
-                let mut bounds = vec![0usize; hi - lo + 1];
-                for &(root, _) in &routed {
-                    bounds[root.0 - lo] += 1;
-                }
-                let mut start = 0;
-                for bound in &mut bounds {
-                    start += std::mem::replace(bound, start);
-                }
-                let mut grouped = vec![filler; routed.len()];
-                for &(root, info) in &routed {
-                    let next = &mut bounds[root.0 - lo];
-                    grouped[*next] = info;
-                    *next += 1;
-                }
-                // One copy of the batch is live while the directories grow.
-                drop(routed);
-                let mut start = 0;
-                for (dir, &end) in self.dirs[lo..=hi].iter_mut().zip(&bounds) {
-                    if start < end {
-                        let group = &mut grouped[start..end];
-                        group.sort_unstable_by_key(sort_key);
-                        dir.load_sorted(group);
-                        start = end;
-                    }
-                }
+        let routed: Vec<(NodeIdx, ResourceInfo)> = items
+            .into_iter()
+            .filter_map(|(key, info)| Some((self.net.owner_of(key).ok()?, info)))
+            .collect();
+        let Some(&(_, filler)) = routed.first() else {
+            return;
+        };
+        // Only the slots between the lowest and the highest destination
+        // take part: a handoff lands on a neighbour or two, a placement
+        // round on the whole arena.
+        let (lo, hi) = routed
+            .iter()
+            .fold((usize::MAX, 0), |(lo, hi), &(root, _)| (lo.min(root.0), hi.max(root.0)));
+        // `bounds[s - lo]` counts slot `s`'s group, then (running sum) is
+        // where it starts, then (scatter) where it ends.
+        let mut bounds = vec![0usize; hi - lo + 1];
+        for &(root, _) in &routed {
+            bounds[root.0 - lo] += 1;
+        }
+        let mut start = 0;
+        for bound in &mut bounds {
+            start += std::mem::replace(bound, start);
+        }
+        let mut grouped = vec![filler; routed.len()];
+        for &(root, info) in &routed {
+            let next = &mut bounds[root.0 - lo];
+            grouped[*next] = info;
+            *next += 1;
+        }
+        // One copy of the batch is live while the directories grow.
+        drop(routed);
+        let mut start = 0;
+        for (dir, &end) in self.dirs[lo..=hi].iter_mut().zip(&bounds) {
+            if start < end {
+                let group = &mut grouped[start..end];
+                group.sort_unstable_by_key(sort_key);
+                dir.load_sorted(group);
+                start = end;
             }
         }
     }

@@ -31,5 +31,5 @@ pub mod table;
 
 pub use cache::BedCache;
 pub use report::Report;
-pub use setup::{build_system, build_system_with_mode, SimConfig, TestBed};
+pub use setup::{build_system, SimConfig, TestBed};
 pub use table::Table;

@@ -2,7 +2,7 @@
 
 use analysis::{Params, System};
 use baselines::{Maan, MaanConfig, Mercury, MercuryConfig, Sword, SwordConfig};
-use dht_core::{BuildMode, SeedSpawner};
+use dht_core::SeedSpawner;
 use grid_resource::{ResourceDiscovery, ValueDist, Workload, WorkloadConfig};
 use lorm::{Lorm, LormConfig};
 
@@ -63,42 +63,22 @@ impl SimConfig {
 }
 
 /// Construct one system over the workload's attribute space, with all
-/// reports placed (via the default bulk construction path).
+/// reports placed.
 pub fn build_system(
     system: System,
     workload: &Workload,
     cfg: &SimConfig,
 ) -> Box<dyn ResourceDiscovery + Send + Sync> {
-    build_system_with_mode(system, workload, cfg, BuildMode::Bulk)
-}
-
-/// [`build_system`] with an explicit construction mode. Both modes yield
-/// byte-identical systems — `Incremental` is the O(n²)-aggregate reference
-/// path the equivalence proptests drive.
-pub fn build_system_with_mode(
-    system: System,
-    workload: &Workload,
-    cfg: &SimConfig,
-    mode: BuildMode,
-) -> Box<dyn ResourceDiscovery + Send + Sync> {
-    let n = cfg.nodes;
-    let seed = cfg.seed;
+    let (n, seed, space) = (cfg.nodes, cfg.seed, &workload.space);
     let mut sys: Box<dyn ResourceDiscovery + Send + Sync> = match system {
-        System::Lorm => Box::new(Lorm::new_with_mode(
+        System::Lorm => Box::new(Lorm::new(
             n,
-            &workload.space,
+            space,
             LormConfig { dimension: cfg.dimension, seed, ..LormConfig::default() },
-            mode,
         )),
-        System::Mercury => {
-            Box::new(Mercury::new_with_mode(n, &workload.space, MercuryConfig { seed }, mode))
-        }
-        System::Sword => {
-            Box::new(Sword::new_with_mode(n, &workload.space, SwordConfig { seed }, mode))
-        }
-        System::Maan => {
-            Box::new(Maan::new_with_mode(n, &workload.space, MaanConfig { seed }, mode))
-        }
+        System::Mercury => Box::new(Mercury::new(n, space, MercuryConfig { seed })),
+        System::Sword => Box::new(Sword::new(n, space, SwordConfig { seed })),
+        System::Maan => Box::new(Maan::new(n, space, MaanConfig { seed })),
     };
     sys.place_all(&workload.reports);
     sys
@@ -130,18 +110,7 @@ impl TestBed {
     /// step of every static experiment: Mercury alone instantiates `m`
     /// Chord hubs of `n` nodes.
     pub fn new(cfg: SimConfig) -> Self {
-        Self::new_with_mode(cfg, BuildMode::Bulk)
-    }
-
-    /// [`TestBed::new`] with an explicit construction mode. Bulk and
-    /// incremental beds are byte-identical (the bed cache keys on the
-    /// config alone for exactly this reason); the incremental path exists
-    /// so equivalence proptests can drive it.
-    pub fn new_with_mode(cfg: SimConfig, mode: BuildMode) -> Self {
-        let (workload, seeds) = Self::workload_of(&cfg);
-        let systems =
-            System::ALL.iter().map(|&s| build_system_with_mode(s, &workload, &cfg, mode)).collect();
-        Self { cfg, workload, systems, seeds }
+        Self::with_systems(cfg, &System::ALL)
     }
 
     /// The workload and seed streams a bed with this configuration mounts

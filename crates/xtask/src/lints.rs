@@ -555,8 +555,7 @@ fn bed_rebuild(
         "Mercury",
         "CompositeFlat",
     ];
-    const CTOR_METHODS: &[&str] =
-        &["new", "build", "with_systems", "build_with_mode", "new_with_mode"];
+    const CTOR_METHODS: &[&str] = &["new", "build", "with_systems"];
 
     let mut depth = 0i32;
     let mut pending_loop = false;
@@ -1410,16 +1409,9 @@ mod tests {
     }
 
     #[test]
-    fn bulk_mode_ctors_in_loops_are_flagged() {
-        // The O(n log n) bulk constructors added by the scale work are
-        // still full overlay builds — looping over them is the same
-        // amortization bug as looping over `::build`.
+    fn system_ctors_in_loops_are_flagged_outside_blessed_files() {
         let r = sim_lib(
-            "fn f(seeds: &[u64]) {\n    for s in seeds {\n        let n = Chord::build_with_mode(64, cfg, mode);\n    }\n}",
-        );
-        assert_eq!(names(&r), ["bed-rebuild"]);
-        let r = sim_lib(
-            "fn f(seeds: &[u64]) {\n    for s in seeds {\n        let m = Mercury::new_with_mode(64, &sp, cfg, mode);\n    }\n}",
+            "fn f(seeds: &[u64]) {\n    for s in seeds {\n        let m = Mercury::new(64, &sp, cfg);\n    }\n}",
         );
         assert_eq!(names(&r), ["bed-rebuild"]);
         // The Chord-hosted system's construction module is blessed: one
@@ -1430,10 +1422,7 @@ mod tests {
             class: FileClass::Lib,
             rel_path: "crates/baselines/src/system.rs".into(),
         };
-        let r = lint_file(
-            &ctx,
-            "fn f() { for h in 0..m { let hub = ChordHost::build_with_mode(n, s, mode); } }",
-        );
+        let r = lint_file(&ctx, "fn f() { for h in 0..m { let hub = ChordHost::build(n, s); } }");
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     }
 
