@@ -1,9 +1,10 @@
 //! Regenerate the paper's tables and figures. See `bench` crate docs.
 #![allow(clippy::print_stdout)] // terminal output is this binary's UI
 
-use bench::perf::PerfKernel;
+use bench::perf::{self, PerfKernel};
 use bench::{parse_args, render_json, run_artifact_report, ArtifactRun, Mode, ReproConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every heap allocation (and the bytes moving in each direction)
@@ -55,51 +56,64 @@ fn heap_bytes() -> (u64, u64) {
     (ALLOC_BYTES.load(Ordering::Relaxed), FREED_BYTES.load(Ordering::Relaxed))
 }
 
+/// Print `msg` and exit 1: the verdict of every failed check.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// Print each violation, then fail with `verdict` when there was any.
+fn fail_on(violations: &[String], verdict: &str) {
+    if !violations.is_empty() {
+        for v in violations {
+            eprintln!("  {v}");
+        }
+        fail(format!("{verdict} ({} violation(s), listed above)", violations.len()));
+    }
+}
+
 /// Write the run's JSON export to the `--json` path, if one was given;
 /// exit 1 when the file cannot be written.
 fn write_json(cfg: &ReproConfig, label: &str, render: impl FnOnce() -> String) {
     let Some(path) = &cfg.json else { return };
     if let Err(e) = std::fs::write(path, render()) {
-        eprintln!("failed to write {}: {e}", path.display());
-        std::process::exit(1);
+        fail(format!("failed to write {}: {e}", path.display()));
     }
     println!("({label} written to {})", path.display());
 }
 
-/// Diff the run's kernels against the committed `--baseline` file, if one
-/// was given: print the per-kernel delta table and exit 1 on an unreadable
-/// baseline, one that shares no kernel with the run, or a kernel that
-/// slowed past its gate.
-fn gate_on_baseline(cfg: &ReproConfig, what: &str, kernels: &[PerfKernel]) {
-    let Some(path) = &cfg.baseline else { return };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to read baseline {}: {e}", path.display());
-            std::process::exit(1);
-        }
+/// The `--baseline` file, read and parsed before any kernel runs so a
+/// bad path costs nothing: exit 1 when it is unreadable or lists no
+/// kernel.
+type Baseline<'a> = Option<(&'a Path, Vec<(String, f64)>)>;
+
+fn load_baseline(cfg: &ReproConfig) -> Baseline<'_> {
+    let path = cfg.baseline.as_deref()?;
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("failed to read baseline {}: {e}", path.display())));
+    match perf::parse_baseline(&text) {
+        Ok(base) => Some((path, base)),
+        Err(e) => fail(format!("failed to parse baseline {}: {e}", path.display())),
+    }
+}
+
+/// Diff the run's kernels against the loaded baseline, if any: print the
+/// per-kernel delta table and exit 1 when the baseline shares no kernel
+/// with the run or a kernel slowed past its gate.
+fn gate_on_baseline(baseline: Baseline<'_>, what: &str, kernels: &[PerfKernel]) {
+    let Some((path, base)) = baseline else { return };
+    let Some(deltas) = perf::diff_baseline(kernels, &base) else {
+        fail(format!("baseline {} shares no kernel with this {what} run", path.display()));
     };
-    let base = match bench::perf::parse_baseline(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("failed to parse baseline {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let Some(deltas) = bench::perf::diff_baseline(kernels, &base) else {
-        eprintln!("baseline {} shares no kernel with this {what} run", path.display());
-        std::process::exit(1);
-    };
-    println!("{}", bench::perf::render_delta_table(path, &deltas));
+    println!("{}", perf::render_delta_table(path, &deltas));
     if deltas.iter().any(|d| d.regressed) {
-        eprintln!(
+        fail(format!(
             "{what} regression: at least one kernel slowed past its gate \
              ({:.0}% query / {:.0}% build) vs {}",
-            (bench::perf::REGRESSION_THRESHOLD - 1.0) * 100.0,
-            (bench::perf::BUILD_REGRESSION_THRESHOLD - 1.0) * 100.0,
+            (perf::REGRESSION_THRESHOLD - 1.0) * 100.0,
+            (perf::BUILD_REGRESSION_THRESHOLD - 1.0) * 100.0,
             path.display()
-        );
-        std::process::exit(1);
+        ));
     }
 }
 
@@ -118,13 +132,15 @@ fn main() {
     let cache = sim::BedCache::new();
     match cfg.mode {
         Mode::Perf => {
+            let baseline = load_baseline(&cfg);
             println!("# LORM perf baseline — {size} mode (seed {})\n", cfg.seed);
-            let kernels = bench::perf::run_perf(&cfg, Some(count_allocs));
-            println!("{}", bench::perf::render_perf_table(&kernels));
-            write_json(&cfg, "perf metrics", || bench::perf::render_perf_json(&cfg, &kernels));
-            gate_on_baseline(&cfg, "perf", &kernels);
+            let kernels = perf::run_perf(&cfg, Some(count_allocs));
+            println!("{}", perf::render_perf_table(&kernels));
+            write_json(&cfg, "perf metrics", || perf::render_perf_json(&cfg, &kernels));
+            gate_on_baseline(baseline, "perf", &kernels);
         }
         Mode::Scale => {
+            let baseline = load_baseline(&cfg);
             println!(
                 "# LORM scale sweep — {} mode (seed {})\n",
                 if cfg.quick { "quick (1k-50k)" } else { "full (1k-1M)" },
@@ -133,14 +149,10 @@ fn main() {
             let run = bench::scale::run_scale(&cfg, Some(heap_bytes));
             println!("{}", bench::scale::render_scale_table(&run));
             write_json(&cfg, "scale metrics", || bench::scale::render_scale_json(&cfg, &run));
-            if run.checks.iter().any(|c| !c.ok) {
-                eprintln!("scale sweep: at least one growth check failed (see table above)");
-                std::process::exit(1);
-            }
-            // Same per-kernel wall-clock gate the perf mode applies: the
-            // scale export shares the perf-v2 kernel array, so a committed
-            // BENCH_scale_quick.json diffs with the identical machinery.
-            gate_on_baseline(&cfg, "scale", &run.kernels);
+            fail_on(&run.violations(), "scale sweep: the growth checks or heap accounting failed");
+            // The scale export shares the perf-v2 kernel array, so a
+            // committed BENCH_scale_quick.json diffs with the same gate.
+            gate_on_baseline(baseline, "scale", &run.kernels);
         }
         Mode::Durability => {
             println!("# LORM durability sweep — {size} mode (seed {})\n", cfg.seed);
@@ -149,22 +161,16 @@ fn main() {
             write_json(&cfg, "durability metrics", || {
                 bench::durability::render_durability_json(&cfg, &d)
             });
-            let violations = d.k_monotonicity_violations();
-            if !violations.is_empty() {
-                eprintln!(
-                    "durability sweep: data loss was not monotone in the replication \
-                     degree ({} violation(s), see notes above)",
-                    violations.len()
-                );
-                std::process::exit(1);
-            }
+            fail_on(
+                &d.k_monotonicity_violations(),
+                "durability sweep: data loss was not monotone in the replication degree",
+            );
             if d.theory_failures() > 0 {
-                eprintln!(
+                fail(format!(
                     "durability sweep: {} churn theory check(s) fell outside their \
                      tolerance bands (see table above)",
                     d.theory_failures()
-                );
-                std::process::exit(1);
+                ));
             }
         }
         Mode::Chaos => {
@@ -172,6 +178,7 @@ fn main() {
             let c = bench::chaos::run_chaos(&cfg, &cache);
             println!("{c}");
             write_json(&cfg, "chaos metrics", || bench::chaos::render_chaos_json(&cfg, &c));
+            fail_on(&c.violations(), "chaos sweep: accounting, parity or monotonicity broke");
         }
         Mode::Figures => {
             println!("# LORM reproduction — {size} mode (seed {})\n", cfg.seed);

@@ -5,9 +5,9 @@
 //! seeded sweep and renders the success-rate / hop-inflation curves
 //! against the stable `lorm-repro/chaos-v1` schema (documented in
 //! EXPERIMENTS.md). Every system's fault-free baseline summary is
-//! embedded in the export so consumers (CI's `chaos-smoke` job) can
-//! assert the zero-fault cell is bit-identical to it without re-running
-//! anything.
+//! embedded in the export, so a reader can check the zero-fault cell
+//! against it without re-running anything; `repro chaos` itself exits 1
+//! when that parity, or any other `Chaos::violations` invariant, breaks.
 
 use crate::ReproConfig;
 use sim::experiments::chaos::{chaos, Chaos, ChaosSetup};
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn zero_fault_cell_serializes_bit_identical_to_baseline() {
-        // The parity guarantee the CI job asserts: the zero-fault cell's
+        // The parity guarantee in serialized form: the zero-fault cell's
         // summary object is the exact same string as the baseline's.
         let (cfg, c) = tiny_chaos();
         let j = render_chaos_json(&cfg, &c);

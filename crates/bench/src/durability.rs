@@ -146,6 +146,7 @@ mod tests {
 
     #[test]
     fn durability_rows_cover_the_degree_grid() {
+        assert!(DurabilitySetup::quick().degrees.contains(&1), "the quick grid has the k=1 row");
         let (_, d) = tiny_durability();
         assert_eq!(d.rows.len(), 2, "1 rate x 2 degrees");
         let k1 = &d.rows[0];
@@ -156,5 +157,13 @@ mod tests {
             assert!(b.surviving >= a.surviving, "k=2 must not lose more than k=1");
             assert_eq!(a.repair_transfers(), 0, "k=1 repair must be a no-op");
         }
+        for c in d.rows.iter().flat_map(|r| &r.cells) {
+            assert!(0 < c.surviving && c.surviving <= c.initial, "{c:?}");
+            assert_eq!(c.loss, 1.0 - c.surviving as f64 / c.initial as f64);
+            assert!(c.probe.count() > 0, "the post-churn probe ran no queries");
+        }
+        // 4 Krishnamurthy estimators x the theory bed's 2 churn rates
+        assert_eq!(d.checks.len(), 8);
+        assert!(d.k_monotonicity_violations().is_empty() && d.theory_failures() == 0);
     }
 }

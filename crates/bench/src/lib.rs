@@ -7,14 +7,25 @@
 //!
 //! ```text
 //! repro [--quick] [fig3a fig3 fig4 fig5 fig6a fig6b t410 ablations | all]
-//! repro [--quick] perf    # wall-clock kernel baseline (perf-v1 schema)
+//! repro [--quick] perf    # wall-clock kernel baseline (perf-v2 schema)
 //! repro [--quick] chaos   # fault-injection sweep (chaos-v1 schema)
 //! repro [--quick] scale   # 1k -> 1M scaling sweep (perf-v2 schema)
+//! repro [--quick] durability  # replication sweep (durability-v1 schema)
 //! ```
+//!
+//! `chaos`, `scale` and `durability` check their sweep's invariants and
+//! exit 1 on a breach; `perf` and `scale` also exit 1 on a kernel slower
+//! than its gate against `--baseline <BENCH.json>`. The exit status is
+//! the whole verdict.
 //!
 //! `--quick` scales the experiment down (fewer nodes/attributes/queries)
 //! for smoke runs; the default is the paper's full §V configuration
 //! (n = 2048, m = 200, k = 500, d = 8).
+//!
+//! Every artifact's quick-mode report is pinned by an FNV-1a digest of
+//! its JSON in this crate's unit tests (`REPORT_DIGESTS`). A change that
+//! moves a figure re-records the digests it moves and says why; a
+//! refactor moves none.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -543,12 +554,10 @@ mod tests {
 
     #[test]
     fn quick_fig3a_renders_table() {
-        let cfg = ReproConfig { quick: true, seed: 7, ..ReproConfig::default() };
         // trim the sweep further for the unit test
         let out = fig3::fig3a(&[5], 8, 7).to_string();
         assert!(out.contains("Figure 3(a)"));
         assert!(out.contains("Mercury"));
-        let _ = cfg;
     }
 
     #[test]
@@ -559,20 +568,52 @@ mod tests {
         assert!(out.contains("LORM"));
     }
 
+    /// FNV-1a digest of each artifact's `Report::to_json()` at quick
+    /// scale, seed 3, in [`Artifact::ALL`] order. Recorded on the commit
+    /// before this table existed, by the same fold as the test below.
+    /// These are report goldens: a change that moves a figure re-records
+    /// the digest it moves and says why in its commit message; a
+    /// refactor leaves every one of them alone.
+    const REPORT_DIGESTS: [(&str, u64); 15] = [
+        ("theorems", 0xf44a_cdee_513e_69bf),
+        ("fig3a", 0x2435_2011_7d65_7b0e),
+        ("fig3dirs", 0xc0e5_6a4a_9ea3_efe1),
+        ("fig3sweep", 0x0f01_80b0_0382_b29e),
+        ("fig4", 0x1351_8c1b_fcac_8db5),
+        ("fig5", 0x6f0c_a0ec_e2c5_830e),
+        ("fig6a", 0x0c56_4f88_ee5a_e9bf),
+        ("fig6b", 0x6b2e_ebef_5db4_791b),
+        ("churnfail", 0xc55d_8fdc_de8f_025f),
+        ("hopdist", 0xb4fc_02cc_61d0_1ba1),
+        ("latency", 0x63ea_5301_b994_ec34),
+        ("t410", 0x9c23_f874_1bca_6b6a),
+        ("maintenance", 0x58f9_1be1_0dcf_9d41),
+        ("loadbalance", 0xb340_6038_bb04_c410),
+        ("ablations", 0xf4af_7e6e_cf83_11a8),
+    ];
+
     #[test]
     fn every_artifact_runs_end_to_end_in_quick_mode() {
         // The full-scale run is recorded in EXPERIMENTS.md; this guards
-        // that every artifact stays runnable. Quick mode, tiny batches.
+        // that every artifact stays runnable, renders non-empty tables,
+        // and renders the recorded bytes. Quick mode, tiny batches.
         let cfg = ReproConfig { quick: true, seed: 3, ..ReproConfig::default() };
         let cache = BedCache::new();
-        for a in Artifact::ALL {
+        for (a, (name, digest)) in Artifact::ALL.into_iter().zip(REPORT_DIGESTS) {
             let rep = run_artifact_report(a, &cfg, &cache);
             let out = rep.to_string();
             assert!(out.contains('|'), "{a:?} produced no table:\n{out}");
             assert!(out.contains("##"), "{a:?} produced no title");
             assert!(!rep.tables().is_empty(), "{a:?} report has no tables");
+            for t in rep.tables() {
+                assert!(!t.header().is_empty() && !t.rows().is_empty(), "{a:?}: empty table");
+            }
             let j = rep.to_json();
             assert!(j.starts_with("{\"tables\":["), "{a:?} bad json head: {j}");
+            let fnv = j.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!((a.name(), fnv), (name, digest), "{a:?} report moved");
         }
     }
 

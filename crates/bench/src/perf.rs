@@ -3,14 +3,17 @@
 //! Times the hot kernels every figure decomposes into (overlay routing,
 //! maintenance repair, LORM range probing), the bed-construction phase
 //! the [`sim::BedCache`] amortizes (`build_bed_*`, `bed_clone`), and the
-//! quick-mode figure pipelines end to end against a warm cache, and
-//! renders the result against the stable `lorm-repro/perf-v2` schema
-//! (per-kernel `phase` tag plus a build/query wall-clock split). The
-//! committed `BENCH_*.json` files are produced by this mode; CI re-runs
-//! it and fails on a per-kernel wall-clock regression past
-//! [`REGRESSION_THRESHOLD`] (query) / [`BUILD_REGRESSION_THRESHOLD`]
-//! (build) — see `.github/workflows/ci.yml` — and `repro perf
-//! --baseline <path>` applies the same gate locally before push.
+//! quick-mode figure pipelines end to end against a warm cache.
+//!
+//! `repro perf` and `repro scale` share one kernel record,
+//! [`PerfKernel`], and one writer for the `lorm-repro/perf-v2` kernel
+//! array and its build/query `phase_totals` split,
+//! [`push_kernels_json`]. The committed `BENCH_*.json` files are produced
+//! by these modes. `--baseline <BENCH.json>` diffs a run against one of
+//! them and exits 1 when a kernel slows past [`REGRESSION_THRESHOLD`]
+//! (query) or [`BUILD_REGRESSION_THRESHOLD`] (build). CI's perf-smoke job
+//! is exactly `repro perf --quick --shards=1 --baseline
+//! BENCH_perf_quick.json`: the exit status is the verdict.
 //!
 //! Allocation counts come from a counting `#[global_allocator]` that only
 //! the `repro` binary (and the `alloc_count` test binary) installs — this
@@ -21,12 +24,14 @@ use crate::{run_artifact_report, Artifact, Mode, ReproConfig};
 use analysis::System;
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
-use dht_core::Overlay;
-use grid_resource::{intersect_sorted, QueryMix, QueryPlan, ResourceDiscovery, Workload};
+use dht_core::{DhtError, NodeIdx, Overlay, RouteCache};
+use grid_resource::{intersect_sorted, Query, QueryMix, QueryPlan, ResourceDiscovery, Workload};
 use lorm::{Lorm, LormConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sim::{build_system, BedCache, TestBed};
+use sim::experiments::{run_batch, BatchMode, Metric};
+use sim::{build_system, BedCache, SimConfig, TestBed};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Counts heap allocations performed while running the closure. Installed
@@ -39,11 +44,12 @@ pub type AllocCounter = fn(&mut dyn FnMut()) -> u64;
 /// everything driven against an already stabilized bed.
 pub type Phase = &'static str;
 
-/// One timed kernel.
-#[derive(Debug, Clone)]
+/// One timed kernel of a `repro perf` or `repro scale` run.
+#[derive(Debug, Clone, Default)]
 pub struct PerfKernel {
-    /// Stable kernel name (schema field).
-    pub name: &'static str,
+    /// Stable kernel name (schema field). Scale kernels are named
+    /// `{system}_{phase}_{size}`, e.g. `chord_build_n1k`.
+    pub name: String,
     /// Which wall-clock phase this kernel measures (`"build"`/`"query"`).
     pub phase: Phase,
     /// Iterations timed.
@@ -56,11 +62,11 @@ pub struct PerfKernel {
     pub allocs_per_iter: Option<f64>,
     /// Walk-cache hit rate over one deterministic warm pass, for the
     /// cached kernel only. A pure function of the seed and the cache
-    /// geometry — CI pins it exactly against the committed baseline.
+    /// geometry, pinned exactly by a unit test.
     pub cache_hit_rate: Option<f64>,
 }
 
-fn time_kernel(name: &'static str, phase: Phase, iters: u64, mut f: impl FnMut()) -> PerfKernel {
+fn time_kernel(name: &str, phase: Phase, iters: u64, mut f: impl FnMut()) -> PerfKernel {
     // Best-of-N timing with a reproduced floor: scheduler blips inflate
     // a single pass by 30%+ even on the sub-second kernels, and the
     // regression gate needs a stable floor. A fixed pass count is not
@@ -86,13 +92,115 @@ fn time_kernel(name: &'static str, phase: Phase, iters: u64, mut f: impl FnMut()
     }
     let best = times.iter().cloned().fold(f64::INFINITY, f64::min);
     PerfKernel {
-        name,
+        name: name.to_owned(),
         phase,
         iters,
         elapsed_ms: best * 1e3,
         ops_per_sec: iters as f64 / best.max(1e-12),
-        allocs_per_iter: None,
-        cache_hit_rate: None,
+        ..PerfKernel::default()
+    }
+}
+
+/// Time `f` as a query kernel, then re-run `probe_iters` iterations of
+/// the same closure under the allocation counter for `allocs_per_iter`
+/// (left unmeasured when no counter is installed).
+fn time_and_count_allocs(
+    name: &str,
+    iters: u64,
+    probe_iters: u64,
+    counter: Option<AllocCounter>,
+    mut f: impl FnMut(),
+) -> PerfKernel {
+    let mut k = time_kernel(name, "query", iters, &mut f);
+    if let Some(count) = counter {
+        let total = count(&mut || (0..probe_iters).for_each(|_| f()));
+        k.allocs_per_iter = Some(total as f64 / probe_iters as f64);
+    }
+    k
+}
+
+/// `{system}_route_stats` and `{system}_route_traced`: the untraced fast
+/// path and the traced path, each cycling through the same `(from, key)`
+/// plan. Timing runs whole passes over the plan, so the allocation pass
+/// starts again at its first entry.
+fn route_kernels<O: Overlay>(
+    system: &str,
+    net: &O,
+    plan: &[(NodeIdx, O::Key)],
+    probe_iters: u64,
+    counter: Option<AllocCounter>,
+) -> [PerfKernel; 2] {
+    let iters = plan.len() as u64;
+    let (stats, traced) = (format!("{system}_route_stats"), format!("{system}_route_traced"));
+    let mut i = 0usize;
+    let stats = time_and_count_allocs(&stats, iters, probe_iters, counter, || {
+        let (from, key) = plan[i % plan.len()];
+        black_box(net.route_stats(from, key).map(|r| r.hops).unwrap_or(0));
+        i += 1;
+    });
+    let mut i = 0usize;
+    let traced = time_and_count_allocs(&traced, iters, probe_iters, counter, || {
+        let (from, key) = plan[i % plan.len()];
+        black_box(net.route(from, key).map(|r| r.hops()).unwrap_or(0));
+        i += 1;
+    });
+    [stats, traced]
+}
+
+/// The LORM range-probe fixture: the configuration's workload placed on
+/// one LORM system, and the fixed range-query batch that
+/// `lorm_range_probe_batched` replays.
+pub(crate) struct LormProbe {
+    sim_cfg: SimConfig,
+    workload: Workload,
+    lorm: Lorm,
+    batch: Vec<(usize, Query)>,
+}
+
+impl LormProbe {
+    /// Build the fixture at the configuration's scale (1 000 batch
+    /// queries in quick mode, 5 000 otherwise).
+    pub(crate) fn new(cfg: &ReproConfig) -> Result<Self, DhtError> {
+        let sim_cfg = cfg.sim();
+        let mut wl_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x10);
+        let workload = Workload::generate(sim_cfg.workload_config(), &mut wl_rng)?;
+        let mut lorm = Lorm::new(
+            sim_cfg.nodes,
+            &workload.space,
+            LormConfig { dimension: sim_cfg.dimension, seed: cfg.seed, ..LormConfig::default() },
+        );
+        lorm.place_all(&workload.reports);
+        let probe_q = if cfg.quick { 1_000 } else { 5_000 };
+        let mut batch_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x12);
+        let batch = (0..probe_q)
+            .map(|_| {
+                let origin = batch_rng.gen_range(0..sim_cfg.nodes);
+                (origin, workload.random_query(1, QueryMix::Range, &mut batch_rng))
+            })
+            .collect();
+        Ok(Self { sim_cfg, workload, lorm, batch })
+    }
+
+    /// One pass of the batch through the walk-cached executor on one
+    /// worker, so `cache` persists across the whole pass.
+    fn replay(&self, cache: &mut RouteCache) {
+        let mode = BatchMode::Cached(QueryPlan::Parallel, cache);
+        black_box(run_batch(&self.lorm, &self.batch, Metric::Visited, mode, 1));
+    }
+
+    /// The walk-cache hit rate of the first steady-state pass, leaving
+    /// `cache` warm. Two-touch admission stamps a repeated walk key on
+    /// pass one and records it on pass two, so pass three is the first
+    /// steady-state pass. Cache contents after a full pass depend only on
+    /// the batch, so the rate is a pure function of the seed — unlike a
+    /// count taken in the timing loop, whose pass count follows the clock.
+    pub(crate) fn warm_hit_rate(&self, cache: &mut RouteCache) -> Option<f64> {
+        for _ in 0..2 {
+            self.replay(cache);
+        }
+        cache.reset_counters();
+        self.replay(cache);
+        cache.hit_rate()
     }
 }
 
@@ -110,104 +218,18 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     let chord = Chord::build(n_chord, ChordConfig { seed: cfg.seed, ..ChordConfig::default() });
     let cycloid = Cycloid::build(n_cycloid, CycloidConfig { dimension: d, seed: cfg.seed });
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9E3779B97F4A7C15);
-    let chord_plan: Vec<(dht_core::NodeIdx, u64)> = (0..route_iters)
+    let chord_plan: Vec<(NodeIdx, u64)> = (0..route_iters)
         .map(|_| (chord.random_node(&mut rng).expect("live node"), rng.gen()))
         .collect();
-    let cycloid_plan: Vec<(dht_core::NodeIdx, CycloidId)> = (0..route_iters)
+    let cycloid_plan: Vec<(NodeIdx, CycloidId)> = (0..route_iters)
         .map(|_| {
             let from = cycloid.random_node(&mut rng).expect("live node");
             let key = CycloidId::new(rng.gen_range(0..d), rng.gen_range(0..(1u32 << d)), d);
             (from, key)
         })
         .collect();
-
-    let mut k = time_kernel("chord_route_stats", "query", route_iters, {
-        let mut i = 0usize;
-        let plan = &chord_plan;
-        let net = &chord;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route_stats(from, key).map(|r| r.hops).unwrap_or(0));
-            i += 1;
-        }
-    });
-    measure_allocs(&mut k, counter, probe_iters, {
-        let mut i = 0usize;
-        let plan = &chord_plan;
-        let net = &chord;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route_stats(from, key).map(|r| r.hops).unwrap_or(0));
-            i += 1;
-        }
-    });
-    kernels.push(k);
-
-    let mut k = time_kernel("chord_route_traced", "query", route_iters, {
-        let mut i = 0usize;
-        let plan = &chord_plan;
-        let net = &chord;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route(from, key).map(|r| r.hops()).unwrap_or(0));
-            i += 1;
-        }
-    });
-    measure_allocs(&mut k, counter, probe_iters, {
-        let mut i = 0usize;
-        let plan = &chord_plan;
-        let net = &chord;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route(from, key).map(|r| r.hops()).unwrap_or(0));
-            i += 1;
-        }
-    });
-    kernels.push(k);
-
-    let mut k = time_kernel("cycloid_route_stats", "query", route_iters, {
-        let mut i = 0usize;
-        let plan = &cycloid_plan;
-        let net = &cycloid;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route_stats(from, key).map(|r| r.hops).unwrap_or(0));
-            i += 1;
-        }
-    });
-    measure_allocs(&mut k, counter, probe_iters, {
-        let mut i = 0usize;
-        let plan = &cycloid_plan;
-        let net = &cycloid;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route_stats(from, key).map(|r| r.hops).unwrap_or(0));
-            i += 1;
-        }
-    });
-    kernels.push(k);
-
-    let mut k = time_kernel("cycloid_route_traced", "query", route_iters, {
-        let mut i = 0usize;
-        let plan = &cycloid_plan;
-        let net = &cycloid;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route(from, key).map(|r| r.hops()).unwrap_or(0));
-            i += 1;
-        }
-    });
-    measure_allocs(&mut k, counter, probe_iters, {
-        let mut i = 0usize;
-        let plan = &cycloid_plan;
-        let net = &cycloid;
-        move || {
-            let (from, key) = plan[i % plan.len()];
-            std::hint::black_box(net.route(from, key).map(|r| r.hops()).unwrap_or(0));
-            i += 1;
-        }
-    });
-    kernels.push(k);
+    kernels.extend(route_kernels("chord", &chord, &chord_plan, probe_iters, counter));
+    kernels.extend(route_kernels("cycloid", &cycloid, &cycloid_plan, probe_iters, counter));
 
     // --- maintenance: the perfect-repair tick every churn round pays ---
     let maint_iters = if cfg.quick { 10 } else { 20 };
@@ -215,70 +237,37 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
         Chord::build(n_chord, ChordConfig { seed: cfg.seed ^ 1, ..ChordConfig::default() });
     kernels.push(time_kernel("chord_maintenance", "query", maint_iters, || {
         maint_net.rebuild_all_state();
-        std::hint::black_box(maint_net.len());
+        black_box(maint_net.len());
     }));
 
     // --- LORM range probing: route + cluster walk + directory scan -----
-    let sim_cfg = cfg.sim();
-    let mut wl_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x10);
-    let workload =
-        Workload::generate(sim_cfg.workload_config(), &mut wl_rng).expect("valid config");
-    let mut lorm = Lorm::new(
-        sim_cfg.nodes,
-        &workload.space,
-        LormConfig { dimension: sim_cfg.dimension, seed: cfg.seed, ..LormConfig::default() },
-    );
-    lorm.place_all(&workload.reports);
-    let probe_q = if cfg.quick { 1_000u64 } else { 5_000u64 };
+    let probe = LormProbe::new(cfg).expect("valid config");
+    let (sim_cfg, workload, lorm) = (probe.sim_cfg, &probe.workload, &probe.lorm);
+    let probe_q = probe.batch.len() as u64;
     let mut q_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x11);
     kernels.push(time_kernel("lorm_range_probe", "query", probe_q, || {
         let q = workload.random_query(1, QueryMix::Range, &mut q_rng);
         let origin = q_rng.gen_range(0..sim_cfg.nodes);
-        std::hint::black_box(lorm.query_from(origin, &q).map(|o| o.tally.visited).unwrap_or(0));
+        black_box(lorm.query_from(origin, &q).map(|o| o.tally.visited).unwrap_or(0));
     }));
 
     // --- batched LORM range probing: the sim executor's cached path ----
-    // One iteration = one full batch through the walk-cached executor
-    // (shards=1 so the caller's cache persists). The hit rate is measured
-    // FIRST, on a deterministic schedule — the timing loop's pass count
-    // varies with wall-clock, so counting hits there would not reproduce
-    // across runs — and after TWO warm passes: two-touch admission means
-    // a repeated walk key is stamped on pass one and recorded on pass
-    // two, so pass three is the first steady-state pass. Cache contents
-    // after any full pass depend only on the batch, so the rate is a pure
-    // function of the seed and CI pins it exactly. The equivalence tests
-    // in `sim` prove the batch summary is bit-identical to the plain
-    // executor's.
-    {
-        let mut batch_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x12);
-        let batch: Vec<(usize, grid_resource::Query)> = (0..probe_q)
-            .map(|_| {
-                let origin = batch_rng.gen_range(0..sim_cfg.nodes);
-                (origin, workload.random_query(1, QueryMix::Range, &mut batch_rng))
-            })
-            .collect();
-        use sim::experiments::{run_batch, BatchMode, Metric};
-        let probe = |cache: &mut dht_core::RouteCache| {
-            let mode = BatchMode::Cached(QueryPlan::Parallel, cache);
-            std::hint::black_box(run_batch(&lorm, &batch, Metric::Visited, mode, 1));
-        };
-        let mut cache = dht_core::RouteCache::new();
-        for _ in 0..2 {
-            probe(&mut cache);
-        }
-        cache.reset_counters();
-        probe(&mut cache);
-        let hit_rate = cache.hit_rate();
-        let mut k = time_kernel("lorm_range_probe_batched", "query", 1, || probe(&mut cache));
-        // One timed "iteration" was the whole probe_q-query batch:
-        // rescale iters/ops_per_sec to per-query units so the kernel
-        // reads side by side with lorm_range_probe (elapsed_ms already
-        // covers the same probe_q queries in both).
-        k.iters = probe_q;
-        k.ops_per_sec = probe_q as f64 / (k.elapsed_ms / 1e3).max(1e-12);
-        k.cache_hit_rate = hit_rate;
-        kernels.push(k);
-    }
+    // One iteration = one full batch through the walk-cached executor,
+    // measured after the hit rate so the cache is warm. The equivalence
+    // tests in `sim` prove the batch summary is bit-identical to the
+    // plain executor's.
+    let mut walk_cache = RouteCache::new();
+    let hit_rate = probe.warm_hit_rate(&mut walk_cache);
+    let mut k =
+        time_kernel("lorm_range_probe_batched", "query", 1, || probe.replay(&mut walk_cache));
+    // One timed "iteration" was the whole probe_q-query batch: rescale
+    // iters/ops_per_sec to per-query units so the kernel reads side by
+    // side with lorm_range_probe (elapsed_ms already covers the same
+    // probe_q queries in both).
+    k.iters = probe_q;
+    k.ops_per_sec = probe_q as f64 / (k.elapsed_ms / 1e3).max(1e-12);
+    k.cache_hit_rate = hit_rate;
+    kernels.push(k);
 
     // --- planner: zero-alloc candidate intersection --------------------
     // One iteration = refill the accumulator from the large sorted set
@@ -296,33 +285,20 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
         };
         let big = sorted_set(4096, 1 << 16);
         let small = sorted_set(256, 1 << 16);
-        let acc_cell = std::cell::RefCell::new(Vec::with_capacity(big.len()));
+        let mut acc = Vec::with_capacity(big.len());
         let intersect_iters = if cfg.quick { 50_000u64 } else { 200_000u64 };
-        let mut k = time_kernel("planner_intersect", "query", intersect_iters, {
-            let acc = &acc_cell;
-            let big = &big;
-            let small = &small;
-            move || {
-                let mut a = acc.borrow_mut();
-                a.clear();
-                a.extend_from_slice(big);
-                intersect_sorted(&mut a, small);
-                std::hint::black_box(a.len());
-            }
-        });
-        measure_allocs(&mut k, counter, probe_iters, {
-            let acc = &acc_cell;
-            let big = &big;
-            let small = &small;
-            move || {
-                let mut a = acc.borrow_mut();
-                a.clear();
-                a.extend_from_slice(big);
-                intersect_sorted(&mut a, small);
-                std::hint::black_box(a.len());
-            }
-        });
-        kernels.push(k);
+        kernels.push(time_and_count_allocs(
+            "planner_intersect",
+            intersect_iters,
+            probe_iters,
+            counter,
+            || {
+                acc.clear();
+                acc.extend_from_slice(&big);
+                intersect_sorted(&mut acc, &small);
+                black_box(acc.len());
+            },
+        ));
     }
 
     // --- planner: adaptive multi-attribute resolution --------------------
@@ -332,9 +308,9 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     // range sub-query (Theorem 4.9), so its kernel is the one that sees
     // planner work that is superlinear in the probe list.
     {
-        let mercury = build_system(System::Mercury, &workload, &sim_cfg);
+        let mercury = build_system(System::Mercury, workload, &sim_cfg);
         let cells: [(&'static str, &dyn ResourceDiscovery, u64); 2] = [
-            ("planner_adaptive_probe", &lorm, 0x14),
+            ("planner_adaptive_probe", lorm, 0x14),
             ("planner_adaptive_probe_mercury", &*mercury, 0x15),
         ];
         for (name, sys, stream) in cells {
@@ -342,7 +318,7 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
             kernels.push(time_kernel(name, "query", probe_q, || {
                 let q = workload.random_query(4, QueryMix::Range, &mut p_rng);
                 let origin = p_rng.gen_range(0..sim_cfg.nodes);
-                std::hint::black_box(
+                black_box(
                     sys.query_planned(origin, &q, QueryPlan::Adaptive)
                         .map(|o| o.tally.matches)
                         .unwrap_or(0),
@@ -360,14 +336,9 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     let (bed_workload, bed_seeds) = TestBed::workload_of(&sim_cfg);
     let mut systems = Vec::with_capacity(System::ALL.len());
     for s in System::ALL {
-        let name = match s {
-            System::Lorm => "build_bed_lorm",
-            System::Mercury => "build_bed_mercury",
-            System::Sword => "build_bed_sword",
-            System::Maan => "build_bed_maan",
-        };
         let mut slot = None;
-        kernels.push(time_kernel(name, "build", 1, || {
+        let name = format!("build_bed_{}", s.name().to_lowercase());
+        kernels.push(time_kernel(&name, "build", 1, || {
             slot = Some(build_system(s, &bed_workload, &sim_cfg));
         }));
         systems.push(slot.expect("build kernel ran"));
@@ -375,7 +346,7 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     let bed = TestBed { cfg: sim_cfg, workload: bed_workload, systems, seeds: bed_seeds };
     let clone_iters = if cfg.quick { 3 } else { 2 };
     kernels.push(time_kernel("bed_clone", "build", clone_iters, || {
-        std::hint::black_box(bed.snapshot());
+        black_box(bed.snapshot());
     }));
     let _shared = cache.prime(bed);
 
@@ -392,47 +363,25 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     ] {
         kernels.push(time_kernel(name, "query", 1, || {
             for &a in arts {
-                std::hint::black_box(run_artifact_report(a, &fig_cfg, &cache).tables().len());
+                black_box(run_artifact_report(a, &fig_cfg, &cache).tables().len());
             }
         }));
     }
     kernels.push(time_kernel("chaos_quick", "query", 1, || {
         let c = crate::chaos::run_chaos(&fig_cfg, &cache);
-        std::hint::black_box(c.systems.len());
+        black_box(c.systems.len());
     }));
 
     kernels
 }
 
-/// Re-run `probe_iters` iterations under the allocation counter and
-/// record the mean count. No-op when no counter is installed.
-fn measure_allocs(
-    k: &mut PerfKernel,
-    counter: Option<AllocCounter>,
-    probe_iters: u64,
-    mut f: impl FnMut(),
-) {
-    let Some(count) = counter else { return };
-    let mut run = || {
-        for _ in 0..probe_iters {
-            f();
-        }
-    };
-    let total = count(&mut run);
-    k.allocs_per_iter = Some(total as f64 / probe_iters as f64);
-}
-
-/// Serialize a perf run against the stable `lorm-repro/perf-v2` schema:
-/// v1 plus a per-kernel `phase` tag and a top-level `phase_totals` object
-/// splitting the run's wall-clock into build vs query milliseconds.
-pub fn render_perf_json(cfg: &ReproConfig, kernels: &[PerfKernel]) -> String {
+/// Append what every perf-v2 export shares: the `phase_totals` object
+/// splitting the run's wall-clock into build vs query milliseconds, and
+/// the `kernels` array, one object shape per kernel. `repro perf` and
+/// `repro scale` both write their kernels through here.
+pub fn push_kernels_json(out: &mut String, kernels: &[PerfKernel]) {
     use sim::report::{json_num, json_str};
-    let p = cfg.sim().params();
-    let mut out = String::from("{\"schema\":\"lorm-repro/perf-v2\",\"config\":{");
-    out.push_str(&format!(
-        "\"quick\":{},\"seed\":{},\"shards\":{},\"n\":{},\"m\":{},\"k\":{},\"d\":{}}}",
-        cfg.quick, cfg.seed, cfg.shards, p.n, p.m, p.k, p.d
-    ));
+    let opt = |x: Option<f64>| x.map_or_else(|| "null".to_string(), json_num);
     let total_ms = |phase: &str| -> f64 {
         kernels.iter().filter(|k| k.phase == phase).map(|k| k.elapsed_ms).sum()
     };
@@ -448,27 +397,34 @@ pub fn render_perf_json(cfg: &ReproConfig, kernels: &[PerfKernel]) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":{},\"phase\":{},\"iters\":{},\"elapsed_ms\":{},\"ops_per_sec\":{},\"allocs_per_iter\":{},\"cache_hit_rate\":{}}}",
-            json_str(k.name),
+            json_str(&k.name),
             json_str(k.phase),
             k.iters,
             json_num(k.elapsed_ms),
             json_num(k.ops_per_sec),
-            match k.allocs_per_iter {
-                Some(a) => json_num(a),
-                None => "null".into(),
-            },
-            match k.cache_hit_rate {
-                Some(h) => json_num(h),
-                None => "null".into(),
-            }
+            opt(k.allocs_per_iter),
+            opt(k.cache_hit_rate),
         ));
     }
-    out.push_str("]}");
+    out.push(']');
+}
+
+/// Serialize a perf run against the stable `lorm-repro/perf-v2` schema:
+/// the run's configuration, then [`push_kernels_json`]'s body.
+pub fn render_perf_json(cfg: &ReproConfig, kernels: &[PerfKernel]) -> String {
+    let p = cfg.sim().params();
+    let mut out = String::from("{\"schema\":\"lorm-repro/perf-v2\",\"config\":{");
+    out.push_str(&format!(
+        "\"quick\":{},\"seed\":{},\"shards\":{},\"n\":{},\"m\":{},\"k\":{},\"d\":{}}}",
+        cfg.quick, cfg.seed, cfg.shards, p.n, p.m, p.k, p.d
+    ));
+    push_kernels_json(&mut out, kernels);
+    out.push('}');
     out
 }
 
 /// Per-kernel slowdown factor above which a query-phase run counts as a
-/// regression — the same threshold CI's perf-smoke gate applies. Sized
+/// regression under `--baseline` (and so in CI's perf-smoke job). Sized
 /// to the measured noise envelope of a loaded 1-CPU runner (sustained
 /// slow windows inflate even a best-of-N floor by ~1.4x); the
 /// regressions this gate exists to catch — losing the bed cache's
@@ -480,8 +436,7 @@ pub const REGRESSION_THRESHOLD: f64 = 1.5;
 /// allocation-bound and the `build_bed_*` kernels finish in single-digit
 /// milliseconds, so their run-to-run variance is the widest in the
 /// suite. 1.6x still catches any structural regression (the flattening
-/// work this gate protects was worth 2x+). CI applies the same split
-/// threshold.
+/// work this gate protects was worth 2x+).
 pub const BUILD_REGRESSION_THRESHOLD: f64 = 1.6;
 
 /// One kernel's comparison against a committed baseline.
@@ -502,26 +457,28 @@ pub struct KernelDelta {
 /// Extract `(name, elapsed_ms)` pairs from a committed `BENCH_*.json`
 /// perf export (v1 or v2 — both carry `"kernels":[{"name":…,
 /// "elapsed_ms":…}]`). A hand-rolled scan, not a JSON parser: the files
-/// are machine-written by [`render_perf_json`], so the two keys always
-/// appear in order within each kernel object.
+/// are machine-written by [`push_kernels_json`], so kernel objects are
+/// flat and compact. The array must close: a truncated file is an error,
+/// not a shorter baseline.
 pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
-    let kernels_at =
-        json.find("\"kernels\":[").ok_or_else(|| "no \"kernels\" array".to_string())?;
-    let mut rest = &json[kernels_at..];
+    const KERNELS: &str = "\"kernels\":[";
+    let at = json.find(KERNELS).ok_or("no \"kernels\" array")?;
+    let mut rest = &json[at + KERNELS.len()..];
     let mut out = Vec::new();
-    while let Some(name_at) = rest.find("\"name\":\"") {
-        rest = &rest[name_at + 8..];
-        let name_end = rest.find('"').ok_or_else(|| "unterminated kernel name".to_string())?;
-        let name = rest[..name_end].to_string();
-        let ms_at = rest
+    while !rest.starts_with(']') {
+        let end = rest.find('}').ok_or("truncated \"kernels\" array")?;
+        let kernel = &rest[..end];
+        let name_at = kernel.find("\"name\":\"").ok_or("kernel without a name")?;
+        let name = &kernel[name_at + 8..];
+        let name = &name[..name.find('"').ok_or("unterminated kernel name")?];
+        let ms_at = kernel
             .find("\"elapsed_ms\":")
             .ok_or_else(|| format!("kernel {name} has no elapsed_ms"))?;
-        rest = &rest[ms_at + 13..];
-        let ms_end =
-            rest.find([',', '}']).ok_or_else(|| format!("unterminated elapsed_ms for {name}"))?;
-        let ms: f64 =
-            rest[..ms_end].trim().parse().map_err(|e| format!("bad elapsed_ms for {name}: {e}"))?;
-        out.push((name, ms));
+        let ms = kernel[ms_at + 13..].split(',').next().unwrap_or_default();
+        let ms: f64 = ms.trim().parse().map_err(|e| format!("bad elapsed_ms for {name}: {e}"))?;
+        out.push((name.to_string(), ms));
+        rest = &rest[end + 1..];
+        rest = rest.strip_prefix(',').unwrap_or(rest);
     }
     if out.is_empty() {
         return Err("baseline lists no kernels".to_string());
@@ -540,12 +497,12 @@ pub fn diff_baseline(
 ) -> Option<Vec<KernelDelta>> {
     let mut out = Vec::new();
     for k in current {
-        let Some((_, base_ms)) = baseline.iter().find(|(n, _)| n == k.name) else { continue };
+        let Some((_, base_ms)) = baseline.iter().find(|(n, _)| *n == k.name) else { continue };
         let ratio = k.elapsed_ms / base_ms.max(1e-9);
         let threshold =
             if k.phase == "build" { BUILD_REGRESSION_THRESHOLD } else { REGRESSION_THRESHOLD };
         out.push(KernelDelta {
-            name: k.name.to_string(),
+            name: k.name.clone(),
             base_ms: *base_ms,
             current_ms: k.elapsed_ms,
             ratio,
@@ -610,7 +567,7 @@ mod tests {
     fn sample_kernels() -> Vec<PerfKernel> {
         vec![
             PerfKernel {
-                name: "chord_route_stats",
+                name: "chord_route_stats".into(),
                 phase: "query",
                 iters: 100,
                 elapsed_ms: 2.5,
@@ -619,7 +576,7 @@ mod tests {
                 cache_hit_rate: None,
             },
             PerfKernel {
-                name: "build_bed_lorm",
+                name: "build_bed_lorm".into(),
                 phase: "build",
                 iters: 1,
                 elapsed_ms: 40.0,
@@ -628,7 +585,7 @@ mod tests {
                 cache_hit_rate: None,
             },
             PerfKernel {
-                name: "fig4_quick",
+                name: "fig4_quick".into(),
                 phase: "query",
                 iters: 1,
                 elapsed_ms: 150.0,
@@ -659,7 +616,7 @@ mod tests {
     #[test]
     fn perf_table_lists_every_kernel() {
         let kernels = vec![PerfKernel {
-            name: "cycloid_route_stats",
+            name: "cycloid_route_stats".into(),
             phase: "query",
             iters: 10,
             elapsed_ms: 1.0,
@@ -695,7 +652,7 @@ mod tests {
         let base = parse_baseline(&j).expect("rendered JSON parses as baseline");
         assert_eq!(base.len(), kernels.len());
         for (k, (name, ms)) in kernels.iter().zip(&base) {
-            assert_eq!(k.name, name);
+            assert_eq!(&k.name, name);
             assert!((k.elapsed_ms - ms).abs() < 1e-9, "{name}: {ms}");
         }
     }
@@ -705,6 +662,32 @@ mod tests {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline("{\"kernels\":[]}").is_err());
         assert!(parse_baseline("{\"kernels\":[{\"name\":\"x\"}]}").is_err());
+        // A file cut anywhere before its kernel array closes is refused,
+        // including right after a complete kernel object.
+        let full = include_str!("../../../BENCH_perf_quick.json");
+        let close = full.rfind(']').unwrap();
+        for cut in (0..close).filter(|&c| full.is_char_boundary(c)) {
+            assert!(parse_baseline(&full[..cut]).is_err(), "accepted a cut at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn committed_baselines_list_every_kernel() {
+        let perf = parse_baseline(include_str!("../../../BENCH_perf_quick.json")).unwrap();
+        let scale = parse_baseline(include_str!("../../../BENCH_scale_quick.json")).unwrap();
+        assert_eq!((perf.len(), scale.len()), (19, 18));
+    }
+
+    #[test]
+    fn walk_cache_hit_rate_reproduces_the_committed_baseline() {
+        // `lorm_range_probe_batched`'s hit rate is a pure function of the
+        // seed and the cache geometry, so the quick run at the default
+        // seed reproduces the committed BENCH_perf_quick.json figure
+        // exactly. Drift means nondeterminism leaked into the walk cache,
+        // or its admission policy changed.
+        let cfg = ReproConfig { quick: true, ..ReproConfig::default() };
+        let probe = LormProbe::new(&cfg).unwrap();
+        assert_eq!(probe.warm_hit_rate(&mut RouteCache::new()), Some(0.955));
     }
 
     #[test]
@@ -740,7 +723,7 @@ mod tests {
         let perf_base = parse_baseline(include_str!("../../../BENCH_perf_quick.json")).unwrap();
         let scale_base = parse_baseline(include_str!("../../../BENCH_scale_quick.json")).unwrap();
         let perf_run = sample_kernels();
-        let scale_run = vec![PerfKernel { name: "chord_build_n1k", ..perf_run[1].clone() }];
+        let scale_run = vec![PerfKernel { name: "chord_build_n1k".into(), ..perf_run[1].clone() }];
         assert!(diff_baseline(&perf_run, &scale_base).is_none(), "perf run, scale baseline");
         assert!(diff_baseline(&scale_run, &perf_base).is_none(), "scale run, perf baseline");
         // Each against its own kind compares something.

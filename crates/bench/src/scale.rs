@@ -9,8 +9,8 @@
 //!   `unsafe`, so the byte totals arrive through a [`BytesProbe`]
 //!   function pointer, exactly like `perf`'s [`crate::perf::AllocCounter`]);
 //! * **build throughput** — wall-clock nodes/second through the sorted
-//!   bulk constructors (the O(n²) per-join path this PR retired would be
-//!   infeasible at 10^6);
+//!   bulk constructors (an O(n²) join per node would be infeasible at
+//!   10^6);
 //! * **query throughput** — routed lookups/second against the built
 //!   overlay, with mean hop counts.
 //!
@@ -21,12 +21,18 @@
 //! ([`DEGREE_BOUND`]) independent of n — the paper's §IV claims,
 //! validated at a thousand times the paper's scale.
 //!
+//! [`ScaleRun::violations`] is the sweep's verdict: a failed growth
+//! check, or a point with no positive heap reading, makes `repro scale`
+//! exit 1. CI's scale-smoke job adds `--baseline BENCH_scale_quick.json`
+//! and reads nothing but the exit status.
+//!
 //! Results are emitted in the same `lorm-repro/perf-v2` schema as
-//! `repro perf` (kernels with `phase`/`iters`/`elapsed_ms`/`ops_per_sec`)
-//! plus two scale-specific top-level arrays: `"scale"` (one row per
-//! system × size) and `"growth_checks"`.
+//! `repro perf`, through the same [`PerfKernel`] record and kernel writer
+//! (one build and one query kernel per system × size), plus two
+//! scale-specific top-level arrays: `"scale"` (one row per system ×
+//! size) and `"growth_checks"`.
 
-use crate::perf::PerfKernel;
+use crate::perf::{push_kernels_json, PerfKernel, Phase};
 use crate::ReproConfig;
 use baselines::{Mercury, MercuryConfig};
 use chord::{Chord, ChordConfig};
@@ -141,75 +147,19 @@ pub fn min_dimension(n: usize) -> u8 {
     d
 }
 
-/// Human-readable short label for a sweep size (`1_000` → `"n1k"`).
-pub fn size_label(n: usize) -> &'static str {
+/// Short label for a sweep size: `n1k`, `n50k`, `n1m`, or `n256` below
+/// a thousand.
+fn size_tag(n: usize) -> String {
     match n {
-        64 => "n64",
-        256 => "n256",
-        1_000 => "n1k",
-        10_000 => "n10k",
-        50_000 => "n50k",
-        100_000 => "n100k",
-        1_000_000 => "n1m",
-        _ => "n_other",
+        n if n >= 1_000_000 && n % 1_000_000 == 0 => format!("n{}m", n / 1_000_000),
+        n if n >= 1_000 && n % 1_000 == 0 => format!("n{}k", n / 1_000),
+        n => format!("n{n}"),
     }
 }
 
-/// Static kernel name for a (system, phase, size) cell — perf-v2 kernel
-/// names are `&'static str`, so the cross product is enumerated.
-fn kernel_name(system: &'static str, phase: &'static str, n: usize) -> &'static str {
-    macro_rules! table {
-        ($(($sys:literal, $ph:literal, $n:literal, $name:literal)),* $(,)?) => {
-            match (system, phase, n) {
-                $(($sys, $ph, $n) => $name,)*
-                _ => "scale_other",
-            }
-        };
-    }
-    table![
-        ("chord", "build", 64, "chord_build_n64"),
-        ("chord", "query", 64, "chord_query_n64"),
-        ("chord", "build", 256, "chord_build_n256"),
-        ("chord", "query", 256, "chord_query_n256"),
-        ("chord", "build", 1_000, "chord_build_n1k"),
-        ("chord", "query", 1_000, "chord_query_n1k"),
-        ("chord", "build", 10_000, "chord_build_n10k"),
-        ("chord", "query", 10_000, "chord_query_n10k"),
-        ("chord", "build", 50_000, "chord_build_n50k"),
-        ("chord", "query", 50_000, "chord_query_n50k"),
-        ("chord", "build", 100_000, "chord_build_n100k"),
-        ("chord", "query", 100_000, "chord_query_n100k"),
-        ("chord", "build", 1_000_000, "chord_build_n1m"),
-        ("chord", "query", 1_000_000, "chord_query_n1m"),
-        ("cycloid", "build", 64, "cycloid_build_n64"),
-        ("cycloid", "query", 64, "cycloid_query_n64"),
-        ("cycloid", "build", 256, "cycloid_build_n256"),
-        ("cycloid", "query", 256, "cycloid_query_n256"),
-        ("cycloid", "build", 1_000, "cycloid_build_n1k"),
-        ("cycloid", "query", 1_000, "cycloid_query_n1k"),
-        ("cycloid", "build", 10_000, "cycloid_build_n10k"),
-        ("cycloid", "query", 10_000, "cycloid_query_n10k"),
-        ("cycloid", "build", 50_000, "cycloid_build_n50k"),
-        ("cycloid", "query", 50_000, "cycloid_query_n50k"),
-        ("cycloid", "build", 100_000, "cycloid_build_n100k"),
-        ("cycloid", "query", 100_000, "cycloid_query_n100k"),
-        ("cycloid", "build", 1_000_000, "cycloid_build_n1m"),
-        ("cycloid", "query", 1_000_000, "cycloid_query_n1m"),
-        ("mercury", "build", 64, "mercury_build_n64"),
-        ("mercury", "query", 64, "mercury_query_n64"),
-        ("mercury", "build", 256, "mercury_build_n256"),
-        ("mercury", "query", 256, "mercury_query_n256"),
-        ("mercury", "build", 1_000, "mercury_build_n1k"),
-        ("mercury", "query", 1_000, "mercury_query_n1k"),
-        ("mercury", "build", 10_000, "mercury_build_n10k"),
-        ("mercury", "query", 10_000, "mercury_query_n10k"),
-        ("mercury", "build", 50_000, "mercury_build_n50k"),
-        ("mercury", "query", 50_000, "mercury_query_n50k"),
-        ("mercury", "build", 100_000, "mercury_build_n100k"),
-        ("mercury", "query", 100_000, "mercury_query_n100k"),
-        ("mercury", "build", 1_000_000, "mercury_build_n1m"),
-        ("mercury", "query", 1_000_000, "mercury_query_n1m"),
-    ]
+/// Kernel name of one (system, phase, size) cell, e.g. `chord_build_n1k`.
+fn kernel_name(system: &str, phase: Phase, n: usize) -> String {
+    format!("{system}_{phase}_{}", size_tag(n))
 }
 
 fn net_live_bytes(probe: Option<BytesProbe>) -> Option<i128> {
@@ -298,8 +248,7 @@ pub fn run_scale_at(
             iters: p.n as u64,
             elapsed_ms: p.build_ms,
             ops_per_sec: p.n as f64 / (p.build_ms / 1e3).max(1e-12),
-            allocs_per_iter: None,
-            cache_hit_rate: None,
+            ..PerfKernel::default()
         });
         kernels.push(PerfKernel {
             name: kernel_name(p.system, "query", p.n),
@@ -307,8 +256,7 @@ pub fn run_scale_at(
             iters: route_iters,
             elapsed_ms: query_ms,
             ops_per_sec: p.query_ops_per_sec,
-            allocs_per_iter: None,
-            cache_hit_rate: None,
+            ..PerfKernel::default()
         });
         points.push(p);
     };
@@ -486,6 +434,29 @@ pub fn growth_checks(points: &[ScalePoint]) -> Vec<GrowthCheck> {
     out
 }
 
+impl ScaleRun {
+    /// Everything that fails the sweep, one line each: a growth check
+    /// past its limit, or a point whose lookups averaged no hops or whose
+    /// heap reading (when a probe was installed) is not positive. Empty
+    /// means `repro scale` exits 0.
+    pub fn violations(&self) -> Vec<String> {
+        let checks = self.checks.iter().filter(|c| !c.ok).map(|c| {
+            format!("{} {}: observed {} past limit {}", c.system, c.claim, c.observed, c.limit)
+        });
+        let points = self
+            .points
+            .iter()
+            .filter(|p| p.mean_hops <= 0.0 || p.bytes_per_node.is_some_and(|b| b <= 0.0))
+            .map(|p| {
+                format!(
+                    "{} n={}: mean hops {}, bytes per node {:?}",
+                    p.system, p.n, p.mean_hops, p.bytes_per_node
+                )
+            });
+        checks.chain(points).collect()
+    }
+}
+
 /// Serialize the sweep against the `lorm-repro/perf-v2` schema: the
 /// standard kernel array and phase split, plus two scale-specific
 /// top-level arrays (`"scale"`, `"growth_checks"`).
@@ -499,29 +470,8 @@ pub fn render_scale_json(cfg: &ReproConfig, run: &ScaleRun) -> String {
         cfg.shards,
         run.sizes.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(",")
     ));
-    let total_ms = |phase: &str| -> f64 {
-        run.kernels.iter().filter(|k| k.phase == phase).map(|k| k.elapsed_ms).sum()
-    };
-    out.push_str(&format!(
-        ",\"phase_totals\":{{\"build_ms\":{},\"query_ms\":{}}}",
-        json_num(total_ms("build")),
-        json_num(total_ms("query"))
-    ));
-    out.push_str(",\"kernels\":[");
-    for (i, k) in run.kernels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":{},\"phase\":{},\"iters\":{},\"elapsed_ms\":{},\"ops_per_sec\":{},\"allocs_per_iter\":null}}",
-            json_str(k.name),
-            json_str(k.phase),
-            k.iters,
-            json_num(k.elapsed_ms),
-            json_num(k.ops_per_sec),
-        ));
-    }
-    out.push_str("],\"scale\":[");
+    push_kernels_json(&mut out, &run.kernels);
+    out.push_str(",\"scale\":[");
     for (i, p) in run.points.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -597,7 +547,7 @@ pub fn render_scale_table(run: &ScaleRun) -> String {
         let stats = c
             .per_size
             .iter()
-            .map(|&(n, v)| format!("{}:{:.2}", size_label(n), v))
+            .map(|&(n, v)| format!("{}:{:.2}", size_tag(n), v))
             .collect::<Vec<_>>()
             .join(" ");
         out.push_str(&format!(
@@ -631,19 +581,26 @@ mod tests {
     }
 
     #[test]
-    fn kernel_names_are_static_and_distinct() {
-        let mut seen = std::collections::BTreeSet::new();
-        for sys in ["chord", "cycloid", "mercury"] {
-            for phase in ["build", "query"] {
-                for &n in sweep_sizes(false).iter().chain(sweep_sizes(true)) {
-                    let name = kernel_name(sys, phase, n);
-                    assert_ne!(name, "scale_other", "{sys}/{phase}/{n} unnamed");
-                    seen.insert(name);
-                }
+    fn kernel_names_match_the_committed_baseline() {
+        // The quick sweep's 18 kernels in run order (sizes outer, then
+        // chord, cycloid, mercury, build before query) are the names
+        // BENCH_scale_quick.json was recorded under, so `--baseline`
+        // compares every one of them.
+        let base = include_str!("../../../BENCH_scale_quick.json");
+        let base: Vec<String> =
+            crate::perf::parse_baseline(base).unwrap().into_iter().map(|(n, _)| n).collect();
+        let mut names = Vec::new();
+        for &n in sweep_sizes(true) {
+            for sys in ["chord", "cycloid", "mercury"] {
+                names.push(kernel_name(sys, "build", n));
+                names.push(kernel_name(sys, "query", n));
             }
         }
-        // 3 systems × 2 phases × 5 distinct sizes across both modes
-        assert_eq!(seen.len(), 30);
+        assert_eq!(names, base);
+        assert_eq!(
+            [64, 256, 1_000, 10_000, 50_000, 100_000, 1_000_000].map(size_tag),
+            ["n64", "n256", "n1k", "n10k", "n50k", "n100k", "n1m"]
+        );
     }
 
     #[test]
@@ -667,6 +624,12 @@ mod tests {
         for c in run.checks.iter().filter(|c| c.claim == "route_errors") {
             assert!(c.ok, "{}: {} lookups failed", c.system, c.observed);
         }
+        assert!(run.violations().is_empty(), "{:?}", run.violations());
+        assert_eq!(run.kernels[1].name, "chord_query_n64");
+        // A heap probe that saw no growth fails the sweep.
+        let mut no_heap = run.clone();
+        no_heap.points[0].bytes_per_node = Some(0.0);
+        assert_eq!(no_heap.violations().len(), 1);
         let table = render_scale_table(&run);
         assert!(table.contains("## Scale sweep"));
         assert!(table.contains("## Growth checks"));

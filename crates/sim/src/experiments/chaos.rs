@@ -7,8 +7,10 @@
 //! (successes, partial results, outright failures, retries, dropped
 //! messages, hop inflation versus the fault-free baseline).
 //!
-//! Two invariants the suite (and CI) pin down:
+//! [`Chaos::violations`] checks the sweep's invariants, and `repro chaos`
+//! exits 1 on any breach:
 //!
+//! * every cell accounts for every query of the batch;
 //! * the zero-fault cell is **bit-identical** to the fault-free baseline
 //!   run, for every shard count;
 //! * success rates degrade **monotonically** in the loss rate at fixed
@@ -155,6 +157,61 @@ pub fn chaos(bed: &TestBed, setup: ChaosSetup, shards: usize) -> Chaos {
 }
 
 impl Chaos {
+    /// Breaches of the sweep's contract, one human-readable line each;
+    /// empty means it held everywhere. For every system:
+    ///
+    /// * every cell accounts for every query of the batch (successes +
+    ///   partial + failures);
+    /// * the zero-fault cell exists and equals the fault-free baseline,
+    ///   so its success rate and hop inflation are exactly 1;
+    /// * at each failure fraction, the success rate is non-increasing in
+    ///   the loss rate (exact: the fault-coin firing sets are nested).
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for sys in &self.systems {
+            let name = sys.name;
+            for c in &sys.cells {
+                if c.total_queries() != self.queries as u64 {
+                    out.push(format!(
+                        "{name} @ loss {} fail {}: {} of {} queries accounted for",
+                        c.loss,
+                        c.fail_frac,
+                        c.total_queries(),
+                        self.queries
+                    ));
+                }
+            }
+            match sys.cells.iter().find(|c| c.loss == 0.0 && c.fail_frac == 0.0) {
+                None => out.push(format!("{name}: the sweep has no zero-fault cell")),
+                Some(c)
+                    if c.summary != sys.baseline
+                        || c.success_rate() != 1.0
+                        || c.hop_inflation(&sys.baseline) != 1.0 =>
+                {
+                    out.push(format!("{name}: the zero-fault cell differs from the baseline"));
+                }
+                Some(_) => {}
+            }
+            for &ff in &self.setup.fail_fracs {
+                let mut by_loss: Vec<&ChaosCell> =
+                    sys.cells.iter().filter(|c| c.fail_frac == ff).collect();
+                by_loss.sort_by(|a, b| a.loss.total_cmp(&b.loss));
+                for w in by_loss.windows(2) {
+                    if w[1].success_rate() > w[0].success_rate() {
+                        out.push(format!(
+                            "{name} @ fail {ff}: success rate {} at loss {} > {} at loss {}",
+                            w[1].success_rate(),
+                            w[1].loss,
+                            w[0].success_rate(),
+                            w[0].loss
+                        ));
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Build the structured report: one success-rate table and one
     /// hop-inflation table per failure fraction.
     pub fn report(&self) -> Report {
@@ -267,6 +324,25 @@ mod tests {
             assert!(lossy.success_rate() <= 1.0, "{}", sys.name);
             assert!(lossy.summary.dropped_msgs() > 0, "{}", sys.name);
         }
+        assert!(c.violations().is_empty(), "{:?}", c.violations());
+        // A lost query, a perturbed parity cell and a success rate that
+        // rises with loss are each reported.
+        let mut lost = c.clone();
+        lost.queries += 1;
+        assert_eq!(lost.violations().len(), 2 * c.systems.len(), "{:?}", lost.violations());
+        let mut parity = c.clone();
+        parity.systems[0].cells[0].summary = parity.systems[0].cells[1].summary.clone();
+        assert!(parity.violations()[0].contains("zero-fault"), "{:?}", parity.violations());
+        let mut rising = c.clone();
+        let mut all_failed = Summary::new();
+        all_failed.record_failure();
+        rising.systems[0].cells[0].summary = all_failed;
+        rising.systems[0].cells[1].summary = c.systems[0].baseline.clone();
+        assert!(
+            rising.violations().iter().any(|v| v.contains("success rate")),
+            "{:?}",
+            rising.violations()
+        );
         // the report renders both tables and the note
         let s = c.to_string();
         assert!(s.contains("success rate"), "{s}");

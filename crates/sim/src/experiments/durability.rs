@@ -261,7 +261,7 @@ pub fn durability(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCache) ->
             rows.push(DurabilityRow { rate, k, cells });
         }
     }
-    let theory = TheorySetup::for_sweep(setup, cfg.seed);
+    let theory = TheorySetup::for_sweep(cfg.seed);
     Durability { setup: setup.clone(), rows, checks: churn_theory_checks(&theory) }
 }
 
@@ -430,7 +430,7 @@ impl TheorySetup {
     /// The setting the durability sweep embeds: the default sample sizes
     /// (the run is cheap — a bare 256-node ring), keyed to the sweep
     /// seed.
-    pub fn for_sweep(_setup: &DurabilitySetup, seed: u64) -> Self {
+    pub fn for_sweep(seed: u64) -> Self {
         Self::default_with_seed(seed ^ 0x7E0)
     }
 }
@@ -501,7 +501,7 @@ pub fn churn_theory_checks(setup: &TheorySetup) -> Vec<TheoryCheck> {
         let mut owner_total = 0usize;
         // Prediction accumulators, weighted by the same sample counts.
         let (mut pred_stale, mut pred_exh, mut pred_dead, mut pred_owner) = (0.0, 0.0, 0.0, 0.0);
-        for w in 0..setup.windows {
+        for _ in 0..setup.windows {
             let n_start = net.len();
             let p = 1.0 - (-rate * setup.period / n_start as f64).exp();
             // Snapshot the owners of a fixed key sample; liveness is
@@ -544,7 +544,6 @@ pub fn churn_theory_checks(setup: &TheorySetup) -> Vec<TheoryCheck> {
             pred_owner += p * owners.len() as f64;
             // Full repair: next window starts from ground truth.
             net.rebuild_all_state();
-            let _ = w;
         }
         let frac = |num: usize, den: usize| if den == 0 { 0.0 } else { num as f64 / den as f64 };
         let pred = |sum: f64, den: usize| if den == 0 { 0.0 } else { sum / den as f64 };

@@ -43,44 +43,16 @@ fn soak_sweep_degrades_monotonically_and_accounts_every_query() {
         ..ChaosSetup::default()
     };
     let c = chaos(bed(), setup.clone(), 0);
-    let total = (setup.origins * setup.per_origin) as u64;
-    assert_eq!(c.queries as u64, total);
+    assert_eq!(c.queries, setup.origins * setup.per_origin);
     assert_eq!(c.systems.len(), 4, "all four systems swept");
+    // Accounting, zero-fault parity and monotone degradation: the same
+    // verdict `repro chaos` exits on.
+    let violations = c.violations();
+    assert!(violations.is_empty(), "{violations:?}");
     for sys in &c.systems {
-        for &ff in &setup.fail_fracs {
-            let mut prev = f64::INFINITY;
-            for &loss in &setup.loss_rates {
-                let cell = sys
-                    .cells
-                    .iter()
-                    .find(|cl| cl.loss == loss && cl.fail_frac == ff)
-                    .expect("swept cell");
-                // every query lands in exactly one bucket
-                assert_eq!(cell.total_queries(), total, "{} loss {loss}", sys.name);
-                assert_eq!(
-                    cell.summary.successes() + cell.summary.partial() + cell.summary.failures(),
-                    total,
-                    "{} loss {loss} fail {ff}",
-                    sys.name
-                );
-                // monotone degradation in the loss rate at fixed failure
-                // fraction — exact, not just statistical: the fault-coin
-                // firing set at a higher rate is a superset
-                let rate = cell.success_rate();
-                assert!(
-                    rate <= prev,
-                    "{} success rate not monotone: {rate} after {prev} (loss {loss}, fail {ff})",
-                    sys.name
-                );
-                prev = rate;
-            }
-        }
-        // the zero-fault anchor cell is perfect
-        let anchor = &sys.cells[0];
-        assert_eq!((anchor.loss, anchor.fail_frac), (0.0, 0.0));
-        assert_eq!(anchor.success_rate(), 1.0, "{}", sys.name);
-        assert_eq!(anchor.summary.dropped_msgs(), 0, "{}", sys.name);
-        // and the 20%-loss cells actually exercised the fault layer
+        // the zero-fault cell drops nothing, and the 20%-loss cells
+        // actually exercised the fault layer
+        assert_eq!(sys.cells[0].summary.dropped_msgs(), 0, "{}", sys.name);
         let lossy =
             sys.cells.iter().find(|cl| cl.loss == 0.2 && cl.fail_frac == 0.0).expect("lossy cell");
         assert!(lossy.summary.dropped_msgs() > 0, "{}", sys.name);

@@ -27,12 +27,6 @@ pub const SIM_CRATES: &[&str] =
 /// documented the last-ULP variance-merge caveat there).
 pub const FLOAT_BLESSED: &[&str] = &["crates/dht-core/src/stats.rs", "crates/sim/src/report.rs"];
 
-/// Files blessed to call the traced `.route(...)` in simulation-path
-/// library code: the hop-distribution experiment and trace tooling
-/// consume full paths, so the per-lookup `Vec` is the product there, not
-/// an accident.
-pub const ROUTE_BLESSED: &[&str] = &["crates/sim/src/experiments/hopdist.rs"];
-
 /// Files blessed to construct beds, overlays, and systems freely: the
 /// construction modules themselves. Everywhere else in simulation-path
 /// library code, building inside a loop is the exact cost the
@@ -169,10 +163,6 @@ impl FileCtx {
         FLOAT_BLESSED.contains(&self.rel_path.as_str())
     }
 
-    fn route_blessed(&self) -> bool {
-        ROUTE_BLESSED.contains(&self.rel_path.as_str())
-    }
-
     fn bed_blessed(&self) -> bool {
         BED_BLESSED.contains(&self.rel_path.as_str())
     }
@@ -236,9 +226,7 @@ pub fn raw_lints(ctx: &FileCtx, lexed: &Lexed, items: &ItemTree) -> Vec<Diagnost
         if !ctx.float_blessed() {
             float_accumulate(ctx, &lexed.toks, &lib_code, &mut raw);
         }
-        if !ctx.route_blessed() {
-            route_path_alloc(ctx, &lexed.toks, &lib_code, &mut raw);
-        }
+        route_path_alloc(ctx, &lexed.toks, &lib_code, &mut raw);
         if !ctx.bed_blessed() {
             bed_rebuild(ctx, &lexed.toks, &lib_code, &mut raw);
         }
@@ -497,8 +485,8 @@ fn float_accumulate(
 /// Lint 5 — per-lookup allocation: traced `.route(...)` calls in
 /// simulation-path library code. The figure loops issue millions of
 /// lookups; a `Vec` per lookup dominates their profile. Hot paths use
-/// `.route_stats(...)`; code that genuinely consumes hop traces goes on
-/// [`ROUTE_BLESSED`] or annotates the call site.
+/// `.route_stats(...)`; code that genuinely consumes hop traces annotates
+/// the call site.
 fn route_path_alloc(
     ctx: &FileCtx,
     toks: &[Tok],
@@ -518,8 +506,7 @@ fn route_path_alloc(
                 "route-path-alloc",
                 t.line,
                 "traced `.route(...)` allocates a path `Vec` per lookup: hot paths must use \
-                 `.route_stats(...)`; trace-consuming code belongs on the ROUTE_BLESSED \
-                 allowlist or annotates the site"
+                 `.route_stats(...)`; trace-consuming code annotates the site"
                     .into(),
             );
         }
@@ -1343,17 +1330,6 @@ mod tests {
              let w = h.walk_range_faulty_into(s, lo, hi, p, m, a, out);\n    \
              let g = dht_core::probe_step(p, m, 1, n, a);\n}",
         );
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-    }
-
-    #[test]
-    fn route_blessed_files_may_trace() {
-        let ctx = FileCtx {
-            crate_dir: "sim".into(),
-            class: FileClass::Lib,
-            rel_path: "crates/sim/src/experiments/hopdist.rs".into(),
-        };
-        let r = lint_file(&ctx, "fn f(o: &O) { let r = o.route(x, k); }");
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     }
 

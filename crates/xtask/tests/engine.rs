@@ -306,14 +306,21 @@ fn workspace_is_lint_clean() {
     let json = render_json(&report);
     assert!(json.contains("\"schema\": \"lorm-repro/lint-v1\""));
     assert!(json.contains("\"clean\": true"));
-    // lint-v2: all three entry points resolve and the graph is non-trivial.
+    // lint-v2: all three entry points resolve (the batch executor, the
+    // scale sweep, the durability sweep) and the graph is non-trivial.
     assert_eq!(report.entry_points.len(), 3, "{:?}", report.entry_points);
+    assert!(report.call_edges > 0, "no call edges resolved");
     assert!(
         report.reachable_functions > 0 && report.reachable_functions < report.functions_indexed,
         "reachable {} of {}",
         report.reachable_functions,
         report.functions_indexed
     );
+    // The suppression budget. It has only fallen since the reachability
+    // migration retired 38 of 60 blessed directives, each time by
+    // deleting the code that needed one. Raise it only together with a
+    // reasoned `lint:allow` annotation in the same diff.
+    assert_eq!(report.suppressions_used, 22, "suppression budget moved");
     let v2 = render_json_v2(&report);
     assert!(v2.contains("\"schema\": \"lorm-repro/lint-v2\""));
     assert!(v2.contains("\"clean\": true"));
