@@ -2,7 +2,9 @@
 #![allow(clippy::print_stdout)] // terminal output is this binary's UI
 
 use bench::perf::{self, PerfKernel};
+use bench::{chaos, durability, scale};
 use bench::{parse_args, render_json, run_artifact_report, ArtifactRun, Mode, ReproConfig};
+use sim::Report;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,16 +64,6 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Print each violation, then fail with `verdict` when there was any.
-fn fail_on(violations: &[String], verdict: &str) {
-    if !violations.is_empty() {
-        for v in violations {
-            eprintln!("  {v}");
-        }
-        fail(format!("{verdict} ({} violation(s), listed above)", violations.len()));
-    }
-}
-
 /// Write the run's JSON export to the `--json` path, if one was given;
 /// exit 1 when the file cannot be written.
 fn write_json(cfg: &ReproConfig, label: &str, render: impl FnOnce() -> String) {
@@ -97,15 +89,32 @@ fn load_baseline(cfg: &ReproConfig) -> Baseline<'_> {
     }
 }
 
-/// Diff the run's kernels against the loaded baseline, if any: print the
-/// per-kernel delta table and exit 1 when the baseline shares no kernel
-/// with the run or a kernel slowed past its gate.
-fn gate_on_baseline(baseline: Baseline<'_>, what: &str, kernels: &[PerfKernel]) {
+/// The one tail every standalone mode ends in: print the report, write
+/// the JSON export, exit 1 on any violation, then diff `kernels` against
+/// the baseline, if one was loaded — print the per-kernel delta table
+/// and exit 1 when the baseline shares no kernel with the run or a
+/// kernel slowed past its gate.
+fn conclude(
+    cfg: &ReproConfig,
+    what: &str,
+    report: Report,
+    json: impl FnOnce() -> String,
+    violations: Vec<String>,
+    (baseline, kernels): (Baseline<'_>, &[PerfKernel]),
+) {
+    println!("{report}");
+    write_json(cfg, &format!("{what} metrics"), json);
+    if !violations.is_empty() {
+        for v in &violations {
+            eprintln!("  {v}");
+        }
+        fail(format!("{what}: {} violation(s), listed above", violations.len()));
+    }
     let Some((path, base)) = baseline else { return };
     let Some(deltas) = perf::diff_baseline(kernels, &base) else {
         fail(format!("baseline {} shares no kernel with this {what} run", path.display()));
     };
-    println!("{}", perf::render_delta_table(path, &deltas));
+    println!("{}", perf::delta_table(path, &deltas));
     if deltas.iter().any(|d| d.regressed) {
         fail(format!(
             "{what} regression: at least one kernel slowed past its gate \
@@ -126,6 +135,8 @@ fn main() {
         }
     };
     let size = if cfg.quick { "quick" } else { "full (paper §V)" };
+    let banner =
+        |what: &str, mode: &str| println!("# LORM {what} — {mode} mode (seed {})\n", cfg.seed);
     // One cache for the whole invocation: artifacts sharing a bed
     // configuration (fig4 + fig5 + t410 at the same scale, say) build it
     // once and reuse it.
@@ -133,55 +144,34 @@ fn main() {
     match cfg.mode {
         Mode::Perf => {
             let baseline = load_baseline(&cfg);
-            println!("# LORM perf baseline — {size} mode (seed {})\n", cfg.seed);
+            banner("perf baseline", size);
             let kernels = perf::run_perf(&cfg, Some(count_allocs));
-            println!("{}", perf::render_perf_table(&kernels));
-            write_json(&cfg, "perf metrics", || perf::render_perf_json(&cfg, &kernels));
-            gate_on_baseline(baseline, "perf", &kernels);
+            let json = || perf::render_perf_json(&cfg, &kernels);
+            conclude(&cfg, "perf", perf::perf_report(&kernels), json, vec![], (baseline, &kernels));
         }
         Mode::Scale => {
             let baseline = load_baseline(&cfg);
-            println!(
-                "# LORM scale sweep — {} mode (seed {})\n",
-                if cfg.quick { "quick (1k-50k)" } else { "full (1k-1M)" },
-                cfg.seed
-            );
-            let run = bench::scale::run_scale(&cfg, Some(heap_bytes));
-            println!("{}", bench::scale::render_scale_table(&run));
-            write_json(&cfg, "scale metrics", || bench::scale::render_scale_json(&cfg, &run));
-            fail_on(&run.violations(), "scale sweep: the growth checks or heap accounting failed");
+            banner("scale sweep", if cfg.quick { "quick (1k-50k)" } else { "full (1k-1M)" });
+            let run = scale::run_scale(&cfg, Some(heap_bytes));
             // The scale export shares the perf-v2 kernel array, so a
             // committed BENCH_scale_quick.json diffs with the same gate.
-            gate_on_baseline(baseline, "scale", &run.kernels);
+            let json = || scale::render_scale_json(&cfg, &run);
+            conclude(&cfg, "scale", run.report(), json, run.violations(), (baseline, &run.kernels));
         }
         Mode::Durability => {
-            println!("# LORM durability sweep — {size} mode (seed {})\n", cfg.seed);
-            let d = bench::durability::run_durability(&cfg, &cache);
-            println!("{d}");
-            write_json(&cfg, "durability metrics", || {
-                bench::durability::render_durability_json(&cfg, &d)
-            });
-            fail_on(
-                &d.k_monotonicity_violations(),
-                "durability sweep: data loss was not monotone in the replication degree",
-            );
-            if d.theory_failures() > 0 {
-                fail(format!(
-                    "durability sweep: {} churn theory check(s) fell outside their \
-                     tolerance bands (see table above)",
-                    d.theory_failures()
-                ));
-            }
+            banner("durability sweep", size);
+            let d = durability::run_durability(&cfg, &cache);
+            let json = || durability::render_durability_json(&cfg, &d);
+            conclude(&cfg, "durability", d.report(), json, d.violations(), (None, &[]));
         }
         Mode::Chaos => {
-            println!("# LORM chaos sweep — {size} mode (seed {})\n", cfg.seed);
-            let c = bench::chaos::run_chaos(&cfg, &cache);
-            println!("{c}");
-            write_json(&cfg, "chaos metrics", || bench::chaos::render_chaos_json(&cfg, &c));
-            fail_on(&c.violations(), "chaos sweep: accounting, parity or monotonicity broke");
+            banner("chaos sweep", size);
+            let c = chaos::run_chaos(&cfg, &cache);
+            let json = || chaos::render_chaos_json(&cfg, &c);
+            conclude(&cfg, "chaos", c.report(), json, c.violations(), (None, &[]));
         }
         Mode::Figures => {
-            println!("# LORM reproduction — {size} mode (seed {})\n", cfg.seed);
+            banner("reproduction", size);
             let mut runs: Vec<ArtifactRun> = Vec::with_capacity(artifacts.len());
             for a in artifacts {
                 let started = std::time::Instant::now();

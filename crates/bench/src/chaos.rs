@@ -9,8 +9,8 @@
 //! against it without re-running anything; `repro chaos` itself exits 1
 //! when that parity, or any other `Chaos::violations` invariant, breaks.
 
-use crate::ReproConfig;
-use sim::experiments::chaos::{chaos, Chaos, ChaosSetup};
+use crate::{export_head, ReproConfig};
+use sim::experiments::chaos::{chaos, Chaos, ChaosCell, ChaosSetup, ChaosSystem};
 use sim::BedCache;
 
 /// Run the chaos sweep at the configuration's scale on the bed `cache`
@@ -33,50 +33,36 @@ pub fn run_chaos(cfg: &ReproConfig, cache: &BedCache) -> Chaos {
 /// field-by-field equality for consumers (floats round-trip via Rust's
 /// shortest-representation formatting, which is injective on bits).
 pub fn render_chaos_json(cfg: &ReproConfig, c: &Chaos) -> String {
-    use sim::report::{json_num, json_str, summary_json};
-    let p = cfg.sim().params();
-    let mut out = String::from("{\"schema\":\"lorm-repro/chaos-v1\",\"config\":{");
-    out.push_str(&format!(
-        "\"quick\":{},\"seed\":{},\"shards\":{},\"n\":{},\"m\":{},\"k\":{},\"d\":{},",
-        cfg.quick, cfg.seed, cfg.shards, p.n, p.m, p.k, p.d
-    ));
-    out.push_str(&format!(
-        "\"fault_seed\":{},\"queries\":{},\"arity\":{},",
-        c.setup.fault_seed, c.queries, c.setup.arity
-    ));
-    let rates = |xs: &[f64]| xs.iter().map(|&x| json_num(x)).collect::<Vec<_>>().join(",");
-    out.push_str(&format!(
-        "\"loss_rates\":[{}],\"fail_fracs\":[{}]}}",
-        rates(&c.setup.loss_rates),
-        rates(&c.setup.fail_fracs)
-    ));
-    out.push_str(",\"systems\":[");
-    for (i, sys) in c.systems.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":{},\"baseline\":{},\"cells\":[",
-            json_str(sys.name),
-            summary_json(sys.name, &sys.baseline)
-        ));
-        for (j, cell) in sys.cells.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+    use sim::report::{json_array, json_num, json_str, summary_json};
+    let rates = |xs: &[f64]| json_array(xs.iter().map(|&x| json_num(x)));
+    let system = |sys: &ChaosSystem| {
+        let cell = |cell: &ChaosCell| {
+            format!(
                 "{{\"loss\":{},\"fail_frac\":{},\"success_rate\":{},\"hop_inflation\":{},\"summary\":{}}}",
                 json_num(cell.loss),
                 json_num(cell.fail_frac),
                 json_num(cell.success_rate()),
                 json_num(cell.hop_inflation(&sys.baseline)),
                 summary_json(sys.name, &cell.summary)
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+            )
+        };
+        format!(
+            "{{\"name\":{},\"baseline\":{},\"cells\":{}}}",
+            json_str(sys.name),
+            summary_json(sys.name, &sys.baseline),
+            json_array(sys.cells.iter().map(cell))
+        )
+    };
+    format!(
+        "{},\"fault_seed\":{},\"queries\":{},\"arity\":{},\"loss_rates\":{},\"fail_fracs\":{}}},\"systems\":{}}}",
+        export_head("lorm-repro/chaos-v1", cfg, true),
+        c.setup.fault_seed,
+        c.queries,
+        c.setup.arity,
+        rates(&c.setup.loss_rates),
+        rates(&c.setup.fail_fracs),
+        json_array(c.systems.iter().map(system))
+    )
 }
 
 #[cfg(test)]
@@ -116,6 +102,7 @@ mod tests {
         assert!(j.ends_with("]}"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_eq!(crate::tests::fnv1a(&j), 0xaa28_75af_ee1e_323d, "chaos-v1 writer moved");
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   lookup-failure fractions must match Krishnamurthy et al.'s closed
 //!   forms within the stated tolerance bands.
 
-use crate::ReproConfig;
-use sim::experiments::durability::{durability, Durability, DurabilitySetup};
+use crate::{export_head, ReproConfig};
+use analysis::System;
+use sim::experiments::durability::{
+    durability, Durability, DurabilityCell, DurabilityRow, DurabilitySetup, TheoryCheck,
+};
 use sim::BedCache;
 
 /// Run the durability sweep at the configuration's scale: every (rate,
@@ -29,67 +32,36 @@ pub fn run_durability(cfg: &ReproConfig, cache: &BedCache) -> Durability {
 /// Serialize a durability sweep against the stable
 /// `lorm-repro/durability-v1` schema.
 pub fn render_durability_json(cfg: &ReproConfig, d: &Durability) -> String {
-    use sim::report::{json_num, json_str, summary_json};
-    let p = cfg.sim().params();
-    let nums = |xs: &[f64]| xs.iter().map(|&x| json_num(x)).collect::<Vec<_>>().join(",");
-    let mut out = String::from("{\"schema\":\"lorm-repro/durability-v1\",\"config\":{");
-    out.push_str(&format!(
-        "\"quick\":{},\"seed\":{},\"shards\":{},\"n\":{},\"m\":{},\"k\":{},\"d\":{},",
-        cfg.quick, cfg.seed, cfg.shards, p.n, p.m, p.k, p.d
-    ));
-    out.push_str(&format!(
-        "\"rates\":[{}],\"degrees\":[{}],\"duration\":{},\"maintenance_period\":{},\"graceful_ratio\":{}}}",
-        nums(&d.setup.rates),
-        d.setup.degrees.iter().map(|k| k.to_string()).collect::<Vec<_>>().join(","),
-        json_num(d.setup.duration),
-        json_num(d.setup.maintenance_period),
-        json_num(d.setup.graceful_ratio),
-    ));
-    out.push_str(",\"rows\":[");
-    let systems = ["LORM", "Mercury", "SWORD", "MAAN"];
-    for (i, r) in d.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"rate\":{},\"k\":{},\"cells\":[", json_num(r.rate), r.k));
-        for (j, (name, c)) in systems.iter().zip(r.cells.iter()).enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"system\":{},\"initial\":{},\"surviving\":{},\"loss\":{},\"events\":{},\
-                 \"repair_rounds\":{},\"repair_copies\":{},\"repair_promotions\":{},\
-                 \"repair_dropped\":{},\"repair_transfers\":{},\"probe\":{}}}",
-                json_str(name),
-                c.initial,
-                c.surviving,
-                json_num(c.loss),
-                c.events,
-                c.repair_rounds,
-                c.repair_copies,
-                c.repair_promotions,
-                c.repair_dropped,
-                c.repair_transfers(),
-                summary_json(name, &c.probe),
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"k_monotonicity\":{");
-    let violations = d.k_monotonicity_violations();
-    out.push_str(&format!("\"ok\":{},\"violations\":[", violations.is_empty()));
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_str(v));
-    }
-    out.push_str("]},\"theory_checks\":[");
-    for (i, c) in d.checks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    use sim::report::{json_array, json_num, json_str, summary_json};
+    let cell = |(name, c): (&str, &DurabilityCell)| {
+        format!(
+            "{{\"system\":{},\"initial\":{},\"surviving\":{},\"loss\":{},\"events\":{},\
+             \"repair_rounds\":{},\"repair_copies\":{},\"repair_promotions\":{},\
+             \"repair_dropped\":{},\"repair_transfers\":{},\"probe\":{}}}",
+            json_str(name),
+            c.initial,
+            c.surviving,
+            json_num(c.loss),
+            c.events,
+            c.repair_rounds,
+            c.repair_copies,
+            c.repair_promotions,
+            c.repair_dropped,
+            c.repair_transfers(),
+            summary_json(name, &c.probe),
+        )
+    };
+    let row = |r: &DurabilityRow| {
+        let cells = System::ALL.iter().map(|s| s.name()).zip(&r.cells);
+        format!(
+            "{{\"rate\":{},\"k\":{},\"cells\":{}}}",
+            json_num(r.rate),
+            r.k,
+            json_array(cells.map(cell))
+        )
+    };
+    let check = |c: &TheoryCheck| {
+        format!(
             "{{\"name\":{},\"rate\":{},\"simulated\":{},\"predicted\":{},\"tol_rel\":{},\
              \"tol_abs\":{},\"ok\":{}}}",
             json_str(&c.name),
@@ -99,10 +71,25 @@ pub fn render_durability_json(cfg: &ReproConfig, d: &Durability) -> String {
             json_num(c.tol_rel),
             json_num(c.tol_abs),
             c.ok,
-        ));
-    }
-    out.push_str("]}");
-    out
+        )
+    };
+    let s = &d.setup;
+    let violations = d.k_monotonicity_violations();
+    format!(
+        "{},\"rates\":{},\"degrees\":{},\"duration\":{},\"maintenance_period\":{},\
+         \"graceful_ratio\":{}}},\"rows\":{},\"k_monotonicity\":{{\"ok\":{},\"violations\":{}}},\
+         \"theory_checks\":{}}}",
+        export_head("lorm-repro/durability-v1", cfg, true),
+        json_array(s.rates.iter().map(|&x| json_num(x))),
+        json_array(s.degrees.iter().map(usize::to_string)),
+        json_num(s.duration),
+        json_num(s.maintenance_period),
+        json_num(s.graceful_ratio),
+        json_array(d.rows.iter().map(row)),
+        violations.is_empty(),
+        json_array(violations.iter().map(|v| json_str(v))),
+        json_array(d.checks.iter().map(check)),
+    )
 }
 
 #[cfg(test)]
@@ -142,6 +129,7 @@ mod tests {
         assert!(j.ends_with("]}"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_eq!(crate::tests::fnv1a(&j), 0x6ae2_cda0_a0cb_ae2b, "durability-v1 writer moved");
     }
 
     #[test]
@@ -164,6 +152,6 @@ mod tests {
         }
         // 4 Krishnamurthy estimators x the theory bed's 2 churn rates
         assert_eq!(d.checks.len(), 8);
-        assert!(d.k_monotonicity_violations().is_empty() && d.theory_failures() == 0);
+        assert!(d.violations().is_empty(), "{:?}", d.violations());
     }
 }

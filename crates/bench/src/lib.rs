@@ -18,14 +18,25 @@
 //! than its gate against `--baseline <BENCH.json>`. The exit status is
 //! the whole verdict.
 //!
+//! Every output takes one path. Terminal output is a [`sim::Report`] of
+//! [`sim::Table`]s — each figure's `report()`, [`perf::perf_report`],
+//! [`perf::delta_table`], [`scale::ScaleRun::report`], the chaos and
+//! durability reports. Every JSON export opens with one run header
+//! (`export_head`) and writes each list through
+//! [`sim::report::json_array`]. Each standalone mode has one
+//! `violations()` list, and the binary ends every mode in one tail: print
+//! the report, write the JSON, exit 1 on violations, apply the baseline
+//! gate.
+//!
 //! `--quick` scales the experiment down (fewer nodes/attributes/queries)
 //! for smoke runs; the default is the paper's full §V configuration
 //! (n = 2048, m = 200, k = 500, d = 8).
 //!
 //! Every artifact's quick-mode report is pinned by an FNV-1a digest of
-//! its JSON in this crate's unit tests (`REPORT_DIGESTS`). A change that
-//! moves a figure re-records the digests it moves and says why; a
-//! refactor moves none.
+//! its JSON in this crate's unit tests (`REPORT_DIGESTS`), and each export
+//! writer by a digest of its output on a fixed fixture. A change that
+//! moves a figure or a schema re-records the digests it moves and says
+//! why; a refactor moves none.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -376,11 +387,6 @@ pub fn theorem_report(p: &analysis::Params) -> Report {
     rep
 }
 
-/// Render the theorem report as text.
-pub fn theorem_table(p: &analysis::Params) -> String {
-    theorem_report(p).to_string()
-}
-
 /// Parse CLI arguments into a run plan. Returns `Err` with a usage string
 /// on bad input.
 pub fn parse_args<I: IntoIterator<Item = String>>(
@@ -479,41 +485,48 @@ pub struct ArtifactRun {
     pub elapsed_ms: f64,
 }
 
-/// Serialize a full repro run against the stable `lorm-repro/bench-v1`
-/// schema (documented in README.md): config, then one object per
-/// artifact with its tables, full-precision summaries, and notes.
-pub fn render_json(cfg: &ReproConfig, runs: &[ArtifactRun]) -> String {
-    use sim::report::{json_num, json_str};
-    let sim_cfg = cfg.sim();
-    let p = sim_cfg.params();
-    let mut out = String::from("{\"schema\":\"lorm-repro/bench-v1\",\"config\":{");
-    out.push_str(&format!(
-        "\"quick\":{},\"seed\":{},\"shards\":{},\"n\":{},\"m\":{},\"k\":{},\"d\":{},\"plan\":{}}}",
+/// The head every `repro` export opens with: the `schema` tag, then the
+/// run header inside `config` — `quick`, `seed`, `shards` and, when `bed`
+/// is set, the standard bed's `n`, `m`, `k`, `d` (the scale sweep sizes
+/// its own beds). The caller appends its own config fields and closes
+/// `config`.
+pub(crate) fn export_head(schema: &str, cfg: &ReproConfig, bed: bool) -> String {
+    use sim::report::json_str;
+    let mut out = format!(
+        "{{\"schema\":{},\"config\":{{\"quick\":{},\"seed\":{},\"shards\":{}",
+        json_str(schema),
         cfg.quick,
         cfg.seed,
-        cfg.shards,
-        p.n,
-        p.m,
-        p.k,
-        p.d,
-        json_str(cfg.plan.name())
-    ));
-    out.push_str(",\"artifacts\":[");
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":{},\"elapsed_ms\":{},",
-            json_str(r.artifact.name()),
-            json_num(r.elapsed_ms)
-        ));
-        // splice the report object's fields into this artifact object
-        let body = r.report.to_json();
-        out.push_str(&body[1..]);
+        cfg.shards
+    );
+    if bed {
+        let p = cfg.sim().params();
+        out.push_str(&format!(",\"n\":{},\"m\":{},\"k\":{},\"d\":{}", p.n, p.m, p.k, p.d));
     }
-    out.push_str("]}");
     out
+}
+
+/// Serialize a full repro run against the stable `lorm-repro/bench-v1`
+/// schema (documented in docs/SCHEMAS.md): the run header plus the query
+/// plan, then one object per artifact with its tables, full-precision
+/// summaries, and notes.
+pub fn render_json(cfg: &ReproConfig, runs: &[ArtifactRun]) -> String {
+    use sim::report::{json_array, json_num, json_str};
+    let artifacts = runs.iter().map(|r| {
+        // splice the report object's fields into this artifact object
+        format!(
+            "{{\"name\":{},\"elapsed_ms\":{},{}",
+            json_str(r.artifact.name()),
+            json_num(r.elapsed_ms),
+            &r.report.to_json()[1..]
+        )
+    });
+    format!(
+        "{},\"plan\":{}}},\"artifacts\":{}}}",
+        export_head("lorm-repro/bench-v1", cfg, true),
+        json_str(cfg.plan.name()),
+        json_array(artifacts)
+    )
 }
 
 #[cfg(test)]
@@ -555,7 +568,7 @@ mod tests {
     #[test]
     fn quick_fig3a_renders_table() {
         // trim the sweep further for the unit test
-        let out = fig3::fig3a(&[5], 8, 7).to_string();
+        let out = fig3::fig3a(&[5], 8, 7).report().to_string();
         assert!(out.contains("Figure 3(a)"));
         assert!(out.contains("Mercury"));
     }
@@ -568,9 +581,17 @@ mod tests {
         assert!(out.contains("LORM"));
     }
 
+    /// The FNV-1a fold every digest pin in this crate uses: of a report
+    /// here, of each export writer's output on a fixed fixture in the
+    /// `chaos`, `durability`, `perf` and `scale` tests.
+    pub(crate) fn fnv1a(s: &str) -> u64 {
+        s.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
     /// FNV-1a digest of each artifact's `Report::to_json()` at quick
     /// scale, seed 3, in [`Artifact::ALL`] order. Recorded on the commit
-    /// before this table existed, by the same fold as the test below.
+    /// before this table existed, by `fnv1a`.
     /// These are report goldens: a change that moves a figure re-records
     /// the digest it moves and says why in its commit message; a
     /// refactor leaves every one of them alone.
@@ -610,16 +631,13 @@ mod tests {
             }
             let j = rep.to_json();
             assert!(j.starts_with("{\"tables\":["), "{a:?} bad json head: {j}");
-            let fnv = j.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            });
-            assert_eq!((a.name(), fnv), (name, digest), "{a:?} report moved");
+            assert_eq!((a.name(), fnv1a(&j)), (name, digest), "{a:?} report moved");
         }
     }
 
     #[test]
     fn theorem_table_shows_papers_headline_numbers() {
-        let out = theorem_table(&analysis::Params::paper());
+        let out = theorem_report(&analysis::Params::paper()).to_string();
         // §V.A quotes 8.78 (T4.3) and 1.28 (T4.5); §V.B quotes 513/514/3/1.
         assert!(out.contains("8.78"), "{out}");
         assert!(out.contains("1.28"));
@@ -854,5 +872,6 @@ mod tests {
         assert_eq!(opens, closes, "unbalanced JSON object braces");
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(j.ends_with("]}"));
+        assert_eq!(fnv1a(&j), 0x7078_c7b9_47eb_e83e, "bench-v1 writer moved");
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! `repro perf` and `repro scale` share one kernel record,
 //! [`PerfKernel`], and one writer for the `lorm-repro/perf-v2` kernel
-//! array and its build/query `phase_totals` split,
-//! [`push_kernels_json`]. The committed `BENCH_*.json` files are produced
-//! by these modes. `--baseline <BENCH.json>` diffs a run against one of
+//! array and its build/query `phase_totals` split, `kernels_json`.
+//! Their terminal tables are [`sim::Table`]s like every figure's. The
+//! committed `BENCH_*.json` files are produced by these modes.
+//! `--baseline <BENCH.json>` diffs a run against one of
 //! them and exits 1 when a kernel slows past [`REGRESSION_THRESHOLD`]
 //! (query) or [`BUILD_REGRESSION_THRESHOLD`] (build). CI's perf-smoke job
 //! is exactly `repro perf --quick --shards=1 --baseline
@@ -20,7 +21,7 @@
 //! library forbids `unsafe`, so the binary passes the counter in as a
 //! plain function pointer.
 
-use crate::{run_artifact_report, Artifact, Mode, ReproConfig};
+use crate::{export_head, run_artifact_report, Artifact, Mode, ReproConfig};
 use analysis::System;
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
@@ -30,7 +31,7 @@ use lorm::{Lorm, LormConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim::experiments::{run_batch, BatchMode, Metric};
-use sim::{build_system, BedCache, SimConfig, TestBed};
+use sim::{build_system, BedCache, Report, SimConfig, Table, TestBed};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -273,7 +274,7 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     // One iteration = refill the accumulator from the large sorted set
     // and intersect the small one into it in place. The refill stays
     // within the pre-sized capacity, so a nonzero allocs/iter here means
-    // the merge kernel itself regressed (the alloc_count_planner test
+    // the merge kernel itself regressed (the alloc_count test binary
     // pins the same invariant exactly).
     {
         let mut i_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x13);
@@ -346,7 +347,7 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     let bed = TestBed { cfg: sim_cfg, workload: bed_workload, systems, seeds: bed_seeds };
     let clone_iters = if cfg.quick { 3 } else { 2 };
     kernels.push(time_kernel("bed_clone", "build", clone_iters, || {
-        black_box(bed.snapshot());
+        black_box(bed.systems.clone());
     }));
     let _shared = cache.prime(bed);
 
@@ -375,27 +376,19 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     kernels
 }
 
-/// Append what every perf-v2 export shares: the `phase_totals` object
-/// splitting the run's wall-clock into build vs query milliseconds, and
-/// the `kernels` array, one object shape per kernel. `repro perf` and
-/// `repro scale` both write their kernels through here.
-pub fn push_kernels_json(out: &mut String, kernels: &[PerfKernel]) {
-    use sim::report::{json_num, json_str};
+/// The fields every perf-v2 export shares after its `config`: the
+/// `phase_totals` object splitting the run's wall-clock into build vs
+/// query milliseconds, and the `kernels` array, one object shape per
+/// kernel. `repro perf` and `repro scale` both write their kernels
+/// through here.
+pub(crate) fn kernels_json(kernels: &[PerfKernel]) -> String {
+    use sim::report::{json_array, json_num, json_str};
     let opt = |x: Option<f64>| x.map_or_else(|| "null".to_string(), json_num);
     let total_ms = |phase: &str| -> f64 {
         kernels.iter().filter(|k| k.phase == phase).map(|k| k.elapsed_ms).sum()
     };
-    out.push_str(&format!(
-        ",\"phase_totals\":{{\"build_ms\":{},\"query_ms\":{}}}",
-        json_num(total_ms("build")),
-        json_num(total_ms("query"))
-    ));
-    out.push_str(",\"kernels\":[");
-    for (i, k) in kernels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let kernel = |k: &PerfKernel| {
+        format!(
             "{{\"name\":{},\"phase\":{},\"iters\":{},\"elapsed_ms\":{},\"ops_per_sec\":{},\"allocs_per_iter\":{},\"cache_hit_rate\":{}}}",
             json_str(&k.name),
             json_str(k.phase),
@@ -404,23 +397,20 @@ pub fn push_kernels_json(out: &mut String, kernels: &[PerfKernel]) {
             json_num(k.ops_per_sec),
             opt(k.allocs_per_iter),
             opt(k.cache_hit_rate),
-        ));
-    }
-    out.push(']');
+        )
+    };
+    format!(
+        "\"phase_totals\":{{\"build_ms\":{},\"query_ms\":{}}},\"kernels\":{}",
+        json_num(total_ms("build")),
+        json_num(total_ms("query")),
+        json_array(kernels.iter().map(kernel))
+    )
 }
 
 /// Serialize a perf run against the stable `lorm-repro/perf-v2` schema:
-/// the run's configuration, then [`push_kernels_json`]'s body.
+/// the run header, then `kernels_json`'s fields.
 pub fn render_perf_json(cfg: &ReproConfig, kernels: &[PerfKernel]) -> String {
-    let p = cfg.sim().params();
-    let mut out = String::from("{\"schema\":\"lorm-repro/perf-v2\",\"config\":{");
-    out.push_str(&format!(
-        "\"quick\":{},\"seed\":{},\"shards\":{},\"n\":{},\"m\":{},\"k\":{},\"d\":{}}}",
-        cfg.quick, cfg.seed, cfg.shards, p.n, p.m, p.k, p.d
-    ));
-    push_kernels_json(&mut out, kernels);
-    out.push('}');
-    out
+    format!("{}}},{}}}", export_head("lorm-repro/perf-v2", cfg, true), kernels_json(kernels))
 }
 
 /// Per-kernel slowdown factor above which a query-phase run counts as a
@@ -457,7 +447,7 @@ pub struct KernelDelta {
 /// Extract `(name, elapsed_ms)` pairs from a committed `BENCH_*.json`
 /// perf export (v1 or v2 — both carry `"kernels":[{"name":…,
 /// "elapsed_ms":…}]`). A hand-rolled scan, not a JSON parser: the files
-/// are machine-written by [`push_kernels_json`], so kernel objects are
+/// are machine-written by `kernels_json`, so kernel objects are
 /// flat and compact. The array must close: a truncated file is an error,
 /// not a shorter baseline.
 pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
@@ -512,48 +502,44 @@ pub fn diff_baseline(
     (!out.is_empty()).then_some(out)
 }
 
-/// Render a baseline comparison as a markdown table.
-pub fn render_delta_table(path: &std::path::Path, deltas: &[KernelDelta]) -> String {
-    let mut out = format!("## Baseline comparison vs {}\n\n", path.display());
-    out.push_str("| kernel | baseline (ms) | current (ms) | ratio | status |\n");
-    out.push_str("|---|---|---|---|---|\n");
+/// A baseline comparison as a table, one row per shared kernel.
+pub fn delta_table(path: &std::path::Path, deltas: &[KernelDelta]) -> Table {
+    let mut t = Table::new(
+        format!("Baseline comparison vs {}", path.display()),
+        &["kernel", "baseline (ms)", "current (ms)", "ratio", "status"],
+    );
     for d in deltas {
-        out.push_str(&format!(
-            "| {} | {:.1} | {:.1} | {:.2}x | {} |\n",
-            d.name,
-            d.base_ms,
-            d.current_ms,
-            d.ratio,
-            if d.regressed { "REGRESSED" } else { "ok" }
-        ));
+        t.row(vec![
+            d.name.clone(),
+            format!("{:.1}", d.base_ms),
+            format!("{:.1}", d.current_ms),
+            format!("{:.2}x", d.ratio),
+            if d.regressed { "REGRESSED" } else { "ok" }.into(),
+        ]);
     }
-    out
+    t
 }
 
-/// Render the perf run as a markdown table for terminal output.
-pub fn render_perf_table(kernels: &[PerfKernel]) -> String {
-    let mut out = String::from("## Performance kernels\n\n");
-    out.push_str("| kernel | phase | iters | elapsed (ms) | ops/sec | allocs/iter | hit rate |\n");
-    out.push_str("|---|---|---|---|---|---|---|\n");
+/// The perf run as a report: one table row per kernel.
+pub fn perf_report(kernels: &[PerfKernel]) -> Report {
+    let mut t = Table::new(
+        "Performance kernels",
+        &["kernel", "phase", "iters", "elapsed (ms)", "ops/sec", "allocs/iter", "hit rate"],
+    );
     for k in kernels {
-        out.push_str(&format!(
-            "| {} | {} | {} | {:.1} | {:.0} | {} | {} |\n",
-            k.name,
-            k.phase,
-            k.iters,
-            k.elapsed_ms,
-            k.ops_per_sec,
-            match k.allocs_per_iter {
-                Some(a) => format!("{a:.2}"),
-                None => "-".into(),
-            },
-            match k.cache_hit_rate {
-                Some(h) => format!("{:.1}%", h * 100.0),
-                None => "-".into(),
-            }
-        ));
+        t.row(vec![
+            k.name.clone(),
+            k.phase.into(),
+            k.iters.to_string(),
+            format!("{:.1}", k.elapsed_ms),
+            format!("{:.0}", k.ops_per_sec),
+            k.allocs_per_iter.map_or_else(|| "-".into(), |a| format!("{a:.2}")),
+            k.cache_hit_rate.map_or_else(|| "-".into(), |h| format!("{:.1}%", h * 100.0)),
+        ]);
     }
-    out
+    let mut rep = Report::new();
+    rep.table(t);
+    rep
 }
 
 #[cfg(test)]
@@ -611,6 +597,7 @@ mod tests {
         assert!(j.contains("\"cache_hit_rate\":null"));
         assert!(j.ends_with("]}"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(crate::tests::fnv1a(&j), 0xfb4e_3a3b_6f7a_6f8d, "perf-v2 writer moved");
     }
 
     #[test]
@@ -624,11 +611,11 @@ mod tests {
             allocs_per_iter: None,
             cache_hit_rate: Some(0.5),
         }];
-        let t = render_perf_table(&kernels);
-        assert!(t.contains("cycloid_route_stats"));
-        assert!(t.contains("| query |"), "phase column present: {t}");
-        assert!(t.contains("| - |"), "unmeasured allocs render as a dash: {t}");
-        assert!(t.contains("50.0%"), "hit rate renders as a percentage: {t}");
+        let t = perf_report(&kernels).to_string();
+        assert!(t.starts_with("## Performance kernels\n"), "{t}");
+        assert!(t.contains("| cycloid_route_stats | query |    10 |"), "{t}");
+        assert!(t.contains("|           - |"), "unmeasured allocs render as a dash: {t}");
+        assert!(t.contains("|    50.0% |"), "hit rate renders as a percentage: {t}");
     }
 
     #[test]
@@ -713,9 +700,10 @@ mod tests {
         let route = deltas.iter().find(|d| d.name == "chord_route_stats").unwrap();
         assert!(!route.regressed);
         assert!(route.ratio < 1.0);
-        let t = render_delta_table(std::path::Path::new("BENCH.json"), &deltas);
-        assert!(t.contains("REGRESSED"), "{t}");
-        assert!(t.contains("| ok |"), "{t}");
+        let t = delta_table(std::path::Path::new("BENCH.json"), &deltas).to_string();
+        assert!(t.starts_with("## Baseline comparison vs BENCH.json\n"), "{t}");
+        assert!(t.contains("| 2.00x | REGRESSED |"), "{t}");
+        assert!(t.contains("|        ok |"), "{t}");
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! scale-specific top-level arrays: `"scale"` (one row per system ×
 //! size) and `"growth_checks"`.
 
-use crate::perf::{push_kernels_json, PerfKernel, Phase};
-use crate::ReproConfig;
+use crate::perf::{kernels_json, PerfKernel, Phase};
+use crate::{export_head, ReproConfig};
 use baselines::{Mercury, MercuryConfig};
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
@@ -41,6 +41,7 @@ use dht_core::{DhtError, Overlay, RouteStats};
 use grid_resource::{AttrId, AttributeSpace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sim::{Report, Table};
 use std::time::Instant;
 
 /// Monotonic heap byte totals `(allocated, freed)` since process start.
@@ -455,112 +456,95 @@ impl ScaleRun {
             });
         checks.chain(points).collect()
     }
+
+    /// The sweep as a report for terminal output (and for pasting into
+    /// EXPERIMENTS.md): the per-point table, then the growth checks.
+    pub fn report(&self) -> Report {
+        let mut sweep = Table::new(
+            "Scale sweep",
+            &[
+                "system",
+                "n",
+                "build (ms)",
+                "build nodes/s",
+                "bytes/node",
+                "query ops/s",
+                "mean hops",
+                "max outlinks",
+            ],
+        );
+        for p in &self.points {
+            let build_nps = p.n as f64 / (p.build_ms / 1e3).max(1e-12);
+            sweep.row(vec![
+                p.system.into(),
+                p.n.to_string(),
+                format!("{:.1}", p.build_ms),
+                format!("{build_nps:.0}"),
+                p.bytes_per_node.map_or_else(|| "-".into(), |b| format!("{b:.0}")),
+                format!("{:.0}", p.query_ops_per_sec),
+                format!("{:.2}", p.mean_hops),
+                p.max_outlinks.to_string(),
+            ]);
+        }
+        let mut checks = Table::new(
+            "Growth checks",
+            &["system", "claim", "per-size statistic", "observed", "limit", "status"],
+        );
+        for c in &self.checks {
+            let stats: Vec<String> =
+                c.per_size.iter().map(|&(n, v)| format!("{}:{:.2}", size_tag(n), v)).collect();
+            checks.row(vec![
+                c.system.into(),
+                c.claim.into(),
+                stats.join(" "),
+                format!("{:.2}", c.observed),
+                format!("{:.2}", c.limit),
+                if c.ok { "ok" } else { "FAILED" }.into(),
+            ]);
+        }
+        let mut rep = Report::new();
+        rep.table(sweep).table(checks);
+        rep
+    }
 }
 
-/// Serialize the sweep against the `lorm-repro/perf-v2` schema: the
-/// standard kernel array and phase split, plus two scale-specific
-/// top-level arrays (`"scale"`, `"growth_checks"`).
+/// Serialize the sweep against the `lorm-repro/perf-v2` schema: the run
+/// header with the swept `sizes`, the standard kernel array and phase
+/// split, plus two scale-specific top-level arrays (`"scale"`,
+/// `"growth_checks"`).
 pub fn render_scale_json(cfg: &ReproConfig, run: &ScaleRun) -> String {
-    use sim::report::{json_num, json_str};
-    let mut out = String::from("{\"schema\":\"lorm-repro/perf-v2\",\"config\":{");
-    out.push_str(&format!(
-        "\"quick\":{},\"seed\":{},\"shards\":{},\"sizes\":[{}]}}",
-        cfg.quick,
-        cfg.seed,
-        cfg.shards,
-        run.sizes.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(",")
-    ));
-    push_kernels_json(&mut out, &run.kernels);
-    out.push_str(",\"scale\":[");
-    for (i, p) in run.points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    use sim::report::{json_array, json_num, json_str};
+    let point = |p: &ScalePoint| {
+        format!(
             "{{\"system\":{},\"n\":{},\"build_ms\":{},\"bytes_per_node\":{},\"query_ops_per_sec\":{},\"mean_hops\":{},\"max_outlinks\":{}}}",
             json_str(p.system),
             p.n,
             json_num(p.build_ms),
-            match p.bytes_per_node {
-                Some(b) => json_num(b),
-                None => "null".into(),
-            },
+            p.bytes_per_node.map_or_else(|| "null".into(), json_num),
             json_num(p.query_ops_per_sec),
             json_num(p.mean_hops),
             p.max_outlinks,
-        ));
-    }
-    out.push_str("],\"growth_checks\":[");
-    for (i, c) in run.checks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let stats = c
-            .per_size
-            .iter()
-            .map(|&(n, v)| format!("[{},{}]", n, json_num(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            "{{\"system\":{},\"claim\":{},\"per_size\":[{}],\"observed\":{},\"limit\":{},\"ok\":{}}}",
+        )
+    };
+    let check = |c: &GrowthCheck| {
+        format!(
+            "{{\"system\":{},\"claim\":{},\"per_size\":{},\"observed\":{},\"limit\":{},\"ok\":{}}}",
             json_str(c.system),
             json_str(c.claim),
-            stats,
+            json_array(c.per_size.iter().map(|&(n, v)| json_array([n.to_string(), json_num(v)]))),
             json_num(c.observed),
             json_num(c.limit),
             c.ok,
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Render the sweep as markdown tables for terminal output (and for
-/// pasting into EXPERIMENTS.md).
-pub fn render_scale_table(run: &ScaleRun) -> String {
-    let mut out = String::from("## Scale sweep\n\n");
-    out.push_str(
-        "| system | n | build (ms) | build nodes/s | bytes/node | query ops/s | mean hops | max outlinks |\n",
-    );
-    out.push_str("|---|---|---|---|---|---|---|---|\n");
-    for p in &run.points {
-        let build_nps = p.n as f64 / (p.build_ms / 1e3).max(1e-12);
-        out.push_str(&format!(
-            "| {} | {} | {:.1} | {:.0} | {} | {:.0} | {:.2} | {} |\n",
-            p.system,
-            p.n,
-            p.build_ms,
-            build_nps,
-            match p.bytes_per_node {
-                Some(b) => format!("{b:.0}"),
-                None => "-".into(),
-            },
-            p.query_ops_per_sec,
-            p.mean_hops,
-            p.max_outlinks,
-        ));
-    }
-    out.push_str("\n## Growth checks\n\n");
-    out.push_str("| system | claim | per-size statistic | observed | limit | status |\n");
-    out.push_str("|---|---|---|---|---|---|\n");
-    for c in &run.checks {
-        let stats = c
-            .per_size
-            .iter()
-            .map(|&(n, v)| format!("{}:{:.2}", size_tag(n), v))
-            .collect::<Vec<_>>()
-            .join(" ");
-        out.push_str(&format!(
-            "| {} | {} | {} | {:.2} | {:.2} | {} |\n",
-            c.system,
-            c.claim,
-            stats,
-            c.observed,
-            c.limit,
-            if c.ok { "ok" } else { "FAILED" }
-        ));
-    }
-    out
+        )
+    };
+    format!(
+        "{},\"sizes\":{}}},{},\"scale\":{},\"growth_checks\":{}}}",
+        export_head("lorm-repro/perf-v2", cfg, false),
+        json_array(run.sizes.iter().map(usize::to_string)),
+        kernels_json(&run.kernels),
+        json_array(run.points.iter().map(point)),
+        json_array(run.checks.iter().map(check)),
+    )
 }
 
 #[cfg(test)]
@@ -630,10 +614,10 @@ mod tests {
         let mut no_heap = run.clone();
         no_heap.points[0].bytes_per_node = Some(0.0);
         assert_eq!(no_heap.violations().len(), 1);
-        let table = render_scale_table(&run);
-        assert!(table.contains("## Scale sweep"));
-        assert!(table.contains("## Growth checks"));
-        assert!(table.contains("| chord | 64 |"));
+        let table = run.report().to_string();
+        assert!(table.starts_with("## Scale sweep\n"), "{table}");
+        assert!(table.contains("\n\n## Growth checks\n"), "{table}");
+        assert!(table.contains("|   chord |  64 |"), "{table}");
         let cfg = ReproConfig { quick: true, seed: 7, ..ReproConfig::default() };
         let j = render_scale_json(&cfg, &run);
         assert!(j.starts_with("{\"schema\":\"lorm-repro/perf-v2\",\"config\":{"), "{j}");
@@ -643,6 +627,38 @@ mod tests {
         assert!(j.contains("\"claim\":\"constant_degree\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+        // The writer itself, pinned on a hand-built run no clock touches.
+        let points: Vec<ScalePoint> = [1_000, 10_000]
+            .into_iter()
+            .flat_map(|n| ["chord", "cycloid", "mercury"].map(|s| point(s, n)))
+            .map(|p| ScalePoint { bytes_per_node: (p.system == "chord").then_some(302.5), ..p })
+            .collect();
+        let kernels = vec![
+            PerfKernel {
+                name: "chord_build_n1k".into(),
+                phase: "build",
+                iters: 1_000,
+                elapsed_ms: 0.75,
+                ops_per_sec: 1.5e6,
+                ..PerfKernel::default()
+            },
+            PerfKernel {
+                name: "chord_query_n1k".into(),
+                phase: "query",
+                iters: 200,
+                elapsed_ms: 0.125,
+                ops_per_sec: 1.6e6,
+                ..PerfKernel::default()
+            },
+        ];
+        let fixture = ScaleRun {
+            sizes: vec![1_000, 10_000],
+            checks: growth_checks(&points),
+            points,
+            kernels,
+        };
+        let j = render_scale_json(&cfg, &fixture);
+        assert_eq!(crate::tests::fnv1a(&j), 0x8d6c_6efb_d01a_84f7, "perf-v2 scale writer moved");
     }
 
     /// A synthetic point every growth check passes: 0.5·log2 n hops,

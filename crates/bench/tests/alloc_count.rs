@@ -1,30 +1,40 @@
-//! Proves the untraced routing fast path is allocation-free.
+//! Pins the allocation budget of the hot paths: the untraced routing fast
+//! path and the planner's sorted-merge intersection make none, and a
+//! traced route makes exactly one (its trace `Vec`).
 //!
-//! A counting `#[global_allocator]` (the same scheme the `repro` binary
-//! uses for `repro perf`) wraps the system allocator; the single test
-//! routes a thousand lookups through `route_stats` on stabilized Chord
-//! and Cycloid networks and asserts the allocation counter did not move.
-//! One test per binary: the counter is process-global, so a second
-//! concurrent test would pollute the window.
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! per thread, so each test reads only its own window and the tests run
+//! concurrently in this one binary. The counter is a `const`-initialised
+//! `thread_local!` (no lazy initialisation, so bumping it never
+//! allocates) read through `try_with` (a thread being torn down has no
+//! window to pollute).
 
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
 use dht_core::{NodeIdx, Overlay};
+use grid_resource::intersect_sorted;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to `System`; the counter bump cannot violate
-// any allocator invariant.
+// SAFETY: delegates verbatim to `System`; the thread-local counter bump
+// neither allocates nor touches the block, so it cannot violate any
+// allocator invariant.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -41,42 +51,138 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-#[test]
-fn route_stats_makes_zero_heap_allocations() {
-    const LOOKUPS: usize = 1000;
-    // Everything that allocates happens before the measured window:
-    // network construction and the pre-drawn lookup plans.
+/// Heap allocations the calling thread makes while running `f`.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const LOOKUPS: usize = 1000;
+
+/// Stabilized Chord and Cycloid networks with `LOOKUPS` pre-drawn
+/// `(from, key)` pairs each: everything that allocates happens here,
+/// before any measured window.
+struct Overlays {
+    chord: Chord,
+    cycloid: Cycloid,
+    chord_plan: Vec<(NodeIdx, u64)>,
+    cycloid_plan: Vec<(NodeIdx, CycloidId)>,
+}
+
+fn overlays(seed: u64) -> Overlays {
     let chord = Chord::build(512, ChordConfig::default());
     let d = 7u8;
     let cycloid = Cycloid::build(d as usize * (1 << d), CycloidConfig { dimension: d, seed: 1 });
-    let mut rng = SmallRng::seed_from_u64(0xA110C);
-    let chord_plan: Vec<(NodeIdx, u64)> = (0..LOOKUPS)
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let chord_plan = (0..LOOKUPS)
         .map(|_| (chord.random_node(&mut rng).expect("live node"), rng.gen()))
         .collect();
-    let cycloid_plan: Vec<(NodeIdx, CycloidId)> = (0..LOOKUPS)
+    let cycloid_plan = (0..LOOKUPS)
         .map(|_| {
             let from = cycloid.random_node(&mut rng).expect("live node");
             let key = CycloidId::new(rng.gen_range(0..d), rng.gen_range(0..(1u32 << d)), d);
             (from, key)
         })
         .collect();
+    Overlays { chord, cycloid, chord_plan, cycloid_plan }
+}
 
+#[test]
+fn route_stats_makes_zero_heap_allocations() {
+    let o = overlays(0xA110C);
     // Warm-up: any lazily-initialized one-time allocation lands here.
-    black_box(chord.route_stats(chord_plan[0].0, chord_plan[0].1).expect("lookup").hops);
-    black_box(cycloid.route_stats(cycloid_plan[0].0, cycloid_plan[0].1).expect("lookup").hops);
+    black_box(o.chord.route_stats(o.chord_plan[0].0, o.chord_plan[0].1).expect("lookup").hops);
+    black_box(
+        o.cycloid.route_stats(o.cycloid_plan[0].0, o.cycloid_plan[0].1).expect("lookup").hops,
+    );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for &(from, key) in &chord_plan {
-        black_box(chord.route_stats(from, key).expect("lookup").hops);
-    }
-    for &(from, key) in &cycloid_plan {
-        black_box(cycloid.route_stats(from, key).expect("lookup").hops);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs_during(|| {
+        for &(from, key) in &o.chord_plan {
+            black_box(o.chord.route_stats(from, key).expect("lookup").hops);
+        }
+        for &(from, key) in &o.cycloid_plan {
+            black_box(o.cycloid.route_stats(from, key).expect("lookup").hops);
+        }
+    });
     assert_eq!(
         allocs,
         0,
         "route_stats must be allocation-free: {allocs} allocations over {} lookups",
         2 * LOOKUPS
+    );
+}
+
+#[test]
+fn traced_routes_make_exactly_one_allocation_each() {
+    // `route` returns the hop-by-hop trace in a `Vec`, so one allocation
+    // is the floor — and the pre-sized trace buffers (worst-case path
+    // bound capacity on both overlays) make it the ceiling too: any
+    // regrowth would show up as a second allocation.
+    let o = overlays(0xA110C1);
+    black_box(o.chord.route(o.chord_plan[0].0, o.chord_plan[0].1).expect("lookup").hops());
+    black_box(o.cycloid.route(o.cycloid_plan[0].0, o.cycloid_plan[0].1).expect("lookup").hops());
+
+    let chord_allocs = allocs_during(|| {
+        for &(from, key) in &o.chord_plan {
+            black_box(o.chord.route(from, key).expect("lookup").hops());
+        }
+    });
+    assert_eq!(
+        chord_allocs, LOOKUPS as u64,
+        "chord traced routes must allocate exactly once per lookup (the trace Vec): \
+         {chord_allocs} allocations over {LOOKUPS} lookups"
+    );
+    let cycloid_allocs = allocs_during(|| {
+        for &(from, key) in &o.cycloid_plan {
+            black_box(o.cycloid.route(from, key).expect("lookup").hops());
+        }
+    });
+    assert_eq!(
+        cycloid_allocs, LOOKUPS as u64,
+        "cycloid traced routes must allocate exactly once per lookup (the trace Vec): \
+         {cycloid_allocs} allocations over {LOOKUPS} lookups"
+    );
+}
+
+fn sorted_set(rng: &mut SmallRng, len: usize, max: usize) -> Vec<usize> {
+    let mut v: Vec<usize> = (0..len).map(|_| rng.gen_range(0..max)).collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+#[test]
+fn intersect_sorted_makes_zero_heap_allocations() {
+    const ROUNDS: usize = 1000;
+    // Everything that allocates happens before the measured window: the
+    // candidate sets and the accumulator, sized for the largest refill.
+    let mut rng = SmallRng::seed_from_u64(0xA110C2);
+    // balanced merge, gallop over `other`, gallop over the accumulator
+    let pairs: [(Vec<usize>, Vec<usize>); 3] = [
+        (sorted_set(&mut rng, 2048, 1 << 14), sorted_set(&mut rng, 2048, 1 << 14)),
+        (sorted_set(&mut rng, 4096, 1 << 16), sorted_set(&mut rng, 64, 1 << 16)),
+        (sorted_set(&mut rng, 64, 1 << 16), sorted_set(&mut rng, 4096, 1 << 16)),
+    ];
+    let cap = pairs.iter().map(|(a, _)| a.len()).max().expect("nonempty");
+    let mut acc: Vec<usize> = Vec::with_capacity(cap);
+
+    // Warm-up: any lazily-initialized one-time allocation lands here.
+    acc.extend_from_slice(&pairs[0].0);
+    intersect_sorted(&mut acc, &pairs[0].1);
+    black_box(acc.len());
+
+    let allocs = allocs_during(|| {
+        for round in 0..ROUNDS {
+            let (a, b) = &pairs[round % pairs.len()];
+            acc.clear();
+            acc.extend_from_slice(a);
+            intersect_sorted(&mut acc, b);
+            black_box(acc.len());
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "intersect_sorted must be allocation-free: {allocs} allocations over {ROUNDS} rounds"
     );
 }

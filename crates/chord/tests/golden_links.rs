@@ -8,8 +8,8 @@
 //! build and on the same ring after a scripted 64-op churn followed by a
 //! rebuild.
 //!
-//! `chord` is not a default workspace member, so tier-1 `cargo test -q`
-//! does not run this file; the CI `cargo test --workspace` run does.
+//! Reached by tier-1 (`cargo test -q`): `crates/chord` is a default
+//! workspace member.
 
 use chord::{Chord, ChordConfig};
 use dht_core::{NodeIdx, Overlay};

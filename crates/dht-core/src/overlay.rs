@@ -112,7 +112,7 @@ pub trait Overlay {
     /// Route a lookup for `key` from `from`, tracing every hop. The path
     /// is sized to the routing budget (+1 for the hop recorded on the
     /// budget check), so a traced route is exactly one allocation — pinned
-    /// by `crates/bench/tests/alloc_count_traced.rs`.
+    /// by `crates/bench/tests/alloc_count.rs`.
     fn route(&self, from: NodeIdx, key: Self::Key) -> Result<RouteResult, DhtError> {
         let mut path: Vec<NodeIdx> = Vec::with_capacity(self.route_budget() + 1);
         let (terminal, exact) = self.route_with(from, key, &mut path)?;

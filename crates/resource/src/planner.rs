@@ -88,7 +88,7 @@ const GALLOP_FACTOR: usize = 8;
 /// `other`. The merge walks both sides linearly when they are comparable
 /// in size and gallops through the longer side on an 8× or larger
 /// size mismatch. Proven 0 allocs/call by the counting-global-allocator
-/// harness (`crates/bench/tests/alloc_count_planner.rs`).
+/// harness (`crates/bench/tests/alloc_count.rs`).
 pub fn intersect_sorted(acc: &mut Vec<usize>, other: &[usize]) {
     let mut w = 0;
     if other.len() >= acc.len().saturating_mul(GALLOP_FACTOR) {

@@ -32,7 +32,6 @@ use grid_resource::{
 use lorm::{Lorm, LormConfig, Placement};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
 
 /// Result row shared by the ablation tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,12 +67,6 @@ impl Ablation {
         let mut rep = Report::new();
         rep.table(t);
         rep
-    }
-}
-
-impl fmt::Display for Ablation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 
@@ -458,7 +451,7 @@ mod tests {
         // constant state
         assert!((ab.rows[1].values[2] - ab.rows[0].values[2]).abs() < 2.0);
         // renders
-        assert!(ab.to_string().contains("d = 5"));
+        assert!(ab.report().to_string().contains("d = 5"));
     }
 
     #[test]

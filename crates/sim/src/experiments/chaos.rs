@@ -23,7 +23,6 @@ use crate::setup::TestBed;
 use crate::table::Table;
 use dht_core::{FaultPlan, Summary};
 use grid_resource::{QueryMix, QueryPlan};
-use std::fmt;
 
 /// Sweep configuration for the chaos experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,12 +256,6 @@ impl Chaos {
     }
 }
 
-impl fmt::Display for Chaos {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,7 +337,7 @@ mod tests {
             rising.violations()
         );
         // the report renders both tables and the note
-        let s = c.to_string();
+        let s = c.report().to_string();
         assert!(s.contains("success rate"), "{s}");
         assert!(s.contains("hop inflation"), "{s}");
         assert!(s.contains("30 range queries"), "{s}");

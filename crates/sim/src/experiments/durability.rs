@@ -42,7 +42,6 @@ use grid_resource::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::fmt;
 
 /// Durability sweep parameters.
 #[derive(Debug, Clone)]
@@ -297,9 +296,24 @@ impl Durability {
         out
     }
 
-    /// Number of failed Krishnamurthy closed-form checks.
-    pub fn theory_failures(&self) -> usize {
-        self.checks.iter().filter(|c| !c.ok).count()
+    /// Everything that fails the sweep, one line each: every
+    /// k-monotonicity violation, then every Krishnamurthy closed-form
+    /// check outside its tolerance band. Empty means `repro durability`
+    /// exits 0.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = self.k_monotonicity_violations();
+        out.extend(self.checks.iter().filter(|c| !c.ok).map(|c| {
+            format!(
+                "{} @ R={}: simulated {} outside predicted {} ± ({}% + {})",
+                c.name,
+                c.rate,
+                c.simulated,
+                c.predicted,
+                c.tol_rel * 100.0,
+                c.tol_abs
+            )
+        }));
+        out
     }
 
     /// Build the structured report: the loss table, the repair-traffic
@@ -374,12 +388,6 @@ impl Durability {
             rep.summary(name, s);
         }
         rep
-    }
-}
-
-impl fmt::Display for Durability {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 
@@ -637,7 +645,15 @@ mod tests {
         let setup = tiny_setup();
         let d = durability(&cfg, &setup, &BedCache::new());
         assert_eq!(d.rows.len(), setup.rates.len() * setup.degrees.len());
-        assert!(d.k_monotonicity_violations().is_empty());
+        assert!(d.violations().is_empty(), "{:?}", d.violations());
+        // One check forced outside its band fails the sweep, by name.
+        let mut bad = d.clone();
+        let c = &d.checks[1];
+        bad.checks[1] =
+            check(c.name.clone(), c.rate, c.predicted + 1.0, c.predicted, c.tol_rel, c.tol_abs);
+        let violations = bad.violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with(&format!("{} @ R={}", c.name, c.rate)), "{violations:?}");
         let rep = d.report();
         let text = rep.to_string();
         assert!(text.contains("data-loss probability"), "{text}");

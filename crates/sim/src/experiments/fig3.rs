@@ -16,7 +16,6 @@ use analysis::{self as th, System};
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig};
 use dht_core::Overlay;
-use std::fmt;
 
 /// One network size in the Figure 3(a) sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,12 +100,6 @@ impl Fig3a {
         let mut rep = Report::new();
         rep.table(t);
         rep
-    }
-}
-
-impl fmt::Display for Fig3a {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 
@@ -204,12 +197,6 @@ impl Fig3Directories {
     }
 }
 
-impl fmt::Display for Fig3Directories {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
-    }
-}
-
 /// One (size, system) cell of the directory-size sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
@@ -278,11 +265,6 @@ pub fn sweep_report(rows: &[SweepRow], cfg: &SimConfig) -> Report {
     rep
 }
 
-/// Render the sweep as one table (rows = size × system).
-pub fn render_sweep(rows: &[SweepRow], cfg: &SimConfig) -> String {
-    sweep_report(rows, cfg).to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +306,7 @@ mod tests {
         // T4.5/T4.6: Mercury is the most balanced (lowest p99).
         assert!(mercury.p99 <= lorm.p99, "mercury {} lorm {}", mercury.p99, lorm.p99);
         // display renders all seven series
-        let s = fig.to_string();
+        let s = fig.report().to_string();
         assert_eq!(s.lines().filter(|l| l.starts_with('|')).count(), 2 + 7);
     }
     #[test]
@@ -339,7 +321,7 @@ mod tests {
         }
         // averages shrink as n grows (same mk over more nodes)
         assert!(rows[1].dists[0].avg < rows[0].dists[0].avg);
-        let rendered = render_sweep(&rows, &cfg);
+        let rendered = sweep_report(&rows, &cfg).to_string();
         assert!(rendered.contains("sweep"));
     }
 }

@@ -14,7 +14,6 @@ use crate::table::Table;
 use analysis::{self as th, System};
 use dht_core::Summary;
 use grid_resource::QueryMix;
-use std::fmt;
 
 /// One arity's measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,12 +129,6 @@ impl Fig4 {
     }
 }
 
-impl fmt::Display for Fig4 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +172,7 @@ mod tests {
         assert!((r.analysis_lorm - maan / analysis::t47_maan_over_lorm_hops(&p)).abs() < 1e-9);
         assert!((r.analysis_single - maan / 2.0).abs() < 1e-9);
         // and the table renders both sub-figures
-        let s = fig.to_string();
+        let s = fig.report().to_string();
         assert!(s.contains("Figure 4(a)") && s.contains("Figure 4(b)"));
     }
 }

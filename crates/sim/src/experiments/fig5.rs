@@ -13,7 +13,6 @@ use crate::table::Table;
 use analysis::{self as th, System};
 use dht_core::Summary;
 use grid_resource::QueryMix;
-use std::fmt;
 
 /// One arity's measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,12 +119,6 @@ impl Fig5 {
     }
 }
 
-impl fmt::Display for Fig5 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,6 +166,6 @@ mod tests {
             let expect = th::range_visited(&p, 2, *s) * r.queries as f64;
             assert!((r.analysis_total[i] - expect).abs() < 1e-9, "{}", s.name());
         }
-        assert!(fig.to_string().contains("Figure 5(b)"));
+        assert!(fig.report().to_string().contains("Figure 5(b)"));
     }
 }

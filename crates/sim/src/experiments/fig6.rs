@@ -25,7 +25,6 @@ use dht_core::Summary;
 use grid_resource::{ChurnSchedule, QueryMix, ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::fmt;
 
 /// Churn experiment parameters.
 #[derive(Debug, Clone)]
@@ -300,12 +299,6 @@ impl Fig6 {
             rep.summary(name, s);
         }
         rep
-    }
-}
-
-impl fmt::Display for Fig6 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 

@@ -13,7 +13,6 @@ use crate::table::Table;
 use analysis::System;
 use dht_core::{Histogram, Summary};
 use grid_resource::QueryMix;
-use std::fmt;
 
 /// Per-system hop histograms for single-attribute non-range lookups.
 #[derive(Debug, Clone)]
@@ -121,12 +120,6 @@ impl HopDist {
     }
 }
 
-impl fmt::Display for HopDist {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +142,7 @@ mod tests {
         let lorm_p50 = get("LORM").quantile(0.5).unwrap();
         assert!((6..=12).contains(&lorm_p50), "LORM p50 {lorm_p50}");
         // rendering works and includes the frequency block
-        let s = dist.to_string();
+        let s = dist.report().to_string();
         assert!(s.contains("hop-count frequencies"));
         // no query silently dropped: every query is either an observation
         // or a counted failure, and a static bed fails none

@@ -21,7 +21,6 @@ use dht_core::{LatencyModel, Percentiles, Summary};
 use grid_resource::{Query, QueryMix};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::fmt;
 
 /// Per-system query-latency statistics, milliseconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,12 +150,6 @@ impl Latency {
             rep.summary(*name, s.clone());
         }
         rep
-    }
-}
-
-impl fmt::Display for Latency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 

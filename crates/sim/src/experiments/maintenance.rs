@@ -23,7 +23,6 @@ use dht_core::{LoadDist, Summary};
 use grid_resource::{QueryMix, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::fmt;
 
 /// Per-system routed registration cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,12 +105,6 @@ impl Registration {
             rep.summary(*name, s.clone());
         }
         rep
-    }
-}
-
-impl fmt::Display for Registration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 
@@ -213,12 +206,6 @@ impl QueryLoad {
             rep.summary(*name, s.clone());
         }
         rep
-    }
-}
-
-impl fmt::Display for QueryLoad {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 

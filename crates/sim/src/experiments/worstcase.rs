@@ -14,7 +14,6 @@ use crate::table::Table;
 use analysis::{self as th, System};
 use dht_core::Summary;
 use grid_resource::{Query, SubQuery, ValueTarget};
-use std::fmt;
 
 /// Measured vs analytical worst case, one row per system.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,12 +102,6 @@ impl WorstCase {
             rep.summary(*name, s.clone());
         }
         rep
-    }
-}
-
-impl fmt::Display for WorstCase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.report().fmt(f)
     }
 }
 

@@ -15,10 +15,10 @@
 //! | [`experiments::ablation`] | design-choice ablations (value skew, LPH vs modulo, leaf sets) |
 //! | [`experiments::chaos`] | (extension) success rate / hop inflation under injected faults |
 //!
-//! Every experiment returns a plain result struct whose `Display` renders
-//! the same rows/series the paper plots, alongside the matching
-//! "Analysis-…" overlay derived from the `analysis` crate — the repro
-//! binary in `crates/bench` just prints them.
+//! Every experiment returns a plain result struct whose `report()` builds
+//! a [`Report`] of the same rows/series the paper plots, alongside the
+//! matching "Analysis-…" overlay derived from the `analysis` crate — the
+//! repro binary in `crates/bench` just prints it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -9,7 +9,9 @@
 //!
 //! The JSON is hand-rolled (the build environment is offline, so no serde)
 //! against the stable `lorm-repro/bench-v1` schema documented in
-//! README.md.
+//! docs/SCHEMAS.md. [`json_array`], [`json_str`], [`json_num`] and
+//! [`summary_json`] are the primitives every `repro` export is written
+//! with.
 
 use crate::table::Table;
 use dht_core::Summary;
@@ -74,29 +76,12 @@ impl Report {
     /// Serialize as one JSON object:
     /// `{"tables": [...], "summaries": [...], "notes": [...]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"tables\":[");
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&t.to_json());
-        }
-        out.push_str("],\"summaries\":[");
-        for (i, (label, s)) in self.summaries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&summary_json(label, s));
-        }
-        out.push_str("],\"notes\":[");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(n));
-        }
-        out.push_str("]}");
-        out
+        format!(
+            "{{\"tables\":{},\"summaries\":{},\"notes\":{}}}",
+            json_array(self.tables.iter().map(Table::to_json)),
+            json_array(self.summaries.iter().map(|(label, s)| summary_json(label, s))),
+            json_array(self.notes.iter().map(|n| json_str(n))),
+        )
     }
 }
 
@@ -116,8 +101,8 @@ impl fmt::Display for Report {
 }
 
 /// Serialize one labelled [`Summary`] as a JSON object (shared by the
-/// bench crate's `chaos-v1` export so both schemas render summaries
-/// identically).
+/// bench crate's `chaos-v1` and `durability-v1` exports, so every schema
+/// renders summaries identically).
 pub fn summary_json(label: &str, s: &Summary) -> String {
     format!(
         "{{\"label\":{},\"count\":{},\"failures\":{},\"partial\":{},\"retries\":{},\"dropped\":{},\"mean\":{},\"std\":{},\"min\":{},\"max\":{},\"total\":{}}}",
@@ -133,6 +118,20 @@ pub fn summary_json(label: &str, s: &Summary) -> String {
         json_num(s.max()),
         json_num(s.total()),
     )
+}
+
+/// JSON array of already-serialized values: `[a,b,...]`. The one list
+/// writer of every export, here and in the bench crate's sweeps.
+pub fn json_array<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(item.as_ref());
+    }
+    out.push(']');
+    out
 }
 
 /// JSON string literal (quoted, escaped).

@@ -84,15 +84,6 @@ pub fn build_system(
     sys
 }
 
-/// A deep snapshot of a bed's mutable state — the mounted systems,
-/// captured via [`ResourceDiscovery::clone_box`]. The workload, config
-/// and seed streams are immutable once built, so they need no capture:
-/// [`TestBed::restore`] swaps the systems back and the bed is
-/// byte-for-byte the bed that was snapshotted.
-pub struct BedSnapshot {
-    systems: Vec<Box<dyn ResourceDiscovery + Send + Sync>>,
-}
-
 /// A complete test bed: the workload plus all four mounted systems.
 pub struct TestBed {
     /// The experiment configuration.
@@ -133,19 +124,6 @@ impl TestBed {
         let (workload, seeds) = Self::workload_of(&cfg);
         let systems = systems.iter().map(|&s| build_system(s, &workload, &cfg)).collect();
         Self { cfg, workload, systems, seeds }
-    }
-
-    /// Capture a deep snapshot of every mounted system. Churn the bed
-    /// freely afterwards; [`TestBed::restore`] rewinds it to this moment.
-    pub fn snapshot(&self) -> BedSnapshot {
-        BedSnapshot { systems: self.systems.iter().map(|s| s.clone_box()).collect() }
-    }
-
-    /// Rewind the bed to a snapshot taken by [`TestBed::snapshot`]. The
-    /// restored bed is indistinguishable from one that was never mutated:
-    /// clones are deep (overlay links, directories, RNG state included).
-    pub fn restore(&mut self, snap: BedSnapshot) {
-        self.systems = snap.systems;
     }
 
     /// Borrow a mounted system by its enum tag (panics if not mounted).

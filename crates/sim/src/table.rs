@@ -1,6 +1,7 @@
 //! Minimal fixed-width table rendering for experiment reports.
 //!
-//! Every experiment's `Display` goes through [`Table`] so the repro binary
+//! Every table `repro` prints — each experiment's report, and the perf,
+//! baseline-delta and scale tables — is a [`Table`], so the repro binary
 //! and EXPERIMENTS.md get uniformly formatted, diff-friendly output.
 
 use std::fmt;
@@ -58,32 +59,14 @@ impl Table {
     /// Serialize as a JSON object:
     /// `{"title": ..., "header": [...], "rows": [[...], ...]}`.
     pub fn to_json(&self) -> String {
-        use crate::report::json_str;
-        let mut out = String::from("{\"title\":");
-        out.push_str(&json_str(&self.title));
-        out.push_str(",\"header\":[");
-        for (i, h) in self.header.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(h));
-        }
-        out.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, c) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(c));
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
+        use crate::report::{json_array, json_str};
+        let strings = |cells: &[String]| json_array(cells.iter().map(|c| json_str(c)));
+        format!(
+            "{{\"title\":{},\"header\":{},\"rows\":{}}}",
+            json_str(&self.title),
+            strings(&self.header),
+            json_array(self.rows.iter().map(|row| strings(row))),
+        )
     }
 
     /// Format a float with sensible precision for report tables.

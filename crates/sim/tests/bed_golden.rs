@@ -9,8 +9,9 @@
 //! equivalence now that only the bulk path is left. A change that moves a
 //! figure re-records them and says why here.
 //!
-//! Reached by CI's `cargo test --workspace`, not by tier-1. The 100k-node
-//! soak at the end is ignored by default; run it with
+//! Reached by tier-1 (`cargo test -q`): `crates/sim` is a default
+//! workspace member. The 100k-node soak at the end is ignored by default;
+//! run it with
 //! `cargo test --release -p sim --test bed_golden -- --ignored`.
 
 use sim::experiments::fig5::fig5;

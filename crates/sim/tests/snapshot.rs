@@ -1,7 +1,8 @@
-//! Property tests for the bed snapshot/restore pair: after arbitrary
-//! seeded churn, [`TestBed::restore`] must rewind every system to a
-//! state *observationally identical* to a bed that was never churned —
-//! same live population, same stored pieces, same query results. This
+//! Property tests for bed snapshots, which are plain deep clones of
+//! `bed.systems`: after arbitrary seeded churn, putting the clone back
+//! must rewind every system to a state *observationally identical* to a
+//! bed that was never churned — same live population, same stored
+//! pieces, same query results. This
 //! is the contract that lets the `BedCache` hand one stabilized build
 //! to many consumers — whose own side of the contract (a cached bed or
 //! prototype yields byte-identical Report JSON to a fresh build) is
@@ -67,16 +68,16 @@ fn churn(bed: &mut TestBed, seed: u64, steps: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// snapshot → churn → restore is a no-op: the restored bed observes
+    /// clone → churn → put the clone back is a no-op: the restored bed observes
     /// exactly what a never-churned bed observes, for any churn seed and
     /// length.
     #[test]
     fn snapshot_restore_erases_arbitrary_churn(seed in any::<u64>(), steps in 1usize..10) {
         let baseline = observe(pristine());
         let mut bed = pristine().clone();
-        let snap = bed.snapshot();
+        let snap = bed.systems.clone();
         churn(&mut bed, seed, steps);
-        bed.restore(snap);
+        bed.systems = snap;
         prop_assert_eq!(observe(&bed), baseline);
     }
 
@@ -98,10 +99,10 @@ fn churn_actually_perturbs_observations() {
     // population).
     let baseline = observe(pristine());
     let mut bed = pristine().clone();
-    let snap = bed.snapshot();
+    let snap = bed.systems.clone();
     churn(&mut bed, 0xC0FFEE, 8);
     assert_ne!(observe(&bed), baseline, "churn must be visible before restore");
-    bed.restore(snap);
+    bed.systems = snap;
     assert_eq!(observe(&bed), baseline);
 }
 

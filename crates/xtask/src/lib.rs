@@ -201,37 +201,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     Ok(report)
 }
 
-/// Render the report as `lorm-repro/lint-v1` JSON (same hand-rolled
-/// style as the bench harness's `bench-v1` export). Kept as a compat
-/// format; traces are omitted.
-pub fn render_json(report: &LintReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"lorm-repro/lint-v1\",\n");
-    s.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    s.push_str(&format!("  \"suppressions_used\": {},\n", report.suppressions_used));
-    s.push_str(&format!("  \"clean\": {},\n", report.clean()));
-    s.push_str("  \"findings\": [");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    {");
-        s.push_str(&format!("\"lint\": {}, ", json_str(&d.lint)));
-        s.push_str(&format!("\"file\": {}, ", json_str(&d.file)));
-        s.push_str(&format!("\"line\": {}, ", d.line));
-        s.push_str(&format!("\"message\": {}", json_str(&d.message)));
-        s.push('}');
-    }
-    if !report.diagnostics.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-    s
-}
-
-/// Render the report as `lorm-repro/lint-v2` JSON: v1 plus the call
-/// graph's shape and a per-finding reachability `trace` (entry → … →
+/// Render the report as `lorm-repro/lint-v2` JSON: the findings plus the
+/// call graph's shape and a per-finding reachability `trace` (entry → … →
 /// enclosing function; `null` for lexical findings).
 pub fn render_json_v2(report: &LintReport) -> String {
     let mut s = String::new();
@@ -330,11 +301,9 @@ mod tests {
 
     #[test]
     fn empty_report_renders_clean() {
-        let r = LintReport::default();
-        let j = render_json(&r);
+        let j = render_json_v2(&LintReport::default());
         assert!(j.contains("\"clean\": true"));
         assert!(j.contains("\"findings\": []"));
-        let j = render_json_v2(&r);
         assert!(j.contains("\"schema\": \"lorm-repro/lint-v2\""));
         assert!(j.contains("\"entry_points\": []"));
     }

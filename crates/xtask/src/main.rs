@@ -5,15 +5,14 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{lint_workspace, lints, render_json, render_json_v2};
+use xtask::{lint_workspace, lints, render_json_v2};
 
 const USAGE: &str = "\
 usage: cargo xtask lint [options]
 
 options:
-  --json <path>    also write machine-readable JSON (see --format)
-  --format <v1|v2> JSON schema for --json: lorm-repro/lint-v2 with
-                   reachability traces (default), or the lint-v1 compat format
+  --json <path>    also write the lorm-repro/lint-v2 JSON report, with
+                   reachability traces
   --root <dir>     workspace root to scan (default: auto-detected)
   --list           print the lint catalogue and exit
 ";
@@ -36,7 +35,6 @@ fn main() -> ExitCode {
     }
 
     let mut json_path: Option<PathBuf> = None;
-    let mut format_v1 = false;
     let mut root = workspace_root();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -44,14 +42,6 @@ fn main() -> ExitCode {
                 Some(p) => json_path = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("--json requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref() {
-                Some("v1") => format_v1 = true,
-                Some("v2") => format_v1 = false,
-                other => {
-                    eprintln!("--format requires `v1` or `v2`, got {other:?}");
                     return ExitCode::from(2);
                 }
             },
@@ -85,8 +75,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &json_path {
-        let payload = if format_v1 { render_json(&report) } else { render_json_v2(&report) };
-        if let Err(e) = std::fs::write(path, payload) {
+        if let Err(e) = std::fs::write(path, render_json_v2(&report)) {
             eprintln!("xtask lint: failed to write {}: {e}", path.display());
             return ExitCode::from(2);
         }

@@ -14,8 +14,8 @@ pub fn sweep(points: &[usize], cfg: SimConfig, cache: &BedCache) -> Vec<usize> {
     let mut out = Vec::new();
     for _arity in points {
         let shared = cache.bed(cfg);
-        let snap = bed.snapshot();
-        out.push(shared.systems.len() + snap_len(snap));
+        let snap = bed.systems.clone();
+        out.push(shared.systems.len() + snap.len());
     }
     // Associated calls that are not constructors are fine in loops.
     while out.len() < 8 {
