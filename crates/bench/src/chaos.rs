@@ -10,7 +10,7 @@
 //! when that parity, or any other `Chaos::violations` invariant, breaks.
 
 use crate::{export_head, ReproConfig};
-use sim::experiments::chaos::{chaos, Chaos, ChaosCell, ChaosSetup, ChaosSystem};
+use sim::experiments::chaos::{chaos, Chaos, ChaosCell, ChaosSetup, ChaosSystem, FAULT_SEED};
 use sim::BedCache;
 
 /// Run the chaos sweep at the configuration's scale on the bed `cache`
@@ -56,7 +56,7 @@ pub fn render_chaos_json(cfg: &ReproConfig, c: &Chaos) -> String {
     format!(
         "{},\"fault_seed\":{},\"queries\":{},\"arity\":{},\"loss_rates\":{},\"fail_fracs\":{}}},\"systems\":{}}}",
         export_head("lorm-repro/chaos-v1", cfg, true),
-        c.setup.fault_seed,
+        FAULT_SEED,
         c.queries,
         c.setup.arity,
         rates(&c.setup.loss_rates),
@@ -82,7 +82,6 @@ mod tests {
             origins: 10,
             per_origin: 3,
             arity: 2,
-            ..ChaosSetup::default()
         };
         let c = chaos(&bed, setup, cfg.shards);
         (cfg, c)
@@ -103,6 +102,17 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert_eq!(crate::tests::fnv1a(&j), 0xaa28_75af_ee1e_323d, "chaos-v1 writer moved");
+    }
+
+    #[test]
+    fn quick_sweep_renders_the_recorded_export() {
+        // `repro chaos --quick --seed=3 --shards=1`: unlike the writer
+        // fixture above, it sweeps a non-zero failure fraction, so the
+        // dead-hop retry path is pinned too.
+        let cfg = ReproConfig { quick: true, seed: 3, shards: 1, ..ReproConfig::default() };
+        let c = run_chaos(&cfg, &BedCache::new());
+        let j = render_chaos_json(&cfg, &c);
+        assert_eq!(crate::tests::fnv1a(&j), 0x5ade_218d_934d_aca4, "quick chaos export moved");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use analysis::System;
 use sim::experiments::durability::{
     durability, Durability, DurabilityCell, DurabilityRow, DurabilitySetup, TheoryCheck,
 };
+use sim::experiments::MAINTENANCE_PERIOD;
 use sim::BedCache;
 
 /// Run the durability sweep at the configuration's scale: every (rate,
@@ -83,7 +84,7 @@ pub fn render_durability_json(cfg: &ReproConfig, d: &Durability) -> String {
         json_array(s.rates.iter().map(|&x| json_num(x))),
         json_array(s.degrees.iter().map(usize::to_string)),
         json_num(s.duration),
-        json_num(s.maintenance_period),
+        json_num(MAINTENANCE_PERIOD),
         json_num(s.graceful_ratio),
         json_array(d.rows.iter().map(row)),
         violations.is_empty(),

@@ -636,6 +636,24 @@ mod tests {
     }
 
     #[test]
+    fn planned_figures_render_the_recorded_reports() {
+        // fig4 and fig5 are the two artifacts that read `--plan`; their
+        // quick reports at seed 3 under the two non-default plans, pinned
+        // like REPORT_DIGESTS.
+        let cache = BedCache::new();
+        for (plan, a, digest) in [
+            (QueryPlan::Sequential, Artifact::Fig4, 0x8ebe_32e0_82e3_07b6),
+            (QueryPlan::Sequential, Artifact::Fig5, 0xd19b_f287_500f_c7f4),
+            (QueryPlan::Adaptive, Artifact::Fig4, 0x3ff6_9f75_7c24_4011),
+            (QueryPlan::Adaptive, Artifact::Fig5, 0x1c69_ef87_3a63_02fd),
+        ] {
+            let cfg = ReproConfig { quick: true, seed: 3, plan, ..ReproConfig::default() };
+            let j = run_artifact_report(a, &cfg, &cache).to_json();
+            assert_eq!(fnv1a(&j), digest, "{a:?} under {plan:?} moved");
+        }
+    }
+
+    #[test]
     fn theorem_table_shows_papers_headline_numbers() {
         let out = theorem_report(&analysis::Params::paper()).to_string();
         // §V.A quotes 8.78 (T4.3) and 1.28 (T4.5); §V.B quotes 513/514/3/1.

@@ -237,145 +237,123 @@ pub fn run_scale_at(
     route_iters: u64,
     bytes: Option<BytesProbe>,
 ) -> ScaleRun {
-    let mut points: Vec<ScalePoint> = Vec::new();
-    let mut kernels: Vec<PerfKernel> = Vec::new();
-    let push_point = |points: &mut Vec<ScalePoint>,
-                      kernels: &mut Vec<PerfKernel>,
-                      p: ScalePoint,
-                      query_ms: f64| {
-        kernels.push(PerfKernel {
-            name: kernel_name(p.system, "build", p.n),
-            phase: "build",
-            iters: p.n as u64,
-            elapsed_ms: p.build_ms,
-            ops_per_sec: p.n as f64 / (p.build_ms / 1e3).max(1e-12),
-            ..PerfKernel::default()
-        });
-        kernels.push(PerfKernel {
-            name: kernel_name(p.system, "query", p.n),
-            phase: "query",
-            iters: route_iters,
-            elapsed_ms: query_ms,
-            ops_per_sec: p.query_ops_per_sec,
-            ..PerfKernel::default()
-        });
-        points.push(p);
-    };
-
+    let mut sweep = Sweep { route_iters, bytes, points: Vec::new(), kernels: Vec::new() };
     for &n in sizes {
-        // --- Chord ---------------------------------------------------
-        let before = net_live_bytes(bytes);
-        let started = Instant::now();
-        let chord = Chord::build(n, ChordConfig { seed, ..ChordConfig::default() });
-        let build_ms = started.elapsed().as_secs_f64() * 1e3;
-        let bpn = bytes_per_node(before, net_live_bytes(bytes), n);
-        let q = measure_queries(
-            route_iters,
-            |rng| {
-                // lint:allow(panic-hygiene): built above with n >= 1 live nodes.
+        let nq = n as u64;
+        sweep.measure(
+            "chord",
+            n,
+            seed ^ nq.wrapping_mul(0x9E3779B97F4A7C15),
+            || Chord::build(n, ChordConfig { seed, ..ChordConfig::default() }),
+            |chord, rng| {
+                // lint:allow(panic-hygiene): built with n >= 1 live nodes.
                 let from = chord.random_node(rng).expect("live node");
                 let key: u64 = rng.gen();
                 chord.route_stats(from, key)
             },
-            seed ^ (n as u64).wrapping_mul(0x9E3779B97F4A7C15),
+            max_outlinks_sampled,
         );
-        let max_deg = max_outlinks_sampled(&chord);
-        push_point(
-            &mut points,
-            &mut kernels,
-            ScalePoint {
-                system: "chord",
-                n,
-                build_ms,
-                bytes_per_node: bpn,
-                query_ops_per_sec: q.ops_per_sec,
-                mean_hops: q.mean_hops,
-                route_errors: q.route_errors,
-                max_outlinks: max_deg,
-            },
-            q.elapsed_ms,
-        );
-        drop(chord);
 
-        // --- Cycloid (smallest dimension that holds n) ----------------
+        // Cycloid: the smallest dimension that holds n.
         let d = min_dimension(n);
-        let before = net_live_bytes(bytes);
-        let started = Instant::now();
-        let cycloid = Cycloid::build(n, CycloidConfig { dimension: d, seed });
-        let build_ms = started.elapsed().as_secs_f64() * 1e3;
-        let bpn = bytes_per_node(before, net_live_bytes(bytes), n);
-        let q = measure_queries(
-            route_iters,
-            |rng| {
-                // lint:allow(panic-hygiene): built above with n >= 1 live nodes.
+        sweep.measure(
+            "cycloid",
+            n,
+            seed ^ nq.wrapping_mul(0xC0FFEE),
+            || Cycloid::build(n, CycloidConfig { dimension: d, seed }),
+            |cycloid, rng| {
+                // lint:allow(panic-hygiene): built with n >= 1 live nodes.
                 let from = cycloid.random_node(rng).expect("live node");
                 let key = CycloidId::new(rng.gen_range(0..d), rng.gen_range(0..(1u32 << d)), d);
                 cycloid.route_stats(from, key)
             },
-            seed ^ (n as u64).wrapping_mul(0xC0FFEE),
+            max_outlinks_sampled,
         );
-        let max_deg = max_outlinks_sampled(&cycloid);
-        push_point(
-            &mut points,
-            &mut kernels,
-            ScalePoint {
-                system: "cycloid",
-                n,
-                build_ms,
-                bytes_per_node: bpn,
-                query_ops_per_sec: q.ops_per_sec,
-                mean_hops: q.mean_hops,
-                route_errors: q.route_errors,
-                max_outlinks: max_deg,
-            },
-            q.elapsed_ms,
-        );
-        drop(cycloid);
 
-        // --- Mercury (MERCURY_HUBS full-n Chord hubs) -----------------
+        // Mercury: MERCURY_HUBS full-n Chord hubs; the degree is the
+        // largest within one hub.
         let space = AttributeSpace::synthetic(MERCURY_HUBS as usize, 1.0, 100.0)
             // lint:allow(panic-hygiene): the synthetic range 1..100 is valid.
             .expect("valid space");
-        let before = net_live_bytes(bytes);
-        let started = Instant::now();
-        let mercury = Mercury::new(n, &space, MercuryConfig { seed });
-        let build_ms = started.elapsed().as_secs_f64() * 1e3;
-        let bpn = bytes_per_node(before, net_live_bytes(bytes), n);
-        let q = measure_queries(
-            route_iters,
-            |rng| {
+        sweep.measure(
+            "mercury",
+            n,
+            seed ^ nq.wrapping_mul(0x9E3779B9),
+            || Mercury::new(n, &space, MercuryConfig { seed }),
+            |mercury, rng| {
                 let hub = mercury.hub(AttrId(rng.gen_range(0..MERCURY_HUBS))).net();
                 // lint:allow(panic-hygiene): hubs were built with n >= 1 live nodes.
                 let from = hub.random_node(rng).expect("live node");
                 let key: u64 = rng.gen();
                 hub.route_stats(from, key)
             },
-            seed ^ (n as u64).wrapping_mul(0x9E3779B9),
-        );
-        let max_deg = (0..MERCURY_HUBS)
-            .map(|h| max_outlinks_sampled(mercury.hub(AttrId(h)).net()))
-            .max()
-            .unwrap_or(0);
-        push_point(
-            &mut points,
-            &mut kernels,
-            ScalePoint {
-                system: "mercury",
-                n,
-                build_ms,
-                bytes_per_node: bpn,
-                query_ops_per_sec: q.ops_per_sec,
-                mean_hops: q.mean_hops,
-                route_errors: q.route_errors,
-                max_outlinks: max_deg,
+            |mercury| {
+                let hubs =
+                    (0..MERCURY_HUBS).map(|h| max_outlinks_sampled(mercury.hub(AttrId(h)).net()));
+                hubs.max().unwrap_or(0)
             },
-            q.elapsed_ms,
         );
-        drop(mercury);
     }
+    let checks = growth_checks(&sweep.points);
+    ScaleRun { sizes: sizes.to_vec(), points: sweep.points, kernels: sweep.kernels, checks }
+}
 
-    let checks = growth_checks(&points);
-    ScaleRun { sizes: sizes.to_vec(), points, kernels, checks }
+/// A sweep in progress: its settings and the points and kernels so far.
+struct Sweep {
+    route_iters: u64,
+    bytes: Option<BytesProbe>,
+    points: Vec<ScalePoint>,
+    kernels: Vec<PerfKernel>,
+}
+
+impl Sweep {
+    /// Measure one system at size `n`: `build` it (timed, with the heap
+    /// delta attributed to it), drive `route_iters` lookups through
+    /// `route` from an RNG seeded with `query_seed`, sample its degree
+    /// with `outlinks`, and record the point with its build and query
+    /// kernels. The overlay is dropped on return.
+    fn measure<T>(
+        &mut self,
+        system: &'static str,
+        n: usize,
+        query_seed: u64,
+        build: impl FnOnce() -> T,
+        mut route: impl FnMut(&T, &mut SmallRng) -> Result<RouteStats, DhtError>,
+        outlinks: impl FnOnce(&T) -> usize,
+    ) {
+        let before = net_live_bytes(self.bytes);
+        let started = Instant::now();
+        let net = build();
+        let build_ms = started.elapsed().as_secs_f64() * 1e3;
+        let bytes_per_node = bytes_per_node(before, net_live_bytes(self.bytes), n);
+        let q = measure_queries(self.route_iters, |rng| route(&net, rng), query_seed);
+        self.kernels.push(PerfKernel {
+            name: kernel_name(system, "build", n),
+            phase: "build",
+            iters: n as u64,
+            elapsed_ms: build_ms,
+            ops_per_sec: n as f64 / (build_ms / 1e3).max(1e-12),
+            ..PerfKernel::default()
+        });
+        self.kernels.push(PerfKernel {
+            name: kernel_name(system, "query", n),
+            phase: "query",
+            iters: self.route_iters,
+            elapsed_ms: q.elapsed_ms,
+            ops_per_sec: q.ops_per_sec,
+            ..PerfKernel::default()
+        });
+        self.points.push(ScalePoint {
+            system,
+            n,
+            build_ms,
+            bytes_per_node,
+            query_ops_per_sec: q.ops_per_sec,
+            mean_hops: q.mean_hops,
+            route_errors: q.route_errors,
+            max_outlinks: outlinks(&net),
+        });
+    }
 }
 
 /// Derive the growth checks from a sweep's points: O(log n) hop growth
@@ -610,6 +588,16 @@ mod tests {
         }
         assert!(run.violations().is_empty(), "{:?}", run.violations());
         assert_eq!(run.kernels[1].name, "chord_query_n64");
+        // Everything no clock or allocator sets, in run order.
+        let mut seen = String::new();
+        for p in &run.points {
+            let hops = p.mean_hops.to_bits();
+            seen += &format!("{} {} {hops} {} {};", p.system, p.n, p.route_errors, p.max_outlinks);
+        }
+        for k in &run.kernels {
+            seen += &format!("{} {};", k.name, k.iters);
+        }
+        assert_eq!(crate::tests::fnv1a(&seen), 0x2a96_0f58_a8a2_105d, "sweep moved: {seen}");
         // A heap probe that saw no growth fails the sweep.
         let mut no_heap = run.clone();
         no_heap.points[0].bytes_per_node = Some(0.0);

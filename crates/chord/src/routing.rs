@@ -2,8 +2,8 @@
 //!
 //! This is the one routing loop ([`Overlay::route_with`]); the traced
 //! [`Overlay::route`], the zero-allocation [`Overlay::route_stats`] and
-//! the fault-injecting [`Overlay::route_stats_faulty`] are `dht_core`'s
-//! provided methods driving it under three sinks.
+//! each attempt of `dht_core`'s fault-injecting `route_with_retry`
+//! drive it under three sinks.
 
 use crate::network::Chord;
 use dht_core::fault::check_forward;
@@ -121,7 +121,7 @@ impl Chord {
 mod tests {
     use super::*;
     use crate::network::ChordConfig;
-    use dht_core::{FaultPlan, MsgId, RouteStats, Summary};
+    use dht_core::{route_with_retry, FaultAccount, FaultPlan, RouteStats, Summary};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -288,7 +288,7 @@ mod tests {
         for i in 0..200u64 {
             let from = c.random_node(&mut rng).unwrap();
             let key: u64 = rng.gen();
-            match c.route_stats_faulty(from, key, &plan, MsgId::first(i)) {
+            match route_with_retry(&c, from, key, &plan, i, &mut FaultAccount::default()) {
                 Ok(r) => assert_eq!(r.hops, 0, "only 0-hop local lookups can survive"),
                 Err(DhtError::MessageDropped { hops }) => {
                     assert_eq!(hops, 0, "the very first forwarding must drop");
@@ -311,7 +311,7 @@ mod tests {
         for i in 0..100u64 {
             let from = c.random_node(&mut rng).unwrap();
             let key: u64 = rng.gen();
-            match c.route_stats_faulty(from, key, &plan, MsgId::first(i)) {
+            match route_with_retry(&c, from, key, &plan, i, &mut FaultAccount::default()) {
                 Ok(r) => assert_eq!(r.hops, 0),
                 Err(DhtError::DeadHop { hops }) => {
                     assert_eq!(hops, 0);
@@ -331,8 +331,8 @@ mod tests {
         let probes: Vec<(NodeIdx, u64)> =
             (0..200).map(|_| (c.random_node(&mut rng).unwrap(), rng.gen())).collect();
         for (i, &(from, key)) in probes.iter().enumerate() {
-            let a = c.route_stats_faulty(from, key, &plan, MsgId::first(i as u64));
-            let b = c.route_stats_faulty(from, key, &plan, MsgId::first(i as u64));
+            let a = route_with_retry(&c, from, key, &plan, i as u64, &mut FaultAccount::default());
+            let b = route_with_retry(&c, from, key, &plan, i as u64, &mut FaultAccount::default());
             assert_eq!(a, b, "same plan + message identity must replay identically");
         }
     }

@@ -79,11 +79,6 @@ impl KeyDeriver {
         CycloidId::new(self.cyclic_of(value), self.cluster_of(attr), self.dimension)
     }
 
-    /// The consistent hash (exposed for systems reusing the same seed).
-    pub fn consistent_hash(&self) -> &ConsistentHash {
-        &self.hash
-    }
-
     /// Dimension of the underlying Cycloid.
     pub fn dimension(&self) -> u8 {
         self.dimension

@@ -23,9 +23,9 @@
 //!
 //! As in `chord::routing`, this is the one routing loop
 //! ([`Overlay::route_with`]); the traced [`Overlay::route`], the
-//! zero-allocation [`Overlay::route_stats`] and the fault-injecting
-//! [`Overlay::route_stats_faulty`] are `dht_core`'s provided methods
-//! driving it under three sinks.
+//! zero-allocation [`Overlay::route_stats`] and each attempt of
+//! `dht_core`'s fault-injecting `route_with_retry` drive it under three
+//! sinks.
 
 use crate::id::CycloidId;
 use crate::network::Cycloid;
@@ -231,7 +231,7 @@ impl Cycloid {
 mod tests {
     use super::*;
     use crate::network::CycloidConfig;
-    use dht_core::{FaultPlan, MsgId, RouteStats, Summary};
+    use dht_core::{route_with_retry, FaultAccount, FaultPlan, RouteStats, Summary};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -252,7 +252,7 @@ mod tests {
         for i in 0..200u64 {
             let from = c.random_node(&mut rng).unwrap();
             let key = random_key(&mut rng, 7);
-            match c.route_stats_faulty(from, key, &plan, MsgId::first(i)) {
+            match route_with_retry(&c, from, key, &plan, i, &mut FaultAccount::default()) {
                 Ok(r) => assert_eq!(r.hops, 0, "only 0-hop local lookups can survive"),
                 Err(DhtError::MessageDropped { hops }) => {
                     assert_eq!(hops, 0, "the very first forwarding must drop");
@@ -272,8 +272,8 @@ mod tests {
         let probes: Vec<(NodeIdx, CycloidId)> =
             (0..200).map(|_| (c.random_node(&mut rng).unwrap(), random_key(&mut rng, 7))).collect();
         for (i, &(from, key)) in probes.iter().enumerate() {
-            let a = c.route_stats_faulty(from, key, &plan, MsgId::first(i as u64));
-            let b = c.route_stats_faulty(from, key, &plan, MsgId::first(i as u64));
+            let a = route_with_retry(&c, from, key, &plan, i as u64, &mut FaultAccount::default());
+            let b = route_with_retry(&c, from, key, &plan, i as u64, &mut FaultAccount::default());
             assert_eq!(a, b, "same plan + message identity must replay identically");
         }
     }

@@ -1,8 +1,9 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] describes a fault regime — per-message drop
-//! probability, an ungraceful node-failure fraction, and retry/budget
-//! limits — as a *pure function of a seed*. No RNG stream is consumed:
+//! probability and an ungraceful node-failure fraction — as a *pure
+//! function of a seed*; every plan shares the retry and hop limits
+//! [`MAX_ATTEMPTS`] and [`HOP_BUDGET`]. No RNG stream is consumed:
 //! every coin is a [`splitmix64`] hash of the plan seed and the message's
 //! identity (id, attempt, hop) or the node's arena index. Two
 //! consequences the test suite pins down:
@@ -27,7 +28,15 @@
 use crate::error::DhtError;
 use crate::hashing::splitmix64;
 use crate::overlay::{NodeIdx, Overlay};
-use crate::trace::{Forward, RouteSink, RouteStats};
+use crate::trace::{Forward, HopCount, RouteSink, RouteStats};
+
+/// Attempts allowed per logical lookup under a fault plan (first try +
+/// retries).
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Total hops (successful and wasted) one query may spend under a fault
+/// plan before its remaining sub-queries are abandoned as degraded.
+pub const HOP_BUDGET: usize = 4096;
 
 /// Domain-separation salts for the coin hashes: message drops, node
 /// failures, and alternate-origin selection draw from disjoint streams.
@@ -68,8 +77,6 @@ pub struct FaultPlan {
     drop_bar: u64,
     /// `fail_frac` mapped onto the hash range, likewise for node coins.
     fail_bar: u64,
-    max_attempts: u32,
-    hop_budget: usize,
 }
 
 /// Map a probability in `[0, 1]` onto the `u64` hash range.
@@ -86,8 +93,7 @@ fn bar(p: f64) -> u64 {
 
 impl FaultPlan {
     /// A plan with the given per-message drop probability and ungraceful
-    /// node-failure fraction. Defaults: 3 attempts per lookup, a 4096-hop
-    /// per-query budget.
+    /// node-failure fraction.
     ///
     /// # Errors
     /// [`DhtError::InvalidParameter`] unless both rates are finite and in
@@ -99,44 +105,16 @@ impl FaultPlan {
         if !(0.0..=1.0).contains(&fail_frac) {
             return Err(DhtError::InvalidParameter { what: "fail_frac must be in [0, 1]" });
         }
-        Ok(Self {
-            seed,
-            drop_rate,
-            fail_frac,
-            drop_bar: bar(drop_rate),
-            fail_bar: bar(fail_frac),
-            max_attempts: 3,
-            hop_budget: 4096,
-        })
+        Ok(Self { seed, drop_rate, fail_frac, drop_bar: bar(drop_rate), fail_bar: bar(fail_frac) })
     }
 
     /// The inert plan: nothing drops, nothing fails. No coin can fire
-    /// under it, and [`Overlay::route_stats_faulty`] and the `query` driver
-    /// send it down the fault-free code path, so results are
+    /// under it, and [`route_with_retry`] and the `query` driver send it
+    /// down the fault-free code path, so results are
     /// byte-identical to not injecting faults at all (the determinism
     /// suite asserts this).
     pub fn none() -> Self {
-        Self {
-            seed: 0,
-            drop_rate: 0.0,
-            fail_frac: 0.0,
-            drop_bar: 0,
-            fail_bar: 0,
-            max_attempts: 3,
-            hop_budget: 4096,
-        }
-    }
-
-    /// Override the per-lookup retry budget (clamped to at least 1).
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Override the per-query hop budget (clamped to at least 1).
-    pub fn with_hop_budget(mut self, budget: usize) -> Self {
-        self.hop_budget = budget.max(1);
-        self
+        Self { seed: 0, drop_rate: 0.0, fail_frac: 0.0, drop_bar: 0, fail_bar: 0 }
     }
 
     /// True when no fault can ever fire under this plan.
@@ -157,17 +135,6 @@ impl FaultPlan {
     /// Fraction of nodes failed ungracefully (lingering in routing state).
     pub fn fail_frac(&self) -> f64 {
         self.fail_frac
-    }
-
-    /// Attempts allowed per logical lookup (first try + retries).
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    /// Total hops (successful and wasted) one query may spend before its
-    /// remaining sub-queries are abandoned as degraded.
-    pub fn hop_budget(&self) -> usize {
-        self.hop_budget
     }
 
     fn coin(&self, salt: u64, x: u64) -> u64 {
@@ -274,38 +241,34 @@ pub fn check_forward<S: RouteSink + ?Sized>(sink: &mut S, next: NodeIdx) -> Resu
     }
 }
 
-/// Degradation accounting for one query: how many retries were spent,
-/// how many messages the plan dropped, and how many hops were wasted on
-/// attempts that did not complete.
+/// Degradation accounting for one query: how many retries were spent and
+/// how many messages the plan dropped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultAccount {
     /// Retry attempts issued after a failed first try.
     pub retries: u64,
     /// Messages dropped in transit (lookup forwards and walk probes).
     pub dropped_msgs: u64,
-    /// Hops spent on attempts that ended in a drop or a dead hop.
-    pub wasted_hops: u64,
-}
-
-impl FaultAccount {
-    /// Fold another account into this one.
-    pub fn absorb(&mut self, other: FaultAccount) {
-        self.retries += other.retries;
-        self.dropped_msgs += other.dropped_msgs;
-        self.wasted_hops += other.wasted_hops;
-    }
 }
 
 /// Route a lookup under a fault plan with bounded retry and
 /// alternate-probe fallback.
 ///
-/// Attempt 0 routes from `from`; each retry re-issues the lookup from a
-/// deterministic alternate origin (so a retry can route *around* the
-/// stale state that killed the previous attempt) with fresh drop coins.
-/// On success the returned `hops` include the hops wasted by failed
-/// attempts — the hop-inflation cost of the fault regime — and `acct`
-/// absorbs the retry/drop counts. After `max_attempts` failures the last
-/// error is returned with the total wasted hops.
+/// Each attempt is the overlay's one routing loop
+/// ([`Overlay::route_with`]) under a [`FaultSink`], so the plan's drop
+/// coins and failed-node set can cut it short with
+/// [`DhtError::MessageDropped`] / [`DhtError::DeadHop`]. Attempt 0 routes
+/// from `from`; each retry re-issues the lookup from a deterministic
+/// alternate origin (so a retry can route *around* the stale state that
+/// killed the previous attempt) with fresh drop coins. On success the
+/// returned `hops` include the hops wasted by failed attempts — the
+/// hop-inflation cost of the fault regime — and `acct` absorbs the
+/// retry/drop counts. After [`MAX_ATTEMPTS`] failures the last error is
+/// returned with the total wasted hops.
+///
+/// An inert plan takes the plain [`Overlay::route_stats`] path: its coins
+/// could not fire anyway, and skipping them keeps zero-fault runs as fast
+/// as fault-free ones.
 pub fn route_with_retry<O: Overlay + ?Sized>(
     overlay: &O,
     from: NodeIdx,
@@ -314,6 +277,9 @@ pub fn route_with_retry<O: Overlay + ?Sized>(
     msg_id: u64,
     acct: &mut FaultAccount,
 ) -> Result<RouteStats, DhtError> {
+    if plan.is_inert() {
+        return overlay.route_stats(from, key);
+    }
     let mut wasted = 0usize;
     let mut attempt = 0u32;
     loop {
@@ -322,34 +288,27 @@ pub fn route_with_retry<O: Overlay + ?Sized>(
         } else {
             plan.alternate_origin(overlay, msg_id, attempt).unwrap_or(from)
         };
-        let msg = MsgId { id: msg_id, attempt };
-        match overlay.route_stats_faulty(origin, key, plan, msg) {
-            Ok(mut r) => {
-                acct.wasted_hops += wasted as u64;
-                r.hops += wasted;
-                return Ok(r);
+        let mut count = HopCount::default();
+        let mut sink = FaultSink::new(&mut count, plan, MsgId { id: msg_id, attempt });
+        let mut e = match overlay.route_with(origin, key, &mut sink) {
+            Ok((terminal, exact)) => {
+                return Ok(RouteStats { hops: wasted + sink.hops(), terminal, exact });
             }
-            Err(DhtError::MessageDropped { hops }) => {
-                acct.dropped_msgs += 1;
-                wasted += hops;
-                attempt += 1;
-                if attempt >= plan.max_attempts {
-                    acct.wasted_hops += wasted as u64;
-                    return Err(DhtError::MessageDropped { hops: wasted });
-                }
-                acct.retries += 1;
-            }
-            Err(DhtError::DeadHop { hops }) => {
-                wasted += hops;
-                attempt += 1;
-                if attempt >= plan.max_attempts {
-                    acct.wasted_hops += wasted as u64;
-                    return Err(DhtError::DeadHop { hops: wasted });
-                }
-                acct.retries += 1;
-            }
-            Err(e) => return Err(e),
+            Err(e) => e,
+        };
+        let dropped = matches!(e, DhtError::MessageDropped { .. });
+        let (DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) = &mut e else {
+            return Err(e);
+        };
+        acct.dropped_msgs += u64::from(dropped);
+        // The error carries every hop this lookup has wasted so far.
+        wasted += *hops;
+        *hops = wasted;
+        attempt += 1;
+        if attempt >= MAX_ATTEMPTS {
+            return Err(e);
         }
+        acct.retries += 1;
     }
 }
 
@@ -514,20 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn builders_clamp_to_valid_minimums() {
-        let p = FaultPlan::none().with_max_attempts(0).with_hop_budget(0);
-        assert_eq!(p.max_attempts(), 1);
-        assert_eq!(p.hop_budget(), 1);
-    }
-
-    #[test]
-    fn account_absorb_sums_fields() {
-        let mut a = FaultAccount { retries: 1, dropped_msgs: 2, wasted_hops: 3 };
-        a.absorb(FaultAccount { retries: 10, dropped_msgs: 20, wasted_hops: 30 });
-        assert_eq!(a, FaultAccount { retries: 11, dropped_msgs: 22, wasted_hops: 33 });
-    }
-
-    #[test]
     fn msg_id_derivations_are_stable_and_distinct() {
         assert_eq!(sub_msg_id(42, 0), sub_msg_id(42, 0));
         assert_ne!(sub_msg_id(42, 0), sub_msg_id(42, 1));
@@ -559,7 +504,7 @@ mod tests {
         let plan = FaultPlan::new(5, 1.0, 0.0).unwrap();
         let mut acct = FaultAccount::default();
         assert!(!probe_step(&plan, 7, 1, NodeIdx(3), &mut acct));
-        assert_eq!(acct, FaultAccount { retries: 1, dropped_msgs: 2, wasted_hops: 0 });
+        assert_eq!(acct, FaultAccount { retries: 1, dropped_msgs: 2 });
     }
 
     #[test]

@@ -126,18 +126,6 @@ impl LocalityHash {
             (scaled as u64).min(self.span - 1)
         }
     }
-
-    /// Fraction of the domain covered by `[lo, hi]` (clamped). Used by the
-    /// analytical models to reason about expected walk lengths.
-    pub fn range_fraction(&self, lo: f64, hi: f64) -> f64 {
-        let lo = lo.clamp(self.min, self.max);
-        let hi = hi.clamp(self.min, self.max);
-        if hi <= lo {
-            0.0
-        } else {
-            (hi - lo) / (self.max - self.min)
-        }
-    }
 }
 
 /// Order-preserving encoding of a string onto the 64-bit identifier
@@ -247,13 +235,6 @@ mod tests {
         assert_eq!(h.hash(1.0), u64::MAX);
     }
 
-    #[test]
-    fn lph_range_fraction() {
-        let h = LocalityHash::new(0.0, 100.0, 0).unwrap();
-        assert!((h.range_fraction(25.0, 75.0) - 0.5).abs() < 1e-12);
-        assert_eq!(h.range_fraction(80.0, 20.0), 0.0);
-        assert!((h.range_fraction(-50.0, 50.0) - 0.5).abs() < 1e-12);
-    }
     #[test]
     fn lex_hash_preserves_lexicographic_order() {
         let words = ["", "a", "aa", "ab", "abc", "b", "linux", "linux-5.4", "windows"];

@@ -5,7 +5,6 @@
 //! and the measurement harness are agnostic to which DHT is underneath.
 
 use crate::error::DhtError;
-use crate::fault::{FaultPlan, FaultSink, MsgId};
 use crate::trace::{HopCount, RouteResult, RouteSink, RouteStats};
 
 /// Arena index of a node within an overlay.
@@ -99,9 +98,9 @@ pub trait Overlay {
     /// and reporting each hop
     /// taken to it. Returns `(terminal, exact)`. What a lookup costs and
     /// whether faults can cut it short is the sink's business, so
-    /// [`Overlay::route`], [`Overlay::route_stats`] and
-    /// [`Overlay::route_stats_faulty`] are this loop under three sinks and
-    /// cannot diverge.
+    /// [`Overlay::route`], [`Overlay::route_stats`] and each attempt of
+    /// [`route_with_retry`](crate::fault::route_with_retry) are this loop
+    /// under three sinks and cannot diverge.
     fn route_with<S: RouteSink>(
         &self,
         from: NodeIdx,
@@ -125,29 +124,6 @@ pub trait Overlay {
     fn route_stats(&self, from: NodeIdx, key: Self::Key) -> Result<RouteStats, DhtError> {
         let mut hops = HopCount::default();
         let (terminal, exact) = self.route_with(from, key, &mut hops)?;
-        Ok(RouteStats { hops: hops.get(), terminal, exact })
-    }
-
-    /// Route a lookup under a fault plan: the same loop under a
-    /// [`FaultSink`], so the plan's per-message drop coins and failed-node
-    /// set can cut it short with [`DhtError::MessageDropped`] /
-    /// [`DhtError::DeadHop`]. This is the one place below
-    /// [`Via`](crate::via::Via) that sends an inert plan down the plain
-    /// path (the coins could not fire anyway; skipping them keeps
-    /// zero-fault runs as fast as fault-free ones).
-    fn route_stats_faulty(
-        &self,
-        from: NodeIdx,
-        key: Self::Key,
-        plan: &FaultPlan,
-        msg: MsgId,
-    ) -> Result<RouteStats, DhtError> {
-        if plan.is_inert() {
-            return self.route_stats(from, key);
-        }
-        let mut hops = HopCount::default();
-        let (terminal, exact) =
-            self.route_with(from, key, &mut FaultSink::new(&mut hops, plan, msg))?;
         Ok(RouteStats { hops: hops.get(), terminal, exact })
     }
 

@@ -62,13 +62,6 @@ pub fn in_interval_oo(a: u64, b: u64, x: u64) -> bool {
     }
 }
 
-/// Midpoint of the clockwise arc from `a` to `b` (used by tests and by
-/// load-splitting heuristics).
-#[inline]
-pub fn clockwise_midpoint(a: u64, b: u64) -> u64 {
-    a.wrapping_add(clockwise_dist(a, b) / 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,17 +130,5 @@ mod tests {
         assert!(in_interval_oo(5, 5, 6));
         assert!(in_interval_oo(5, 5, 4));
         assert!(!in_interval_oo(5, 5, 5));
-    }
-
-    #[test]
-    fn midpoint_no_wrap() {
-        assert_eq!(clockwise_midpoint(10, 20), 15);
-    }
-
-    #[test]
-    fn midpoint_wrapping() {
-        let m = clockwise_midpoint(u64::MAX - 9, 10);
-        // arc length 20, midpoint 10 positions clockwise of MAX-9
-        assert_eq!(m, 0);
     }
 }

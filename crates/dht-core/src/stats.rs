@@ -11,7 +11,7 @@
 //! per-node load vector with the avg/p1/p99 view used by Figure 3.
 
 /// Streaming summary statistics (Welford's algorithm).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -191,6 +191,14 @@ impl Summary {
         } else {
             self.max
         }
+    }
+}
+
+impl Default for Summary {
+    /// The empty summary, [`Summary::new`]: a fold seeded with
+    /// `Summary::default()` must start from `min = +∞`, `max = −∞`.
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -420,6 +428,14 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_summary_is_the_empty_summary() {
+        assert_eq!(Summary::default(), Summary::new());
+        let mut s = Summary::default();
+        s.record(3.0);
+        assert_eq!((s.min(), s.max()), (3.0, 3.0));
+    }
 
     #[test]
     fn summary_empty() {

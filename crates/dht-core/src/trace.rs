@@ -23,12 +23,6 @@ pub struct RouteResult {
 }
 
 impl RouteResult {
-    /// A route that terminated at the origin without any hop (origin is
-    /// itself the root).
-    pub fn local(origin: NodeIdx) -> Self {
-        Self { path: Vec::new(), terminal: origin, exact: true }
-    }
-
     /// Number of logical hops taken (0 when the origin owned the key).
     pub fn hops(&self) -> usize {
         self.path.len()
@@ -140,27 +134,9 @@ pub struct LookupTally {
     pub matches: usize,
 }
 
-impl LookupTally {
-    /// Fold another tally into this one.
-    pub fn absorb(&mut self, other: LookupTally) {
-        self.hops += other.hops;
-        self.lookups += other.lookups;
-        self.visited += other.visited;
-        self.matches += other.matches;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn local_route_has_zero_hops() {
-        let r = RouteResult::local(NodeIdx(3));
-        assert_eq!(r.hops(), 0);
-        assert_eq!(r.terminal, NodeIdx(3));
-        assert!(r.exact);
-    }
 
     #[test]
     fn hops_counts_path_length() {
@@ -170,14 +146,6 @@ mod tests {
             exact: true,
         };
         assert_eq!(r.hops(), 3);
-    }
-
-    #[test]
-    fn tally_absorb_sums_fields() {
-        let mut a = LookupTally { hops: 3, lookups: 1, visited: 2, matches: 4 };
-        let b = LookupTally { hops: 5, lookups: 2, visited: 1, matches: 0 };
-        a.absorb(b);
-        assert_eq!(a, LookupTally { hops: 8, lookups: 3, visited: 3, matches: 4 });
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::cache::{RouteCache, WalkStep};
 use crate::error::DhtError;
 use crate::fault::{
-    probe_step, route_with_retry, sub_msg_id, walk_msg_id, FaultAccount, FaultPlan,
+    probe_step, route_with_retry, sub_msg_id, walk_msg_id, FaultAccount, FaultPlan, HOP_BUDGET,
 };
 use crate::overlay::{NodeIdx, Overlay};
 use crate::trace::RouteStats;
@@ -170,7 +170,7 @@ impl<'a> Via<'a> {
     /// remaining sub-queries are abandoned; unbounded without faults.
     pub fn hop_budget(&self) -> usize {
         match self {
-            Via::Faulty { plan, .. } => plan.hop_budget(),
+            Via::Faulty { .. } => HOP_BUDGET,
             Via::Direct | Via::Cached(_) => usize::MAX,
         }
     }

@@ -204,17 +204,6 @@ impl Workload {
         // by construction (span >= 0), the only thing Query::new validates.
         Query::new(subs).expect("generated ranges are well-formed")
     }
-
-    /// Generate a batch of queries with the given arity.
-    pub fn query_batch<R: Rng + ?Sized>(
-        &self,
-        count: usize,
-        arity: usize,
-        mix: QueryMix,
-        rng: &mut R,
-    ) -> Vec<Query> {
-        (0..count).map(|_| self.random_query(arity, mix, rng)).collect()
-    }
 }
 
 /// Samples grid-snapped attribute values according to a [`ValueDist`].
@@ -374,14 +363,6 @@ mod tests {
         let w = Workload::generate(small_cfg(), &mut rng()).unwrap();
         let q = w.random_query(5, QueryMix::NonRange, &mut rng());
         assert!(!q.has_range());
-    }
-
-    #[test]
-    fn query_batch_size() {
-        let w = Workload::generate(small_cfg(), &mut rng()).unwrap();
-        let b = w.query_batch(17, 3, QueryMix::Range, &mut rng());
-        assert_eq!(b.len(), 17);
-        assert!(b.iter().all(|q| q.arity() == 3));
     }
 
     #[test]

@@ -24,6 +24,10 @@ use crate::table::Table;
 use dht_core::{FaultPlan, Summary};
 use grid_resource::{QueryMix, QueryPlan};
 
+/// Seed of every [`FaultPlan`] in the sweep (the batch itself draws from
+/// the test bed's seed).
+pub const FAULT_SEED: u64 = 0xC4A0_5EED;
+
 /// Sweep configuration for the chaos experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSetup {
@@ -38,9 +42,6 @@ pub struct ChaosSetup {
     pub per_origin: usize,
     /// Attributes per query.
     pub arity: usize,
-    /// Seed of every [`FaultPlan`] in the sweep (the batch itself draws
-    /// from the test bed's seed).
-    pub fault_seed: u64,
 }
 
 impl Default for ChaosSetup {
@@ -51,7 +52,6 @@ impl Default for ChaosSetup {
             origins: 100,
             per_origin: 4,
             arity: 3,
-            fault_seed: 0xC4A0_5EED,
         }
     }
 }
@@ -120,7 +120,7 @@ pub struct Chaos {
 /// Run the chaos sweep on a mounted test bed.
 ///
 /// Every cell replays the *same* batch under a [`FaultPlan`] seeded with
-/// `setup.fault_seed`, so cells differ only in the configured rates —
+/// [`FAULT_SEED`], so cells differ only in the configured rates —
 /// which is what makes the per-query monotonicity argument (and hence
 /// monotone success-rate curves) hold exactly, not just in expectation.
 /// `shards` is [`run_batch`]'s worker count; it never shows in a cell.
@@ -144,7 +144,7 @@ pub fn chaos(bed: &TestBed, setup: ChaosSetup, shards: usize) -> Chaos {
             for &loss in &setup.loss_rates {
                 // Sweep rates come from the setup literal; an out-of-range
                 // rate is a harness bug.
-                let plan = FaultPlan::new(setup.fault_seed, loss, fail_frac)
+                let plan = FaultPlan::new(FAULT_SEED, loss, fail_frac)
                     .expect("sweep rates must be probabilities");
                 let summary = hops(BatchMode::Faulty(&plan));
                 cells.push(ChaosCell { loss, fail_frac, summary });
@@ -250,7 +250,7 @@ impl Chaos {
         }
         rep.note(format!(
             "({} range queries per cell, arity {}, fault seed {:#x})",
-            self.queries, self.setup.arity, self.setup.fault_seed
+            self.queries, self.setup.arity, FAULT_SEED
         ));
         rep
     }
@@ -268,7 +268,6 @@ mod tests {
             origins: 10,
             per_origin: 3,
             arity: 2,
-            ..ChaosSetup::default()
         }
     }
 

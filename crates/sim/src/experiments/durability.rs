@@ -29,7 +29,9 @@
 //! non-zero — the same pattern as `repro scale`'s growth checks.
 
 use crate::cache::BedCache;
-use crate::experiments::{fan_out, run_batch, BatchMode, ChurnCursor, Metric};
+use crate::experiments::{
+    fan_out, run_batch, BatchMode, ChurnCursor, Metric, MAINTENANCE_PERIOD, TICKS_PER_SECOND,
+};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -52,13 +54,9 @@ pub struct DurabilitySetup {
     /// Replication degrees `k` to sweep. `k = 1` is the unreplicated
     /// baseline (a strict no-op on every system).
     pub degrees: Vec<usize>,
-    /// Simulated seconds of churn per cell.
+    /// Simulated seconds of churn per cell, on the [`TICKS_PER_SECOND`]
+    /// clock with a maintenance round every [`MAINTENANCE_PERIOD`].
     pub duration: f64,
-    /// Event-clock ticks per simulated second (granularity at which
-    /// churn events and maintenance boundaries are applied).
-    pub tick_rate: f64,
-    /// Seconds between maintenance rounds (stabilize + replica repair).
-    pub maintenance_period: f64,
     /// Fraction of departures handled gracefully (with handoff); the
     /// rest are abrupt failures. Durability is about the abrupt ones.
     pub graceful_ratio: f64,
@@ -79,8 +77,6 @@ impl Default for DurabilitySetup {
             rates: vec![0.1, 0.2, 0.3, 0.4, 0.5],
             degrees: vec![1, 2, 3, 4],
             duration: 400.0,
-            tick_rate: 10.0,
-            maintenance_period: 50.0,
             graceful_ratio: 0.5,
             probe_origins: 50,
             probe_per_origin: 4,
@@ -186,15 +182,15 @@ pub fn run_durability_one(
     canonicalize_pieces(&mut initial);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut churn = ChurnCursor::new(schedule, sys);
-    let mut next_maintenance = setup.maintenance_period;
-    let ticks = (setup.duration * setup.tick_rate).round() as usize;
+    let mut next_maintenance = MAINTENANCE_PERIOD;
+    let ticks = (setup.duration * TICKS_PER_SECOND).round() as usize;
     for i in 0..ticks {
-        let now = (i + 1) as f64 / setup.tick_rate;
+        let now = (i + 1) as f64 / TICKS_PER_SECOND;
         churn.apply_due(sys, now, true, &mut rng);
         // Maintenance repairs links and replicas — never the workload.
         if now >= next_maintenance {
             sys.stabilize();
-            next_maintenance += setup.maintenance_period;
+            next_maintenance += MAINTENANCE_PERIOD;
         }
     }
     let mut now_pieces: Vec<PieceKey> = Vec::new();
@@ -260,8 +256,7 @@ pub fn durability(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCache) ->
             rows.push(DurabilityRow { rate, k, cells });
         }
     }
-    let theory = TheorySetup::for_sweep(cfg.seed);
-    Durability { setup: setup.clone(), rows, checks: churn_theory_checks(&theory) }
+    Durability { setup: setup.clone(), rows, checks: churn_theory_checks(cfg.seed ^ 0x7E0) }
 }
 
 impl Durability {
@@ -395,53 +390,27 @@ impl Durability {
 // Krishnamurthy closed-form validation
 // ---------------------------------------------------------------------
 
-/// Parameters of the theory-validation run: a bare Chord ring under
-/// windowed Poisson churn with full repair at each window boundary.
-#[derive(Debug, Clone)]
-pub struct TheorySetup {
-    /// Ring size at build time (joins and failures balance in
-    /// expectation, so the live count hovers here).
-    pub nodes: usize,
-    /// Successor-list length `s`. Kept short (2) so the exhaustion
-    /// probability `p^s` is large enough to measure in a bounded run.
-    pub succ_list_len: usize,
-    /// Repair windows sampled per rate.
-    pub windows: usize,
-    /// Seconds per window (the repair period `T`).
-    pub period: f64,
-    /// Churn rates `R` to validate. Failures arrive at rate `R` (the
-    /// schedule's graceful ratio is 0 — graceful departures hand off and
-    /// are invisible to the staleness estimators).
-    pub rates: Vec<f64>,
-    /// Keys whose owner liveness is tracked per window.
-    pub owner_samples: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+// The theory-validation run: a bare Chord ring under windowed Poisson
+// churn with full repair at each window boundary. The samples are large
+// enough that every estimator's Monte-Carlo noise sits well inside the
+// tolerance bands, and the run stays cheap (a bare 256-node ring).
 
-impl TheorySetup {
-    /// The default validation setting: large enough samples that every
-    /// estimator's Monte-Carlo noise sits well inside the tolerance
-    /// bands.
-    pub fn default_with_seed(seed: u64) -> Self {
-        Self {
-            nodes: 256,
-            succ_list_len: 2,
-            windows: 24,
-            period: 50.0,
-            rates: vec![0.4, 1.2],
-            owner_samples: 64,
-            seed,
-        }
-    }
-
-    /// The setting the durability sweep embeds: the default sample sizes
-    /// (the run is cheap — a bare 256-node ring), keyed to the sweep
-    /// seed.
-    pub fn for_sweep(seed: u64) -> Self {
-        Self::default_with_seed(seed ^ 0x7E0)
-    }
-}
+/// Ring size at build time (joins and failures balance in expectation,
+/// so the live count hovers here).
+const THEORY_NODES: usize = 256;
+/// Successor-list length `s`. Kept short so the exhaustion probability
+/// `p^s` is large enough to measure in a bounded run.
+const THEORY_SUCC_LIST_LEN: usize = 2;
+/// Repair windows sampled per rate.
+const THEORY_WINDOWS: usize = 24;
+/// Seconds per window (the repair period `T`).
+const THEORY_PERIOD: f64 = 50.0;
+/// Churn rates `R` to validate. Failures arrive at rate `R` (the
+/// schedule's graceful ratio is 0 — graceful departures hand off and are
+/// invisible to the staleness estimators).
+const THEORY_RATES: [f64; 2] = [0.4, 1.2];
+/// Keys whose owner liveness is tracked per window.
+const THEORY_OWNER_SAMPLES: usize = 64;
 
 /// One closed-form check: a simulated fraction vs its prediction, with
 /// the tolerance band that decides `ok`.
@@ -482,23 +451,23 @@ fn check(
     TheoryCheck { name, rate, simulated, predicted, tol_rel, tol_abs, ok }
 }
 
-/// Run the closed-form validation: for each rate, drive a bare Chord
-/// ring through `windows` churn windows. Each window starts fully
+/// Run the closed-form validation from `seed`: for each rate, drive a
+/// bare Chord ring through the theory windows. Each window starts fully
 /// repaired ([`Chord::rebuild_all_state`] — ground truth, every counter
 /// zero), applies one window of Poisson churn (joins at rate `R`,
 /// abrupt failures at rate `R`), samples [`Chord::successor_staleness`]
 /// and the owner-death fraction *just before* repair, then repairs and
 /// moves on.
-pub fn churn_theory_checks(setup: &TheorySetup) -> Vec<TheoryCheck> {
+pub fn churn_theory_checks(seed: u64) -> Vec<TheoryCheck> {
     let mut out = Vec::new();
-    let s = setup.succ_list_len;
-    for &rate in &setup.rates {
-        let cfg = ChordConfig { succ_list_len: s, seed: setup.seed };
+    let s = THEORY_SUCC_LIST_LEN;
+    for rate in THEORY_RATES {
+        let cfg = ChordConfig { succ_list_len: s, seed };
         // lint:allow(bed-rebuild): the theory net is a bare few-hundred
         // node ring (microseconds to build), and each rate must start
         // from a fresh, fully-repaired ring by construction.
-        let mut net = Chord::build(setup.nodes, cfg);
-        let mut rng = SmallRng::seed_from_u64(setup.seed ^ (rate * 1000.0) as u64);
+        let mut net = Chord::build(THEORY_NODES, cfg);
+        let mut rng = SmallRng::seed_from_u64(seed ^ (rate * 1000.0) as u64);
         // Integer accumulators; divide once at the end.
         let mut stale_first = 0usize;
         let mut exhausted = 0usize;
@@ -509,16 +478,17 @@ pub fn churn_theory_checks(setup: &TheorySetup) -> Vec<TheoryCheck> {
         let mut owner_total = 0usize;
         // Prediction accumulators, weighted by the same sample counts.
         let (mut pred_stale, mut pred_exh, mut pred_dead, mut pred_owner) = (0.0, 0.0, 0.0, 0.0);
-        for _ in 0..setup.windows {
+        for _ in 0..THEORY_WINDOWS {
             let n_start = net.len();
-            let p = 1.0 - (-rate * setup.period / n_start as f64).exp();
+            let p = 1.0 - (-rate * THEORY_PERIOD / n_start as f64).exp();
             // Snapshot the owners of a fixed key sample; liveness is
             // checked against these *nodes* at window end, so later
             // joins cannot mask a death.
-            let owners: Vec<_> = (0..setup.owner_samples)
-                .filter_map(|j| net.owner_of(splitmix64(setup.seed ^ j as u64)).ok())
+            let owners: Vec<_> = (0..THEORY_OWNER_SAMPLES)
+                .filter_map(|j| net.owner_of(splitmix64(seed ^ j as u64)).ok())
                 .collect();
-            let schedule = ChurnSchedule::generate_with_failures(rate, setup.period, 0.0, &mut rng);
+            let schedule =
+                ChurnSchedule::generate_with_failures(rate, THEORY_PERIOD, 0.0, &mut rng);
             for e in schedule.events() {
                 match e.kind {
                     ChurnKind::Join => {
@@ -665,7 +635,7 @@ mod tests {
 
     #[test]
     fn theory_checks_pass_at_default_setting() {
-        let checks = churn_theory_checks(&TheorySetup::default_with_seed(0x1C99));
+        let checks = churn_theory_checks(0x1C99);
         assert_eq!(checks.len(), 8, "4 estimators x 2 rates");
         for c in &checks {
             assert!(

@@ -9,14 +9,14 @@
 //! * **6(b)**: average visited nodes of range queries vs `R`.
 //!
 //! Reproduction choices (the paper leaves them implicit): requests are
-//! issued at a fixed rate (default 10/s, so 10000 requests span 1000
-//! simulated seconds); each system runs its periodic maintenance
-//! (stabilize + re-report all resources) every `maintenance_period`
+//! issued at a fixed rate ([`TICKS_PER_SECOND`], so 10000 requests span
+//! 1000 simulated seconds); each system runs its periodic maintenance
+//! (stabilize + re-report all resources) every [`MAINTENANCE_PERIOD`]
 //! simulated seconds, and joins/graceful departures additionally repair
 //! their local neighborhood immediately, as the protocols do.
 
 use crate::cache::BedCache;
-use crate::experiments::{fan_out, ChurnCursor, Metric};
+use crate::experiments::{fan_out, ChurnCursor, Metric, MAINTENANCE_PERIOD, TICKS_PER_SECOND};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -31,36 +31,20 @@ use rand::SeedableRng;
 pub struct ChurnSetup {
     /// Poisson rates `R` to sweep (paper: 0.1 … 0.5).
     pub rates: Vec<f64>,
-    /// Total resource requests (paper: 10000).
+    /// Total resource requests (paper: 10000), one per tick of the
+    /// [`TICKS_PER_SECOND`] clock.
     pub requests: usize,
-    /// Requests issued per simulated second.
-    pub request_rate: f64,
     /// Attributes per query.
     pub arity: usize,
-    /// Seconds between periodic maintenance rounds.
-    pub maintenance_period: f64,
     /// Graceful departures (the paper's model) vs abrupt failures (an
     /// extension: no handoff, stale links until maintenance — queries can
     /// fail or return stale results between rounds).
     pub graceful: bool,
-    /// Fraction of scheduled departures handled gracefully; the rest
-    /// become [`grid_resource::ChurnKind::Fail`] events. At the default `1.0` the
-    /// schedule is byte-identical to the graceful-only model (no extra
-    /// RNG draws), so the paper's figures are unchanged.
-    pub graceful_ratio: f64,
 }
 
 impl Default for ChurnSetup {
     fn default() -> Self {
-        Self {
-            rates: vec![0.1, 0.2, 0.3, 0.4, 0.5],
-            requests: 10_000,
-            request_rate: 10.0,
-            arity: 5,
-            maintenance_period: 50.0,
-            graceful: true,
-            graceful_ratio: 1.0,
-        }
+        Self { rates: vec![0.1, 0.2, 0.3, 0.4, 0.5], requests: 10_000, arity: 5, graceful: true }
     }
 }
 
@@ -133,15 +117,15 @@ pub fn run_churn_one(
     let mut stale = 0usize;
     let mut sampled = 0usize;
     let mut churn = ChurnCursor::new(schedule, sys);
-    let mut next_maintenance = setup.maintenance_period;
+    let mut next_maintenance = MAINTENANCE_PERIOD;
     for i in 0..setup.requests {
-        let now = (i + 1) as f64 / setup.request_rate;
+        let now = (i + 1) as f64 / TICKS_PER_SECOND;
         churn.apply_due(sys, now, setup.graceful, &mut rng);
         // periodic maintenance: repair links, refresh reports
         if now >= next_maintenance {
             sys.stabilize();
             sys.place_all(&workload.reports);
-            next_maintenance += setup.maintenance_period;
+            next_maintenance += MAINTENANCE_PERIOD;
         }
         // issue one query from a random live node
         let Some(origin) = churn.pick_live(sys, &mut rng) else {
@@ -198,16 +182,11 @@ pub fn fig6(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric, cache: &BedCach
     let p = cfg.params();
     let wl_seed = cfg.seed ^ 0xF6;
     let workload = cache.churn_workload(cfg, wl_seed);
-    let duration = setup.requests as f64 / setup.request_rate;
+    let duration = setup.requests as f64 / TICKS_PER_SECOND;
     let mut rows = Vec::new();
     for &rate in &setup.rates {
         let mut sched_rng = SmallRng::seed_from_u64(cfg.seed ^ (rate * 1000.0) as u64);
-        let schedule = ChurnSchedule::generate_with_failures(
-            rate,
-            duration,
-            setup.graceful_ratio,
-            &mut sched_rng,
-        );
+        let schedule = ChurnSchedule::generate(rate, duration, &mut sched_rng);
         // First rate: builds the prototypes (misses run in parallel, one
         // per system). Later rates: deep clones, byte-identical to fresh
         // builds.

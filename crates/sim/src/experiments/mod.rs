@@ -140,6 +140,16 @@ pub(crate) fn fan_out<T: Send, R: Send>(
     })
 }
 
+/// Event-clock ticks per simulated second of the churn loop Figure 6 and
+/// the durability sweep share: Figure 6 issues one request per tick, so
+/// the paper's 10 000 requests span 1 000 simulated seconds, and both
+/// apply churn events and maintenance boundaries at tick granularity.
+pub const TICKS_PER_SECOND: f64 = 10.0;
+
+/// Simulated seconds between periodic maintenance rounds in both churn
+/// loops (stabilize, plus Figure 6's re-report of every resource).
+pub const MAINTENANCE_PERIOD: f64 = 50.0;
+
 /// The churn loop Figure 6 and the durability sweep share: a cursor over a
 /// [`ChurnSchedule`] that applies the events due by `now` to one system,
 /// and the live-node picker both experiments draw origins and victims

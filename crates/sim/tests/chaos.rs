@@ -40,7 +40,6 @@ fn soak_sweep_degrades_monotonically_and_accounts_every_query() {
         origins: 50,
         per_origin: 4,
         arity: 3,
-        ..ChaosSetup::default()
     };
     let c = chaos(bed(), setup.clone(), 0);
     assert_eq!(c.queries, setup.origins * setup.per_origin);
@@ -101,10 +100,13 @@ fn faulty_sweep_is_a_pure_function_of_the_seeds() {
 #[test]
 fn churn_with_interleaved_ungraceful_failures_stays_sound() {
     // ChurnKind::Fail events interleaved mid-schedule (half the
-    // departures abrupt): the figure pipeline must survive the stale
-    // routing state — cluster collapses, dead successor-list entries —
-    // without panicking, and stay deterministic.
-    use sim::experiments::fig6::{fig6, ChurnSetup};
+    // departures abrupt): the churn loop must survive the stale routing
+    // state — cluster collapses, dead successor-list entries — without
+    // panicking, and stay deterministic, on every system.
+    use grid_resource::{ChurnKind, ChurnSchedule};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use sim::experiments::fig6::{run_churn_one, ChurnSetup};
     use sim::BedCache;
     let cfg = SimConfig {
         nodes: 384,
@@ -114,31 +116,21 @@ fn churn_with_interleaved_ungraceful_failures_stays_sound() {
         seed: 0xFA11,
         ..SimConfig::default()
     };
-    let setup =
-        ChurnSetup { graceful_ratio: 0.5, requests: 200, rates: vec![0.4], ..ChurnSetup::quick() };
-    let run = || fig6(&cfg, &setup, Metric::Hops, &BedCache::new()).report().to_json();
-    let (once, again) = (run(), run());
-    assert_eq!(once, again, "ungraceful churn must stay deterministic");
-    for name in ["LORM", "Mercury", "SWORD", "MAAN"] {
-        assert!(once.contains(name), "{name} missing from report: {once}");
-    }
-}
-
-#[test]
-fn graceful_ratio_one_leaves_fig6_byte_identical() {
-    // The failure-enabled schedule generator draws zero extra RNG at
-    // ratio 1.0, so threading `graceful_ratio` through the churn
-    // pipeline must not perturb the paper's figures at the default.
-    use sim::experiments::fig6::{fig6, ChurnSetup};
-    use sim::BedCache;
-    let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
-    let setup = ChurnSetup { requests: 200, rates: vec![0.2], ..ChurnSetup::quick() };
-    assert_eq!(setup.graceful_ratio, 1.0, "default is graceful-only");
-    let explicit = ChurnSetup { graceful_ratio: 1.0, ..setup.clone() };
+    let setup = ChurnSetup { requests: 200, ..ChurnSetup::quick() };
+    let mut sched_rng = SmallRng::seed_from_u64(cfg.seed);
+    let schedule = ChurnSchedule::generate_with_failures(0.4, 20.0, 0.5, &mut sched_rng);
+    assert!(schedule.events().iter().any(|e| e.kind == ChurnKind::Fail));
     let cache = BedCache::new();
-    let default_json = fig6(&cfg, &setup, Metric::Hops, &cache).report().to_json();
-    let explicit_json = fig6(&cfg, &explicit, Metric::Hops, &cache).report().to_json();
-    assert_eq!(default_json, explicit_json);
+    let workload = cache.churn_workload(&cfg, cfg.seed);
+    for system in analysis::System::ALL {
+        let run = || {
+            let mut sys = cache.churn_proto(system, &cfg, cfg.seed);
+            run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Hops, 7)
+        };
+        let (once, again) = (run(), run());
+        assert_eq!(once, again, "{}: ungraceful churn must stay deterministic", system.name());
+        assert!(once.events > 0 && once.stats.count() > 0, "{}: {once:?}", system.name());
+    }
 }
 
 #[test]

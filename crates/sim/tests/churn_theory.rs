@@ -25,12 +25,12 @@
 //! wider relative band since a relative error `ε` on `p` compounds to
 //! `s·ε` on `p^s`.
 
-use sim::experiments::durability::{churn_theory_checks, TheorySetup};
+use sim::experiments::durability::churn_theory_checks;
 
 #[test]
 fn closed_forms_hold_across_seeds() {
     for seed in [0x1C99u64, 7, 42] {
-        let checks = churn_theory_checks(&TheorySetup::default_with_seed(seed));
+        let checks = churn_theory_checks(seed);
         assert_eq!(checks.len(), 8, "4 estimators x 2 rates");
         for c in &checks {
             assert!(
@@ -52,7 +52,7 @@ fn estimators_measure_something_at_heavy_churn() {
     // A check that never observes its event passes any band trivially;
     // the default setting must be aggressive enough that every estimator
     // has a strictly positive simulated fraction at the heavy rate.
-    let checks = churn_theory_checks(&TheorySetup::default_with_seed(0x1C99));
+    let checks = churn_theory_checks(0x1C99);
     for c in checks.iter().filter(|c| c.rate > 1.0) {
         assert!(c.simulated > 0.0, "{} @ R={} observed nothing", c.name, c.rate);
         assert!(c.predicted > 0.0, "{} @ R={} predicts nothing", c.name, c.rate);
@@ -64,7 +64,7 @@ fn staleness_grows_with_the_churn_rate() {
     // Sanity on the family of predictions and simulations alike: both
     // the simulated and predicted stale-first fractions must be larger
     // at the heavy rate than at the light one.
-    let checks = churn_theory_checks(&TheorySetup::default_with_seed(11));
+    let checks = churn_theory_checks(11);
     let stale: Vec<_> = checks.iter().filter(|c| c.name == "stale_first_successor").collect();
     assert_eq!(stale.len(), 2);
     let (light, heavy) = (stale[0], stale[1]);
@@ -78,7 +78,7 @@ fn exhaustion_scales_like_p_to_the_s_not_p() {
     // The discriminating power of the p^s row: at the heavy rate the
     // exhausted fraction must sit well below the single-entry staleness
     // (p^2 << p), refuting any estimator that conflates the two.
-    let checks = churn_theory_checks(&TheorySetup::default_with_seed(0x1C99));
+    let checks = churn_theory_checks(0x1C99);
     let heavy_stale = checks
         .iter()
         .find(|c| c.name == "stale_first_successor" && c.rate > 1.0)

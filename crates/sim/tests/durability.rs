@@ -109,7 +109,7 @@ fn set_replication_one_reproduces_unreplicated_churn_bytes() {
     let cfg = small_cfg();
     let mut wl_rng = SmallRng::seed_from_u64(31);
     let workload = Workload::generate(cfg.workload_config(), &mut wl_rng).unwrap();
-    let setup = ChurnSetup { requests: 150, graceful_ratio: 0.5, ..ChurnSetup::quick() };
+    let setup = ChurnSetup { requests: 150, ..ChurnSetup::quick() };
     let mut sched_rng = SmallRng::seed_from_u64(32);
     let schedule = ChurnSchedule::generate_with_failures(0.4, 15.0, 0.5, &mut sched_rng);
     for system in analysis::System::ALL {

@@ -26,12 +26,15 @@ use crate::items::{is_keyword, ItemTree};
 use crate::lexer::{Tok, TokKind};
 use crate::lints::FileCtx;
 
-/// The functions the reproducibility contract is anchored to: the one
-/// batch executor every query experiment (figures, chaos) funnels
-/// through, plus the two harness sweeps that drive simulation code no
+/// The functions the reproducibility contract is anchored to: the batch
+/// executor (fig4, fig5, chaos, the durability probe, the query-plan
+/// ablation), plus the two harness sweeps that drive simulation code no
 /// query batch reaches — the scale sweep (bed builds, bare routing) and
-/// the durability sweep (the churn loop that mutates the overlays). A
-/// sim-purity violation matters exactly when it can flow into these.
+/// the durability sweep (the churn loop that mutates the overlays). t410,
+/// loadbalance, hopdist, latency and three ablations run their own
+/// sequential loops, but those call the same `ResourceDiscovery::query`
+/// the executor reaches, so the reachable set is unchanged. A sim-purity
+/// violation matters exactly when it can flow into these.
 pub const ENTRY_POINTS: &[(&str, &str)] =
     &[("sim", "run_batch"), ("bench", "run_scale"), ("bench", "run_durability")];
 

@@ -1321,11 +1321,11 @@ mod tests {
     fn fault_aware_fast_paths_are_fine() {
         // The fault-injection layer's entry points are allocation-free
         // twins of `route_stats` and must not trip the exact-ident
-        // `.route(` matcher: `route_stats_faulty`, `route_with_retry`,
-        // the faulty walk variants, and `probe_step`.
+        // `.route(` matcher: `route_with` under a fault sink,
+        // `route_with_retry`, the faulty walk variants, and `probe_step`.
         let r = sim_lib(
             "fn f(o: &O, p: &FaultPlan, a: &mut FaultAccount) {\n    \
-             let s = o.route_stats_faulty(x, k, p, m);\n    \
+             let s = o.route_with(x, k, &mut FaultSink::new(&mut h, p, m));\n    \
              let t = dht_core::route_with_retry(o, x, k, p, m, a);\n    \
              let w = h.walk_range_faulty_into(s, lo, hi, p, m, a, out);\n    \
              let g = dht_core::probe_step(p, m, 1, n, a);\n}",

@@ -84,13 +84,13 @@ fn sparse_cycloid_paths_follow_links_too() {
     }
 }
 
-/// `route`, `route_stats` and `route_stats_faulty` are `dht_core`'s
-/// provided methods: one `route_with` loop under three sinks. Under an
-/// inert plan all three — and the bare [`FaultSink`] the inert check
-/// normally skips — must agree on `(hops, terminal, exact)` for every
+/// `route`, `route_stats` and each attempt of `route_with_retry` are one
+/// `route_with` loop under three sinks. Under an inert plan all three —
+/// and the bare [`FaultSink`] the inert check normally skips — must agree on `(hops, terminal, exact)` for every
 /// `(live node, key)` pair, and the traced path must end at the terminal.
 fn fronts_agree<O: Overlay>(net: &O, keys: &[O::Key]) {
-    use dht_core::{FaultPlan, FaultSink, HopCount, MsgId, RouteStats};
+    use dht_core::RouteStats;
+    use dht_core::{route_with_retry, FaultAccount, FaultPlan, FaultSink, HopCount, MsgId};
     let plan = FaultPlan::new(0xFA57, 0.0, 0.0).unwrap();
     for &from in net.live_nodes() {
         for (i, &key) in keys.iter().enumerate() {
@@ -106,7 +106,9 @@ fn fronts_agree<O: Overlay>(net: &O, keys: &[O::Key]) {
                 fast,
                 "{ctx}"
             );
-            assert_eq!(net.route_stats_faulty(from, key, &plan, msg).unwrap(), fast, "{ctx}");
+            let retried =
+                route_with_retry(net, from, key, &plan, msg.id, &mut FaultAccount::default());
+            assert_eq!(retried.unwrap(), fast, "{ctx}");
             assert_eq!(RouteStats { hops: hops.get(), terminal, exact }, fast, "{ctx}");
             assert_eq!(traced.path.last().copied().unwrap_or(from), fast.terminal, "{ctx}");
             assert!(fast.hops <= net.route_budget(), "{ctx}");
