@@ -20,9 +20,10 @@
 //! * clockwise/counter-clockwise ring walks (used by Mercury and MAAN for
 //!   range probing).
 //!
-//! Routing decisions use **only node-local state**; global knowledge is
-//! used exclusively for ground-truth assertions (`owner_of`) and fast
-//! network construction.
+//! Routing decisions use **only node-local state**. Global knowledge (the
+//! live ring in id order) answers `owner_of`, whose readers are every
+//! route's `exact` flag and every placement, leave handoff and replica
+//! promotion, and serves fast network construction and repair.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

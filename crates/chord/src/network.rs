@@ -68,7 +68,9 @@ pub struct Chord {
     succ_lens: Vec<u8>,
     cfg: ChordConfig,
     /// Live node indices sorted by ring id — ground truth for `owner_of`
-    /// and for fast bulk construction. Never consulted by routing.
+    /// (every route's `exact` flag, every placement, handoff and
+    /// promotion) and for fast bulk construction. Never consulted by a
+    /// routing decision.
     sorted: Vec<NodeIdx>,
     /// Every identifier ever assigned (live nodes + tombstones), kept as
     /// a sorted flat `Vec` — membership is a binary search, and cloning
@@ -400,7 +402,8 @@ impl Chord {
     fn true_owner(&self, key: u64) -> NodeIdx {
         debug_assert!(!self.sorted.is_empty());
         let pos = self.sorted.partition_point(|&j| self.ids[j.0] < key);
-        self.sorted[pos % self.sorted.len()]
+        // Past the last id (`pos == len`) wraps to the first node.
+        self.sorted[if pos == self.sorted.len() { 0 } else { pos }]
     }
 
     /// Borrow a node's state (a view over the flat arena arrays).

@@ -52,7 +52,13 @@ impl CycloidId {
     /// Clockwise distance from cyclic index `a` to `b` on a cluster ring of
     /// circumference `d`.
     pub fn cw_cyclic_dist(a: u8, b: u8, d: u8) -> u8 {
-        (b + d - a) % d
+        // `a, b < d`, so `b + d - a < 2d` and one subtract wraps it.
+        let s = b + d - a;
+        if s >= d {
+            s - d
+        } else {
+            s
+        }
     }
 
     /// Minimal cyclic ring distance.

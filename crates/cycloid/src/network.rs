@@ -25,10 +25,12 @@ impl Default for CycloidConfig {
 
 /// A Cycloid overlay network.
 ///
-/// Nodes live in an arena; departed nodes are tomb-stoned. Ground-truth
-/// occupancy tables (`slots`, `clusters`) are used for construction,
-/// repair and `owner_of` assertions — never by routing, which reads only
-/// the local state of the node holding the message.
+/// Nodes live in an arena; departed nodes are tomb-stoned. The
+/// ground-truth occupancy tables (`slots`, the cluster member lists,
+/// `occupied`) answer [`Overlay::owner_of`]. Its readers are every route's
+/// `exact` flag and every placement, leave handoff and replica promotion,
+/// besides construction and link repair. Routing decisions never read them:
+/// a hop reads only the local state of the node holding the message.
 ///
 /// ```
 /// use cycloid::{Cycloid, CycloidConfig, CycloidId};
@@ -118,6 +120,7 @@ impl Cycloid {
         let slots = net.draw_slots(n);
         net.bulk_occupy(&slots);
         net.rebuild_all_links();
+        debug_assert_eq!(net.check_invariants(), Ok(()));
         net
     }
 
@@ -205,20 +208,11 @@ impl Cycloid {
         self.cluster_slots.copy_within(base + pos..base + len, base + pos + 1);
         self.cluster_slots[base + pos] = idx;
         self.cluster_lens[id.cubical as usize] = (len + 1) as u8;
-        debug_assert!(
-            self.cluster_members(id.cubical)
-                .windows(2)
-                .all(|w| self.nodes[w[0].0].id.cyclic < self.nodes[w[1].0].id.cyclic),
-            "cluster members must stay sorted by cyclic index"
-        );
         if len == 0 {
             let cpos = self.occupied.partition_point(|&c| c < id.cubical);
             self.occupied.insert(cpos, id.cubical);
         }
-        debug_assert!(
-            self.occupied.windows(2).all(|w| w[0] < w[1]),
-            "occupied cluster list must stay strictly sorted"
-        );
+        debug_assert_eq!(self.check_cluster(id.cubical), Ok(()));
         // Arena indices only grow, so appending keeps the list sorted.
         self.live_sorted.push(idx);
         self.live += 1;
@@ -247,6 +241,74 @@ impl Cycloid {
             self.live_sorted.remove(p);
         }
         self.live -= 1;
+        debug_assert_eq!(self.check_cluster(id.cubical), Ok(()));
+    }
+
+    /// Check the ground-truth tables against each other and against the
+    /// arena, in O(d·2^d + arena) time:
+    ///
+    /// * `slots[s] == Some(i)` exactly for the live nodes `i` on slot `s`;
+    /// * each cluster's member list is its `slots` row's occupied entries,
+    ///   in cyclic order, and its member count matches;
+    /// * `occupied` is exactly the sorted list of non-empty clusters;
+    /// * `live_sorted` and `live` agree with the arena's liveness flags.
+    ///
+    /// [`Self::build`] runs it under `debug_assert!`; `occupy` and `vacate`
+    /// check the cluster they touch.
+    ///
+    /// # Errors
+    /// The first violation found, described.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let d = self.cfg.dimension;
+        let live: Vec<NodeIdx> =
+            (0..self.nodes.len()).map(NodeIdx).filter(|&i| self.nodes[i.0].alive).collect();
+        if self.live_sorted != live || self.live != live.len() {
+            return Err(format!(
+                "live list holds {} (count {}), the arena {} live nodes",
+                self.live_sorted.len(),
+                self.live,
+                live.len()
+            ));
+        }
+        for (s, &held) in self.slots.iter().enumerate() {
+            if let Some(i) = held {
+                if !self.nodes.get(i.0).is_some_and(|n| n.alive && n.id.slot(d) == s) {
+                    return Err(format!("slot {s} holds node {}, not live there", i.0));
+                }
+            }
+        }
+        if let Some(&i) = live.iter().find(|&&i| self.slots[self.nodes[i.0].id.slot(d)] != Some(i))
+        {
+            return Err(format!("live node {} is missing from its slot", i.0));
+        }
+        let non_empty: Vec<u32> =
+            (0..1u32 << d).filter(|&c| self.cluster_lens[c as usize] > 0).collect();
+        if self.occupied != non_empty {
+            return Err(format!(
+                "occupied lists {} clusters, {} are non-empty",
+                self.occupied.len(),
+                non_empty.len()
+            ));
+        }
+        (0..1u32 << d).try_for_each(|c| self.check_cluster(c))
+    }
+
+    /// The O(d) part of [`Self::check_invariants`] for cluster `c`: its
+    /// member list is the occupied entries of its `slots` row in cyclic
+    /// order, and `occupied` lists it exactly when it has members.
+    fn check_cluster(&self, c: u32) -> Result<(), String> {
+        let d = self.cfg.dimension as usize;
+        let members = self.cluster_members(c);
+        if !members.iter().eq(self.slots[c as usize * d..][..d].iter().flatten()) {
+            return Err(format!("cluster {c}: members {members:?} disagree with its slot row"));
+        }
+        if self.occupied.binary_search(&c).is_ok() == members.is_empty() {
+            return Err(format!(
+                "cluster {c}: occupied list disagrees with {} members",
+                members.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Borrow a node's state.
@@ -325,8 +387,13 @@ impl Cycloid {
     // ------------------------------------------------------------------
 
     /// The occupied cluster nearest to `b` on the large cycle; ties broken
-    /// towards the cluster reached *clockwise* from `b`.
+    /// towards the cluster reached *clockwise* from `b`. A cluster with
+    /// members is its own answer (one table read); an empty one takes a
+    /// binary search of `occupied`.
     pub fn nearest_occupied_cluster(&self, b: u32) -> Result<u32, DhtError> {
+        if self.cluster_lens[b as usize] > 0 {
+            return Ok(b);
+        }
         if self.occupied.is_empty() {
             return Err(DhtError::EmptyOverlay);
         }
@@ -346,16 +413,19 @@ impl Cycloid {
     }
 
     /// The member of cluster `c` nearest to cyclic position `l`; ties
-    /// broken towards the node reached clockwise from `l`.
+    /// broken towards the node reached clockwise from `l`. Probes the
+    /// cluster's row of `slots` outward from `l`: at distance `k`, position
+    /// `l + k` before `l - k` (both mod `d`). A full cluster answers on the
+    /// first probe, any cluster within `d`.
     pub fn nearest_in_cluster(&self, c: u32, l: u8) -> Option<NodeIdx> {
-        let d = self.cfg.dimension;
-        let members = self.cluster_members(c);
-        members.iter().copied().min_by_key(|&m| {
-            let k = self.nodes[m.0].id.cyclic;
-            let dist = CycloidId::cyclic_dist(k, l, d);
-            // among equal distances prefer the clockwise-side node
-            let cw_tie = u8::from(CycloidId::cw_cyclic_dist(l, k, d) != dist);
-            (dist, cw_tie)
+        let d = self.cfg.dimension as usize;
+        let l = l as usize;
+        debug_assert!(l < d, "cyclic index {l} out of range for d={d}");
+        let row = &self.slots[c as usize * d..][..d];
+        (0..=d / 2).find_map(|k| {
+            let cw = if l + k >= d { l + k - d } else { l + k };
+            let ccw = if l >= k { l - k } else { l + d - k };
+            row[cw].or(row[ccw])
         })
     }
 

@@ -275,10 +275,11 @@ impl<O: Overlay> Host<O> {
     /// (see [`Directory`]), so the hosts this leaves are those of one
     /// push per item, in any order.
     pub fn store_all_at_owners(&mut self, items: impl IntoIterator<Item = (O::Key, ResourceInfo)>) {
-        let routed: Vec<(NodeIdx, ResourceInfo)> = items
-            .into_iter()
-            .filter_map(|(key, info)| Some((self.net.owner_of(key).ok()?, info)))
-            .collect();
+        let items = items.into_iter();
+        // `filter_map` hints a lower bound of 0: size the batch from the
+        // input instead of growing it by doubling.
+        let mut routed: Vec<(NodeIdx, ResourceInfo)> = Vec::with_capacity(items.size_hint().0);
+        routed.extend(items.filter_map(|(key, info)| Some((self.net.owner_of(key).ok()?, info))));
         let Some(&(_, filler)) = routed.first() else {
             return;
         };

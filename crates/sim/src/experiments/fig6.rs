@@ -319,4 +319,39 @@ mod tests {
         let expect = 3.0 * (384.0f64).log2() / 2.0;
         assert!((cell.avg - expect).abs() < expect * 0.35, "avg {} vs analysis {expect}", cell.avg);
     }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: &[u64]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn maintenance_rounds_are_pinned_for_every_system() {
+        // 1 100 requests span 110 simulated seconds: maintenance rounds run
+        // at 50 s and 100 s. Departures are abrupt, so what a round repairs
+        // shows in the cells. With d = 7 and 384 nodes the Cycloid is 43 %
+        // full, so ownership resolves through sparse clusters.
+        let cfg = small_cfg();
+        let mut wl_rng = SmallRng::seed_from_u64(11);
+        let workload = Workload::generate(cfg.workload_config(), &mut wl_rng).unwrap();
+        let setup = ChurnSetup {
+            rates: vec![0.4],
+            requests: 1_100,
+            graceful: false,
+            ..ChurnSetup::quick()
+        };
+        let duration = setup.requests as f64 / TICKS_PER_SECOND;
+        let schedule = ChurnSchedule::generate(0.4, duration, &mut SmallRng::seed_from_u64(12));
+        let mut words = Vec::new();
+        for s in System::ALL {
+            let mut sys = build_system(s, &workload, &cfg);
+            let c = run_churn_one(sys.as_mut(), &workload, &schedule, &setup, Metric::Visited, 13);
+            words.extend([c.avg.to_bits(), c.failures as u64, c.events as u64]);
+            words.extend([c.stale as u64, c.sampled as u64]);
+        }
+        assert_eq!(fnv1a(&words), 0x0843_13f4_ec0f_61f2, "fig6 churn cells moved");
+    }
 }
