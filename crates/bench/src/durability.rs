@@ -134,6 +134,16 @@ mod tests {
     }
 
     #[test]
+    fn quick_sweep_renders_the_recorded_export() {
+        // `repro durability --quick --shards=1`, recorded on the commit that
+        // added this pin: the export carries no clock, so the digest covers
+        // every byte the command writes.
+        let cfg = ReproConfig { quick: true, shards: 1, ..ReproConfig::default() };
+        let j = render_durability_json(&cfg, &run_durability(&cfg, &BedCache::new()));
+        assert_eq!(crate::tests::fnv1a(&j), 0x25a8_291b_ef75_04ce, "quick durability export moved");
+    }
+
+    #[test]
     fn durability_rows_cover_the_degree_grid() {
         assert!(DurabilitySetup::quick().degrees.contains(&1), "the quick grid has the k=1 row");
         let (_, d) = tiny_durability();

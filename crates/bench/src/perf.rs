@@ -449,7 +449,8 @@ pub struct KernelDelta {
 /// "elapsed_ms":…}]`). A hand-rolled scan, not a JSON parser: the files
 /// are machine-written by `kernels_json`, so kernel objects are
 /// flat and compact. The array must close: a truncated file is an error,
-/// not a shorter baseline.
+/// not a shorter baseline. So is an `elapsed_ms` that is not a finite,
+/// non-negative number.
 pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
     const KERNELS: &str = "\"kernels\":[";
     let at = json.find(KERNELS).ok_or("no \"kernels\" array")?;
@@ -466,6 +467,12 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
             .ok_or_else(|| format!("kernel {name} has no elapsed_ms"))?;
         let ms = kernel[ms_at + 13..].split(',').next().unwrap_or_default();
         let ms: f64 = ms.trim().parse().map_err(|e| format!("bad elapsed_ms for {name}: {e}"))?;
+        // `f64` parses `inf`, `NaN` and negatives: an infinite baseline
+        // would make the ratio 0 and the gate unable to fire, the others a
+        // false regression.
+        if !ms.is_finite() || ms < 0.0 {
+            return Err(format!("bad elapsed_ms for {name}: {ms} is not a finite duration"));
+        }
         out.push((name.to_string(), ms));
         rest = &rest[end + 1..];
         rest = rest.strip_prefix(',').unwrap_or(rest);
@@ -649,6 +656,10 @@ mod tests {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline("{\"kernels\":[]}").is_err());
         assert!(parse_baseline("{\"kernels\":[{\"name\":\"x\"}]}").is_err());
+        for ms in ["inf", "-inf", "NaN", "-1.5"] {
+            let json = format!("{{\"kernels\":[{{\"name\":\"x\",\"elapsed_ms\":{ms}}}]}}");
+            assert!(parse_baseline(&json).is_err(), "accepted elapsed_ms {ms}");
+        }
         // A file cut anywhere before its kernel array closes is refused,
         // including right after a complete kernel object.
         let full = include_str!("../../../BENCH_perf_quick.json");

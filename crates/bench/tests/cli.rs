@@ -53,6 +53,14 @@ fn a_bad_baseline_exits_1_before_any_kernel_runs() {
         ),
         ("kernel-less", scratch_file("empty-baseline.json", "{\"kernels\":[]}"), "no kernels"),
         ("not a perf export", scratch_file("no-kernels.json", "{}"), "no \"kernels\" array"),
+        (
+            "infinite",
+            scratch_file(
+                "inf-baseline.json",
+                "{\"kernels\":[{\"name\":\"x\",\"elapsed_ms\":inf}]}",
+            ),
+            "not a finite duration",
+        ),
     ];
     for mode in ["perf", "scale"] {
         for (what, path, reason) in &cases {

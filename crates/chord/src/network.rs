@@ -72,12 +72,13 @@ pub struct Chord {
     /// promotion) and for fast bulk construction. Never consulted by a
     /// routing decision.
     sorted: Vec<NodeIdx>,
-    /// Every identifier ever assigned (live nodes + tombstones), kept as
-    /// a sorted flat `Vec` — membership is a binary search, and cloning
-    /// the overlay (bed snapshots) is one `memcpy` instead of a tree
-    /// rebuild. Ordered inserts are O(n) but only run on genuine runtime
-    /// join/tombstone events — initial beds go through [`Chord::build`]'s
-    /// bulk path, which sorts once.
+    /// The identifiers in use: every live node's and every reserved
+    /// tombstone's. A departure retires its node's id, so a later join may
+    /// draw it again. Kept as a sorted flat `Vec` — membership is a binary
+    /// search, and cloning the overlay (bed snapshots) is one `memcpy`
+    /// instead of a tree rebuild. Ordered inserts are O(n) but only run on
+    /// genuine runtime join/tombstone events — initial beds go through
+    /// [`Chord::build`]'s bulk path, which sorts once.
     used_ids: Vec<u64>,
     rng: SmallRng,
     /// Mutation epoch: strictly increases on every write to routing state
@@ -204,6 +205,105 @@ impl Chord {
         if let Err(pos) = self.used_ids.binary_search(&id) {
             self.used_ids.insert(pos, id);
         }
+    }
+
+    /// Check the ring tables and the link arrays against each other and
+    /// against the arena, in O(64·arena) time:
+    ///
+    /// * `sorted` is exactly the live slots, in strictly increasing id
+    ///   order;
+    /// * `used_ids` is sorted, unique, and holds every live id;
+    /// * every successor list's used prefix is at most `succ_list_len`
+    ///   long and holds no unset entry;
+    /// * every finger, successor and predecessor is unset or an arena slot.
+    ///
+    /// [`Self::rebuild_all_state`] (and so [`Self::build`]) and
+    /// [`Self::stabilize_all`] run it under `debug_assert!`; `join_with_id`,
+    /// `leave` and `fail` check the slots they touch.
+    ///
+    /// # Errors
+    /// The first violation found, described.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let live = self.alive.iter().filter(|&&a| a).count();
+        if self.sorted.len() != live || self.sorted.iter().any(|&i| !self.is_alive(i)) {
+            return Err(format!(
+                "sorted ring holds {} slots, the arena {live} live nodes",
+                self.sorted.len()
+            ));
+        }
+        if let Some(w) = self.sorted.windows(2).find(|w| self.ids[w[0].0] >= self.ids[w[1].0]) {
+            return Err(format!("sorted ring out of id order at {} {}", w[0], w[1]));
+        }
+        if let Some(w) = self.used_ids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("used ids unsorted or repeated at {:#x}", w[1]));
+        }
+        // Both lists ascend, so one merge pass finds every live id.
+        let mut used = self.used_ids.iter().peekable();
+        for &i in &self.sorted {
+            let id = self.ids[i.0];
+            while used.next_if(|&&u| u < id).is_some() {}
+            if used.next_if_eq(&&id).is_none() {
+                return Err(format!("live node {i} has id {id:#x}, not in used ids"));
+            }
+        }
+        let arena = self.ids.len();
+        for links in [&self.fingers, &self.succs, &self.preds] {
+            if let Some(&l) = links.iter().find(|&&l| l != NO_LINK && l as usize >= arena) {
+                return Err(format!("a link points to {l}, past the {arena}-slot arena"));
+            }
+        }
+        (0..arena).try_for_each(|s| self.check_succ_prefix(s))
+    }
+
+    /// `slot`'s successor-list prefix is at most `succ_list_len` long and
+    /// holds no [`NO_LINK`].
+    fn check_succ_prefix(&self, slot: usize) -> Result<(), String> {
+        let r = self.cfg.succ_list_len;
+        let len = self.succ_lens[slot] as usize;
+        if len > r {
+            return Err(format!("slot {slot} counts {len} successors, the list holds {r}"));
+        }
+        if self.succs[slot * r..slot * r + len].contains(&NO_LINK) {
+            return Err(format!("slot {slot} counts an unset successor"));
+        }
+        Ok(())
+    }
+
+    /// The O(r + 64 + log n) check a membership op runs on each slot it touched:
+    /// [`Self::check_invariants`] restricted to `slot` — its successor
+    /// prefix, its links, and its place in the ring tables: a live slot
+    /// sits in `sorted` before a strictly larger id and its id is in use; a
+    /// dead one is not in `sorted`.
+    fn check_local(&self, slot: usize) -> Result<(), String> {
+        self.check_succ_prefix(slot)?;
+        let (r, arena) = (self.cfg.succ_list_len, self.ids.len());
+        let links = self.succs[slot * r..(slot + 1) * r].iter().chain(self.raw_fingers(slot));
+        let mut links = links.chain(&self.preds[slot..=slot]).copied();
+        if let Some(l) = links.find(|&l| l != NO_LINK && l as usize >= arena) {
+            return Err(format!("slot {slot} links to {l}, past the {arena}-slot arena"));
+        }
+        let id = self.ids[slot];
+        let pos = self.sorted.partition_point(|&j| self.ids[j.0] < id);
+        let listed = self.sorted.get(pos).is_some_and(|j| j.0 == slot);
+        if listed != self.alive[slot] {
+            return Err(format!(
+                "slot {slot} (alive: {}) disagrees with the sorted ring",
+                self.alive[slot]
+            ));
+        }
+        if listed && self.sorted.get(pos + 1).is_some_and(|j| self.ids[j.0] <= id) {
+            return Err(format!("sorted ring out of id order after slot {slot}"));
+        }
+        if listed && !self.id_used(id) {
+            return Err(format!("live slot {slot} has id {id:#x}, not in used ids"));
+        }
+        Ok(())
+    }
+
+    /// [`Self::check_local`] on each slot a membership op touched,
+    /// [`NO_LINK`] entries skipped.
+    fn check_touched(&self, slots: &[u32]) -> Result<(), String> {
+        slots.iter().filter(|&&s| s != NO_LINK).try_for_each(|&s| self.check_local(s as usize))
     }
 
     /// Configuration the network was built with.
@@ -395,6 +495,7 @@ impl Chord {
                 frow[i] = live[c];
             }
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Ground-truth owner (first live node clockwise from `key`, the node
@@ -518,6 +619,7 @@ impl Chord {
             *f = self.route_stats(succ, target).map(|r| r.terminal).unwrap_or(succ).0 as u32;
         }
         self.fingers[idx.0 * FINGER_BITS..(idx.0 + 1) * FINGER_BITS].copy_from_slice(&frow);
+        debug_assert_eq!(self.check_touched(&[idx.0 as u32, succ.0 as u32, pred]), Ok(()));
         Ok(idx)
     }
 
@@ -569,12 +671,18 @@ impl Chord {
                 self.write_succs(pi, &list);
             }
         }
+        debug_assert_eq!(
+            self.check_touched(&[idx.0 as u32, pred_raw, succ.unwrap_or(NO_LINK)]),
+            Ok(())
+        );
         Ok(())
     }
 
     /// Abrupt failure: the node vanishes without notifying anyone.
     pub fn fail(&mut self, idx: NodeIdx) -> Result<(), DhtError> {
-        self.retire(idx)
+        self.retire(idx)?;
+        debug_assert_eq!(self.check_touched(&[idx.0 as u32]), Ok(()));
+        Ok(())
     }
 
     /// One round of the Chord stabilization protocol for `idx`:
@@ -668,6 +776,7 @@ impl Chord {
                 let _ = self.fix_fingers(idx);
             }
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Live node indices sorted by ring identifier.
@@ -1081,6 +1190,24 @@ mod tests {
         advanced(&c, "fail");
         c.stabilize_all();
         advanced(&c, "stabilize_all");
+    }
+
+    #[test]
+    fn check_invariants_reports_each_broken_table() {
+        let c = net(16);
+        assert_eq!(c.check_invariants(), Ok(()));
+        let breaks: [fn(&mut Chord); 5] = [
+            |c| c.sorted.swap(0, 1),
+            |c| c.used_ids.truncate(c.used_ids.len() - 1),
+            |c| c.succ_lens[0] = 5,
+            |c| c.succs[0] = NO_LINK,
+            |c| c.fingers[3] = 99,
+        ];
+        for (k, broken) in breaks.iter().enumerate() {
+            let mut c = c.clone();
+            broken(&mut c);
+            assert!(c.check_invariants().is_err(), "break {k} went unseen");
+        }
     }
 
     #[test]

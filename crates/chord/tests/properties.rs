@@ -84,25 +84,6 @@ fn fingers_are_ground_truth_on_adversarial_id_placements() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Routed lookups always terminate at the consistent-hashing owner in
-    /// a stabilized network, regardless of size, seed or key.
-    #[test]
-    fn lookups_are_exact(n in 1usize..300, seed: u64, keys in prop::collection::vec(any::<u64>(), 1..20)) {
-        let net = Chord::build(n, ChordConfig { seed, ..Default::default() });
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xF00);
-        for key in keys {
-            let from = net.random_node(&mut rng).unwrap();
-            let r = net.route(from, key).unwrap();
-            prop_assert!(r.exact);
-            // the terminal really owns the key: key ∈ (pred, terminal]
-            let t = net.node(r.terminal).unwrap();
-            let pred = net.node(t.predecessor().unwrap()).unwrap();
-            if n > 1 {
-                prop_assert!(dht_core::in_interval_oc(pred.id(), t.id(), key));
-            }
-        }
-    }
-
     /// The successor relation forms one cycle covering every live node.
     #[test]
     fn ring_is_a_single_cycle(n in 1usize..200, seed: u64) {
@@ -169,44 +150,6 @@ proptest! {
         }
     }
 
-    /// The zero-allocation fast path is observationally identical to the
-    /// traced route in every network state: freshly stabilized, after
-    /// unrepaired churn (leaves and abrupt failures), and after repair.
-    #[test]
-    fn route_stats_equals_traced_route(n in 8usize..200, seed: u64,
-                                       leaves in 0usize..4, fails in 0usize..4) {
-        let mut net = Chord::build(n, ChordConfig { seed, ..Default::default() });
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xF02);
-        let check = |net: &Chord, rng: &mut SmallRng| -> Result<(), TestCaseError> {
-            for _ in 0..12 {
-                let from = net.random_node(rng).unwrap();
-                let key: u64 = rand::Rng::gen(rng);
-                match (net.route(from, key), net.route_stats(from, key)) {
-                    (Ok(t), Ok(s)) => {
-                        prop_assert_eq!(t.hops(), s.hops);
-                        prop_assert_eq!(t.terminal, s.terminal);
-                        prop_assert_eq!(t.exact, s.exact);
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                    (t, s) => prop_assert!(false, "diverged: traced {t:?} vs stats {s:?}"),
-                }
-            }
-            Ok(())
-        };
-        check(&net, &mut rng)?; // stabilized
-        for _ in 0..leaves.min(n / 4) {
-            let v = net.random_node(&mut rng).unwrap();
-            net.leave(v).unwrap();
-        }
-        for _ in 0..fails.min(n / 4) {
-            let v = net.random_node(&mut rng).unwrap();
-            net.fail(v).unwrap();
-        }
-        check(&net, &mut rng)?; // post-churn, unrepaired
-        net.rebuild_all_state();
-        check(&net, &mut rng)?; // post-repair
-    }
-
     /// Distinct outlinks stay O(log n): never more than 2·log2(n) + r + 1.
     #[test]
     fn outlink_bound(n in 2usize..500, seed: u64) {
@@ -217,50 +160,4 @@ proptest! {
         }
     }
 
-    /// Every successful mutating op strictly increases the epoch — the
-    /// invariant the route cache's staleness check rests on. Any op
-    /// sequence, any interleaving: a completed join / leave / fail /
-    /// stabilize / repair must leave the epoch strictly above where it
-    /// started, so no cache entry stamped before the op can ever hit
-    /// after it.
-    #[test]
-    fn mutating_op_sequences_strictly_increase_epoch(
-        n in 8usize..64,
-        seed: u64,
-        ops in prop::collection::vec((0u8..5, any::<u64>()), 1..24),
-    ) {
-        let mut net = Chord::build(n, ChordConfig { seed, ..Default::default() });
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xE9);
-        for (kind, _pick) in ops {
-            let before = net.epoch();
-            let mutated = match kind {
-                0 => {
-                    let boot = net.random_node(&mut rng).unwrap();
-                    net.join(boot).is_ok()
-                }
-                1 if net.len() > 2 => {
-                    let v = net.random_node(&mut rng).unwrap();
-                    net.leave(v).is_ok()
-                }
-                2 if net.len() > 2 => {
-                    let v = net.random_node(&mut rng).unwrap();
-                    net.fail(v).is_ok()
-                }
-                3 => {
-                    net.stabilize_all();
-                    true
-                }
-                _ => {
-                    net.rebuild_all_state();
-                    true
-                }
-            };
-            if mutated {
-                prop_assert!(
-                    net.epoch() > before,
-                    "op {kind} left epoch at {before}"
-                );
-            }
-        }
-    }
 }
