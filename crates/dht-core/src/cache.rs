@@ -234,7 +234,7 @@ impl RouteCache {
 
     /// Always 0: point routes are not memoized. Kept, with
     /// [`Self::misses`], only because `benchmark/src/api.rs` names both;
-    /// they go with the `query_from*` shims (ROADMAP 2 (c)).
+    /// they go with the `query_from*` shims (ROADMAP 3).
     pub fn hits(&self) -> u64 {
         0
     }

@@ -165,8 +165,10 @@ pub fn plan_order(q: &Query, plan: QueryPlan, sel: Option<&SelectivityEstimator>
 /// Resolve `q` one sub-query at a time in `order`, threading the
 /// surviving candidate set, with the tally semantics documented at the
 /// module level. `resolve` answers a single-sub query (a borrowed scratch
-/// query, rebuilt per step) — the trait layer binds it to `query_from`
-/// or `query_from_cached`.
+/// query, rebuilt per step) — `ResourceDiscovery::query` binds it to the
+/// parallel resolution of that one sub-query under the query's [`Via`].
+///
+/// [`Via`]: dht_core::Via
 ///
 /// Host cost is linear in the number of probed nodes: Mercury and MAAN
 /// visit `1 + n/4` directory nodes per range sub-query (Theorem 4.9), so

@@ -12,7 +12,7 @@
 //!   *sum* — the latency side of the transfer-vs-latency trade the
 //!   query-planning ablation measures.
 
-use crate::experiments::query_batch;
+use crate::experiments::{answered, map_batch, query_batch, PARALLEL};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -65,8 +65,16 @@ fn stats(label: impl Into<String>, samples: Vec<f64>) -> LatencyRow {
     }
 }
 
-/// Replay `queries` range queries of the given arity through the model.
-pub fn latency(bed: &TestBed, queries: usize, arity: usize, model: LatencyModel) -> Latency {
+/// Replay `queries` range queries of the given arity through the model,
+/// resolving them on `shards` workers (as
+/// [`fold_batch`](super::fold_batch) reads them).
+pub fn latency(
+    bed: &TestBed,
+    queries: usize,
+    arity: usize,
+    model: LatencyModel,
+    shards: usize,
+) -> Latency {
     let batch = query_batch(
         &bed.workload,
         bed.cfg.nodes,
@@ -79,6 +87,19 @@ pub fn latency(bed: &TestBed, queries: usize, arity: usize, model: LatencyModel)
     let mut rng = SmallRng::seed_from_u64(bed.cfg.seed ^ 0x1A7F);
 
     // Per-sub-query costs: issue each sub alone, then combine per plan.
+    let singles: Vec<(usize, Query)> = batch
+        .iter()
+        .flat_map(|(phys, q)| q.subs.iter().map(|sub| (*phys, Query { subs: vec![*sub] })))
+        .collect();
+    let path_hops: Vec<Vec<Option<usize>>> = System::ALL
+        .iter()
+        .map(|&s| {
+            map_batch(bed.system(s), &singles, PARALLEL, shards, |r| {
+                // lookup hops + walk forwards + one response hop
+                answered(&r).map(|o| o.tally.hops + o.tally.visited.saturating_sub(1) + 1)
+            })
+        })
+        .collect();
     let mut per_system: Vec<(String, Vec<f64>)> =
         System::ALL.iter().map(|s| (s.name().to_string(), Vec::new())).collect();
     let mut summaries: Vec<(&'static str, Summary)> =
@@ -86,20 +107,18 @@ pub fn latency(bed: &TestBed, queries: usize, arity: usize, model: LatencyModel)
     let mut lorm_parallel: Vec<f64> = Vec::new();
     let mut lorm_sequential: Vec<f64> = Vec::new();
 
-    for (phys, q) in &batch {
+    // The delay draws follow the query, then system, then sub-query order.
+    let mut next = 0;
+    for (_, q) in &batch {
+        let subs = next..next + q.subs.len();
+        next = subs.end;
         let mut lorm_subs: Vec<f64> = Vec::new();
         for (si, s) in System::ALL.iter().enumerate() {
-            let sys = bed.system(*s);
             let mut sub_latencies = Vec::with_capacity(q.subs.len());
-            for sub in &q.subs {
-                let single = Query { subs: vec![*sub] };
-                match sys.query_from(*phys, &single) {
-                    Ok(out) => {
-                        // lookup hops + walk forwards + one response hop
-                        let hops = out.tally.hops + out.tally.visited.saturating_sub(1) + 1;
-                        sub_latencies.push(model.sample_path(hops, &mut rng));
-                    }
-                    Err(_) => summaries[si].1.record_failure(),
+            for hops in &path_hops[si][subs.clone()] {
+                match hops {
+                    Some(hops) => sub_latencies.push(model.sample_path(*hops, &mut rng)),
+                    None => summaries[si].1.record_failure(),
                 }
             }
             let parallel = sub_latencies.iter().copied().fold(0.0f64, f64::max);
@@ -163,7 +182,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 896, dimension: 7, attrs: 20, values: 50, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let lat = latency(&bed, 60, 3, LatencyModel::Constant { ms: 10.0 });
+        let lat = latency(&bed, 60, 3, LatencyModel::Constant { ms: 10.0 }, 1);
         let get = |n: &str| lat.systems.iter().find(|r| r.label == n).expect("row");
         // Mercury/MAAN walk ~n/4 nodes per attribute: far slower than LORM
         assert!(get("Mercury").mean_ms > 5.0 * get("LORM").mean_ms);
@@ -182,8 +201,8 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let a = latency(&bed, 30, 1, LatencyModel::Constant { ms: 10.0 });
-        let b = latency(&bed, 30, 1, LatencyModel::Constant { ms: 20.0 });
+        let a = latency(&bed, 30, 1, LatencyModel::Constant { ms: 10.0 }, 1);
+        let b = latency(&bed, 30, 1, LatencyModel::Constant { ms: 20.0 }, 1);
         for (ra, rb) in a.systems.iter().zip(b.systems.iter()) {
             assert!((rb.mean_ms - 2.0 * ra.mean_ms).abs() < 1e-6, "{}", ra.label);
         }

@@ -8,6 +8,7 @@
 //! contacted-node counts (routing hops + probed directories) against the
 //! closed forms.
 
+use crate::experiments::{map_batch, observe, PARALLEL};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -41,18 +42,15 @@ pub struct WorstCase {
     pub arity: usize,
 }
 
-/// Issue `queries` full-domain range queries of the given arity and
+/// Issue `queries` full-domain range queries of the given arity on
+/// `shards` workers (as [`fold_batch`](super::fold_batch) reads them) and
 /// average the contacted-node counts.
-pub fn worstcase(bed: &TestBed, arity: usize, queries: usize) -> WorstCase {
+pub fn worstcase(bed: &TestBed, arity: usize, queries: usize, shards: usize) -> WorstCase {
     let p = bed.cfg.params();
     let (dmin, dmax) = bed.workload.space.domain();
     let m = bed.workload.space.len();
-    let mut rows = Vec::new();
-    let mut summaries = Vec::new();
-    for &s in &System::ALL {
-        let sys = bed.system(s);
-        let mut sum = Summary::new();
-        for i in 0..queries {
+    let batch: Vec<(usize, Query)> = (0..queries)
+        .map(|i| {
             // distinct attributes, rotating so different clusters are hit
             let subs = (0..arity)
                 .map(|j| SubQuery {
@@ -60,12 +58,15 @@ pub fn worstcase(bed: &TestBed, arity: usize, queries: usize) -> WorstCase {
                     target: ValueTarget::Range { low: dmin, high: dmax },
                 })
                 .collect();
-            let q = Query::new(subs).expect("valid range");
-            let origin = i % bed.cfg.nodes;
-            match sys.query_from(origin, &q) {
-                Ok(out) => sum.record((out.tally.hops + out.tally.visited) as f64),
-                Err(_) => sum.record_failure(),
-            }
+            (i % bed.cfg.nodes, Query::new(subs).expect("valid range"))
+        })
+        .collect();
+    let mut rows = Vec::new();
+    let mut summaries = Vec::new();
+    for &s in &System::ALL {
+        let mut sum = Summary::new();
+        for r in &map_batch(bed.system(s), &batch, PARALLEL, shards, |r| r) {
+            observe(&mut sum, r, |o| (o.tally.hops + o.tally.visited) as f64);
         }
         rows.push(WorstCaseRow {
             system: s.name(),
@@ -115,7 +116,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 896, attrs: 20, values: 50, dimension: 7, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let wc = worstcase(&bed, 1, 10);
+        let wc = worstcase(&bed, 1, 10, 1);
         for r in &wc.rows {
             assert_eq!(r.failures, 0, "{} failed queries on a stable network", r.system);
         }

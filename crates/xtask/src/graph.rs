@@ -27,13 +27,13 @@ use crate::lexer::{Tok, TokKind};
 use crate::lints::FileCtx;
 
 /// The functions the reproducibility contract is anchored to: the batch
-/// executor (fig4, fig5, chaos, the durability probe, the query-plan
-/// ablation), plus the two harness sweeps that drive simulation code no
+/// executor, plus the two harness sweeps that drive simulation code no
 /// query batch reaches — the scale sweep (bed builds, bare routing) and
-/// the durability sweep (the churn loop that mutates the overlays). t410,
-/// loadbalance, hopdist, latency and three ablations run their own
-/// sequential loops, but those call the same `ResourceDiscovery::query`
-/// the executor reaches, so the reachable set is unchanged. A sim-purity
+/// the durability sweep (the churn loop that mutates the overlays). Every
+/// query batch of every artifact resolves in `fold_batch`, the one resolve
+/// loop `run_batch` folds over, so rooting at `run_batch` reaches every
+/// batched query path. Figure 6's churn loop, which issues one query per
+/// tick, calls the same `ResourceDiscovery::query` directly. A sim-purity
 /// violation matters exactly when it can flow into these.
 pub const ENTRY_POINTS: &[(&str, &str)] =
     &[("sim", "run_batch"), ("bench", "run_scale"), ("bench", "run_durability")];
