@@ -350,8 +350,8 @@ impl LoadDist {
 
 /// A fixed-width histogram over `[0, max)` with unit buckets, plus an
 /// overflow bucket — suited to hop counts and probe counts, whose support
-/// is small and discrete. Renders compact distribution tables for the
-/// extension artifacts (`repro hopdist`).
+/// is small and discrete. Renders the hop distribution Figure 4 prints
+/// behind its arity-1 averages (`repro fig4`).
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
