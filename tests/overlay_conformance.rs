@@ -21,7 +21,8 @@
 //! * the terminal is `owner_of`, which is the oracle's owner;
 //! * `route` ≡ `route_stats` ≡ `route_with` under an inert [`FaultSink`] ≡
 //!   `route_with_retry`, and the traced path ends at the terminal;
-//! * hops ≤ `route_budget()` and ≤ the overlay's own hop bound;
+//! * hops ≤ `route_budget()`, and routes over the overlay's own hop
+//!   bound are counted;
 //! * every hop follows a link of the node it leaves, and a node finds its
 //!   own id without a hop;
 //! * for the first [`FAULT_KEYS`] keys: under a plan that drops every
@@ -38,9 +39,11 @@
 //! overlay's [`Testable::stabilize_promised`] the full route check runs, and
 //! otherwise every check but exactness does, the inexact routes counted.
 //!
-//! **Two properties fail at this commit; both are pinned by count, not
-//! skipped.** A fix that moves either count re-records it here.
+//! **Three properties fail at this commit; each is pinned by count, not
+//! skipped.** A fix that moves a count re-records it here.
 //! * Cycloid revisits nodes on sparse beds: [`CYCLOID_REVISITS`].
+//! * Cycloid's sparse hop bound `4d + 4` does not hold at d = 8 and 73 %
+//!   fill: the last column of [`CYCLOID_REVISITS`].
 //! * Chord's stabilization leaves an orphaned joiner when a join follows an
 //!   unrepaired failure: [`chord_stabilize_orphans_a_join_that_follows_a_failure`].
 
@@ -111,6 +114,8 @@ struct Tally {
     revisits: usize,
     /// Routes off their owner after a `Stabilize` outside its precondition.
     inexact: usize,
+    /// Exact routes longer than the overlay's own hop bound.
+    over_bound: usize,
 }
 
 impl std::ops::AddAssign for Tally {
@@ -118,6 +123,7 @@ impl std::ops::AddAssign for Tally {
         self.routes += o.routes;
         self.revisits += o.revisits;
         self.inexact += o.inexact;
+        self.over_bound += o.over_bound;
     }
 }
 
@@ -293,7 +299,7 @@ fn check_routes<D: Testable>(net: &D, rng: &mut SmallRng, exact: bool, what: &st
                 continue;
             }
             assert_eq!(fast.terminal, owner, "{}: missed the owner", ctx());
-            assert!(fast.hops <= bound, "{}: {} hops", ctx(), fast.hops);
+            tally.over_bound += usize::from(fast.hops > bound);
             if k >= FAULT_KEYS {
                 continue;
             }
@@ -433,7 +439,7 @@ fn chord_conforms_at_every_size() {
             tally += replay(&mut chord(n, seed), &ops(seed ^ n as u64, 24), seed, &what).0;
         }
     }
-    assert_eq!(tally.revisits, 0, "{tally:?}");
+    assert_eq!((tally.revisits, tally.over_bound), (0, 0), "{tally:?}");
     // routes off their owner after a `Stabilize` outside its precondition;
     // see `chord_stabilize_orphans_a_join_that_follows_a_failure`
     assert_eq!(tally.inexact, 160, "{tally:?}");
@@ -615,7 +621,8 @@ impl Testable for Cycloid {
     }
 
     /// `3d + 4` on full clusters; sparse beds take the climb-and-descend
-    /// detours [`CYCLOID_REVISITS`] counts, which cost up to `d` more.
+    /// detours [`CYCLOID_REVISITS`] counts, which cost up to `d` more —
+    /// all but one route of the d = 8, 73 % cell, which the table pins.
     fn hop_bound(&self) -> usize {
         let d = self.dimension() as usize;
         if self.len() == self.capacity() {
@@ -653,52 +660,54 @@ impl Testable for Cycloid {
     }
 }
 
-/// Revisiting routes per `(d, fill)` cell of the Cycloid conformance tests,
-/// recorded on the commit that added this harness. Full clusters never
-/// revisit; sparse beds do. When the node at the jump level `j` is absent,
-/// routing climbs to the cluster primary (Rule 5) and then descends one
-/// member at a time (Rule 2), back through the node it climbed from. A
-/// routing change that removes the climb re-records these.
-const CYCLOID_REVISITS: [(u8, &str, usize); 17] = [
-    (3, "1 node", 2),
-    (3, "25%", 0),
-    (3, "50%", 20),
-    (3, "100%", 0),
-    (4, "1 node", 24),
-    (4, "25%", 64),
-    (4, "50%", 145),
-    (4, "100%", 0),
-    (5, "1 node", 0),
-    (5, "25%", 136),
-    (5, "50%", 79),
-    (5, "100%", 0),
-    (6, "1 node", 0),
-    (6, "25%", 1073),
-    (6, "50%", 0),
-    (6, "100%", 0),
-    (8, "100%", 0),
+/// Revisiting routes, then routes over [`Testable::hop_bound`], per
+/// `(d, fill)` cell of the Cycloid conformance tests, recorded on the
+/// commit that added the cell. Full clusters never revisit; sparse beds
+/// do. When the node at the jump level `j` is absent, routing climbs to the
+/// cluster primary (Rule 5) and then descends one member at a time
+/// (Rule 2), back through the node it climbed from. A routing change that
+/// removes the climb re-records these.
+const CYCLOID_REVISITS: [(u8, &str, usize, usize); 20] = [
+    (3, "1 node", 2, 0),
+    (3, "25%", 0, 0),
+    (3, "50%", 20, 0),
+    (3, "100%", 0, 0),
+    (4, "1 node", 24, 0),
+    (4, "25%", 64, 0),
+    (4, "50%", 145, 0),
+    (4, "100%", 0, 0),
+    (5, "1 node", 0, 0),
+    (5, "25%", 136, 0),
+    (5, "50%", 79, 0),
+    (5, "100%", 0, 0),
+    (6, "1 node", 0, 0),
+    (6, "25%", 1073, 0),
+    (6, "50%", 0, 0),
+    (6, "100%", 0, 0),
+    (8, "2%", 0, 0),
+    (8, "15%", 192, 0),
+    (8, "73%", 0, 1),
+    (8, "100%", 0, 0),
 ];
 
 /// Replay the [`CYCLOID_REVISITS`] cells whose fill `full` selects and
-/// compare their revisit counts with the table's.
+/// compare their revisit and over-bound counts with the table's.
 fn cycloid_cells(full: bool) {
     let cells: Vec<_> =
         CYCLOID_REVISITS.iter().copied().filter(|c| (c.1 == "100%") == full).collect();
     let mut seen = Vec::new();
-    for &(d, fill, _) in &cells {
+    for &(d, fill, ..) in &cells {
         let cap = d as usize * (1 << d);
-        let n = match fill {
-            "1 node" => 1,
-            "25%" => cap / 4,
-            "50%" => cap / 2,
-            _ => cap,
+        let n = match fill.strip_suffix('%') {
+            Some(pct) => cap * pct.parse::<usize>().unwrap() / 100,
+            None => 1,
         };
         let seed = u64::from(d) << 16 | n as u64;
         let mut net = Cycloid::build(n, CycloidConfig { dimension: d, seed });
         let what = format!("cycloid d={d} {fill}");
         let (tally, _) = replay(&mut net, &ops(seed, 16), seed, &what);
         assert_eq!(tally.inexact, 0, "{what}");
-        seen.push((d, fill, tally.revisits));
+        seen.push((d, fill, tally.revisits, tally.over_bound));
     }
     assert_eq!(seen, cells);
 }
