@@ -160,16 +160,16 @@ impl BedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{query_batch, run_batch, BatchMode, Metric};
+    use crate::experiments::{query_batch, run_batch, Metric, PARALLEL};
     use dht_core::Summary;
-    use grid_resource::{Query, QueryMix, QueryPlan};
+    use grid_resource::{Query, QueryMix};
 
     fn run_plain(
         sys: &(dyn ResourceDiscovery + Send + Sync),
         batch: &[(usize, Query)],
         metric: Metric,
     ) -> Summary {
-        run_batch(sys, batch, metric, BatchMode::Direct(QueryPlan::Parallel), 0)
+        run_batch(sys, batch, metric, PARALLEL, 0)
     }
 
     fn tiny() -> SimConfig {
