@@ -11,7 +11,8 @@
 //! * successor/predecessor pointers, successor lists, and a full 64-entry
 //!   finger table per node (distinct live fingers collapse, so the
 //!   *distinct outlink* count is `O(log n)` — the quantity Figure 3(a)
-//!   plots);
+//!   plots), stored as each row's top window of levels: the levels below
+//!   repeat the window's first entry;
 //! * greedy iterative routing via `closest_preceding_node`, tracing every
 //!   hop, with dead-node skipping through the successor list;
 //! * node join, graceful leave, and abrupt failure;

@@ -49,14 +49,16 @@ impl ChordNode<'_> {
         self.net.pred_at(self.slot)
     }
 
-    /// Finger table (may contain duplicates; see
+    /// Finger table, all [`FINGER_BITS`] levels with the implicit ones
+    /// below the stored window filled in (may contain duplicates; see
     /// [`Chord::outlinks`](crate::Chord) for the distinct count).
     pub fn fingers(&self) -> Vec<NodeIdx> {
-        self.net
-            .raw_fingers(self.slot)
-            .iter()
-            .filter(|&&f| f != crate::network::NO_LINK)
-            .map(|&f| NodeIdx(f as usize))
+        let window = self.net.raw_fingers(self.slot);
+        let below = std::iter::repeat_n(window[0], FINGER_BITS - window.len());
+        below
+            .chain(window.iter().copied())
+            .filter(|&f| f != crate::network::NO_LINK)
+            .map(|f| NodeIdx(f as usize))
             .collect()
     }
 }

@@ -85,9 +85,11 @@ impl Chord {
     /// first in-interval candidate: `fingers[i]` targets
     /// `successor(id + 2^i)`, so in a stabilized table clockwise distance
     /// is non-decreasing in `i` and the first hit from the top *is* the
-    /// maximum-progress finger — no need to score the remaining ~63
-    /// entries every hop. Only when no finger precedes the key does the
-    /// (short) successor list get scored the exhaustive way.
+    /// maximum-progress finger — no need to score the remaining entries
+    /// every hop. The scan covers the stored window; the levels below it
+    /// repeat its first entry, already tested last. Only when no finger
+    /// precedes the key does the (short) successor list get scored the
+    /// exhaustive way.
     fn closest_preceding(&self, cur: NodeIdx, key: u64) -> Option<NodeIdx> {
         let cur_id = self.id_at(cur.0);
         for &cand in self.raw_fingers(cur.0).iter().rev() {
