@@ -76,15 +76,15 @@ fn write_json(cfg: &ReproConfig, label: &str, render: impl FnOnce() -> String) {
 
 /// The `--baseline` file, read and parsed before any kernel runs so a
 /// bad path costs nothing: exit 1 when it is unreadable or lists no
-/// kernel.
-type Baseline<'a> = Option<(&'a Path, Vec<(String, f64)>)>;
+/// kernel. The text rides along for the scale sweep's byte gate.
+type Baseline<'a> = Option<(&'a Path, String, Vec<(String, f64)>)>;
 
 fn load_baseline(cfg: &ReproConfig) -> Baseline<'_> {
     let path = cfg.baseline.as_deref()?;
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(format!("failed to read baseline {}: {e}", path.display())));
     match perf::parse_baseline(&text) {
-        Ok(base) => Some((path, base)),
+        Ok(base) => Some((path, text, base)),
         Err(e) => fail(format!("failed to parse baseline {}: {e}", path.display())),
     }
 }
@@ -110,7 +110,7 @@ fn conclude(
         }
         fail(format!("{what}: {} violation(s), listed above", violations.len()));
     }
-    let Some((path, base)) = baseline else { return };
+    let Some((path, _, base)) = baseline else { return };
     let Some(deltas) = perf::diff_baseline(kernels, &base) else {
         fail(format!("baseline {} shares no kernel with this {what} run", path.display()));
     };
@@ -151,12 +151,22 @@ fn main() {
         }
         Mode::Scale => {
             let baseline = load_baseline(&cfg);
+            let base_bytes = baseline.as_ref().map(|(path, text, _)| {
+                scale::parse_scale_bytes(text).unwrap_or_else(|e| {
+                    fail(format!("failed to parse baseline {}: {e}", path.display()))
+                })
+            });
             banner("scale sweep", if cfg.quick { "quick (1k-50k)" } else { "full (1k-1M)" });
             let run = scale::run_scale(&cfg, Some(heap_bytes));
             // The scale export shares the perf-v2 kernel array, so a
-            // committed BENCH_scale_quick.json diffs with the same gate.
+            // committed BENCH_scale_quick.json diffs with the same gate;
+            // its heap bytes per cell gate exactly.
+            let mut violations = run.violations();
+            if let Some(base) = &base_bytes {
+                violations.extend(scale::bytes_regressions(&run.points, base));
+            }
             let json = || scale::render_scale_json(&cfg, &run);
-            conclude(&cfg, "scale", run.report(), json, run.violations(), (baseline, &run.kernels));
+            conclude(&cfg, "scale", run.report(), json, violations, (baseline, &run.kernels));
         }
         Mode::Durability => {
             banner("durability sweep", size);

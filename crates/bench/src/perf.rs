@@ -444,29 +444,44 @@ pub struct KernelDelta {
     pub regressed: bool,
 }
 
+/// The rows of a machine-written export's `"<array>":[…]` array, each
+/// without its braces. A hand-rolled scan, not a JSON parser: the files
+/// are written by [`kernels_json`] and `scale::render_scale_json`, whose
+/// rows are flat, compact objects. The array must close: a truncated file
+/// is an error, not a shorter list.
+pub(crate) fn json_rows<'a>(json: &'a str, array: &str) -> Result<Vec<&'a str>, String> {
+    let head = format!("\"{array}\":[");
+    let at = json.find(&head).ok_or_else(|| format!("no \"{array}\" array"))?;
+    let mut rest = &json[at + head.len()..];
+    let mut rows = Vec::new();
+    while !rest.starts_with(']') {
+        let end = rest.find('}').ok_or_else(|| format!("truncated \"{array}\" array"))?;
+        rows.push(&rest[..end]);
+        rest = &rest[end + 1..];
+        rest = rest.strip_prefix(',').unwrap_or(rest);
+    }
+    Ok(rows)
+}
+
+/// The raw value of field `key` in one [`json_rows`] row: the text up to
+/// the next comma, a string's quotes trimmed.
+pub(crate) fn json_field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
+    let at = row.find(&format!("\"{key}\":"))?;
+    let value = row[at + key.len() + 3..].split(',').next().unwrap_or_default();
+    Some(value.trim().trim_matches('"'))
+}
+
 /// Extract `(name, elapsed_ms)` pairs from a committed `BENCH_*.json`
 /// perf export (v1 or v2 — both carry `"kernels":[{"name":…,
-/// "elapsed_ms":…}]`). A hand-rolled scan, not a JSON parser: the files
-/// are machine-written by `kernels_json`, so kernel objects are
-/// flat and compact. The array must close: a truncated file is an error,
-/// not a shorter baseline. So is an `elapsed_ms` that is not a finite,
-/// non-negative number.
+/// "elapsed_ms":…}]`), through [`json_rows`]. An `elapsed_ms` that is not
+/// a finite, non-negative number is an error.
 pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
-    const KERNELS: &str = "\"kernels\":[";
-    let at = json.find(KERNELS).ok_or("no \"kernels\" array")?;
-    let mut rest = &json[at + KERNELS.len()..];
     let mut out = Vec::new();
-    while !rest.starts_with(']') {
-        let end = rest.find('}').ok_or("truncated \"kernels\" array")?;
-        let kernel = &rest[..end];
-        let name_at = kernel.find("\"name\":\"").ok_or("kernel without a name")?;
-        let name = &kernel[name_at + 8..];
-        let name = &name[..name.find('"').ok_or("unterminated kernel name")?];
-        let ms_at = kernel
-            .find("\"elapsed_ms\":")
+    for kernel in json_rows(json, "kernels")? {
+        let name = json_field(kernel, "name").ok_or("kernel without a name")?;
+        let ms = json_field(kernel, "elapsed_ms")
             .ok_or_else(|| format!("kernel {name} has no elapsed_ms"))?;
-        let ms = kernel[ms_at + 13..].split(',').next().unwrap_or_default();
-        let ms: f64 = ms.trim().parse().map_err(|e| format!("bad elapsed_ms for {name}: {e}"))?;
+        let ms: f64 = ms.parse().map_err(|e| format!("bad elapsed_ms for {name}: {e}"))?;
         // `f64` parses `inf`, `NaN` and negatives: an infinite baseline
         // would make the ratio 0 and the gate unable to fire, the others a
         // false regression.
@@ -474,8 +489,6 @@ pub fn parse_baseline(json: &str) -> Result<Vec<(String, f64)>, String> {
             return Err(format!("bad elapsed_ms for {name}: {ms} is not a finite duration"));
         }
         out.push((name.to_string(), ms));
-        rest = &rest[end + 1..];
-        rest = rest.strip_prefix(',').unwrap_or(rest);
     }
     if out.is_empty() {
         return Err("baseline lists no kernels".to_string());

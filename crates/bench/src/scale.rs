@@ -23,8 +23,12 @@
 //!
 //! [`ScaleRun::violations`] is the sweep's verdict: a failed growth
 //! check, or a point with no positive heap reading, makes `repro scale`
-//! exit 1. CI's scale-smoke job adds `--baseline BENCH_scale_quick.json`
-//! and reads nothing but the exit status.
+//! exit 1. Under `--baseline` so does any (system, n) cell whose heap
+//! bytes per node rose above the baseline's ([`bytes_regressions`]): the
+//! figure is a function of the seed alone, so unlike `elapsed_ms` it
+//! needs no noise band. CI's scale-smoke job adds
+//! `--baseline BENCH_scale_quick.json` and reads nothing but the exit
+//! status.
 //!
 //! Results are emitted in the same `lorm-repro/perf-v2` schema as
 //! `repro perf`, through the same [`PerfKernel`] record and kernel writer
@@ -32,7 +36,7 @@
 //! scale-specific top-level arrays: `"scale"` (one row per system ×
 //! size) and `"growth_checks"`.
 
-use crate::perf::{kernels_json, PerfKernel, Phase};
+use crate::perf::{json_field, json_rows, kernels_json, PerfKernel, Phase};
 use crate::{export_head, ReproConfig};
 use baselines::{Mercury, MercuryConfig};
 use chord::{Chord, ChordConfig};
@@ -486,6 +490,42 @@ impl ScaleRun {
     }
 }
 
+/// `(system, n, bytes_per_node)` of every cell a committed scale export
+/// measured, read from its `"scale"` array through
+/// [`crate::perf::json_rows`] (cells recorded as `null` are left out).
+///
+/// # Errors
+/// No `"scale"` array, an array that does not close, or a row without a
+/// system, a size or a readable byte figure.
+pub fn parse_scale_bytes(json: &str) -> Result<Vec<(String, usize, f64)>, String> {
+    let mut out = Vec::new();
+    for row in json_rows(json, "scale")? {
+        let field = |key| json_field(row, key).ok_or_else(|| format!("scale row without {key}"));
+        let (system, n, bytes) = (field("system")?, field("n")?, field("bytes_per_node")?);
+        let n: usize = n.parse().map_err(|e| format!("bad n for {system}: {e}"))?;
+        if bytes != "null" {
+            let bytes: f64 =
+                bytes.parse().map_err(|e| format!("bad bytes_per_node for {system} n={n}: {e}"))?;
+            out.push((system.to_string(), n, bytes));
+        }
+    }
+    Ok(out)
+}
+
+/// One line per (system, n) cell whose heap bytes per node rose above
+/// the baseline's. Cells either side did not measure are skipped, the
+/// same rule the kernel gate applies to kernel names.
+pub fn bytes_regressions(points: &[ScalePoint], base: &[(String, usize, f64)]) -> Vec<String> {
+    let rose = |p: &ScalePoint| {
+        let bytes = p.bytes_per_node?;
+        let (_, _, was) = base.iter().find(|(s, n, _)| s == p.system && *n == p.n)?;
+        (bytes > *was).then(|| {
+            format!("{} n={}: {bytes} bytes per node, above the baseline's {was}", p.system, p.n)
+        })
+    };
+    points.iter().filter_map(rose).collect()
+}
+
 /// Serialize the sweep against the `lorm-repro/perf-v2` schema: the run
 /// header with the swept `sizes`, the standard kernel array and phase
 /// split, plus two scale-specific top-level arrays (`"scale"`,
@@ -731,6 +771,32 @@ mod tests {
         // One failed lookup leaves the other claims standing but fails the sweep.
         assert!(checks.iter().filter(|c| c.claim != "route_errors").all(|c| c.ok));
         assert!(!checks.iter().all(|c| c.ok));
+    }
+
+    #[test]
+    fn bytes_gate_flags_only_cells_that_grew() {
+        let committed = parse_scale_bytes(include_str!("../../../BENCH_scale_quick.json")).unwrap();
+        assert_eq!(committed.len(), 9, "every quick cell measured its heap");
+        let at = |s: &str, n: usize| committed.iter().find(|c| c.0 == s && c.1 == n).unwrap().2;
+        let mk = |system, n, bytes| ScalePoint { bytes_per_node: bytes, ..point(system, n) };
+        let chord = at("chord", 1_000);
+        let points = [
+            mk("chord", 1_000, Some(chord + 0.5)),
+            mk("cycloid", 1_000, Some(at("cycloid", 1_000))),
+            mk("mercury", 1_000, Some(at("mercury", 1_000) - 1.0)),
+            mk("chord", 10_000, None),
+            mk("chord", 7, Some(1e9)),
+        ];
+        let flagged = bytes_regressions(&points, &committed);
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert!(flagged[0].starts_with("chord n=1000: "), "{flagged:?}");
+        // Rows recorded as null are unmeasured, not zero; a row cut short
+        // or an export without the array is refused.
+        let row = "{\"system\":\"chord\",\"n\":64,\"bytes_per_node\":null}";
+        assert_eq!(parse_scale_bytes(&format!("{{\"scale\":[{row}]}}")), Ok(vec![]));
+        assert!(parse_scale_bytes(&format!("{{\"scale\":[{row}")).is_err());
+        assert!(parse_scale_bytes("{\"scale\":[{\"system\":\"chord\"}]}").is_err());
+        assert!(parse_scale_bytes(include_str!("../../../BENCH_perf_quick.json")).is_err());
     }
 
     #[test]

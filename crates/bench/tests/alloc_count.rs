@@ -1,18 +1,20 @@
 //! Pins the allocation budget of the hot paths: the untraced routing fast
 //! path and the planner's sorted-merge intersection make none, and a
-//! traced route makes exactly one (its trace `Vec`).
+//! traced route makes exactly one (its trace `Vec`). Pins the heap a built
+//! Chord ring and a built Mercury keep per node, to the byte.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and counts
 //! per thread, so each test reads only its own window and the tests run
-//! concurrently in this one binary. The counter is a `const`-initialised
-//! `thread_local!` (no lazy initialisation, so bumping it never
+//! concurrently in this one binary. The counters are `const`-initialised
+//! `thread_local!`s (no lazy initialisation, so bumping them never
 //! allocates) read through `try_with` (a thread being torn down has no
 //! window to pollute).
 
+use baselines::{Mercury, MercuryConfig};
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
 use dht_core::{NodeIdx, Overlay};
-use grid_resource::intersect_sorted;
+use grid_resource::{intersect_sorted, AttributeSpace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,10 +23,16 @@ use std::hint::black_box;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn count_bytes(delta: i64) {
+    let _ = LIVE.try_with(|b| b.set(b.get() + delta));
 }
 
 struct CountingAlloc;
@@ -35,15 +43,18 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_bytes(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,6 +67,13 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// Heap bytes the calling thread still holds from what `f` built.
+fn live_bytes_of<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    let built = f();
+    (built, LIVE.with(Cell::get) - before)
 }
 
 const LOOKUPS: usize = 1000;
@@ -185,4 +203,26 @@ fn intersect_sorted_makes_zero_heap_allocations() {
         allocs, 0,
         "intersect_sorted must be allocation-free: {allocs} allocations over {ROUNDS} rounds"
     );
+}
+
+#[test]
+fn built_rings_hold_a_pinned_heap_per_node() {
+    // Exact, seed-only figures: a layout change that moves them (the
+    // finger window, a new per-node array) must re-record them here.
+    // Chord keeps 8 B id, 1 B liveness, 4 B predecessor, 16 B successors,
+    // 1 B list length and 8 B ring slot per node, plus 4 B per level of
+    // its finger window: 38 + 4 · 28 = 150 B at n = 2048, seed 7321.
+    let n = 2048;
+    let (chord, bytes) =
+        live_bytes_of(|| Chord::build(n, ChordConfig { seed: 7321, ..ChordConfig::default() }));
+    black_box(chord.len());
+    assert_eq!(bytes, 307_200, "Chord::build({n}, seed 7321): {} B/node", bytes / n as i64);
+    // Mercury at the quick configuration: 896 nodes, one ring for each of
+    // 50 attributes.
+    let cfg = sim::SimConfig::quick();
+    let space = AttributeSpace::synthetic(cfg.attrs, 1.0, 100.0).expect("valid space");
+    let (mercury, bytes) =
+        live_bytes_of(|| Mercury::new(cfg.nodes, &space, MercuryConfig { seed: cfg.seed }));
+    black_box(mercury.num_hubs());
+    assert_eq!(bytes, 6_910_144, "quick Mercury: {} B/node", bytes as f64 / cfg.nodes as f64);
 }

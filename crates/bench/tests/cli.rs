@@ -62,8 +62,12 @@ fn a_bad_baseline_exits_1_before_any_kernel_runs() {
             "not a finite duration",
         ),
     ];
+    // A perf export has kernels but no heap rows for the scale byte gate.
+    let no_rows = scratch_file("perf-as-scale-baseline.json", perf);
+    let scale_only = [("a perf export", no_rows, "no \"scale\" array")];
     for mode in ["perf", "scale"] {
-        for (what, path, reason) in &cases {
+        let extra = if mode == "scale" { &scale_only[..] } else { &[] };
+        for (what, path, reason) in cases.iter().chain(extra) {
             let out = repro(&["--quick", mode, "--baseline", path]);
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{mode}, {what}: {stderr}");
