@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn store_routed_reaches_same_root() {
         let mut h = ChordHost::build(64, 2);
-        let from = h.net().nodes_by_id()[0];
+        let from = h.net().nodes_by_id().at(0);
         let r = h.store_routed(from, 999, info(3)).unwrap();
         assert_eq!(r.terminal, h.net().owner_of(999).unwrap());
         assert_eq!(h.total_pieces(), 1);
@@ -191,7 +191,7 @@ mod tests {
         // A node covers keys up to its own id: an arc ending exactly on
         // it is covered there, without probing its successor.
         let h = ChordHost::build(32, 5);
-        let node = h.net().nodes_by_id()[7];
+        let node = h.net().nodes_by_id().at(7);
         let id = h.net().id_of(node).unwrap();
         assert_eq!(h.net().owner_of(id - 1).unwrap(), node, "gap below the node");
         assert_eq!(walk(&h, node, id - 1, id), vec![node]);
@@ -308,13 +308,13 @@ mod tests {
             .collect();
         let mut one_by_one = ChordHost::build(64, 11);
         let mut batch = ChordHost::build(64, 11);
-        let from = one_by_one.net().nodes_by_id()[0];
+        let from = one_by_one.net().nodes_by_id().at(0);
         for &(key, info) in &pieces {
             one_by_one.store_routed(from, key, info).unwrap();
         }
         batch.store_all_at_owners(pieces.iter().copied());
         assert_eq!(one_by_one.total_pieces(), batch.total_pieces());
-        for &node in batch.net().live_nodes() {
+        for node in batch.net().live_nodes() {
             let a: Vec<ResourceInfo> = one_by_one.directory(node).iter().copied().collect();
             let b: Vec<ResourceInfo> = batch.directory(node).iter().copied().collect();
             assert_eq!(a, b, "directory of {node} diverged");

@@ -77,7 +77,7 @@ impl<S: KeyScheme> ChordSystem<S> {
     /// Build a system of `n` physical nodes.
     ///
     /// Memory scales with rings × `n`; Mercury's 200×2048 setup holds
-    /// about 67 MB, more than half of it finger windows of ≈ 23 levels. For
+    /// about 59 MB, more than half of it finger windows of ≈ 23 levels. For
     /// outlink measurements at larger `n`, build rings one at a time
     /// instead (see `sim`'s Figure 3(a) harness).
     pub fn new(n: usize, space: &AttributeSpace, cfg: S::Config) -> Self {

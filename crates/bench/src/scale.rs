@@ -187,7 +187,7 @@ fn bytes_per_node(before: Option<i128>, after: Option<i128>, n: usize) -> Option
 fn max_outlinks_sampled<O: Overlay>(net: &O) -> usize {
     let live = net.live_nodes();
     let step = (live.len() / 512).max(1);
-    live.iter().step_by(step).map(|&i| net.outlinks(i).unwrap_or(0)).max().unwrap_or(0)
+    live.iter().step_by(step).map(|i| net.outlinks(i).unwrap_or(0)).max().unwrap_or(0)
 }
 
 struct QueryMeasure {

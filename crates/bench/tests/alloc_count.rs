@@ -1,7 +1,8 @@
 //! Pins the allocation budget of the hot paths: the untraced routing fast
 //! path and the planner's sorted-merge intersection make none, and a
 //! traced route makes exactly one (its trace `Vec`). Pins the heap a built
-//! Chord ring and a built Mercury keep per node, to the byte.
+//! Chord ring and a built Mercury keep per node, to the byte, how far one
+//! join grows a cloned one, and a directory's bucket table.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and counts
 //! per thread, so each test reads only its own window and the tests run
@@ -14,7 +15,9 @@ use baselines::{Mercury, MercuryConfig};
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
 use dht_core::{NodeIdx, Overlay};
-use grid_resource::{intersect_sorted, AttributeSpace};
+use grid_resource::{
+    intersect_sorted, AttrId, AttributeSpace, Directory, ResourceDiscovery, ResourceInfo,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -210,19 +213,86 @@ fn built_rings_hold_a_pinned_heap_per_node() {
     // Exact, seed-only figures: a layout change that moves them (the
     // finger window, a new per-node array) must re-record them here.
     // Chord keeps 8 B id, 1 B liveness, 4 B predecessor, 16 B successors,
-    // 1 B list length and 8 B ring slot per node, plus 4 B per level of
-    // its finger window: 38 + 4 · 28 = 150 B at n = 2048, seed 7321.
+    // 1 B list length and 4 B ring slot per node, plus 4 B per level of
+    // its finger window: 34 + 4 · 28 = 146 B at n = 2048, seed 7321.
     let n = 2048;
-    let (chord, bytes) =
-        live_bytes_of(|| Chord::build(n, ChordConfig { seed: 7321, ..ChordConfig::default() }));
+    let (chord, bytes) = live_bytes_of(chord_2048);
     black_box(chord.len());
-    assert_eq!(bytes, 307_200, "Chord::build({n}, seed 7321): {} B/node", bytes / n as i64);
+    assert_eq!(bytes, 299_008, "Chord::build({n}, seed 7321): {} B/node", bytes / n as i64);
     // Mercury at the quick configuration: 896 nodes, one ring for each of
-    // 50 attributes.
+    // 50 attributes. Every ring keeps Chord's 34 B per node and a 16 B
+    // empty directory, 50 · 50 = 2 500 B per node; the 50 finger windows
+    // hold 1 037 levels between them, 4 · 1 037 = 4 148 B per node. The
+    // remaining 57 536 B (64.2 B per node) are system-wide: the physical
+    // map at 16 B per node, the hub table and the estimator.
+    let cfg = sim::SimConfig::quick();
+    let (mercury, bytes) = live_bytes_of(quick_mercury);
+    black_box(mercury.num_hubs());
+    assert_eq!(bytes, 6_014_144, "quick Mercury: {} B/node", bytes as f64 / cfg.nodes as f64);
+}
+
+fn chord_2048() -> Chord {
+    Chord::build(2048, ChordConfig { seed: 7321, ..ChordConfig::default() })
+}
+
+fn quick_mercury() -> Mercury {
     let cfg = sim::SimConfig::quick();
     let space = AttributeSpace::synthetic(cfg.attrs, 1.0, 100.0).expect("valid space");
-    let (mercury, bytes) =
-        live_bytes_of(|| Mercury::new(cfg.nodes, &space, MercuryConfig { seed: cfg.seed }));
-    black_box(mercury.num_hubs());
-    assert_eq!(bytes, 6_910_144, "quick Mercury: {} B/node", bytes as f64 / cfg.nodes as f64);
+    Mercury::new(cfg.nodes, &space, MercuryConfig { seed: cfg.seed })
+}
+
+/// The most one join may add to a built arena of `n` nodes holding
+/// `bytes` in `rings` rings: an eighth of its slots (rounded up) at their
+/// mean size, plus one full 64-level finger row per ring. `Vec`'s
+/// doubling would add about `bytes`.
+fn join_growth_bound(n: usize, bytes: i64, rings: usize) -> i64 {
+    let row = (64 * size_of::<u32>()) as i64;
+    n.div_ceil(8) as i64 * bytes / n as i64 + rings as i64 * row
+}
+
+#[test]
+fn one_join_grows_a_cloned_bed_by_at_most_an_eighth() {
+    // A clone's capacities equal its lengths, so its first join is the
+    // growth step every churned bed takes.
+    let (chord, bytes) = live_bytes_of(chord_2048);
+    let mut clone = chord.clone();
+    let boot = clone.nodes_by_id().at(0);
+    let (_, grew) = live_bytes_of(|| clone.join(boot).expect("join"));
+    let bound = join_growth_bound(chord.len(), bytes, 1);
+    assert!(grew <= bound, "Chord clone + join grew {grew} B, bound {bound} B");
+
+    let cfg = sim::SimConfig::quick();
+    let (mercury, bytes) = live_bytes_of(quick_mercury);
+    let mut clone = mercury.clone();
+    let mut rng = SmallRng::seed_from_u64(7321);
+    let (_, grew) = live_bytes_of(|| clone.join_physical(&mut rng).expect("join"));
+    let bound = join_growth_bound(cfg.nodes, bytes, mercury.num_hubs());
+    assert!(grew <= bound, "Mercury clone + join_physical grew {grew} B, bound {bound} B");
+}
+
+#[test]
+fn directories_hold_exactly_their_buckets() {
+    assert_eq!(size_of::<Directory>(), 16, "a boxed bucket table: pointer and length");
+    // A bucket is its attribute, its tail length and its pieces `Vec`.
+    let bucket = 2 * size_of::<u32>() + size_of::<Vec<ResourceInfo>>();
+    let piece = |owner| ResourceInfo { attr: AttrId(3), value: owner as f64, owner };
+    let (dir, bytes) = live_bytes_of(|| {
+        let mut d = Directory::new();
+        d.bulk_load((0..4).map(piece).collect());
+        d
+    });
+    assert_eq!(dir.len(), 4);
+    assert_eq!(
+        bytes as usize,
+        bucket + 4 * size_of::<ResourceInfo>(),
+        "one attribute: a one-bucket table and its four pieces"
+    );
+    // Merging three new attributes grows the table once (one call), then
+    // allocates each new bucket's pieces (three calls).
+    let mut dir = dir;
+    let batch: Vec<ResourceInfo> =
+        [5, 1, 9].map(|attr| ResourceInfo { attr: AttrId(attr), value: 1.0, owner: 0 }).to_vec();
+    let allocs = allocs_during(|| dir.bulk_load(batch));
+    assert_eq!(allocs, 4, "one table growth and three piece runs");
+    assert_eq!(dir.len(), 7);
 }

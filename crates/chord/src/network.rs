@@ -1,7 +1,7 @@
 //! The Chord network: arena of nodes, construction, churn, repair.
 
 use crate::node::{ChordNode, FINGER_BITS};
-use dht_core::{ConsistentHash, DhtError, NodeIdx, Overlay, RouteSink};
+use dht_core::{reserve_slack, ConsistentHash, DhtError, NodeIdx, NodeList, Overlay, RouteSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -38,14 +38,17 @@ impl Default for ChordConfig {
 /// levels, one width for the whole arena (about `2·log2 n` of the 64; see
 /// `fingers`). A million-node ring is therefore ~7 contiguous allocations
 /// (~210 MB) instead of a million boxed nodes, and cloning the overlay —
-/// the bed-snapshot hot path — is a handful of `memcpy`s.
+/// the bed-snapshot hot path — is a handful of `memcpy`s. A join grows
+/// every per-slot array by [`reserve_slack`]'s rule, an eighth of its
+/// length when full, so a clone (whose capacities equal its lengths)
+/// gains at most that on its first join, not the doubling of `Vec::push`.
 ///
 /// ```
 /// use chord::{Chord, ChordConfig};
 /// use dht_core::Overlay;
 ///
 /// let net = Chord::build(64, ChordConfig::default());
-/// let from = net.nodes_by_id()[0];
+/// let from = net.nodes_by_id().at(0);
 /// let route = net.route(from, 0xDEADBEEF).unwrap();
 /// assert!(route.exact, "stabilized lookups land on the owner");
 /// assert_eq!(route.terminal, net.owner_of(0xDEADBEEF).unwrap());
@@ -75,11 +78,11 @@ pub struct Chord {
     /// Live length of each slot's successor list.
     succ_lens: Vec<u8>,
     cfg: ChordConfig,
-    /// Live node indices sorted by ring id — ground truth for `owner_of`
+    /// Live arena slots sorted by ring id — ground truth for `owner_of`
     /// (every route's `exact` flag, every placement, handoff and
     /// promotion) and for fast bulk construction. Never consulted by a
     /// routing decision.
-    sorted: Vec<NodeIdx>,
+    sorted: Vec<u32>,
     /// Reserved tombstones' identifiers, sorted. With the live ids in
     /// `sorted` they are the identifiers in use ([`Self::id_used`]); a
     /// departure retires its node's id, so a later join may draw it again,
@@ -199,18 +202,17 @@ impl Chord {
             drawn.push(id);
         }
         self.reserve_arena(n);
-        for &id in &drawn {
-            self.push_arena(id, true);
-        }
-        let mut sorted: Vec<NodeIdx> = (0..n).map(NodeIdx).collect();
-        sorted.sort_unstable_by_key(|&i| self.ids[i.0]);
+        // `push_arena` asserts that every slot fits `u32`.
+        let mut sorted: Vec<u32> =
+            drawn.iter().map(|&id| self.push_arena(id, true).0 as u32).collect();
+        sorted.sort_unstable_by_key(|&s| self.ids[s as usize]);
         self.sorted = sorted;
     }
 
     /// Is `id` already assigned (live node or reserved tombstone)? Two
     /// binary searches; only joins and tombstone draws ask.
     fn id_used(&self, id: u64) -> bool {
-        self.sorted.binary_search_by(|&j| self.ids[j.0].cmp(&id)).is_ok()
+        self.sorted.binary_search_by(|&s| self.ids[s as usize].cmp(&id)).is_ok()
             || self.tombstones.binary_search(&id).is_ok()
     }
 
@@ -233,25 +235,27 @@ impl Chord {
     /// The first violation found, described.
     pub fn check_invariants(&self) -> Result<(), String> {
         let live = self.alive.iter().filter(|&&a| a).count();
-        if self.sorted.len() != live || self.sorted.iter().any(|&i| !self.is_alive(i)) {
+        if self.sorted.len() != live || self.sorted.iter().any(|&s| !self.alive[s as usize]) {
             return Err(format!(
                 "sorted ring holds {} slots, the arena {live} live nodes",
                 self.sorted.len()
             ));
         }
-        if let Some(w) = self.sorted.windows(2).find(|w| self.ids[w[0].0] >= self.ids[w[1].0]) {
-            return Err(format!("sorted ring out of id order at {} {}", w[0], w[1]));
+        if let Some(w) =
+            self.sorted.windows(2).find(|w| self.ids[w[0] as usize] >= self.ids[w[1] as usize])
+        {
+            return Err(format!("sorted ring out of id order at slots {} {}", w[0], w[1]));
         }
         if let Some(w) = self.tombstones.windows(2).find(|w| w[0] >= w[1]) {
             return Err(format!("tombstone ids unsorted or repeated at {:#x}", w[1]));
         }
         // Both lists ascend, so one merge pass finds any shared id.
         let mut reserved = self.tombstones.iter().peekable();
-        for &i in &self.sorted {
-            let id = self.ids[i.0];
+        for &s in &self.sorted {
+            let id = self.ids[s as usize];
             while reserved.next_if(|&&t| t < id).is_some() {}
             if reserved.next_if_eq(&&id).is_some() {
-                return Err(format!("live node {i} has id {id:#x}, a tombstone's"));
+                return Err(format!("live slot {s} has id {id:#x}, a tombstone's"));
             }
         }
         let arena = self.ids.len();
@@ -298,15 +302,15 @@ impl Chord {
             return Err(format!("slot {slot} links to {l}, past the {arena}-slot arena"));
         }
         let id = self.ids[slot];
-        let pos = self.sorted.partition_point(|&j| self.ids[j.0] < id);
-        let listed = self.sorted.get(pos).is_some_and(|j| j.0 == slot);
+        let pos = self.sorted.partition_point(|&s| self.ids[s as usize] < id);
+        let listed = self.sorted.get(pos).is_some_and(|&s| s as usize == slot);
         if listed != self.alive[slot] {
             return Err(format!(
                 "slot {slot} (alive: {}) disagrees with the sorted ring",
                 self.alive[slot]
             ));
         }
-        if listed && self.sorted.get(pos + 1).is_some_and(|j| self.ids[j.0] <= id) {
+        if listed && self.sorted.get(pos + 1).is_some_and(|&s| self.ids[s as usize] <= id) {
             return Err(format!("sorted ring out of id order after slot {slot}"));
         }
         if listed && self.tombstones.binary_search(&id).is_ok() {
@@ -336,7 +340,8 @@ impl Chord {
         self.fingers.reserve(extra * self.fwidth);
     }
 
-    /// Append one blank arena row (no links yet).
+    /// Append one blank arena row (no links yet), growing each array by
+    /// [`reserve_slack`]'s rule.
     ///
     /// # Panics
     /// If the arena would exceed `u32` slot range — slots are stored as
@@ -351,6 +356,12 @@ impl Chord {
         );
         self.bump_epoch();
         let idx = NodeIdx(self.ids.len());
+        reserve_slack(&mut self.ids, 1);
+        reserve_slack(&mut self.alive, 1);
+        reserve_slack(&mut self.preds, 1);
+        reserve_slack(&mut self.succ_lens, 1);
+        reserve_slack(&mut self.succs, self.cfg.succ_list_len);
+        reserve_slack(&mut self.fingers, self.fwidth);
         self.ids.push(id);
         self.alive.push(alive);
         self.preds.push(NO_LINK);
@@ -502,10 +513,11 @@ impl Chord {
     fn push_node(&mut self, id: u64) -> NodeIdx {
         self.bump_epoch();
         let idx = self.push_arena(id, true);
-        let pos = self.sorted.partition_point(|&j| self.ids[j.0] < id);
-        self.sorted.insert(pos, idx);
+        let pos = self.sorted.partition_point(|&s| self.ids[s as usize] < id);
+        reserve_slack(&mut self.sorted, 1);
+        self.sorted.insert(pos, idx.0 as u32);
         debug_assert!(
-            self.sorted.windows(2).all(|w| self.ids[w[0].0] < self.ids[w[1].0]),
+            self.sorted.windows(2).all(|w| self.ids[w[0] as usize] < self.ids[w[1] as usize]),
             "sorted ring order broken by insert"
         );
         idx
@@ -523,16 +535,15 @@ impl Chord {
             return;
         }
         debug_assert!(
-            self.sorted.iter().all(|&i| self.alive[i.0]),
+            self.sorted.iter().all(|&s| self.alive[s as usize]),
             "sorted ring must hold only live nodes"
         );
         // Flat copies of the ring, laid out twice: seen from `pos`,
         // position `c ∈ pos+1..=pos+n` is the node `c − pos` steps
         // clockwise (`pos + n` is `pos` itself, a full turn away), so
         // every neighbour below is a plain index, never a modulo.
-        let live: Vec<u32> = self.sorted.iter().map(|&i| i.0 as u32).collect();
-        let ids: Vec<u64> = live.iter().map(|&s| self.ids[s as usize]).collect();
-        let (live, ids) = (live.repeat(2), ids.repeat(2));
+        let ids: Vec<u64> = self.sorted.iter().map(|&s| self.ids[s as usize]).collect();
+        let (live, ids) = (self.sorted.repeat(2), ids.repeat(2));
         // Every level with 2^i ≤ the gap to the successor targets a point
         // inside that gap (all but ≈ log2 n of the 64), so they are one run
         // of the successor. The next level lands past it on another node,
@@ -592,9 +603,9 @@ impl Chord {
     /// whose interval `(pred, id]` contains `key`).
     fn true_owner(&self, key: u64) -> NodeIdx {
         debug_assert!(!self.sorted.is_empty());
-        let pos = self.sorted.partition_point(|&j| self.ids[j.0] < key);
+        let pos = self.sorted.partition_point(|&s| self.ids[s as usize] < key);
         // Past the last id (`pos == len`) wraps to the first node.
-        self.sorted[if pos == self.sorted.len() { 0 } else { pos }]
+        NodeIdx(self.sorted[if pos == self.sorted.len() { 0 } else { pos }] as usize)
     }
 
     /// Borrow a node's state (a view over the flat arena arrays).
@@ -637,8 +648,8 @@ impl Chord {
     /// every counter to zero by construction.
     pub fn successor_staleness(&self) -> SuccessorStaleness {
         let mut s = SuccessorStaleness::default();
-        for &idx in &self.sorted {
-            let succs = self.raw_succs(idx.0);
+        for &slot in &self.sorted {
+            let succs = self.raw_succs(slot as usize);
             if succs.is_empty() {
                 continue;
             }
@@ -718,7 +729,7 @@ impl Chord {
         self.bump_epoch();
         self.alive[idx.0] = false;
         let id = self.ids[idx.0];
-        if let Ok(pos) = self.sorted.binary_search_by(|&j| self.ids[j.0].cmp(&id)) {
+        if let Ok(pos) = self.sorted.binary_search_by(|&s| self.ids[s as usize].cmp(&id)) {
             self.sorted.remove(pos);
         }
         Ok(())
@@ -853,7 +864,7 @@ impl Chord {
     /// Run one stabilization + finger-repair round on every live node.
     pub fn stabilize_all(&mut self) {
         // Owned snapshot: stabilization mutates node state while iterating.
-        let live: Vec<NodeIdx> = self.sorted.clone();
+        let live: Vec<NodeIdx> = self.nodes_by_id().to_vec();
         for &idx in &live {
             if self.alive[idx.0] {
                 let _ = self.stabilize(idx);
@@ -868,8 +879,8 @@ impl Chord {
     }
 
     /// Live node indices sorted by ring identifier.
-    pub fn nodes_by_id(&self) -> &[NodeIdx] {
-        &self.sorted
+    pub fn nodes_by_id(&self) -> NodeList<'_> {
+        NodeList::new(&self.sorted)
     }
 
     /// Pick a uniformly random live node.
@@ -877,7 +888,7 @@ impl Chord {
         if self.sorted.is_empty() {
             None
         } else {
-            Some(self.sorted[rng.gen_range(0..self.sorted.len())])
+            Some(self.nodes_by_id().at(rng.gen_range(0..self.sorted.len())))
         }
     }
 
@@ -909,8 +920,8 @@ impl Overlay for Chord {
         self.epoch
     }
 
-    fn live_nodes(&self) -> &[NodeIdx] {
-        &self.sorted
+    fn live_nodes(&self) -> NodeList<'_> {
+        self.nodes_by_id()
     }
 
     fn arena_len(&self) -> usize {
@@ -1014,7 +1025,7 @@ mod tests {
         // 255 is the largest storable list length; with n=8 nodes the
         // effective length is n-1, but the config cap itself must pass.
         let c = Chord::build(8, ChordConfig { succ_list_len: 255, seed: 7 });
-        for &idx in c.nodes_by_id() {
+        for idx in c.nodes_by_id() {
             assert_eq!(c.raw_succs(idx.0).len(), 7);
         }
     }
@@ -1063,7 +1074,7 @@ mod tests {
         let small = net(64);
         let large = net(4096);
         let avg = |c: &Chord| {
-            let total: usize = c.live_nodes().iter().map(|&i| c.outlinks(i).unwrap()).sum();
+            let total: usize = c.live_nodes().iter().map(|i| c.outlinks(i).unwrap()).sum();
             total as f64 / c.len() as f64
         };
         let a = avg(&small);
@@ -1076,7 +1087,7 @@ mod tests {
     #[test]
     fn graceful_leave_splices_ring() {
         let mut c = net(10);
-        let victim = c.nodes_by_id()[3];
+        let victim = c.nodes_by_id().at(3);
         let pred = c.node(victim).unwrap().predecessor().unwrap();
         let succ = c.node(victim).unwrap().successor().unwrap();
         c.leave(victim).unwrap();
@@ -1089,7 +1100,7 @@ mod tests {
     #[test]
     fn leave_twice_errors() {
         let mut c = net(5);
-        let v = c.nodes_by_id()[0];
+        let v = c.nodes_by_id().at(0);
         c.leave(v).unwrap();
         assert!(c.leave(v).is_err());
     }
@@ -1097,7 +1108,7 @@ mod tests {
     #[test]
     fn join_inserts_in_order() {
         let mut c = net(8);
-        let boot = c.nodes_by_id()[0];
+        let boot = c.nodes_by_id().at(0);
         let idx = c.join(boot).unwrap();
         assert_eq!(c.len(), 9);
         let id = c.id_of(idx).unwrap();
@@ -1110,7 +1121,7 @@ mod tests {
     #[test]
     fn join_with_duplicate_id_rejected() {
         let mut c = net(4);
-        let boot = c.nodes_by_id()[0];
+        let boot = c.nodes_by_id().at(0);
         let id = c.id_of(boot).unwrap();
         assert_eq!(c.join_with_id(boot, id), Err(DhtError::IdSpaceExhausted));
     }
@@ -1118,7 +1129,7 @@ mod tests {
     #[test]
     fn stabilize_recovers_from_abrupt_failure() {
         let mut c = net(30);
-        let victim = c.nodes_by_id()[7];
+        let victim = c.nodes_by_id().at(7);
         let pred = c.node(victim).unwrap().predecessor().unwrap();
         c.fail(victim).unwrap();
         // pred's immediate successor pointer is now dead; next_clockwise
@@ -1154,9 +1165,9 @@ mod tests {
         // the old leave path kept a stale non-adjacent copy of the
         // spliced-in successor, wasting a successor-list slot.
         let mut c = net(8);
-        let victim = c.nodes_by_id()[3];
-        let succ = c.nodes_by_id()[4];
-        let other = c.nodes_by_id()[5];
+        let victim = c.nodes_by_id().at(3);
+        let succ = c.nodes_by_id().at(4);
+        let other = c.nodes_by_id().at(5);
         let pred = c.node(victim).unwrap().predecessor().unwrap();
         // Plant a stale copy of `succ` separated from the front by `other`:
         // after the splice inserts `succ` at the head, the list reads
@@ -1174,7 +1185,7 @@ mod tests {
         // consulting or updating the ids in use, so a later join could draw
         // the same id and put two arena nodes on one ring position.
         let mut c = net(4);
-        let boot = c.nodes_by_id()[0];
+        let boot = c.nodes_by_id().at(0);
         let t = c.reserve_tombstone();
         let tid = c.id_of(t).unwrap();
         assert!(!c.node(t).unwrap().is_alive());
@@ -1183,7 +1194,7 @@ mod tests {
         // And the next tombstone cannot collide with an existing node
         // either: force the rng's next draw onto an occupied id by
         // exhausting... (cheaper: just check distinctness over a batch).
-        let mut seen: Vec<u64> = c.sorted.iter().map(|&i| c.ids[i.0]).collect();
+        let mut seen: Vec<u64> = c.sorted.iter().map(|&s| c.ids[s as usize]).collect();
         seen.extend(&c.tombstones);
         for _ in 0..32 {
             let t = c.reserve_tombstone();
@@ -1204,7 +1215,7 @@ mod tests {
             assert!(c.epoch() > last, "{op} must bump the epoch");
             last = c.epoch();
         };
-        let boot = c.nodes_by_id()[0];
+        let boot = c.nodes_by_id().at(0);
         let j = c.join(boot).unwrap();
         advanced(&c, "join");
         c.stabilize(j).unwrap();
@@ -1213,7 +1224,7 @@ mod tests {
         advanced(&c, "fix_fingers");
         c.leave(j).unwrap();
         advanced(&c, "leave");
-        let v = c.nodes_by_id()[1];
+        let v = c.nodes_by_id().at(1);
         c.fail(v).unwrap();
         advanced(&c, "fail");
         c.stabilize_all();
@@ -1226,7 +1237,7 @@ mod tests {
         assert_eq!(c.check_invariants(), Ok(()));
         let breaks: [fn(&mut Chord); 6] = [
             |c| c.sorted.swap(0, 1),
-            |c| c.tombstones.push(c.ids[c.sorted[0].0]),
+            |c| c.tombstones.push(c.ids[c.sorted[0] as usize]),
             |c| c.succ_lens[0] = 5,
             |c| c.succs[0] = NO_LINK,
             |c| c.fingers[3] = 99,
@@ -1301,7 +1312,7 @@ mod tests {
                     _ => {
                         net.rebuild_all_state();
                         twin.rebuild_all_state();
-                        for &i in net.nodes_by_id() {
+                        for i in net.nodes_by_id() {
                             let id = net.ids[i.0];
                             for (l, f) in model[i.0].iter_mut().enumerate() {
                                 *f = net.owner_of(id.wrapping_add(1 << l)).unwrap().0 as u32;
@@ -1322,7 +1333,7 @@ mod tests {
                         .collect();
                     assert_eq!(net.node(NodeIdx(s)).unwrap().fingers(), want, "{ctx}: slot {s}");
                 }
-                for &from in net.nodes_by_id().iter().take(8) {
+                for from in net.nodes_by_id().iter().take(8) {
                     let key: u64 = rng.gen();
                     assert_eq!(net.route_stats(from, key), twin.route_stats(from, key), "{ctx}");
                 }

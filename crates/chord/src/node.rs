@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn view_matches_arena_state() {
         let c = Chord::build(16, ChordConfig::default());
-        for &idx in c.nodes_by_id() {
+        for idx in c.nodes_by_id() {
             let v = c.node(idx).unwrap();
             assert!(v.is_alive());
             assert_eq!(v.id(), c.id_of(idx).unwrap());

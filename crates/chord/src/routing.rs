@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn route_to_own_key_is_local() {
         let c = net(64);
-        for &idx in c.nodes_by_id().iter().take(10) {
+        for idx in c.nodes_by_id().iter().take(10) {
             let id = c.id_of(idx).unwrap();
             let r = c.route(idx, id).unwrap();
             assert_eq!(r.hops(), 0, "a node owns its own identifier");
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn single_node_routes_locally() {
         let c = net(1);
-        let only = c.nodes_by_id()[0];
+        let only = c.nodes_by_id().at(0);
         let r = c.route(only, 12345).unwrap();
         assert_eq!(r.hops(), 0);
         assert_eq!(r.terminal, only);
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn routing_from_a_dead_node_errors() {
         let mut c = net(10);
-        let v = c.nodes_by_id()[2];
+        let v = c.nodes_by_id().at(2);
         c.fail(v).unwrap();
         assert!(c.route(v, 7).is_err());
         assert!(c.route_stats(v, 7).is_err());

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 #[test]
 fn two_node_ring_routes_both_ways() {
     let net = Chord::build(2, ChordConfig::default());
-    let [a, b] = [net.nodes_by_id()[0], net.nodes_by_id()[1]];
+    let [a, b] = [net.nodes_by_id().at(0), net.nodes_by_id().at(1)];
     let ida = net.id_of(a).unwrap();
     let idb = net.id_of(b).unwrap();
     // each node owns the arc ending at itself
@@ -30,7 +30,7 @@ fn two_node_ring_routes_both_ways() {
 #[test]
 fn two_node_ring_neighbors_point_at_each_other() {
     let net = Chord::build(2, ChordConfig::default());
-    let [a, b] = [net.nodes_by_id()[0], net.nodes_by_id()[1]];
+    let [a, b] = [net.nodes_by_id().at(0), net.nodes_by_id().at(1)];
     assert_eq!(net.next_clockwise(a).unwrap(), b);
     assert_eq!(net.next_clockwise(b).unwrap(), a);
     assert_eq!(net.node(a).unwrap().predecessor(), Some(b));
@@ -48,7 +48,7 @@ fn boundary_keys_route_correctly() {
     }
     // a node's own id and the id just after are owned by it and its
     // successor respectively
-    for &idx in net.nodes_by_id().iter().take(5) {
+    for idx in net.nodes_by_id().iter().take(5) {
         let id = net.id_of(idx).unwrap();
         assert_eq!(net.owner_of(id).unwrap(), idx);
     }
@@ -58,7 +58,7 @@ fn boundary_keys_route_correctly() {
 fn successor_list_lengths_follow_config() {
     for r in [1usize, 3, 7] {
         let net = Chord::build(32, ChordConfig { succ_list_len: r, seed: 9 });
-        for &idx in net.nodes_by_id().iter().take(8) {
+        for idx in net.nodes_by_id().iter().take(8) {
             assert_eq!(net.node(idx).unwrap().successor_list().len(), r.min(31));
         }
     }
@@ -67,7 +67,7 @@ fn successor_list_lengths_follow_config() {
 #[test]
 fn succ_list_longer_than_ring_is_capped() {
     let net = Chord::build(3, ChordConfig { succ_list_len: 10, seed: 2 });
-    for &idx in net.nodes_by_id() {
+    for idx in net.nodes_by_id() {
         let sl = net.node(idx).unwrap().successor_list().len();
         assert!(sl <= 2, "successor list {sl} exceeds other-node count");
     }
@@ -76,10 +76,10 @@ fn succ_list_longer_than_ring_is_capped() {
 #[test]
 fn leave_of_last_but_one_keeps_singleton_sane() {
     let mut net = Chord::build(2, ChordConfig::default());
-    let victim = net.nodes_by_id()[0];
+    let victim = net.nodes_by_id().at(0);
     net.leave(victim).unwrap();
     assert_eq!(net.len(), 1);
-    let survivor = net.live_nodes()[0];
+    let survivor = net.live_nodes().at(0);
     let r = net.route(survivor, 12345).unwrap();
     assert_eq!(r.terminal, survivor);
     assert_eq!(net.owner_of(0).unwrap(), survivor);
@@ -88,7 +88,7 @@ fn leave_of_last_but_one_keeps_singleton_sane() {
 #[test]
 fn stabilize_on_singleton_is_harmless() {
     let mut net = Chord::build(1, ChordConfig::default());
-    let only = net.nodes_by_id()[0];
+    let only = net.nodes_by_id().at(0);
     net.stabilize_all();
     assert!(net.node(only).unwrap().is_alive());
     assert_eq!(net.len(), 1);
@@ -97,7 +97,7 @@ fn stabilize_on_singleton_is_harmless() {
 #[test]
 fn route_with_key_equal_to_origin_id() {
     let net = Chord::build(128, ChordConfig::default());
-    for &idx in net.nodes_by_id().iter().take(10) {
+    for idx in net.nodes_by_id().iter().take(10) {
         let id = net.id_of(idx).unwrap();
         let r = net.route(idx, id).unwrap();
         assert_eq!(r.terminal, idx);
@@ -108,7 +108,7 @@ fn route_with_key_equal_to_origin_id() {
 #[test]
 fn outlinks_count_excludes_self_and_dead() {
     let mut net = Chord::build(16, ChordConfig::default());
-    let idx = net.nodes_by_id()[3];
+    let idx = net.nodes_by_id().at(3);
     let before = net.outlinks(idx).unwrap();
     // kill a neighbor: the distinct-live count can only stay or drop
     let succ = net.next_clockwise(idx).unwrap();
@@ -120,8 +120,8 @@ fn outlinks_count_excludes_self_and_dead() {
 #[test]
 fn fingers_in_tiny_ring_all_point_at_the_other_node() {
     let net = Chord::build(2, ChordConfig::default());
-    let a = net.nodes_by_id()[0];
-    let b = net.nodes_by_id()[1];
+    let a = net.nodes_by_id().at(0);
+    let b = net.nodes_by_id().at(1);
     let fingers = net.node(a).unwrap().fingers();
     assert!(fingers.iter().all(|&f| f == a || f == b));
     assert_eq!(net.outlinks(a).unwrap(), 1);
@@ -152,7 +152,7 @@ fn successor_list_exhaustion_recovers_via_finger_fallback() {
     // burst can produce) and check stabilization falls back to the
     // finger table instead of erroring or re-bootstrapping.
     let mut net = Chord::build(128, ChordConfig::default());
-    let idx = net.nodes_by_id()[0];
+    let idx = net.nodes_by_id().at(0);
     let succs = net.node(idx).unwrap().successor_list().to_vec();
     assert_eq!(succs.len(), 4, "default successor-list length");
     for &s in &succs {

@@ -44,7 +44,7 @@ impl Fnv1a {
 
 fn link_digest(net: &Chord) -> u64 {
     let mut h = Fnv1a::new();
-    for &idx in net.nodes_by_id() {
+    for idx in net.nodes_by_id() {
         let node = net.node(idx).unwrap();
         h.word(idx.0 as u64);
         h.word(node.id());

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 /// owner of its target `id + 2^level`, over all live nodes × all 64 levels.
 fn wrong_fingers(net: &Chord) -> Vec<(usize, usize)> {
     let mut wrong = Vec::new();
-    for (pos, &idx) in net.nodes_by_id().iter().enumerate() {
+    for (pos, idx) in net.nodes_by_id().iter().enumerate() {
         let node = net.node(idx).unwrap();
         let fingers = node.fingers();
         assert_eq!(fingers.len(), 64, "unset finger at ring position {pos}");
@@ -28,7 +28,7 @@ fn wrong_fingers(net: &Chord) -> Vec<(usize, usize)> {
 /// A stabilized ring holding exactly `ids`.
 fn ring_of(ids: &[u64]) -> Chord {
     let mut net = Chord::build(1, ChordConfig::default());
-    let seed_node = net.nodes_by_id()[0];
+    let seed_node = net.nodes_by_id().at(0);
     for &id in ids {
         net.join_with_id(seed_node, id).unwrap();
     }
@@ -75,7 +75,7 @@ fn fingers_are_ground_truth_on_adversarial_id_placements() {
     }
     // and the same gap-of-1 placement made by a join into a built ring
     let mut net = Chord::build(64, ChordConfig::default());
-    let boot = net.nodes_by_id()[17];
+    let boot = net.nodes_by_id().at(17);
     net.join_with_id(boot, net.id_of(boot).unwrap().wrapping_add(1)).unwrap();
     net.rebuild_all_state();
     assert_eq!(wrong_fingers(&net), vec![]);
@@ -88,7 +88,7 @@ proptest! {
     #[test]
     fn ring_is_a_single_cycle(n in 1usize..200, seed: u64) {
         let net = Chord::build(n, ChordConfig { seed, ..Default::default() });
-        let start = net.nodes_by_id()[0];
+        let start = net.nodes_by_id().at(0);
         let mut cur = start;
         let mut count = 0usize;
         loop {
@@ -115,7 +115,7 @@ proptest! {
         let mut net = Chord::build(n, ChordConfig { seed, ..Default::default() });
         prop_assert_eq!(wrong_fingers(&net), vec![]);
         for (kind, x) in ops {
-            let pick = net.nodes_by_id()[(x % net.len() as u64) as usize];
+            let pick = net.nodes_by_id().at((x % net.len() as u64) as usize);
             // Joins may hit a taken id and departures stop at one node;
             // either way the op is skipped, not an error.
             let _ = match kind {
@@ -155,7 +155,7 @@ proptest! {
     fn outlink_bound(n in 2usize..500, seed: u64) {
         let net = Chord::build(n, ChordConfig { seed, ..Default::default() });
         let bound = 2 * (n as f64).log2().ceil() as usize + 6;
-        for &idx in net.nodes_by_id().iter().take(20) {
+        for idx in net.nodes_by_id().iter().take(20) {
             prop_assert!(net.outlinks(idx).unwrap() <= bound);
         }
     }

@@ -19,7 +19,7 @@ fn assert_all_lookups_exact(net: &Chord, rng: &mut SmallRng, lookups: usize) {
 #[test]
 fn ring_order_is_consistent_after_incremental_growth() {
     let mut net = Chord::build(1, ChordConfig::default());
-    let boot = net.nodes_by_id()[0];
+    let boot = net.nodes_by_id().at(0);
     for _ in 0..60 {
         net.join(boot).unwrap();
     }
@@ -57,7 +57,7 @@ fn alternating_join_leave_cycles_stay_consistent() {
 #[test]
 fn hop_count_stays_logarithmic_through_protocol_growth() {
     let mut net = Chord::build(1, ChordConfig::default());
-    let boot = net.nodes_by_id()[0];
+    let boot = net.nodes_by_id().at(0);
     for i in 0..255 {
         net.join(boot).unwrap();
         if i % 16 == 15 {
@@ -84,7 +84,7 @@ fn shrink_to_single_node_and_back() {
         let v = net.random_node(&mut rng).unwrap();
         net.leave(v).unwrap();
     }
-    let survivor = net.live_nodes()[0];
+    let survivor = net.live_nodes().at(0);
     let r = net.route(survivor, 42).unwrap();
     assert_eq!(r.terminal, survivor);
     // regrow

@@ -413,8 +413,8 @@ mod tests {
                 .overlay()
                 .live_nodes()
                 .iter()
-                .filter(|&&n| l.directory(n).iter().any(|r| r.attr == attr))
-                .map(|&n| l.overlay().id_of(n).unwrap().cubical)
+                .filter(|&n| l.directory(n).iter().any(|r| r.attr == attr))
+                .map(|n| l.overlay().id_of(n).unwrap().cubical)
                 .collect();
             clusters.sort_unstable();
             clusters.dedup();

@@ -2,7 +2,7 @@
 
 use crate::id::CycloidId;
 use crate::node::CycloidNode;
-use dht_core::{DhtError, NodeIdx, Overlay, RouteSink};
+use dht_core::{reserve_slack, DhtError, NodeIdx, NodeList, Overlay, RouteSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +41,7 @@ impl Default for CycloidConfig {
 /// assert_eq!(net.occupied_clusters().len(), 32);
 ///
 /// let key = CycloidId::new(2, 17, 5); // (cyclic, cubical)
-/// let from = net.live_nodes()[0];
+/// let from = net.live_nodes().at(0);
 /// let route = net.route(from, key).unwrap();
 /// assert!(route.exact);
 /// assert!(route.hops() <= 3 * 5, "paths are O(d)");
@@ -62,11 +62,12 @@ pub struct Cycloid {
     cluster_slots: Vec<NodeIdx>,
     /// Member count per cluster. Length `2^d`.
     cluster_lens: Vec<u8>,
-    /// Arena indices of all live nodes, ascending. Maintained
+    /// Arena slots of all live nodes, ascending. Maintained
     /// incrementally (arena indices grow monotonically, so `occupy`
     /// appends and `vacate` binary-searches) so [`Overlay::live_nodes`]
-    /// is a borrow, not a full-arena scan-and-collect.
-    live_sorted: Vec<NodeIdx>,
+    /// is a borrow, not a full-arena scan-and-collect. It and `nodes`
+    /// grow by [`reserve_slack`]'s rule, an eighth when full.
+    live_sorted: Vec<u32>,
     live: usize,
     rng: SmallRng,
     /// Mutation epoch: strictly increases on every write to routing state
@@ -154,11 +155,7 @@ impl Cycloid {
         let mut triples: Vec<(u32, u8, NodeIdx)> = Vec::with_capacity(draw.len());
         for &s in draw {
             let id = CycloidId::from_slot(s, d);
-            debug_assert!(self.slots[s].is_none());
-            let idx = NodeIdx(self.nodes.len());
-            self.nodes.push(CycloidNode::new(id));
-            self.slots[s] = Some(idx);
-            self.live_sorted.push(idx);
+            let idx = self.push_node(id);
             triples.push((id.cubical, id.cyclic, idx));
         }
         self.live = draw.len();
@@ -191,13 +188,30 @@ impl Cycloid {
         &self.cfg
     }
 
+    /// Append a live node on the free slot of `id` to the arena and, since
+    /// arena indices only grow, to the end of the ascending live list.
+    ///
+    /// # Panics
+    /// If the arena would exceed `u32` slot range (the live list stores
+    /// `u32` slots).
+    fn push_node(&mut self, id: CycloidId) -> NodeIdx {
+        assert!(self.nodes.len() < u32::MAX as usize, "arena exceeds u32 slot range");
+        self.bump_epoch();
+        let s = id.slot(self.cfg.dimension);
+        debug_assert!(self.slots[s].is_none());
+        let idx = NodeIdx(self.nodes.len());
+        reserve_slack(&mut self.nodes, 1);
+        reserve_slack(&mut self.live_sorted, 1);
+        self.nodes.push(CycloidNode::new(id));
+        self.live_sorted.push(idx.0 as u32);
+        self.slots[s] = Some(idx);
+        idx
+    }
+
     fn occupy(&mut self, id: CycloidId) -> NodeIdx {
         self.bump_epoch();
         let d = self.cfg.dimension;
-        debug_assert!(self.slots[id.slot(d)].is_none());
-        let idx = NodeIdx(self.nodes.len());
-        self.nodes.push(CycloidNode::new(id));
-        self.slots[id.slot(d)] = Some(idx);
+        let idx = self.push_node(id);
         let stride = d as usize;
         let base = id.cubical as usize * stride;
         let len = self.cluster_lens[id.cubical as usize] as usize;
@@ -213,8 +227,6 @@ impl Cycloid {
             self.occupied.insert(cpos, id.cubical);
         }
         debug_assert_eq!(self.check_cluster(id.cubical), Ok(()));
-        // Arena indices only grow, so appending keeps the list sorted.
-        self.live_sorted.push(idx);
         self.live += 1;
         idx
     }
@@ -237,7 +249,7 @@ impl Cycloid {
                 self.occupied.remove(p);
             }
         }
-        if let Ok(p) = self.live_sorted.binary_search(&idx) {
+        if let Ok(p) = self.live_sorted.binary_search(&(idx.0 as u32)) {
             self.live_sorted.remove(p);
         }
         self.live -= 1;
@@ -262,7 +274,7 @@ impl Cycloid {
         let d = self.cfg.dimension;
         let live: Vec<NodeIdx> =
             (0..self.nodes.len()).map(NodeIdx).filter(|&i| self.nodes[i.0].alive).collect();
-        if self.live_sorted != live || self.live != live.len() {
+        if !self.live_nodes().iter().eq(live.iter().copied()) || self.live != live.len() {
             return Err(format!(
                 "live list holds {} (count {}), the arena {} live nodes",
                 self.live_sorted.len(),
@@ -444,7 +456,7 @@ impl Cycloid {
     /// `build`.
     pub fn rebuild_all_links(&mut self) {
         // Owned snapshot: rebuilding mutates node state while iterating.
-        let indices = self.live_sorted.clone();
+        let indices = self.live_nodes().to_vec();
         for idx in indices {
             self.rebuild_links_of(idx);
         }
@@ -577,9 +589,8 @@ impl Cycloid {
         // Notify in-neighbors (the departing node knows them in the real
         // protocol; the simulator finds them by scanning the live list).
         let in_neighbors: Vec<NodeIdx> = self
-            .live_sorted
+            .live_nodes()
             .iter()
-            .copied()
             .filter(|&j| self.nodes[j.0].all_links().any(|l| l == idx))
             .collect();
         for j in in_neighbors {
@@ -608,8 +619,8 @@ impl Overlay for Cycloid {
         self.epoch
     }
 
-    fn live_nodes(&self) -> &[NodeIdx] {
-        &self.live_sorted
+    fn live_nodes(&self) -> NodeList<'_> {
+        NodeList::new(&self.live_sorted)
     }
 
     fn arena_len(&self) -> usize {
@@ -726,7 +737,7 @@ mod tests {
     fn outlinks_are_constant_degree() {
         for &n in &[256usize, 1024, 2048] {
             let c = net(n, 8);
-            for &idx in c.live_nodes().iter().take(50) {
+            for idx in c.live_nodes().iter().take(50) {
                 let links = c.outlinks(idx).unwrap();
                 assert!(links <= 8, "degree {links} exceeds constant bound");
             }
@@ -737,7 +748,7 @@ mod tests {
     fn outlinks_do_not_grow_with_network_size() {
         let avg = |c: &Cycloid| {
             let nodes = c.live_nodes();
-            nodes.iter().map(|&i| c.outlinks(i).unwrap()).sum::<usize>() as f64 / nodes.len() as f64
+            nodes.iter().map(|i| c.outlinks(i).unwrap()).sum::<usize>() as f64 / nodes.len() as f64
         };
         let small = net(5 * 32, 5); // d=5
         let large = net(2048, 8); // d=8
@@ -791,7 +802,7 @@ mod tests {
     #[test]
     fn owner_of_own_id_is_self() {
         let c = net(900, 8);
-        for &idx in c.live_nodes().iter().take(100) {
+        for idx in c.live_nodes().iter().take(100) {
             let id = c.id_of(idx).unwrap();
             assert_eq!(c.owner_of(id).unwrap(), idx);
         }
@@ -854,7 +865,7 @@ mod tests {
     #[test]
     fn join_duplicate_slot_rejected() {
         let mut c = net(100, 8);
-        let idx = c.live_nodes()[0];
+        let idx = c.live_nodes().at(0);
         let id = c.id_of(idx).unwrap();
         assert_eq!(c.join_with_id(id), Err(DhtError::IdSpaceExhausted));
     }
@@ -907,8 +918,8 @@ mod tests {
         }
         let live = c.live_nodes();
         assert_eq!(live.len(), c.len());
-        assert!(live.windows(2).all(|w| w[0] < w[1]), "live list must stay ascending");
-        for &i in live {
+        assert!(live.iter().is_sorted_by(|a, b| a < b), "live list must stay ascending");
+        for i in live {
             assert!(c.node(i).unwrap().is_alive());
         }
     }

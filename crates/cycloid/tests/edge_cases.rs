@@ -16,7 +16,7 @@ fn dimension_one_works() {
         for cyc in 0..1u8 {
             let key = CycloidId::new(cyc, cub, 1);
             let owner = net.owner_of(key).unwrap();
-            for &idx in net.live_nodes() {
+            for idx in net.live_nodes() {
                 let r = net.route(idx, key).unwrap();
                 assert_eq!(r.terminal, owner);
             }
@@ -125,7 +125,7 @@ fn leave_until_one_node_remains() {
         let v = net.random_node(&mut rng).unwrap();
         net.leave(v).unwrap();
     }
-    let survivor = net.live_nodes()[0];
+    let survivor = net.live_nodes().at(0);
     let key = CycloidId::new(3, 17, 5);
     assert_eq!(net.owner_of(key).unwrap(), survivor);
     assert_eq!(net.route(survivor, key).unwrap().hops(), 0);
@@ -137,7 +137,7 @@ fn leave_until_one_node_remains() {
 fn arena_len_grows_monotonically_and_survives_tombstones() {
     let mut net = Cycloid::build(10, CycloidConfig { dimension: 4, seed: 13 });
     let before = net.arena_len();
-    let v = net.live_nodes()[0];
+    let v = net.live_nodes().at(0);
     net.leave(v).unwrap();
     assert_eq!(net.arena_len(), before, "tombstoned slots are kept");
     let _ = net.join_random().unwrap();

@@ -30,7 +30,7 @@ fn ring_rank(from: u32, to: u32, m: u32) -> u32 {
 fn live_ids(net: &Cycloid) -> Vec<(NodeIdx, u32, u32)> {
     net.live_nodes()
         .iter()
-        .map(|&i| {
+        .map(|i| {
             let id = net.id_of(i).unwrap();
             (i, id.cubical, u32::from(id.cyclic))
         })

@@ -36,7 +36,7 @@ proptest! {
         let owner = net.owner_of(key).unwrap();
         let oc = net.id_of(owner).unwrap().cubical;
         let od = CycloidId::cluster_dist(oc, b, d);
-        for &idx in net.live_nodes().iter().take(40) {
+        for idx in net.live_nodes().iter().take(40) {
             let c = net.id_of(idx).unwrap().cubical;
             prop_assert!(CycloidId::cluster_dist(c, b, d) >= od);
         }
@@ -48,7 +48,7 @@ proptest! {
         let cap = d as usize * (1usize << d);
         let n = ((cap as f64 * frac) as usize).clamp(1, cap);
         let net = Cycloid::build(n, CycloidConfig { dimension: d, seed });
-        for &idx in net.live_nodes().iter().take(30) {
+        for idx in net.live_nodes().iter().take(30) {
             prop_assert!(net.outlinks(idx).unwrap() <= 8);
         }
     }
@@ -72,7 +72,7 @@ proptest! {
         let cap = d as usize * (1usize << d);
         let n = ((cap as f64 * frac) as usize).clamp(1, cap);
         let net = Cycloid::build(n, CycloidConfig { dimension: d, seed });
-        for &idx in net.live_nodes().iter().take(50) {
+        for idx in net.live_nodes().iter().take(50) {
             let id = net.id_of(idx).unwrap();
             prop_assert!(net.cluster_members(id.cubical).contains(&idx));
             prop_assert_eq!(net.owner_of(id).unwrap(), idx);

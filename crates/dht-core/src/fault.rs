@@ -178,14 +178,14 @@ impl FaultPlan {
         let start =
             (self.coin(SALT_ORIGIN, msg_id.wrapping_add(u64::from(attempt))) % len as u64) as usize;
         for off in 0..len {
-            let cand = live[(start + off) % len];
+            let cand = live.at((start + off) % len);
             if !self.node_is_failed(cand) {
                 return Some(cand);
             }
         }
         // Every live node is plan-failed; fall back to the hashed pick so
         // degraded routing still has a deterministic origin.
-        Some(live[start])
+        Some(live.at(start))
     }
 }
 

@@ -55,7 +55,7 @@ pub use fault::{
 };
 pub use hashing::{lex_hash, lex_prefix_end, ConsistentHash, LocalityHash};
 pub use latency::LatencyModel;
-pub use overlay::{NodeIdx, Overlay};
+pub use overlay::{reserve_slack, NodeIdx, NodeList, Overlay};
 pub use replication::{replica_targets, RepairStats};
 pub use ring::{clockwise_dist, in_interval_co, in_interval_oc, in_interval_oo, ring_dist};
 pub use sampling::{BoundedPareto, SeedSpawner, Zipf};

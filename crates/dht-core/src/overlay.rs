@@ -29,6 +29,75 @@ impl std::fmt::Display for NodeIdx {
     }
 }
 
+/// The live nodes of an overlay, borrowed as the overlay stores them: `u32`
+/// arena slots (4 B a node, where a `[NodeIdx]` costs 8), read back as
+/// [`NodeIdx`] values. Indexing and iteration are O(1) per node, as over a
+/// slice.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeList<'a>(&'a [u32]);
+
+/// Iterator over a [`NodeList`].
+pub type NodeIter<'a> = std::iter::Map<std::slice::Iter<'a, u32>, fn(&u32) -> NodeIdx>;
+
+impl<'a> NodeList<'a> {
+    /// View `slots` (arena slot numbers) as nodes.
+    pub fn new(slots: &'a [u32]) -> Self {
+        Self(slots)
+    }
+
+    /// Number of nodes.
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the list holds no node.
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The `i`-th node.
+    ///
+    /// # Panics
+    /// If `i` is out of range, as slice indexing does.
+    pub fn at(self, i: usize) -> NodeIdx {
+        NodeIdx(self.0[i] as usize)
+    }
+
+    /// The nodes in list order.
+    pub fn iter(self) -> NodeIter<'a> {
+        self.0.iter().map(|&s| NodeIdx(s as usize))
+    }
+
+    /// An owned copy of the list.
+    pub fn to_vec(self) -> Vec<NodeIdx> {
+        self.iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for NodeList<'a> {
+    type Item = NodeIdx;
+    type IntoIter = NodeIter<'a>;
+
+    fn into_iter(self) -> NodeIter<'a> {
+        self.iter()
+    }
+}
+
+/// Divisor of the step [`reserve_slack`] grows an arena by: a full arena
+/// gains an eighth of its length, not the doubling of `Vec::push`.
+const SLACK_DIVISOR: usize = 8;
+
+/// Make room for `extra` more elements in `v`, growing it by at least
+/// `len / 8` when it must grow at all. Arenas grow one slot per join, and a
+/// cloned bed's capacities equal its lengths, so `Vec`'s doubling would
+/// make its first join nearly double every per-node array. Growth stays
+/// geometric, so a push is still amortised O(1).
+pub fn reserve_slack<T>(v: &mut Vec<T>, extra: usize) {
+    if v.len() + extra > v.capacity() {
+        v.reserve_exact(extra.max(v.len() / SLACK_DIVISOR));
+    }
+}
+
 /// A structured DHT overlay, as seen by the discovery layer.
 ///
 /// The associated `Key` type is the overlay's identifier: a plain `u64` for
@@ -61,7 +130,7 @@ pub trait Overlay {
     /// Arena indices of all live nodes, borrowed from the overlay's
     /// internal index (no allocation). The order is deterministic and
     /// overlay-specific (ring order for Chord, arena order for Cycloid).
-    fn live_nodes(&self) -> &[NodeIdx];
+    fn live_nodes(&self) -> NodeList<'_>;
 
     /// Size of the node arena (live + tomb-stoned slots). Directory and
     /// replica bookkeeping in higher layers indexes by arena slot.
@@ -139,6 +208,33 @@ mod tests {
     #[test]
     fn node_idx_display() {
         assert_eq!(NodeIdx(17).to_string(), "n17");
+    }
+
+    #[test]
+    fn node_list_reads_slots_as_nodes() {
+        let slots = [4u32, 0, 9];
+        let list = NodeList::new(&slots);
+        assert_eq!((list.len(), list.is_empty()), (3, false));
+        assert_eq!(list.at(2), NodeIdx(9));
+        assert_eq!(list.to_vec(), vec![NodeIdx(4), NodeIdx(0), NodeIdx(9)]);
+        assert_eq!(list.into_iter().next_back(), Some(NodeIdx(9)));
+        assert!(NodeList::new(&[]).is_empty());
+    }
+
+    #[test]
+    fn reserve_slack_grows_by_an_eighth() {
+        let mut v: Vec<u8> = vec![0; 800];
+        assert_eq!(v.capacity(), 800);
+        reserve_slack(&mut v, 1);
+        assert_eq!(v.capacity(), 900, "a full arena gains len / 8");
+        v.resize(850, 0);
+        reserve_slack(&mut v, 20);
+        assert_eq!(v.capacity(), 900, "room left: no growth");
+        reserve_slack(&mut v, 500);
+        assert_eq!(v.capacity(), 1350, "a batch larger than len / 8 gets exactly its room");
+        let mut empty: Vec<u8> = Vec::new();
+        reserve_slack(&mut empty, 1);
+        assert_eq!(empty.capacity(), 1);
     }
 
     #[test]

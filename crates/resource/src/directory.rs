@@ -113,18 +113,23 @@ impl Bucket {
 /// ordered by value within a bucket (see the module docs for the order
 /// and the two-run layout).
 ///
-/// Buckets live in a flat `Vec` sorted by attribute id, so that
+/// Buckets live in a flat table sorted by attribute id, so that
 /// [`Directory::drain`] and [`Directory::iter`] walk attributes in a
 /// fixed order — departure handoffs and inspection must not depend on
 /// per-process hasher state. The flat layout also makes cloning a
 /// directory (the bed-snapshot hot path) a handful of contiguous
 /// `memcpy`s instead of a node-by-node tree rebuild; lookups are a
 /// binary search over at most `m` attribute buckets.
+///
+/// The table is a boxed slice holding exactly its buckets: a 16 B header
+/// on every node of every ring (most of which store nothing), and no
+/// spare bucket behind it. [`Directory::push`] grows it by one bucket;
+/// [`Directory::bulk_load`] grows it once per call, by the batch's new
+/// attributes.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
     /// Buckets in strictly ascending attribute order, none empty.
-    by_attr: Vec<Bucket>,
-    len: usize,
+    by_attr: Box<[Bucket]>,
 }
 
 impl Directory {
@@ -137,22 +142,37 @@ impl Directory {
         self.by_attr.binary_search_by_key(&attr, |b| b.attr).ok().map(|i| &self.by_attr[i])
     }
 
-    /// The bucket of `attr`, created empty if absent — the caller fills it.
+    /// The bucket of `attr`, created empty if absent — the caller fills
+    /// it. Creating one reallocates the table to hold exactly one more.
     fn bucket_mut(&mut self, attr: u32) -> &mut Bucket {
-        let i = match self.by_attr.binary_search_by_key(&attr, |b| b.attr) {
-            Ok(i) => i,
-            Err(i) => {
-                self.by_attr.insert(i, Bucket { attr, tail: 0, pieces: Vec::new() });
-                i
-            }
-        };
+        let i = self.by_attr.binary_search_by_key(&attr, |b| b.attr).unwrap_or_else(|i| {
+            self.add_buckets(std::iter::once(attr));
+            i
+        });
         &mut self.by_attr[i]
+    }
+
+    /// Add an empty bucket for each of `attrs` not yet present, counting
+    /// them first so the table is reallocated once, to exactly its new
+    /// size.
+    fn add_buckets(&mut self, attrs: impl Iterator<Item = u32> + Clone) {
+        let new = attrs.clone().filter(|&attr| self.bucket(attr).is_none()).count();
+        if new == 0 {
+            return;
+        }
+        let mut table = std::mem::take(&mut self.by_attr).into_vec();
+        table.reserve_exact(new);
+        for attr in attrs {
+            if let Err(i) = table.binary_search_by_key(&attr, |b| b.attr) {
+                table.insert(i, Bucket { attr, tail: 0, pieces: Vec::new() });
+            }
+        }
+        self.by_attr = table.into_boxed_slice();
     }
 
     /// Store one piece (the runtime path of an individual registration).
     pub fn push(&mut self, info: ResourceInfo) {
         self.bucket_mut(info.attr.0).push(info);
-        self.len += 1;
     }
 
     /// Store a batch of pieces in one pass.
@@ -166,11 +186,13 @@ impl Directory {
         self.load_sorted(&batch);
     }
 
-    /// Store a batch already ascending under [`sort_key`].
+    /// Store a batch already ascending under [`sort_key`]. The bucket
+    /// table grows once per call, by the batch's new attributes.
     pub(crate) fn load_sorted(&mut self, batch: &[ResourceInfo]) {
         debug_assert!(batch.is_sorted_by_key(sort_key));
-        self.len += batch.len();
-        for run in batch.chunk_by(|a, b| a.attr == b.attr) {
+        let runs = || batch.chunk_by(|a, b| a.attr == b.attr);
+        self.add_buckets(runs().map(|run| run[0].attr.0));
+        for run in runs() {
             let bucket = self.bucket_mut(run[0].attr.0);
             // Grow to the capacity the same pieces would have reached
             // arriving one by one, so the registrations that follow a
@@ -182,32 +204,30 @@ impl Directory {
         }
     }
 
-    /// Total stored pieces.
+    /// Total stored pieces: the sum of the bucket lengths, O(m).
     pub fn len(&self) -> usize {
-        self.len
+        self.by_attr.iter().map(|b| b.pieces.len()).sum()
     }
 
-    /// True when nothing is stored.
+    /// True when nothing is stored (no bucket is ever empty).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.by_attr.is_empty()
     }
 
     /// Remove and return everything (departure handoff), in the order
     /// [`Directory::iter`] yields.
     pub fn drain(&mut self) -> Vec<ResourceInfo> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         for mut bucket in std::mem::take(&mut self.by_attr) {
             bucket.seal();
             out.append(&mut bucket.pieces);
         }
-        self.len = 0;
         out
     }
 
     /// Drop everything.
     pub fn clear(&mut self) {
-        self.by_attr.clear();
-        self.len = 0;
+        self.by_attr = Box::default();
     }
 
     /// Owners of pieces matching `(attr, target)` — the directory check a
@@ -271,9 +291,8 @@ impl Directory {
     }
 
     /// What must hold after every mutating operation: buckets strictly
-    /// ascending by attribute and none empty, both runs of every bucket
-    /// ascending under the total key, and `len` the sum of the bucket
-    /// lengths. O(len).
+    /// ascending by attribute and none empty, and both runs of every bucket
+    /// ascending under the total key. O(len).
     pub fn check_invariants(&self) -> Result<(), String> {
         if !self.by_attr.is_sorted_by(|a, b| a.attr < b.attr) {
             return Err("attribute buckets out of order".into());
@@ -288,10 +307,6 @@ impl Directory {
             if b.pieces.iter().any(|r| r.attr.0 != b.attr) {
                 return Err(format!("attribute {} bucket holds a foreign piece", b.attr));
             }
-        }
-        let held: usize = self.by_attr.iter().map(|b| b.pieces.len()).sum();
-        if held != self.len {
-            return Err(format!("len {} but {held} pieces held", self.len));
         }
         Ok(())
     }
@@ -401,6 +416,50 @@ mod tests {
         assert_eq!(seq.len(), bulk.len());
         assert_eq!(seq.iter().collect::<Vec<_>>(), bulk.iter().collect::<Vec<_>>());
         assert_eq!(bulk.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn len_is_empty_and_iter_agree_over_random_sequences() {
+        // `len` is summed from the buckets, so nothing cross-checks it but
+        // this: seeded push / bulk_load / drain / clear sequences against a
+        // plain count of the pieces held.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut merges = 0;
+        for seed in 0..20 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut d = Directory::new();
+            let mut held = 0;
+            for step in 0..200 {
+                let piece = |rng: &mut SmallRng| {
+                    info(rng.gen_range(0..12), f64::from(rng.gen_range(0..9u8)), step)
+                };
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        d.push(piece(&mut rng));
+                        held += 1;
+                    }
+                    5..=7 => {
+                        let len = rng.gen_range(0..8);
+                        let batch: Vec<ResourceInfo> = (0..len).map(|_| piece(&mut rng)).collect();
+                        let new = batch.iter().filter(|r| !d.has_attr(r.attr)).count();
+                        merges += usize::from(new > 0 && !d.is_empty());
+                        held += batch.len();
+                        d.bulk_load(batch);
+                    }
+                    8 => assert_eq!(std::mem::take(&mut held), d.drain().len(), "seed {seed}"),
+                    _ => {
+                        d.clear();
+                        held = 0;
+                    }
+                }
+                assert_eq!(d.len(), held, "seed {seed} step {step}");
+                assert_eq!(d.is_empty(), held == 0, "seed {seed} step {step}");
+                assert_eq!(d.iter().count(), held, "seed {seed} step {step}");
+                assert_eq!(d.check_invariants(), Ok(()), "seed {seed} step {step}");
+            }
+        }
+        assert!(merges > 100, "only {merges} bulk loads added attributes to a non-empty directory");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::directory::{sort_key, Directory};
 use crate::model::ResourceInfo;
 use crate::replication::{PieceKey, ReplicaStore};
-use dht_core::{DhtError, NodeIdx, Overlay, RepairStats, RouteStats};
+use dht_core::{reserve_slack, DhtError, NodeIdx, Overlay, RepairStats, RouteStats};
 
 /// Physical node → overlay node, for the dense `usize` ids that stand in
 /// for the grid machines' IP addresses. A departed node keeps its id (ids
@@ -53,6 +53,7 @@ impl PhysMap {
 
     /// Mount a new physical node on `idx`; returns its id.
     pub fn push(&mut self, idx: NodeIdx) -> usize {
+        reserve_slack(&mut self.nodes, 1);
         self.nodes.push(Some(idx));
         self.live += 1;
         self.nodes.len() - 1
@@ -117,13 +118,18 @@ impl<O: Overlay> Host<O> {
     }
 
     /// Run a membership or maintenance operation on the overlay, then
-    /// grow storage to cover any arena slot it added. The only way to
-    /// mutate the overlay, so storage always covers the arena.
+    /// grow storage to cover any arena slot it added, by the overlay
+    /// arenas' rule ([`reserve_slack`]). The only way to mutate the
+    /// overlay, so storage always covers the arena.
     pub fn update_net<R>(&mut self, op: impl FnOnce(&mut O) -> R) -> R {
         let out = op(&mut self.net);
         let arena = self.net.arena_len();
+        let added = arena.saturating_sub(self.dirs.len());
+        reserve_slack(&mut self.dirs, added);
         self.dirs.resize(arena, Directory::new());
         if self.repl > 1 {
+            let added = arena.saturating_sub(self.replicas.len());
+            reserve_slack(&mut self.replicas, added);
             self.replicas.resize(arena, ReplicaStore::new());
         }
         out
@@ -179,7 +185,7 @@ impl<O: Overlay> Host<O> {
     ) {
         let mut targets: Vec<NodeIdx> = Vec::new();
         let mut keys: Vec<O::Key> = Vec::new();
-        for &p in self.net.live_nodes() {
+        for p in self.net.live_nodes() {
             targets.clear();
             if self.net.replica_targets_into(p, self.repl, &mut targets).is_err()
                 || targets.is_empty()
@@ -251,7 +257,7 @@ impl<O: Overlay> Host<O> {
     /// primary directories and replica stores both. Callers canonicalize
     /// (sort + dedup).
     pub fn surviving_pieces_into(&self, out: &mut Vec<PieceKey>) {
-        for &n in self.net.live_nodes() {
+        for n in self.net.live_nodes() {
             out.extend(self.dirs[n.0].iter().map(PieceKey::of));
             if let Some(store) = self.replicas.get(n.0) {
                 store.keys_into(out);

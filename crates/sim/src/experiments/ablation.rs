@@ -250,7 +250,7 @@ pub fn ablate_dimension(dims: &[u8], lookups: usize, seed: u64) -> Ablation {
                 hops.record(route.hops as f64);
             }
         }
-        let links: usize = net.live_nodes().iter().map(|&i| net.outlinks(i).unwrap_or(0)).sum();
+        let links: usize = net.live_nodes().iter().map(|i| net.outlinks(i).unwrap_or(0)).sum();
         rows.push(AblationRow {
             setting: format!("d = {d} (n = {n})"),
             values: vec![

@@ -59,7 +59,7 @@ pub fn fig3a(dimensions: &[u8], attrs: usize, seed: u64) -> Fig3a {
                     ..ChordConfig::default()
                 },
             );
-            let total: usize = net.live_nodes().iter().map(|&i| net.outlinks(i).unwrap_or(0)).sum();
+            let total: usize = net.live_nodes().iter().map(|i| net.outlinks(i).unwrap_or(0)).sum();
             total as f64 / n as f64
         };
         let mercury_avg: f64 =
@@ -68,7 +68,7 @@ pub fn fig3a(dimensions: &[u8], attrs: usize, seed: u64) -> Fig3a {
                 .sum();
         // LORM: one Cycloid of the same size.
         let cy = Cycloid::build(n, CycloidConfig { dimension: d, seed });
-        let lorm_total: usize = cy.live_nodes().iter().map(|&i| cy.outlinks(i).unwrap_or(0)).sum();
+        let lorm_total: usize = cy.live_nodes().iter().map(|i| cy.outlinks(i).unwrap_or(0)).sum();
         let lorm = lorm_total as f64 / n as f64;
         rows.push(Fig3aRow {
             dimension: d,

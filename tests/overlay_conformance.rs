@@ -172,7 +172,7 @@ fn replay<D: Testable>(net: &mut D, ops: &[Op], seed: u64, what: &str) -> (Tally
             Op::Join(x) => net.join_any(x).is_ok(),
             Op::JoinAt(x) => net.join_at(x).is_ok(),
             Op::Leave(x) | Op::Fail(x) if net.len() > 1 => {
-                let v = net.live_nodes()[(x % net.len() as u64) as usize];
+                let v = net.live_nodes().at((x % net.len() as u64) as usize);
                 let graceful = matches!(op, Op::Leave(_));
                 net.depart(v, graceful).unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 let key = net.keys(&mut rng)[0];
@@ -227,7 +227,7 @@ fn check_routes<D: Testable>(net: &D, rng: &mut SmallRng, exact: bool, what: &st
     let origins: Vec<NodeIdx> = if live.len() <= ALL_ORIGINS {
         live.to_vec()
     } else {
-        (0..SAMPLED_ORIGINS).map(|_| live[rng.gen_range(0..live.len())]).collect()
+        (0..SAMPLED_ORIGINS).map(|_| live.at(rng.gen_range(0..live.len()))).collect()
     };
     let keys = net.keys(rng);
     let owners: Vec<NodeIdx> = keys
@@ -326,13 +326,13 @@ fn check_routes<D: Testable>(net: &D, rng: &mut SmallRng, exact: bool, what: &st
 
 impl Testable for Chord {
     fn join_any(&mut self, x: u64) -> Result<NodeIdx, DhtError> {
-        let boot = self.nodes_by_id()[(x % self.len() as u64) as usize];
+        let boot = self.nodes_by_id().at((x % self.len() as u64) as usize);
         self.join(boot)
     }
 
     fn join_at(&mut self, x: u64) -> Result<NodeIdx, DhtError> {
         // gaps of 1..=16 after an existing id, wrapping past u64::MAX
-        let boot = self.nodes_by_id()[(x % self.len() as u64) as usize];
+        let boot = self.nodes_by_id().at((x % self.len() as u64) as usize);
         self.join_with_id(boot, self.id_of(boot)?.wrapping_add(1 + (x >> 60)))
     }
 
@@ -363,9 +363,9 @@ impl Testable for Chord {
     /// `id + 2^i`.
     fn ground_truth(&self) -> Result<(), String> {
         let ring = self.nodes_by_id();
-        let at = |k: usize| ring[k % ring.len()];
+        let at = |k: usize| ring.at(k % ring.len());
         let r = self.config().succ_list_len.min(ring.len() - 1).max(1);
-        for (pos, &i) in ring.iter().enumerate() {
+        for (pos, i) in ring.iter().enumerate() {
             let node = self.node(i).unwrap();
             let succs: Vec<NodeIdx> = (1..=r).map(|k| at(pos + k)).collect();
             if node.successor_list() != succs
@@ -417,7 +417,7 @@ impl Testable for Chord {
 
     /// The least live id ≥ `key`, wrapping to the least live id.
     fn oracle(&self, key: u64) -> Option<NodeIdx> {
-        let ids = self.live_nodes().iter().map(|&i| (self.id(i), i));
+        let ids = self.live_nodes().iter().map(|i| (self.id(i), i));
         ids.clone().filter(|&(id, _)| id >= key).min().or_else(|| ids.min()).map(|(_, i)| i)
     }
 
@@ -450,13 +450,13 @@ fn chord_conforms_at_every_size() {
 /// knows no live successor at all.
 fn wrong_successors(net: &Chord) -> Vec<(usize, usize)> {
     let ring = net.nodes_by_id();
-    let at = |i: NodeIdx| ring.iter().position(|&x| x == i).unwrap();
+    let at = |i: NodeIdx| ring.iter().position(|x| x == i).unwrap();
     (0..ring.len())
         .filter_map(|pos| {
             let off = net
-                .next_clockwise(ring[pos])
+                .next_clockwise(ring.at(pos))
                 .map_or(0, |s| (at(s) + ring.len() - pos) % ring.len());
-            (off != 1).then_some((ring[pos].0, off))
+            (off != 1).then_some((ring.at(pos).0, off))
         })
         .collect()
 }
@@ -498,10 +498,10 @@ fn chord_stabilize_orphans_a_join_that_follows_a_failure() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let got = (check_routes(&net, &mut rng, false, &what).inexact, wrong_successors(&net));
         let exact = |net: &Chord| {
-            let ids: Vec<u64> = net.live_nodes().iter().map(|&i| net.id_of(i).unwrap()).collect();
+            let ids: Vec<u64> = net.live_nodes().iter().map(|i| net.id_of(i).unwrap()).collect();
             net.live_nodes()
                 .iter()
-                .all(|&from| ids.iter().all(|&k| net.route_stats(from, k).is_ok_and(|r| r.exact)))
+                .all(|from| ids.iter().all(|&k| net.route_stats(from, k).is_ok_and(|r| r.exact)))
         };
         let rounds = (33..=96).find(|_| {
             net.stabilize_all();
@@ -554,7 +554,7 @@ impl Testable for Cycloid {
     /// of their ideal ids one level down.
     fn ground_truth(&self) -> Result<(), String> {
         let (d, occ) = (self.dimension(), self.occupied_clusters());
-        for &i in self.live_nodes() {
+        for i in self.live_nodes() {
             let (n, id) = (self.node(i).unwrap(), self.id_of(i).unwrap());
             let members = self.cluster_members(id.cubical);
             let p = members.iter().position(|&m| m == i).unwrap();
@@ -646,7 +646,7 @@ impl Testable for Cycloid {
                 2 * cw
             }
         };
-        self.live_nodes().iter().copied().min_by_key(|&i| {
+        self.live_nodes().iter().min_by_key(|&i| {
             let id = self.id(i);
             (
                 rank(key.cubical, id.cubical, 1 << d),
