@@ -36,12 +36,12 @@ impl ChordNode<'_> {
 
     /// Immediate successor (first entry of the successor list).
     pub fn successor(&self) -> Option<NodeIdx> {
-        self.net.raw_succs(self.slot).first().map(|&s| NodeIdx(s as usize))
+        self.net.succs_of(self.slot).next()
     }
 
     /// The successor list.
     pub fn successor_list(&self) -> Vec<NodeIdx> {
-        self.net.raw_succs(self.slot).iter().map(|&s| NodeIdx(s as usize)).collect()
+        self.net.succs_of(self.slot).collect()
     }
 
     /// Immediate predecessor, if known.
@@ -55,11 +55,7 @@ impl ChordNode<'_> {
     pub fn fingers(&self) -> Vec<NodeIdx> {
         let window = self.net.raw_fingers(self.slot);
         let below = std::iter::repeat_n(window[0], FINGER_BITS - window.len());
-        below
-            .chain(window.iter().copied())
-            .filter(|&f| f != crate::network::NO_LINK)
-            .map(|f| NodeIdx(f as usize))
-            .collect()
+        below.chain(window.iter().copied()).filter_map(|f| f.get()).collect()
     }
 }
 

@@ -40,22 +40,15 @@ impl Chord {
             // (massive correlated failure), fall back to the nearest alive
             // clockwise finger as acting successor, as the protocol does.
             let succ = self
-                .raw_succs(cur.0)
-                .iter()
-                .copied()
-                .find(|&s| self.alive_at(s as usize))
+                .succs_of(cur.0)
+                .find(|s| self.alive_at(s.0))
                 .or_else(|| {
                     self.raw_fingers(cur.0)
                         .iter()
-                        .copied()
-                        .filter(|&f| {
-                            f != crate::network::NO_LINK
-                                && self.alive_at(f as usize)
-                                && f as usize != cur.0
-                        })
-                        .min_by_key(|&f| dht_core::clockwise_dist(cur_id, self.id_at(f as usize)))
+                        .filter_map(|f| f.get())
+                        .filter(|&f| self.alive_at(f.0) && f != cur)
+                        .min_by_key(|f| dht_core::clockwise_dist(cur_id, self.id_at(f.0)))
                 })
-                .map(|s| NodeIdx(s as usize))
                 .ok_or(DhtError::EmptyOverlay)?;
             // Key in (cur, succ] -> succ is the root.
             if in_interval_oc(cur_id, self.id_at(succ.0), key) {
@@ -92,26 +85,24 @@ impl Chord {
     /// exhaustive way.
     fn closest_preceding(&self, cur: NodeIdx, key: u64) -> Option<NodeIdx> {
         let cur_id = self.id_at(cur.0);
-        for &cand in self.raw_fingers(cur.0).iter().rev() {
-            if cand == crate::network::NO_LINK {
-                continue;
-            }
-            let c = cand as usize;
-            if self.alive_at(c) && c != cur.0 && in_interval_oo(cur_id, key, self.id_at(c)) {
-                return Some(NodeIdx(c));
+        for cand in self.raw_fingers(cur.0).iter().rev().filter_map(|f| f.get()) {
+            if self.alive_at(cand.0)
+                && cand != cur
+                && in_interval_oo(cur_id, key, self.id_at(cand.0))
+            {
+                return Some(cand);
             }
         }
         let mut best: Option<(u64, NodeIdx)> = None;
-        for &cand in self.raw_succs(cur.0) {
-            let c = cand as usize;
-            if !self.alive_at(c) || c == cur.0 {
+        for cand in self.succs_of(cur.0) {
+            if !self.alive_at(cand.0) || cand == cur {
                 continue;
             }
-            let cid = self.id_at(c);
+            let cid = self.id_at(cand.0);
             if in_interval_oo(cur_id, key, cid) {
                 let progress = dht_core::clockwise_dist(cur_id, cid);
                 if best.is_none_or(|(p, _)| progress > p) {
-                    best = Some((progress, NodeIdx(c)));
+                    best = Some((progress, cand));
                 }
             }
         }

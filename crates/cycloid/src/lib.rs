@@ -39,5 +39,5 @@ mod node;
 mod routing;
 
 pub use id::CycloidId;
-pub use network::{Cycloid, CycloidConfig};
+pub use network::{ClusterMembers, Cycloid, CycloidConfig};
 pub use node::CycloidNode;

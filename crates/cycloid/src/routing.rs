@@ -30,7 +30,7 @@
 use crate::id::CycloidId;
 use crate::network::Cycloid;
 use dht_core::fault::check_forward;
-use dht_core::{DhtError, NodeIdx, Overlay, RouteSink};
+use dht_core::{DhtError, Link, NodeIdx, Overlay, RouteSink};
 
 /// A routing decision: forward normally, or forward while committing to
 /// the final intra-cluster traverse (no further cluster-level moves).
@@ -141,7 +141,7 @@ impl Cycloid {
         // Rule 2: jump level too high — CCC descent through the inside
         // leaf set (same cluster, lower cyclic index, same distance).
         if k > j {
-            if let Some(p) = n.inside_pred.filter(alive) {
+            if let Some(p) = n.inside_pred.get().filter(alive) {
                 let pn = &self.nodes[p.0];
                 if pn.id.cyclic < k {
                     return Some(Hop::Forward(p));
@@ -154,7 +154,7 @@ impl Cycloid {
         // networks the link points to the nearest existing node).
         if k <= j {
             let dir_link = if cw <= ccw { n.cyclic_nbrs[1] } else { n.cyclic_nbrs[0] };
-            if let Some(x) = dir_link.filter(alive) {
+            if let Some(x) = dir_link.get().filter(alive) {
                 let cd = CycloidId::cluster_dist(self.nodes[x.0].id.cubical, key.cubical, d);
                 if cd < my_cd {
                     return Some(Hop::Forward(x));
@@ -171,7 +171,7 @@ impl Cycloid {
         // Rule 5: stuck — retry once from the cluster primary, whose jumps
         // are the longest available here.
         if *last_ascend_cd != Some(my_cd) {
-            if let Some(p) = n.primary.filter(alive) {
+            if let Some(p) = n.primary.get().filter(alive) {
                 *last_ascend_cd = Some(my_cd);
                 return Some(Hop::Forward(p));
             }
@@ -181,7 +181,7 @@ impl Cycloid {
         // key and the equidistant clockwise-side cluster is our outside
         // successor, ownership prefers it.
         if cw == my_cd {
-            if let Some(os) = n.outside_succ.filter(alive) {
+            if let Some(os) = n.outside_succ.get().filter(alive) {
                 let os_cub = self.nodes[os.0].id.cubical;
                 let os_cd = CycloidId::cluster_dist(os_cub, key.cubical, d);
                 if os_cd == my_cd && CycloidId::cw_cluster_dist(key.cubical, os_cub, d) == os_cd {
@@ -204,7 +204,7 @@ impl Cycloid {
         let n = &self.nodes[cur.0];
         let my = CycloidId::cyclic_dist(n.id.cyclic, l, d);
         let mut best: Option<(u8, NodeIdx)> = None;
-        for cand in [n.inside_pred, n.inside_succ].into_iter().flatten() {
+        for cand in [n.inside_pred, n.inside_succ].into_iter().filter_map(Link::get) {
             if cand == cur || !self.nodes[cand.0].alive {
                 continue;
             }

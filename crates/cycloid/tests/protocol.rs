@@ -15,7 +15,7 @@ fn random_key(rng: &mut SmallRng, d: u8) -> CycloidId {
 fn assert_structural_invariants(net: &Cycloid) {
     let d = net.dimension();
     for &cub in net.occupied_clusters() {
-        let members = net.cluster_members(cub);
+        let members = net.cluster_members(cub).to_vec();
         assert!(!members.is_empty() && members.len() <= d as usize);
         // sorted by cyclic, unique
         for w in members.windows(2) {
@@ -26,7 +26,7 @@ fn assert_structural_invariants(net: &Cycloid) {
         }
         // primary cache agrees with membership
         let primary = net.primary_of(cub).unwrap();
-        for &m in members {
+        for &m in &members {
             assert_eq!(net.node(m).unwrap().primary(), Some(primary));
             assert!(net.outlinks(m).unwrap() <= 8, "degree bound violated");
         }

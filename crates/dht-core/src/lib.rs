@@ -21,6 +21,8 @@
 //!   in which every figure of the paper is measured.
 //! * **Overlay trait** ([`overlay`]): the narrow interface a DHT overlay
 //!   must implement to be driven by the experiment engine.
+//! * **Links** ([`link`]): the 4-byte stored link both overlays' arenas
+//!   hold, "no link" readable only as `None`.
 //! * **Walk cache** ([`cache`]): epoch-invalidated memoization of
 //!   range-walk segments over a static bed — byte-identical to uncached
 //!   walks by construction.
@@ -39,6 +41,7 @@ pub mod error;
 pub mod fault;
 pub mod hashing;
 pub mod latency;
+pub mod link;
 pub mod overlay;
 pub mod replication;
 pub mod ring;
@@ -55,6 +58,7 @@ pub use fault::{
 };
 pub use hashing::{lex_hash, lex_prefix_end, ConsistentHash, LocalityHash};
 pub use latency::LatencyModel;
+pub use link::{arena_has_capacity, Link};
 pub use overlay::{reserve_slack, NodeIdx, NodeList, Overlay};
 pub use replication::{replica_targets, RepairStats};
 pub use ring::{clockwise_dist, in_interval_co, in_interval_oc, in_interval_oo, ring_dist};

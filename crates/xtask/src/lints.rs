@@ -77,11 +77,6 @@ pub const LINTS: &[(&str, &str)] = &[
          or widen the type",
     ),
     (
-        "sentinel-guard",
-        "indexing the `fingers`/`succs`/`preds` arenas in a function that never mentions \
-         `NO_LINK` — stride-table slots hold the sentinel and must be checked before use",
-    ),
-    (
         "schema-drift",
         "string-literal JSON keys emitted by a serializer (and its callees) must exactly match \
          the `docs/SCHEMAS.md` catalogue, both directions",
@@ -105,7 +100,6 @@ const SUPPRESSIBLE: &[&str] = &[
     "route-path-alloc",
     "bed-rebuild",
     "cast-truncation",
-    "sentinel-guard",
     "schema-drift",
     "epoch-bump",
 ];
@@ -124,7 +118,6 @@ pub const REACH_SCOPED: &[&str] = &[
     "route-path-alloc",
     "bed-rebuild",
     "cast-truncation",
-    "sentinel-guard",
 ];
 
 /// How a file participates in its crate.
@@ -233,7 +226,6 @@ pub fn raw_lints(ctx: &FileCtx, lexed: &Lexed, items: &ItemTree) -> Vec<Diagnost
     }
     panic_hygiene(ctx, &lexed.toks, &lib_code, &mut raw);
     cast_truncation(ctx, &lexed.toks, &lib_code, &mut raw);
-    sentinel_guard(ctx, &lexed.toks, items, &lib_code, &mut raw);
     epoch_bump(ctx, &lexed.toks, items, &lib_code, &mut raw);
     raw
 }
@@ -699,80 +691,6 @@ fn cast_truncation(
     }
 }
 
-/// The SoA arena fields whose slots hold the `NO_LINK` sentinel.
-const SENTINEL_ARENAS: &[&str] = &["fingers", "succs", "preds"];
-
-/// Lint 8 — sentinel hygiene: indexing a sentinel-bearing arena
-/// (`fingers[..]`, `succs[..]`, `preds[..]`) inside a function that never
-/// mentions `NO_LINK`. Reading a raw slot without a sentinel check turns
-/// `u32::MAX` into a phantom node id. Pure stores (`arena[i] = v`) are
-/// exempt — writing a slot needs no guard.
-fn sentinel_guard(
-    ctx: &FileCtx,
-    toks: &[Tok],
-    items: &ItemTree,
-    lib_code: &dyn Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident
-            || !SENTINEL_ARENAS.contains(&t.text.as_str())
-            || i + 1 >= toks.len()
-            || !toks[i + 1].is_punct('[')
-            || !lib_code(i)
-        {
-            continue;
-        }
-        // Find the matching `]`; a lone `=` right after makes this a
-        // pure store.
-        let mut depth = 0i32;
-        let mut j = i + 1;
-        while j < toks.len() {
-            if toks[j].is_punct('[') {
-                depth += 1;
-            } else if toks[j].is_punct(']') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        let is_store = j + 1 < toks.len()
-            && toks[j + 1].is_punct('=')
-            && !(j + 2 < toks.len() && toks[j + 2].is_punct('='));
-        if is_store {
-            continue;
-        }
-        // The enclosing fn (innermost body span containing this token)
-        // must mention NO_LINK somewhere between its signature and its
-        // closing brace.
-        let encl = items
-            .fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| s <= i && i < e))
-            .min_by_key(|f| f.body.map_or(usize::MAX, |(s, e)| e - s));
-        let guarded = encl.is_some_and(|f| {
-            let (_, end) = f.body.unwrap();
-            toks[f.sig_start..end.min(toks.len())].iter().any(|t| t.is_ident("NO_LINK"))
-        });
-        if !guarded {
-            push(
-                out,
-                ctx,
-                "sentinel-guard",
-                t.line,
-                format!(
-                    "`{}[..]` read in a function that never checks `NO_LINK`: arena slots hold \
-                     the sentinel — guard the read, or annotate why every slot here is live",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 /// Crates whose overlay state feeds the epoch-invalidated route cache.
 const EPOCH_CRATES: &[&str] = &["chord", "cycloid"];
 
@@ -787,12 +705,10 @@ const EPOCH_TRACKED: &[&str] = &[
     "preds",
     "alive",
     "sorted",
-    // cycloid: node/cluster arenas and liveness
+    // cycloid: node and slot arenas and liveness
     "nodes",
     "slots",
     "occupied",
-    "cluster_slots",
-    "cluster_lens",
     "live_sorted",
 ];
 
@@ -817,7 +733,7 @@ const EPOCH_MUTATORS: &[&str] = &[
     "swap_remove",
 ];
 
-/// Lint 10 — epoch hygiene: a tracked overlay-state field mutated
+/// Lint 9 — epoch hygiene: a tracked overlay-state field mutated
 /// (`self.f = ...`, `self.f[..] = ...`, `&mut self.f`, or an in-place
 /// mutator call) in a chord/cycloid library function whose body never
 /// calls `bump_epoch`. The route cache treats an unchanged epoch as
@@ -1003,7 +919,7 @@ fn schema_names(lit: &str) -> Vec<String> {
     out
 }
 
-/// Lint 9 — schema drift (workspace-level). A *root* is a non-test
+/// Lint 8 — schema drift (workspace-level). A *root* is a non-test
 /// library function whose body mentions a `lorm-repro/<name>` schema
 /// string. The keys that root emits are the union of `"key":` patterns
 /// in string literals across the root and every function reachable from
@@ -1449,30 +1365,6 @@ mod tests {
         );
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.suppressions_used, 1);
-    }
-
-    #[test]
-    fn unguarded_arena_read_is_flagged() {
-        let r = sim_lib("fn f(&self, i: usize) -> u32 { self.fingers[i] }");
-        assert_eq!(names(&r), ["sentinel-guard"]);
-    }
-
-    #[test]
-    fn guarded_arena_read_is_fine() {
-        let r = sim_lib(
-            "fn f(&self, i: usize) -> Option<u32> {\n    \
-             let v = self.fingers[i];\n    if v == NO_LINK { None } else { Some(v) }\n}",
-        );
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-    }
-
-    #[test]
-    fn pure_arena_store_is_exempt() {
-        let r = sim_lib("fn f(&mut self, i: usize, v: u32) { self.fingers[i] = v; }");
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        // `==` comparison is a read, not a store.
-        let r = sim_lib("fn f(&self, i: usize) -> bool { self.succs[i] == 3 }");
-        assert_eq!(names(&r), ["sentinel-guard"]);
     }
 
     #[test]

@@ -556,7 +556,7 @@ impl Testable for Cycloid {
         let (d, occ) = (self.dimension(), self.occupied_clusters());
         for i in self.live_nodes() {
             let (n, id) = (self.node(i).unwrap(), self.id_of(i).unwrap());
-            let members = self.cluster_members(id.cubical);
+            let members = self.cluster_members(id.cubical).to_vec();
             let p = members.iter().position(|&m| m == i).unwrap();
             let ring = |k: usize| (members.len() > 1).then(|| members[(p + k) % members.len()]);
             let c = occ.binary_search(&id.cubical).unwrap() + occ.len();
